@@ -198,8 +198,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"chain error: {outcome.chain_error}")
     if outcome.inconclusive:
         print(
-            "chain INCONCLUSIVE: obligations timed out or were "
-            "abandoned; re-run with a larger deadline/retry budget"
+            "chain INCONCLUSIVE: checks hit a bound, timed out or were "
+            "abandoned; re-run with larger bounds or a larger "
+            "deadline/retry budget"
         )
     print(farm.summary_line())
     if args.farm_report:

@@ -2297,3 +2297,25 @@ def stepper_for(machine: StateMachine) -> CompiledStepper | None:
         stepper = None
     machine.__dict__["_stepc_cache"] = (token, stepper)
     return stepper
+
+
+def successors_for(machine: StateMachine, compiled: bool = True):
+    """The successor function of *machine*: ``state ->
+    [(Transition, successor), ...]`` in the interpreter's order.
+
+    The one stepping entry point for every state-space search: the
+    compiled stepper's ``fn`` when *compiled* is on and
+    :func:`stepper_for` covers the machine, otherwise the interpreted
+    ``enabled_transitions`` + ``next_state`` enumeration (bit-identical
+    lists either way)."""
+    stepper = stepper_for(machine) if compiled else None
+    if stepper is not None:
+        return stepper.fn
+
+    def interpreted(state: ProgramState) -> list:
+        return [
+            (transition, machine.next_state(state, transition))
+            for transition in machine.enabled_transitions(state)
+        ]
+
+    return interpreted

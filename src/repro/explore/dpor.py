@@ -228,7 +228,7 @@ class DynamicReducer(AmpleReducer):
         state: ProgramState,
         transitions: list[Transition],
         seen: Container[ProgramState],
-        successors: "list[ProgramState] | None" = None,
+        successors: list[ProgramState],
     ) -> tuple[list[Transition], list[ProgramState]] | None:
         if state.atomic_owner is not None or len(transitions) < 2:
             self.stats.full_states += 1
@@ -267,9 +267,7 @@ class DynamicReducer(AmpleReducer):
             check = (self._check_successors_dyn if dynamic
                      else self._check_successors)
             checked = check(
-                state, candidate, seen,
-                [successors[i] for i in indices]
-                if successors is not None else None,
+                state, candidate, seen, [successors[i] for i in indices]
             )
             if checked is None:
                 continue
@@ -295,21 +293,16 @@ class DynamicReducer(AmpleReducer):
         state: ProgramState,
         candidate: list[Transition],
         seen: Container[ProgramState],
-        computed: "list[ProgramState] | None" = None,
+        computed: list[ProgramState],
     ) -> list[ProgramState] | None:
         """The parent's invisibility guard (C2, C3), with the buffer
         restriction relaxed: the step may *append* stores for any
         location — under TSO an append is invisible until drained."""
-        machine = self.machine
         tid = candidate[0].tid
         old_thread = state.threads[tid]
         old_sb = old_thread.store_buffer
         successors: list[ProgramState] = []
-        for k, tr in enumerate(candidate):
-            nxt = (
-                computed[k] if computed is not None
-                else machine.next_state(state, tr)
-            )
+        for nxt in computed:
             if nxt.termination is not None:
                 return None
             if nxt.log != state.log:

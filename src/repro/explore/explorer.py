@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.compiler.stepc import stepper_for
+from repro.compiler.stepc import stepper_for, successors_for
 from repro.errors import StateBudgetExceeded
 from repro.explore.atomic import AtomicLift, AtomicStats, MacroTransition
 from repro.explore.dpor import DynamicReducer, SleepSets
@@ -202,6 +202,7 @@ class Explorer:
         # to the interpreter (stepper_for returns None for uncovered
         # machines, e.g. under the RA model).
         self.stepper = stepper_for(machine) if compiled else None
+        self.successors = successors_for(machine, compiled)
         #: Sleep sets ride along with the dynamic reducer only: their
         #: independence oracle shares its footprint machinery.  Both
         #: borrow the compiled stepper's per-step footprint metadata
@@ -217,21 +218,18 @@ class Explorer:
 
     def _expand(
         self, state: ProgramState
-    ) -> tuple[list[Transition], list[ProgramState] | None]:
-        """The full enabled-transition list at *state*, plus — when the
-        compiled stepper is active — the matching successor states for
-        free (``None`` otherwise; they are computed lazily on demand)."""
-        if self.stepper is not None:
-            pairs = self.stepper.fn(state)
-            return [p[0] for p in pairs], [p[1] for p in pairs]
-        return self.machine.enabled_transitions(state), None
+    ) -> tuple[list[Transition], list[ProgramState]]:
+        """The full enabled-transition list at *state* and the matching
+        successor states."""
+        pairs = self.successors(state)
+        return [p[0] for p in pairs], [p[1] for p in pairs]
 
     def _successors(
         self,
         state: ProgramState,
         transitions: list[Transition],
         seen,
-        successors: list[ProgramState] | None = None,
+        successors: list[ProgramState],
     ) -> tuple[list[Transition], list[ProgramState]]:
         """Transitions to expand at *state* and their successor states
         (the ample subset under POR, everything otherwise)."""
@@ -240,12 +238,7 @@ class Explorer:
                                          successors)
             if reduced is not None:
                 return reduced
-        if successors is not None:
-            return transitions, successors
-        machine = self.machine
-        return transitions, [
-            machine.next_state(state, tr) for tr in transitions
-        ]
+        return transitions, successors
 
     def _reducer_seen(self, seen: dict):
         if self.symmetry is not None and self.reducer is not None:
@@ -286,9 +279,9 @@ class Explorer:
                 # dead next_state work.  Keep draining (and yielding)
                 # the states already admitted.
                 continue
-            transitions, computed = self._expand(state)
+            transitions, successors = self._expand(state)
             used, successors = self._successors(
-                state, transitions, reducer_seen, computed
+                state, transitions, reducer_seen, successors
             )
             if self.atomic is not None:
                 successors = [
@@ -337,17 +330,16 @@ class Explorer:
         complete = True
         while frontier:
             state = frontier.popleft()
-            transitions, computed = self._expand(state)
+            transitions, successors = self._expand(state)
             if visit(state, transitions) is False:
                 return False
             if not complete:
                 # Budget already hit: every new successor would be
-                # refused, so skip the (possibly interpreted) successor
-                # computation.  Remaining admitted states are still
-                # visited above with their full transition lists.
+                # refused.  Remaining admitted states are still visited
+                # above with their full transition lists.
                 continue
             _, successors = self._successors(
-                state, transitions, seen, computed
+                state, transitions, seen, successors
             )
             for nxt in successors:
                 if nxt in seen:
@@ -455,13 +447,13 @@ class Explorer:
                     continue
             elif state.termination is not None:  # pragma: no cover
                 continue
-            transitions, computed = self._expand(state)
+            transitions, successors = self._expand(state)
             if not transitions:
                 if first:
                     result.final_outcomes.add(("deadlock", state.log))
                 continue
             used, successors = self._successors(
-                state, transitions, reducer_seen, computed
+                state, transitions, reducer_seen, successors
             )
             if sleep_sets is not None:
                 active_idx, asleep = sleep_sets.split(

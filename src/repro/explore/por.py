@@ -181,17 +181,14 @@ class AmpleReducer:
         state: ProgramState,
         transitions: list[Transition],
         seen: Container[ProgramState],
-        successors: "list[ProgramState] | None" = None,
+        successors: list[ProgramState],
     ) -> tuple[list[Transition], list[ProgramState]] | None:
-        """Select an ample subset of *transitions* at *state*.
+        """Select an ample subset of *transitions* at *state*, whose
+        successor states are *successors* (aligned by index).
 
         Returns ``(ample_transitions, their_successors)`` when a sound
         singleton-thread reduction exists, or ``None`` to request full
-        expansion.  Successors are returned so the explorer does not
-        recompute them.  When the caller already has the successor of
-        every transition (the compiled stepper produces them as a
-        by-product), pass them as *successors* — the dynamic guard then
-        costs no extra ``next_state`` work at all.
+        expansion.
         """
         if state.atomic_owner is not None or len(transitions) < 2:
             # Inside an atomic region only one thread schedules anyway;
@@ -218,9 +215,7 @@ class AmpleReducer:
                 continue
             candidate = [transitions[i] for i in indices]
             checked = self._check_successors(
-                state, candidate, seen,
-                [successors[i] for i in indices]
-                if successors is not None else None,
+                state, candidate, seen, [successors[i] for i in indices]
             )
             if checked is None:
                 continue
@@ -244,19 +239,15 @@ class AmpleReducer:
         state: ProgramState,
         candidate: list[Transition],
         seen: Container[ProgramState],
-        computed: "list[ProgramState] | None" = None,
+        computed: list[ProgramState],
     ) -> list[ProgramState] | None:
-        """Run the dynamic invisibility/commutation guard (C2, C3)."""
-        machine = self.machine
+        """Run the dynamic invisibility/commutation guard (C2, C3) over
+        the *candidate* transitions and their *computed* successors."""
         tid = candidate[0].tid
         old_thread = state.threads[tid]
         old_sb = old_thread.store_buffer
         successors: list[ProgramState] = []
-        for k, tr in enumerate(candidate):
-            nxt = (
-                computed[k] if computed is not None
-                else machine.next_state(state, tr)
-            )
+        for tr, nxt in zip(candidate, computed):
             if tr.is_drain:
                 # A drain of a private entry only pops the candidate's
                 # buffer and writes the private cell back; nothing else

@@ -10,7 +10,8 @@ inclusion over finite systems: we pair each reachable low-level state
 with the *set* of high-level states it might correspond to.  On each
 low-level transition, the high-level set is advanced through its
 bounded stutter closure and filtered by R; an empty set is a refinement
-counterexample.
+counterexample, unless a closure on its path was cut by the stutter
+bound, which makes the result inconclusive instead.
 
 R is automatically strengthened with the undefined-behaviour conjunct of
 §3.2.3: "if the low-level program exhibits undefined behavior, then the
@@ -20,9 +21,10 @@ high-level program does."
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
+from repro.compiler.stepc import successors_for
 from repro.machine.program import StateMachine
 from repro.machine.state import ProgramState, TERM_UB
 
@@ -87,19 +89,54 @@ class RefinementResult:
     holds: bool
     product_states: int = 0
     counterexample: RefinementCounterexample | None = None
+    #: The product-state budget ran out before the search finished.
     hit_budget: bool = False
+    #: A stutter closure on the counterexample's path stopped at
+    #: ``max_stutter`` with high-level states still unreached, so the
+    #: missing match may be an artefact of the bound.
+    hit_stutter_bound: bool = False
+
+    @property
+    def inconclusive(self) -> bool:
+        """Neither verified nor refuted: a bound cut the search."""
+        return self.hit_budget or self.hit_stutter_bound
 
     def __bool__(self) -> bool:
         return self.holds
 
 
+Successors = Callable[[ProgramState], list]
+
+
+def _memoized(successors: Successors) -> Successors:
+    """*successors* behind a table, so each state is expanded once.
+    Successor states are interned: equal states are one object, so the
+    closures' set lookups succeed on identity, without deep equality."""
+    table: dict[ProgramState, list] = {}
+    interned: dict[ProgramState, ProgramState] = {}
+    intern = interned.setdefault
+
+    def step(state: ProgramState) -> list:
+        pairs = table.get(state)
+        if pairs is None:
+            pairs = table[state] = [
+                (transition, intern(nxt, nxt))
+                for transition, nxt in successors(state)
+            ]
+        return pairs
+
+    return step
+
+
 def _stutter_closure(
-    machine: StateMachine,
+    step: Successors,
     states: frozenset[ProgramState],
     max_stutter: int,
-) -> frozenset[ProgramState]:
+) -> tuple[set[ProgramState], bool]:
     """All states reachable from *states* in at most *max_stutter*
-    high-level steps (including zero)."""
+    high-level steps (including zero), and whether the bound cut the
+    search short: some state at the last depth still steps to a state
+    outside the closure."""
     closure = set(states)
     frontier = list(states)
     for _ in range(max_stutter):
@@ -107,15 +144,19 @@ def _stutter_closure(
         for state in frontier:
             if state.termination is not None:
                 continue
-            for transition in machine.enabled_transitions(state):
-                nxt = machine.next_state(state, transition)
+            for _transition, nxt in step(state):
                 if nxt not in closure:
                     closure.add(nxt)
                     new_frontier.append(nxt)
         if not new_frontier:
-            break
+            return closure, False
         frontier = new_frontier
-    return frozenset(closure)
+    cut = any(
+        nxt not in closure
+        for state in frontier if state.termination is None
+        for _transition, nxt in step(state)
+    )
+    return closure, cut
 
 
 def check_refinement(
@@ -124,24 +165,33 @@ def check_refinement(
     relation: RefinementRelation | None = None,
     max_stutter: int = 8,
     max_product_states: int = 1_000_000,
+    compiled: bool = True,
 ) -> RefinementResult:
     """Check that *low* refines *high* under *relation* (default: the
-    log-prefix relation), with the UB conjunct added automatically."""
+    log-prefix relation), with the UB conjunct added automatically.
+
+    Both machines step through :func:`successors_for` (the compiled
+    stepper unless *compiled* is off).  Each high-level state is
+    expanded at most once per call, and each product state's stutter
+    closure is computed once, whatever its number of low-level
+    transitions.  A missing match is a refutation only if no stutter
+    closure on its path was cut by *max_stutter*; otherwise, like a
+    product-budget cut, the result is inconclusive."""
     base = relation if relation is not None else log_prefix_relation
     R = with_ub_conjunct(base)
+    low_step = successors_for(low, compiled)
+    high_step = _memoized(successors_for(high, compiled))
 
     low_init = low.initial_state()
     high_init = high.initial_state()
-    high_universe = _stutter_closure(
-        high, frozenset([high_init]), max_stutter
+    high_universe, cut = _stutter_closure(
+        high_step, frozenset([high_init]), max_stutter
     )
     initial_set = frozenset(h for h in high_universe if R(low_init, h))
     if not initial_set:
-        return RefinementResult(
-            holds=False,
-            counterexample=RefinementCounterexample(
-                low_init, "initial states are not related by R"
-            ),
+        return _unmatched(
+            low_init, "initial states are not related by R",
+            "the low-level initial state", (), cut, max_stutter, 0,
         )
 
     # BFS over the product (low state, high-state set), with parent
@@ -150,6 +200,9 @@ def check_refinement(
     # minimal, and trace storage is O(states), not O(states * depth).
     init_key = (low_init, initial_set)
     parents: dict[tuple, tuple[tuple, object] | None] = {init_key: None}
+    #: Product states whose parent path passed a cut closure: their
+    #: high-level sets may lack states an unbounded search would keep.
+    tainted: set[tuple] = {init_key} if cut else set()
     frontier: deque[tuple[ProgramState, frozenset]] = deque((init_key,))
     product_states = 0
 
@@ -159,30 +212,29 @@ def check_refinement(
         product_states += 1
         if low_state.termination is not None:
             continue
-        for transition in low.enabled_transitions(low_state):
-            next_low = low.next_state(low_state, transition)
-            closure = _stutter_closure(high, high_set, max_stutter)
+        low_pairs = low_step(low_state)
+        if not low_pairs:
+            continue
+        closure, cut = _stutter_closure(high_step, high_set, max_stutter)
+        cut = cut or key in tainted
+        for transition, next_low in low_pairs:
             next_high = frozenset(
                 h for h in closure if R(next_low, h)
             )
             if not next_high:
-                return RefinementResult(
-                    holds=False,
-                    product_states=product_states,
-                    counterexample=RefinementCounterexample(
-                        next_low,
-                        "no high-level state simulates low-level "
-                        f"transition {transition.describe()}",
-                        _product_trace(parents, key) + (transition,),
-                    ),
+                target = f"low-level transition {transition.describe()}"
+                return _unmatched(
+                    next_low, f"no high-level state simulates {target}",
+                    target, _product_trace(parents, key) + (transition,),
+                    cut, max_stutter, product_states,
                 )
             next_key = (next_low, next_high)
             if next_key in parents:
                 continue
             if len(parents) >= max_product_states:
                 # Honest truncation: the budget is a hard bound on the
-                # number of admitted product states, and hitting it is
-                # always reported as a failed (inconclusive) check.
+                # number of admitted product states, and hitting it
+                # makes the check inconclusive, never refuted.
                 return RefinementResult(
                     holds=False,
                     product_states=product_states,
@@ -194,8 +246,36 @@ def check_refinement(
                     ),
                 )
             parents[next_key] = (key, transition)
+            if cut:
+                tainted.add(next_key)
             frontier.append(next_key)
     return RefinementResult(holds=True, product_states=product_states)
+
+
+def _unmatched(
+    low_state: ProgramState,
+    refutation: str,
+    target: str,
+    trace: tuple,
+    cut: bool,
+    max_stutter: int,
+    product_states: int,
+) -> RefinementResult:
+    """The result when no high-level state matches *target*: the
+    *refutation*, or inconclusive when a cut closure may have hidden
+    the match."""
+    description = (
+        f"stutter bound of {max_stutter} high-level steps cut the "
+        f"search for a match to {target}" if cut else refutation
+    )
+    return RefinementResult(
+        holds=False,
+        product_states=product_states,
+        hit_stutter_bound=cut,
+        counterexample=RefinementCounterexample(
+            low_state, description, trace
+        ),
+    )
 
 
 def _product_trace(parents: dict, key: tuple) -> tuple:

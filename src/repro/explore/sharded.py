@@ -67,7 +67,7 @@ import pickle
 import traceback
 from typing import Callable
 
-from repro.compiler.stepc import stepper_for
+from repro.compiler.stepc import stepper_for, successors_for
 from repro.explore.explorer import ExplorationResult, InvariantViolation
 from repro.machine.program import StateMachine, Transition
 from repro.machine.state import ProgramState, TERM_UB
@@ -116,7 +116,7 @@ def _worker_loop(
 ) -> None:
     """One shard: owns states with ``hash(state) % nworkers == wid``."""
     try:
-        stepper = stepper_for(machine) if compiled else None
+        successors = successors_for(machine, compiled)
         seen: dict[ProgramState, int] = {}
         states: list[ProgramState] = []
         parents: list[tuple | None] = []
@@ -171,22 +171,12 @@ def _worker_loop(
                 buckets: list[dict] = [{} for _ in range(nworkers)]
                 for index in current:
                     state = states[index]
-                    if stepper is not None:
-                        pairs = stepper.fn(state)
-                        transitions = [p[0] for p in pairs]
-                        succs = [p[1] for p in pairs]
-                    else:
-                        transitions = machine.enabled_transitions(state)
-                        succs = None
-                    if not transitions:
+                    pairs = successors(state)
+                    if not pairs:
                         outcomes.add(("deadlock", state.log))
                         continue
-                    for k, tr in enumerate(transitions):
+                    for tr, nxt in pairs:
                         stats["taken"] += 1
-                        nxt = (
-                            succs[k] if succs is not None
-                            else machine.next_state(state, tr)
-                        )
                         ref = (
                             wid, index,
                             _encode_transition(machine, tr, step_memo),

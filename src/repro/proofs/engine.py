@@ -543,6 +543,7 @@ class ProofEngine:
         low_ctx = self.checked.contexts[proof.low_level]
         high_ctx = self.checked.contexts[proof.high_level]
         max_states = self.max_states
+        compiled = self.compiled
 
         def thunk():
             from repro.explore.refinement_check import check_refinement
@@ -550,14 +551,22 @@ class ProofEngine:
 
             try:
                 relation = relation_from_recipe(proof, low_ctx, high_ctx)
-                return check_refinement(
+                result = check_refinement(
                     low_machine,
                     high_machine,
                     relation=relation,
                     max_product_states=max_states,
+                    compiled=compiled,
                 )
             except ArmadaError as error:
                 return error
+            if result.inconclusive:
+                # A bound cut the search: neither verified nor refuted.
+                return InconclusiveCheck(
+                    "whole-program refinement check inconclusive: "
+                    f"{result.counterexample.description}"
+                )
+            return result
 
         def apply(result) -> None:
             if isinstance(result, ArmadaError):

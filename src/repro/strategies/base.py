@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.compiler.stepc import successors_for
 from repro.errors import StrategyError
 from repro.lang import asts as ast
 from repro.lang import types as ty
@@ -119,9 +120,10 @@ class ProofRequest:
         self, machine: StateMachine
     ) -> Iterable[tuple[ProgramState, Transition, ProgramState]]:
         """All (state, transition, next state) triples of *machine*."""
+        successors = successors_for(machine, self.compiled)
         for state in self.reachable_states(machine):
-            for transition in machine.enabled_transitions(state):
-                yield state, transition, machine.next_state(state, transition)
+            for transition, nxt in successors(state):
+                yield state, transition, nxt
 
     # ------------------------------------------------------------------
 

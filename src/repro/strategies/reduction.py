@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.compiler.stepc import successors_for
 from repro.errors import StrategyError
 from repro.machine.program import StateMachine, Transition
 from repro.machine.steps import Step
@@ -140,12 +141,13 @@ class ReductionStrategy(Strategy):
     ) -> MoverClassification:
         machine = request.low_machine
         region_ids = {id(step) for step in region_steps}
+        successors = successors_for(machine, request.compiled)
 
         # Gather, per step, the reachable (state, transition) instances.
         instances: dict[int, list] = {id(s): [] for s in region_steps}
         by_state: dict = {}
         for state in request.reachable_states(machine):
-            transitions = machine.enabled_transitions(state)
+            transitions = [pair[0] for pair in successors(state)]
             by_state[state] = transitions
             for transition in transitions:
                 if (

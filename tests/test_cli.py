@@ -46,6 +46,22 @@ class TestCommands:
         )
         assert main(["verify", str(path)]) == 1
 
+    def test_verify_budget_cut_prints_inconclusive(self, tmp_path,
+                                                   capsys):
+        path = tmp_path / "loop.arm"
+        path.write_text(
+            "level A { var i: uint32; void main() { i := 0; "
+            "while i < 40 { i := i + 1; } } }\n"
+            "level B { var i: uint32; void main() { i := 0; "
+            "while i < 40 { i := i + 1; } } }\n"
+            "proof P { refinement A B weakening }\n"
+        )
+        assert main(["verify", str(path), "--validate", "always",
+                     "--max-states", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "P [weakening]: INCONCLUSIVE" in out
+        assert "FAILED" not in out
+
     def test_compile_c(self, program_file, capsys):
         assert main(["compile", program_file, "--level", "Low"]) == 0
         assert "#include <stdint.h>" in capsys.readouterr().out

@@ -205,3 +205,35 @@ class TestPorPlumbing:
         without = ProofEngine(checked, por=False)._job_fingerprint()
         assert with_por != without
         assert "por=on" in with_por and "por=off" in without
+
+
+#: Identical loop levels: 41 loop iterations need far more than five
+#: product states, and the plain weakening pair has no lemma obligation
+#: that a five-state budget could refute.
+LOOP_PAIR = (
+    "level A { var i: uint32; void main() { i := 0; "
+    "while i < 40 { i := i + 1; } } } "
+    "level B { var i: uint32; void main() { i := 0; "
+    "while i < 40 { i := i + 1; } } } "
+    "proof P { refinement A B weakening }"
+)
+
+
+class TestWholeProgramBounds:
+    def test_product_budget_cut_is_inconclusive_not_failed(self):
+        checked = check_program(LOOP_PAIR)
+        engine = ProofEngine(
+            checked, max_states=5, validate_refinement="always"
+        )
+        outcome = engine.run_all()
+        (proof,) = outcome.outcomes
+        assert not proof.success
+        assert proof.inconclusive
+        assert "product state budget exhausted" in proof.error
+        assert outcome.status == "inconclusive"
+
+    def test_same_pair_verifies_within_budget(self):
+        checked = check_program(LOOP_PAIR)
+        engine = ProofEngine(checked, validate_refinement="always")
+        outcome = engine.run_all()
+        assert outcome.status == "verified"

@@ -44,12 +44,16 @@ proof ImplToMid { refinement Impl Mid var_intro }
 proof MidToSpec { refinement Mid Spec nondet_weakening }
 """
 
-#: One level of the slow family: two worker threads contending on a
-#: mutex.  With ``validate: always`` each refinement pair costs one
-#: multi-second whole-program product sweep — enough wall-clock to
-#: catch a drain mid-job deterministically.
-SLOW_LEVEL = """
-level L%d {
+#: One level of the lock-counter family: *workers* threads contending
+#: on a mutex.  With ``validate: always`` each refinement pair runs one
+#: whole-program product check.  With two workers that check takes
+#: about 0.1 s, so the in-process tests that need a job to stay in
+#: flight hold it with :func:`hold_refinement_checks` instead.  With
+#: three workers a pair took 1.7-3.0 s on a 2-vCPU x86 host, and the
+#: first pair of a run, which also compiles the steppers, 2.7 s: over
+#: 4x the 0.5 s signal offset of the subprocess serve test.
+COUNTER_LEVEL = """
+level L%(index)d {
   var counter: uint32;
   var mutex: uint64;
   var done: uint32;
@@ -64,12 +68,9 @@ level L%d {
     }
   }
   void main() {
-    var t1: uint64;
-    var t2: uint64;
-    t1 := create_thread worker();
-    t2 := create_thread worker();
-    join(t1);
-    join(t2);
+%(decls)s
+%(creates)s
+%(joins)s
     done := 1;
     print_uint32(counter);
   }
@@ -77,13 +78,40 @@ level L%d {
 """
 
 
-def slow_chain(pairs: int) -> str:
-    parts = [SLOW_LEVEL % i for i in range(pairs + 1)]
+def counter_chain(pairs: int, workers: int = 2) -> str:
+    tids = [f"t{k}" for k in range(1, workers + 1)]
+    body = {
+        "decls": "\n".join(f"    var {t}: uint64;" for t in tids),
+        "creates": "\n".join(
+            f"    {t} := create_thread worker();" for t in tids
+        ),
+        "joins": "\n".join(f"    join({t});" for t in tids),
+    }
+    parts = [
+        COUNTER_LEVEL % dict(body, index=i) for i in range(pairs + 1)
+    ]
     for i in range(pairs):
         parts.append(
             "proof P%d { refinement L%d L%d weakening }" % (i, i, i + 1)
         )
     return "\n".join(parts)
+
+
+def hold_refinement_checks(monkeypatch, release) -> None:
+    """Hold every whole-program refinement check started in this
+    process until ``release()`` is true (60 s at most), so that a job
+    is mid-obligation by construction, however fast the check is."""
+    from repro.explore import refinement_check
+
+    check = refinement_check.check_refinement
+
+    def held(*args, **kwargs):
+        deadline = time.monotonic() + 60
+        while not release() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(refinement_check, "check_refinement", held)
 
 
 def start_daemon(state_dir, **kwargs):
@@ -288,14 +316,17 @@ class TestConcurrentClients:
         assert results["explore"]["result"]["states"] == \
             batch_explore.states_visited
 
-    def test_cancel_queued_job_never_runs(self, tmp_path):
+    def test_cancel_queued_job_never_runs(self, tmp_path, monkeypatch):
         daemon, thread, client = start_daemon(
             tmp_path / "state", slots=1
         )
+        # The occupant's check is held until the victim is cancelled.
+        release = threading.Event()
+        hold_refinement_checks(monkeypatch, release.is_set)
         try:
             # Occupy the single slot, then cancel a queued job.
             running = client.submit(
-                slow_chain(1), name="runner",
+                counter_chain(1), name="runner",
                 options={"validate": "always"},
             )
             queued = client.submit(QUICK_CHAIN, name="victim")
@@ -303,6 +334,7 @@ class TestConcurrentClients:
             assert status["state"] == "cancelled"
             response = client.result(queued, wait=True, timeout=30)
             assert response["state"] == "cancelled"
+            release.set()
             # The occupant is unaffected.
             occupant = client.result(running, wait=True, timeout=120)
             assert occupant["result"]["status"] == "verified"
@@ -310,6 +342,7 @@ class TestConcurrentClients:
             assert "started" not in kinds
             assert "cancel_requested" in kinds
         finally:
+            release.set()
             thread.stop()
 
 
@@ -391,11 +424,15 @@ class TestIncremental:
 
 
 class TestDrainAndResume:
-    def test_drain_keeps_unfinished_jobs_pending(self, tmp_path):
+    def test_drain_keeps_unfinished_jobs_pending(
+        self, tmp_path, monkeypatch
+    ):
         state = tmp_path / "state"
         daemon, thread, client = start_daemon(state, slots=1)
+        # The in-flight check runs only once the drain has begun.
+        hold_refinement_checks(monkeypatch, lambda: daemon.draining)
         running = client.submit(
-            slow_chain(1), name="inflight",
+            counter_chain(1), name="inflight",
             options={"validate": "always"},
         )
         queued = client.submit(QUICK_CHAIN, name="patient")
@@ -481,8 +518,10 @@ class TestRealSignals:
             # Two slow proofs: SIGTERM lands while the first is in
             # flight, so the second is cancelled and the job ends
             # inconclusive — i.e. it must survive into pending.jsonl.
+            # The daemon is a separate process, so the check cannot be
+            # held: the three-worker family outlasts the signal offset.
             job_id = client.submit(
-                slow_chain(2), name="interrupted",
+                counter_chain(2, workers=3), name="interrupted",
                 options={"validate": "always"},
             )
             deadline = time.monotonic() + 30
@@ -529,15 +568,22 @@ class TestRealSignals:
         self, tmp_path
     ):
         program = tmp_path / "chain.arm"
-        # 6 proofs at >=1.5s each: a signal 2s in is always mid-run,
-        # with at least a few obligations still unsettled afterwards.
-        program.write_text(slow_chain(6))
+        program.write_text(counter_chain(6))
+        # Every check is delayed 1.5 s before it runs: a signal 2 s in
+        # is always mid-run, with at least a few obligations still
+        # unsettled afterwards.
+        plan = tmp_path / "delay.json"
+        plan.write_text(json.dumps({"faults": [{
+            "action": "delay", "label": "WholeProgramRefinement",
+            "seconds": 1.5,
+        }]}))
         journal = tmp_path / "journal.jsonl"
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "verify",
                 str(program), "--validate", "always", "--no-cache",
                 "--journal", str(journal),
+                "--inject-faults", str(plan),
             ],
             env=self._env(), cwd=tmp_path,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
