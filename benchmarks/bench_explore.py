@@ -1,17 +1,14 @@
 """Exploration core: compiled step specialization and POR, measured.
 
-Three experiments land in ``benchmarks/results/explore.{md,json}``,
-``benchmarks/results/explore_relation.{md,json}`` and
-``benchmarks/results/explore_sharded.{md,json}``:
+Two experiments land in ``benchmarks/results/explore.{md,json}`` and
+``benchmarks/results/explore_relation.{md,json}``:
 
 1. **Reduction sweep** — for every case-study level and a set of TSO
-   litmus shapes, the state space is explored six ways: interpreted
+   litmus shapes, the state space is explored four ways: interpreted
    full fan-out, compiled (``repro.compiler.stepc``) full fan-out,
-   compiled + static ample-set reduction (``repro.explore.por``),
-   compiled + dynamic POR with sleep sets (``repro.explore.dpor``),
-   dynamic POR + thread-symmetry (``repro.explore.symmetry``), and
-   hash-sharded two-worker partitioning (``repro.explore.sharded``).
-   The run asserts all six are *observationally identical* (same final
+   compiled + static ample-set reduction (``repro.explore.por``), and
+   compiled + dynamic POR with sleep sets (``repro.explore.dpor``).
+   The run asserts all four are *observationally identical* (same final
    outcomes, same UB reasons, same budget status) while recording the
    states/transitions each reduction saved and the wall-clock of each
    mode.  Static POR must never cost more than 1.5x the full sweep on
@@ -22,8 +19,7 @@ Three experiments land in ``benchmarks/results/explore.{md,json}``,
    per-transition footprint work for much deeper pruning, and the
    acceptance floor below is about *states*, not time: on at least two
    mcslock/queue rows where the static rule saves ≤20% of states, the
-   dynamic rule must save ≥30%.  Sharding is a partition, not a
-   reduction: its row must visit exactly the full state count.
+   dynamic rule must save ≥30%.
 
 2. **Step-relation enumeration** — the paper's Figure-12 regime: how
    fast can the successor relation itself be enumerated over the
@@ -33,16 +29,6 @@ Three experiments land in ``benchmarks/results/explore.{md,json}``,
    (bit-identical transitions and successor states) and must be at
    least 10x faster (5x in smoke mode, which also shrinks the state
    cap).
-
-3. **Sharded scaling** — QueueNondet/tso explored single-process and
-   hash-sharded across 2 and 4 forked workers, recording wall-clocks
-   alongside the host's core count.  Verdicts, state counts and
-   transition counts must be identical at every width, and any
-   counterexample trace must replay.  The sharded-beats-single
-   wall-clock assertion is gated on ``os.cpu_count() >= 4``: worker
-   processes can only overlap on a multi-core host, and this
-   environment's honest single-core numbers (sharding costs IPC and
-   wins nothing locally) are recorded rather than faked.
 
 Set ``BENCH_EXPLORE_SMOKE=1`` to restrict the sweep to the smallest
 case study and lower the speedup bar (CI's bench-smoke step).
@@ -158,29 +144,13 @@ def _explore(machine, budget: int, *, compiled: bool = True,
     """Best-of-*repeats* exploration (min wall time counters noise; the
     first run also warms the stepper / reducer static facts, so no row
     pays one-time costs).  ``kwargs`` select the reduction (``por``,
-    ``dpor``, ``symmetry``)."""
+    ``dpor``)."""
     best = None
     elapsed = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
         result = Explorer(
             machine, budget, compiled=compiled, **kwargs
-        ).explore()
-        elapsed = min(elapsed, time.perf_counter() - started)
-        best = result
-    return best, elapsed
-
-
-def _explore_sharded(machine, budget: int, workers: int,
-                     repeats: int = 1):
-    from repro.explore import ShardedExplorer
-
-    best = None
-    elapsed = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = ShardedExplorer(
-            machine, workers=workers, max_states=budget
         ).explore()
         elapsed = min(elapsed, time.perf_counter() - started)
         best = result
@@ -202,14 +172,12 @@ def test_reduction_sweep_equivalence_and_payoff():
         off, off_s = _explore(machine, budget)
         on, on_s = _explore(machine, budget, por=True)
         dyn, dyn_s = _explore(machine, budget, dpor=True)
-        sym, sym_s = _explore(machine, budget, dpor=True, symmetry=True)
-        shard, shard_s = _explore_sharded(machine, budget, workers=2)
 
         # The compiled stepper must be observationally invisible, and
         # every reduction may only shrink the number of intermediate
         # states, never change what the program can do.
         assert not interp.hit_state_budget, name
-        for other in (off, on, dyn, sym, shard):
+        for other in (off, on, dyn):
             assert other.hit_state_budget == interp.hit_state_budget, name
             assert other.final_outcomes == interp.final_outcomes, name
             assert set(other.ub_reasons) == set(interp.ub_reasons), name
@@ -219,10 +187,6 @@ def test_reduction_sweep_equivalence_and_payoff():
         assert off.transitions_taken == interp.transitions_taken, name
         assert on.states_visited <= off.states_visited, name
         assert dyn.states_visited <= off.states_visited, name
-        assert sym.states_visited <= off.states_visited, name
-        # Sharding partitions; it visits exactly the full space.
-        assert shard.states_visited == off.states_visited, name
-        assert shard.transitions_taken == off.transitions_taken, name
 
         # POR small-graph guard: never pay more than 1.5x the full
         # sweep (plus a few ms of absolute noise allowance).  Applies
@@ -246,10 +210,6 @@ def test_reduction_sweep_equivalence_and_payoff():
             100.0 * (off.states_visited - dyn.states_visited)
             / off.states_visited
         )
-        sym_saved_pct = (
-            100.0 * (off.states_visited - sym.states_visited)
-            / off.states_visited
-        )
         if (name.startswith(("mcslock/", "queue/"))
                 and saved_pct <= 20.0 and dyn_saved_pct >= 30.0):
             dynamic_payoff_rows += 1
@@ -260,12 +220,10 @@ def test_reduction_sweep_equivalence_and_payoff():
             f"{saved_pct:.1f}%",
             dyn.states_visited,
             f"{dyn_saved_pct:.1f}%",
-            sym.states_visited,
             f"{interp_s * 1000:.1f}",
             f"{off_s * 1000:.1f}",
             f"{on_s * 1000:.1f}",
             f"{dyn_s * 1000:.1f}",
-            f"{shard_s * 1000:.1f}",
         ])
         data["programs"][name] = {
             "states_full": off.states_visited,
@@ -273,16 +231,9 @@ def test_reduction_sweep_equivalence_and_payoff():
             "states_saved_pct": saved_pct,
             "states_dpor": dyn.states_visited,
             "states_saved_dpor_pct": dyn_saved_pct,
-            "states_dpor_symmetry": sym.states_visited,
-            "states_saved_dpor_symmetry_pct": sym_saved_pct,
-            "states_sharded2": shard.states_visited,
             "sleep_pruned": (
                 dyn.por_stats.sleep_pruned
                 if dyn.por_stats is not None else 0
-            ),
-            "symmetry_merged": (
-                sym.por_stats.symmetry_merged
-                if sym.por_stats is not None else 0
             ),
             "transitions_full": off.transitions_taken,
             "transitions_por": on.transitions_taken,
@@ -291,8 +242,6 @@ def test_reduction_sweep_equivalence_and_payoff():
             "seconds_full": off_s,
             "seconds_por": on_s,
             "seconds_dpor": dyn_s,
-            "seconds_dpor_symmetry": sym_s,
-            "seconds_sharded2": shard_s,
             "outcomes_equal": True,
         }
 
@@ -308,21 +257,19 @@ def test_reduction_sweep_equivalence_and_payoff():
 
     lines = [
         "Identical final outcomes, UB reasons and assertion verdicts "
-        "across interpreted, compiled, compiled+POR, dynamic-POR, "
-        "dynamic-POR+symmetry and sharded-2-worker sweeps on every "
-        f"row ({strict_reductions} rows strictly reduced by the static "
-        f"rule; {dynamic_payoff_rows} mcslock/queue rows where the "
-        "dynamic rule saves ≥30% while the static rule manages ≤20%; "
+        "across interpreted, compiled, compiled+POR and dynamic-POR "
+        f"sweeps on every row ({strict_reductions} rows strictly "
+        f"reduced by the static rule; {dynamic_payoff_rows} "
+        "mcslock/queue rows where the dynamic rule saves ≥30% while the static rule manages ≤20%; "
         "static POR never exceeds 1.5x the full sweep — the dynamic "
         "reducer is exempt from that guard, trading time for pruning "
-        "depth; sharding visits exactly the full state count).",
+        "depth).",
         "",
     ]
     lines += fmt_table(
         ["program", "states full", "states POR", "saved",
-         "states dPOR", "saved", "states dPOR+sym",
-         "interp (ms)", "compiled (ms)", "POR (ms)", "dPOR (ms)",
-         "shard2 (ms)"],
+         "states dPOR", "saved",
+         "interp (ms)", "compiled (ms)", "POR (ms)", "dPOR (ms)"],
         rows,
     )
     record("explore",
@@ -418,97 +365,3 @@ def test_compiled_step_relation_speedup():
         f"compiled step relation only {speedup:.1f}x faster "
         f"(floor {RELATION_SPEEDUP_FLOOR}x)"
     )
-
-
-def test_sharded_scaling_queue_nondet():
-    """Sharded exploration of the largest level at 1/2/4 workers:
-    identical verdicts and exact state/transition parity at every
-    width, wall-clocks recorded with the host core count.  The
-    speedup assertion only fires on hosts with ≥4 cores — a
-    single-core host serializes the workers, so sharding there pays
-    IPC for no overlap and the honest numbers show it."""
-    from repro.explore import canonical_replay
-
-    study = load("queue")
-    checked = check_program(study.source, "<queue>")
-    machine = translate_level(
-        checked.contexts["QueueNondet"], memory_model="tso"
-    )
-    budget = 400_000
-    cores = os.cpu_count() or 1
-
-    single, single_s = _explore(machine, budget, repeats=1)
-    assert not single.hit_state_budget
-
-    widths = (2,) if SMOKE else (2, 4)
-    rows = [["single", 1, single.states_visited,
-             f"{single_s * 1000:.1f}", "1.00x"]]
-    data: dict = {
-        "smoke": SMOKE,
-        "cpu_count": cores,
-        "states": single.states_visited,
-        "transitions": single.transitions_taken,
-        "seconds_single": single_s,
-        "workers": {},
-    }
-    sharded_seconds = {}
-    for workers in widths:
-        sharded, sharded_s = _explore_sharded(
-            machine, budget, workers=workers
-        )
-        # A partition, not a reduction: exact parity with the
-        # single-process sweep.
-        assert sharded.states_visited == single.states_visited, workers
-        assert sharded.transitions_taken == \
-            single.transitions_taken, workers
-        assert sharded.final_outcomes == single.final_outcomes, workers
-        assert set(sharded.ub_reasons) == set(single.ub_reasons), workers
-        assert sharded.assert_failures == \
-            single.assert_failures, workers
-        # Any counterexample trace must replay on a fresh machine.
-        for reason, trace in zip(sharded.ub_reasons, sharded.ub_traces):
-            fresh = translate_level(
-                checked.contexts["QueueNondet"], memory_model="tso"
-            )
-            final = canonical_replay(fresh, trace)
-            assert final.termination is not None
-            assert final.termination.detail == reason
-        sharded_seconds[workers] = sharded_s
-        rows.append([
-            "sharded", workers, sharded.states_visited,
-            f"{sharded_s * 1000:.1f}",
-            f"{single_s / sharded_s:.2f}x",
-        ])
-        data["workers"][str(workers)] = {
-            "seconds": sharded_s,
-            "speedup_vs_single": single_s / sharded_s,
-        }
-
-    lines = [
-        f"QueueNondet/tso, {single.states_visited} states, host has "
-        f"{cores} core(s).  Sharding partitions the interned state "
-        "space by a shared-memory-projection hash; workers exchange "
-        "frontier states in level-synchronized rounds, so merged "
-        "verdicts, state counts and trace lengths are identical to "
-        "the single-process sweep at every width.",
-        "",
-    ]
-    lines += fmt_table(
-        ["mode", "workers", "states", "time (ms)", "speedup"], rows
-    )
-    if cores < 4:
-        lines += [
-            "",
-            f"NOTE: only {cores} core(s) available — worker processes "
-            "serialize, so the sharded wall-clocks above measure "
-            "protocol overhead, not parallel speedup.  The "
-            "beats-single assertion is skipped on this host.",
-        ]
-    record("explore_sharded",
-           "Exploration: hash-sharded multi-process scaling",
-           lines, data)
-    if cores >= 4 and not SMOKE:
-        assert sharded_seconds[4] < single_s, (
-            f"sharded-4 {sharded_seconds[4]:.2f}s did not beat "
-            f"single {single_s:.2f}s on a {cores}-core host"
-        )

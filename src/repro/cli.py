@@ -254,7 +254,6 @@ def _invariant_predicate(ctx, machine, source: str):
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from repro.errors import ArmadaError
     from repro.farm.exploration import exploration_summary, run_exploration
     from repro.lang.frontend import check_program
     from repro.machine.translator import translate_level
@@ -273,25 +272,15 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         src: _invariant_predicate(ctx, machine, src)
         for src in (args.invariant or [])
     }
-    # --por defaults to on; sharding runs the full fan-out, so the
-    # default-on static reduction is dropped rather than rejected
-    # (explicit --dpor/--symmetry with sharding still error).
-    por = args.por and not args.dpor and args.shard_workers <= 1
-    try:
-        result, disabled = run_exploration(
-            machine,
-            max_states=args.max_states,
-            por=por,
-            dpor=args.dpor,
-            symmetry=args.symmetry,
-            atomic=args.atomic,
-            shard_workers=args.shard_workers,
-            compiled=args.compiled,
-            invariants=invariants or None,
-        )
-    except ArmadaError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    result, disabled = run_exploration(
+        machine,
+        max_states=args.max_states,
+        por=args.por and not args.dpor,
+        dpor=args.dpor,
+        atomic=args.atomic,
+        compiled=args.compiled,
+        invariants=invariants or None,
+    )
 
     outcomes = sorted(
         result.final_outcomes, key=lambda o: (o[0], tuple(map(str, o[1])))
@@ -595,13 +584,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         if args.level is not None:
             options["level"] = args.level
         if args.kind == "explore":
-            options["por"] = args.por or not (
-                args.dpor or args.shard_workers > 1
-            )
+            options["por"] = args.por or not args.dpor
             options["dpor"] = args.dpor
-            options["symmetry"] = args.symmetry
             options["atomic"] = args.atomic
-            options["shard_workers"] = args.shard_workers
     job_id = client.submit(
         source,
         kind=args.kind,
@@ -888,26 +873,12 @@ def build_parser() -> argparse.ArgumentParser:
              "identical to the full fan-out)",
     )
     p.add_argument(
-        "--symmetry", action="store_true",
-        help="thread-symmetry reduction: canonicalize states over "
-             "interchangeable worker threads (composes with --por/"
-             "--dpor; verdict-preserving)",
-    )
-    p.add_argument(
         "--atomic", action=argparse.BooleanOptionalAction, default=False,
         help="regular-to-atomic lift: runs of non-PC-breaking local "
              "steps execute as single atomic actions, hiding interior "
-             "states (composes with --por/--dpor/--symmetry; outcomes, "
+             "states (composes with --por/--dpor; outcomes, "
              "UB reasons and shared-state invariant verdicts are "
              "identical; self-disables under --memory-model ra)",
-    )
-    p.add_argument(
-        "--shard-workers", type=int, default=0, metavar="N",
-        help="partition the state space across N forked worker "
-             "processes by state hash (full fan-out on every shard; "
-             "implies --no-por, rejects --dpor/--symmetry/--atomic; "
-             "merged verdicts are identical to single-process "
-             "exploration)",
     )
     p.add_argument(
         "--compiled", action=argparse.BooleanOptionalAction, default=True,
@@ -1087,13 +1058,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partial-order reduction for state sweeps")
     p.add_argument("--dpor", action="store_true",
                    help="dynamic partial-order reduction (explore)")
-    p.add_argument("--symmetry", action="store_true",
-                   help="thread-symmetry reduction (explore)")
     p.add_argument("--atomic", action="store_true",
                    help="regular-to-atomic reduction (verify and "
                         "explore)")
-    p.add_argument("--shard-workers", type=int, default=0, metavar="N",
-                   help="sharded multi-process exploration (explore)")
     p.add_argument("--level", default=None,
                    help="level to analyze/explore (default: first)")
     p.add_argument(

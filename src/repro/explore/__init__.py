@@ -1,6 +1,6 @@
 """Explicit-state bounded model checking: exploration, invariants,
-partial-order reduction (static and dynamic), symmetry reduction,
-sharded parallel exploration, and refinement (simulation) checking."""
+partial-order reduction (static and dynamic), the regular-to-atomic
+lift, and refinement (simulation) checking."""
 
 from repro.errors import StateBudgetExceeded  # noqa: F401
 from repro.explore.atomic import (  # noqa: F401
@@ -19,12 +19,9 @@ from repro.explore.explorer import (  # noqa: F401
     ExplorationResult,
     Explorer,
     InvariantViolation,
-    canonical_replay,
     final_logs,
 )
 from repro.explore.por import AmpleReducer, PorStats  # noqa: F401
-from repro.explore.sharded import ShardedExplorer  # noqa: F401
-from repro.explore.symmetry import SymmetryReducer  # noqa: F401
 from repro.explore.refinement_check import (  # noqa: F401
     RefinementCounterexample,
     RefinementResult,

@@ -44,8 +44,8 @@ carries ``a`` in its sleep set as long as the two are independent, and
 transitions in a state's sleep set are not re-fired there.  With state
 interning, a state re-reached with a *smaller* sleep set is re-expanded
 with the intersection (sets only shrink, so this terminates).  Sleep
-sets prune redundant *transitions*, not states; the state savings come
-from the ample rule and symmetry.  Independence is decided
+sets prune redundant *transitions*; most of the state savings come
+from the ample rule.  Independence is decided
 conservatively: only Assign/Assume/Branch steps (ghost-free, no
 atomic-region entry) and drains are eligible, same-thread pairs are
 always dependent, and two footprints conflict when one performs a

@@ -86,8 +86,6 @@ class PorStats:
     dynamic_states: int = 0
     #: Enabled transitions skipped because they were asleep.
     sleep_pruned: int = 0
-    #: Successor states folded into a symmetric representative.
-    symmetry_merged: int = 0
 
     def describe(self) -> str:
         total = self.ample_states + self.full_states
@@ -99,8 +97,6 @@ class PorStats:
             text += f", {self.dynamic_states} via dynamic rule"
         if self.sleep_pruned:
             text += f", {self.sleep_pruned} slept"
-        if self.symmetry_merged:
-            text += f", {self.symmetry_merged} symmetry-merged"
         return text
 
     def merge(self, other: "PorStats") -> None:
@@ -109,7 +105,6 @@ class PorStats:
         self.transitions_pruned += other.transitions_pruned
         self.dynamic_states += other.dynamic_states
         self.sleep_pruned += other.sleep_pruned
-        self.symmetry_merged += other.symmetry_merged
 
 
 class AmpleReducer:

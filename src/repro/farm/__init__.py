@@ -21,7 +21,7 @@ Layers (bottom-up):
 * :mod:`repro.farm.journal` — append-only settled-verdict log for
   crash-safe resume (``armada verify --journal``).
 * :mod:`repro.farm.exploration` — state-space exploration as a third
-  job kind (full / POR / dynamic POR / symmetry / sharded), sharing
+  job kind (full / POR / dynamic POR / atomic lift), sharing
   flag semantics and output shape across the CLI and the daemon.
 * :mod:`repro.farm.workers` — runs the queue sequentially, on a thread
   pool, or on a process pool (with inline fallback for non-picklable

@@ -3,10 +3,9 @@
 The farm historically schedules two kinds of checkable unit: lemma
 obligations and whole-program refinement checks.  This module adds a
 third — **state-space exploration**.  A level is enumerated under an
-optional reduction stack (static POR, dynamic POR + sleep sets,
-thread-symmetry, or hash-sharded multi-process partitioning; see
-:mod:`repro.explore`) and the verdict is rendered as a JSON-able
-summary.
+optional reduction stack (static POR, dynamic POR + sleep sets, the
+regular-to-atomic lift; see :mod:`repro.explore`) and the verdict is
+rendered as a JSON-able summary.
 
 Every exploration entry point — ``armada explore``, ``armada submit
 --kind explore``, and the serve daemon — routes through
@@ -17,11 +16,8 @@ degrade) and on the output shape.
 Flag semantics, shared by all entry points:
 
 * ``dpor`` takes precedence over ``por`` (the dynamic reducer subsumes
-  the static one); ``symmetry`` composes with either; ``atomic``
-  (the regular-to-atomic lift) composes with any of them.
-* ``shard_workers > 1`` selects the sharded explorer, which runs the
-  full fan-out on every shard — combining it with a reduction flag is
-  rejected rather than silently ignored.
+  the static one); ``atomic`` (the regular-to-atomic lift) composes
+  with either.
 * Under a memory model without reduction support (release/acquire),
   the explorer drops the reduction flags and explores unreduced; the
   summary carries the reason in ``reductions_disabled``.
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import ArmadaError
 from repro.farm.cache import structural_hash
 from repro.farm.scheduler import Job
 from repro.obs import OBS
@@ -43,9 +38,7 @@ def run_exploration(
     max_states: int = 200_000,
     por: bool = False,
     dpor: bool = False,
-    symmetry: bool = False,
     atomic: bool = False,
-    shard_workers: int = 0,
     compiled: bool = True,
     invariants: dict[str, Callable] | None = None,
 ) -> tuple[Any, str | None]:
@@ -53,31 +46,13 @@ def run_exploration(
 
     Returns ``(result, reductions_disabled)`` where the second element
     is the explorer's reason for dropping requested reductions (``None``
-    when they were honoured).  Raises :class:`ArmadaError` on flag
-    combinations with no sound meaning.
+    when they were honoured).
     """
-    workers = int(shard_workers or 0)
-    if workers > 1:
-        if por or dpor or symmetry or atomic:
-            raise ArmadaError(
-                "sharded exploration partitions the full fan-out across "
-                "shards and cannot compose with --por/--dpor/--symmetry/"
-                "--atomic (per-shard reductions would prune against an "
-                "incomplete seen set); drop the reduction flags or "
-                "--shard-workers"
-            )
-        from repro.explore.sharded import ShardedExplorer
-
-        result = ShardedExplorer(
-            machine, workers=workers, max_states=max_states,
-            compiled=compiled,
-        ).explore(invariants)
-        return result, None
     from repro.explore import Explorer
 
     explorer = Explorer(
         machine, max_states=max_states, por=por, dpor=dpor,
-        symmetry=symmetry, atomic=atomic, compiled=compiled,
+        atomic=atomic, compiled=compiled,
     )
     return explorer.explore(invariants), explorer.reductions_disabled
 
@@ -128,7 +103,6 @@ def exploration_summary(
                 "transitions_pruned": stats.transitions_pruned,
                 "dynamic_states": stats.dynamic_states,
                 "sleep_pruned": stats.sleep_pruned,
-                "symmetry_merged": stats.symmetry_merged,
             }
         ),
     }
@@ -141,9 +115,7 @@ def exploration_job(
     max_states: int = 200_000,
     por: bool = False,
     dpor: bool = False,
-    symmetry: bool = False,
     atomic: bool = False,
-    shard_workers: int = 0,
     compiled: bool = True,
     invariants: dict[str, Callable] | None = None,
     apply: Callable[[Any], None] | None = None,
@@ -162,9 +134,7 @@ def exploration_job(
             max_states=max_states,
             por=por,
             dpor=dpor,
-            symmetry=symmetry,
             atomic=atomic,
-            shard_workers=shard_workers,
             compiled=compiled,
             invariants=invariants,
         )
@@ -172,16 +142,8 @@ def exploration_job(
 
     if OBS.enabled:
         OBS.count("farm.exploration_jobs_scheduled")
-    mode = (
-        f"sharded-{shard_workers}" if int(shard_workers or 0) > 1
-        else "dpor+symmetry" if dpor and symmetry
-        else "dpor" if dpor
-        else "por+symmetry" if por and symmetry
-        else "por" if por
-        else "symmetry" if symmetry
-        else "full"
-    )
-    if atomic and int(shard_workers or 0) <= 1:
+    mode = "dpor" if dpor else "por" if por else "full"
+    if atomic:
         mode = "atomic" if mode == "full" else f"atomic+{mode}"
     return Job(
         key=structural_hash(

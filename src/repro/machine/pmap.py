@@ -112,15 +112,6 @@ class PMap:
             return self._items == other._items
         return NotImplemented
 
-    def __getstate__(self):
-        # Plain tuple pickling (the sharded explorer ships states by
-        # the hundred thousand).  The accumulator is content-derived
-        # and shard workers share one fork family, so it stays valid.
-        return (self._items, self._acc)
-
-    def __setstate__(self, state) -> None:
-        self._items, self._acc = state
-
     def __hash__(self) -> int:
         acc = self._acc
         if acc is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.machine.pmap import EMPTY_PMAP, PMap
-from repro.machine.values import Location, Root, install_fast_pickle
+from repro.machine.values import Location, Root
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +278,6 @@ def _program_hash(self: ProgramState) -> int:
 Frame.__hash__ = _frame_hash  # type: ignore[method-assign]
 ThreadState.__hash__ = _thread_hash  # type: ignore[method-assign]
 ProgramState.__hash__ = _program_hash  # type: ignore[method-assign]
-
-
-# Fast pickle paths for the sharded explorer's state handoff (see
-# repro.machine.values.install_fast_pickle).  The memoized ``_hash`` is
-# shipped along: it is content-derived and the shard workers are forked
-# from one interpreter, so every process agrees on string hashes.
-install_fast_pickle(Termination, "kind", "detail")
-install_fast_pickle(
-    Frame,
-    "method", "serial", "locals", "return_pc", "return_lhs_key", "_hash",
-)
-install_fast_pickle(
-    ThreadState,
-    "tid", "pc", "frames", "store_buffer", "view", "_hash",
-)
-install_fast_pickle(
-    ProgramState,
-    "threads", "memory", "allocation", "ghosts", "log", "termination",
-    "next_tid", "next_serial", "atomic_owner", "histories", "_hash",
-)
 
 
 EMPTY_STATE = ProgramState(

@@ -193,37 +193,6 @@ class CompositeValue:
 
 
 # ---------------------------------------------------------------------------
-# Fast pickling.  The sharded explorer (repro.explore.sharded) ships
-# program states between worker processes by the hundred thousand; the
-# generic slots-dataclass __getstate__/__setstate__ resolves
-# ``dataclasses.fields()`` per object and dominated shard IPC time, so
-# the value/state node classes pickle their slot tuples directly.
-
-
-def install_fast_pickle(cls: type, *names: str) -> None:
-    """Replace *cls*'s pickle protocol with a plain slot-value tuple."""
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in names)
-
-    def __setstate__(self, state):
-        set_ = object.__setattr__
-        for name, value in zip(names, state):
-            set_(self, name, value)
-
-    cls.__getstate__ = __getstate__  # type: ignore[attr-defined]
-    cls.__setstate__ = __setstate__  # type: ignore[attr-defined]
-
-
-install_fast_pickle(Root, "kind", "name", "serial")
-install_fast_pickle(Location, "root", "path")
-install_fast_pickle(Pointer, "location", "target_type")
-install_fast_pickle(OptionValue, "value", "is_some")
-install_fast_pickle(CompositeValue, "children")
-install_fast_pickle(GhostMap, "_items", "_hash")
-
-
-# ---------------------------------------------------------------------------
 # Default values and type structure helpers
 
 

@@ -413,16 +413,12 @@ class ArmadaDaemon:
             ctx, memory_model=options.get("memory_model")
         )
         dpor = bool(options.get("dpor", False))
-        shard_workers = int(options.get("shard_workers", 0))
         result, disabled = run_exploration(
             machine,
             max_states=int(options.get("max_states", 200_000)),
-            por=bool(options.get("por", True)) and not dpor
-            and shard_workers <= 1,
+            por=bool(options.get("por", True)) and not dpor,
             dpor=dpor,
-            symmetry=bool(options.get("symmetry", False)),
             atomic=bool(options.get("atomic", False)),
-            shard_workers=shard_workers,
             compiled=bool(options.get("compiled", True)),
         )
         summary = exploration_summary(machine, level, result, disabled)

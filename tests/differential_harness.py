@@ -1,36 +1,34 @@
 """Shared harness for differential exploration sweeps.
 
 Every reduction the explorer offers — static ample-set POR, dynamic
-POR + sleep sets, thread-symmetry, hash-sharded partitioning, and the
-regular-to-atomic lift — must be *observationally invisible*.  This
-module holds the machinery the differential suites
-(:mod:`tests.test_reduction_differential`,
+POR + sleep sets, and the regular-to-atomic lift — must be
+*observationally invisible*.  This module holds the machinery the
+differential suites (:mod:`tests.test_reduction_differential`,
 :mod:`tests.test_fuzz_differential`) share: the mode dispatcher, the
 verdict projection each mode must preserve bit-for-bit, the
-trace-replay check, and a memo of checked programs / machines / full
+trace-replay check, the check that the explorer's three entry points
+admit the same states, and a memo of checked programs / machines / full
 fan-out baselines so each (program, model) baseline is explored once
 per module, not once per comparison.
 """
 
 from repro.casestudies import ALL, load
-from repro.explore import Explorer, ShardedExplorer, canonical_replay
+from repro.errors import StateBudgetExceeded
+from repro.explore import Explorer
 from repro.lang.frontend import check_level, check_program
 from repro.machine.state import TERM_UB
 from repro.machine.translator import translate_level
 
 from tests.test_por import LITMUS, STUDY_BUDGETS
 
-#: The reduced / partitioned modes, each compared against "full".
-REDUCED_MODES = (
-    "por", "dpor", "dpor+symmetry", "sharded2", "atomic", "atomic+dpor",
-)
+#: The reduced modes, each compared against "full".
+REDUCED_MODES = ("por", "dpor", "atomic", "atomic+dpor")
 
-#: Explorer keyword arguments per non-sharded mode.
+#: Explorer keyword arguments per mode.
 MODE_KWARGS = {
     "full": {},
     "por": {"por": True},
     "dpor": {"dpor": True},
-    "dpor+symmetry": {"dpor": True, "symmetry": True},
     "atomic": {"atomic": True},
     "atomic+dpor": {"atomic": True, "dpor": True},
 }
@@ -49,10 +47,6 @@ def case_rows():
 
 def explore_mode(machine, budget, mode, invariants=None):
     """Explore *machine* under one named mode of the sweep."""
-    if mode == "sharded2":
-        return ShardedExplorer(
-            machine, workers=2, max_states=budget
-        ).explore(invariants)
     return Explorer(
         machine, budget, **MODE_KWARGS[mode]
     ).explore(invariants)
@@ -72,13 +66,22 @@ def verdict(result):
     )
 
 
+def replay(machine, trace):
+    """Drive *trace* through ``machine.next_state`` from the initial
+    state and return the state it lands on."""
+    state = machine.initial_state()
+    for transition in trace:
+        state = machine.next_state(state, transition)
+    return state
+
+
 def assert_traces_replay(machine, result):
     """Every counterexample trace must replay on a fresh unreduced
     machine to the outcome it claims.  Macro transitions recorded by
     the atomic lift are flattened into micro steps before they reach a
     trace, so the same replay covers every mode."""
     for reason, trace in zip(result.ub_reasons, result.ub_traces):
-        final = canonical_replay(machine, trace)
+        final = replay(machine, trace)
         assert final.termination is not None
         assert final.termination.kind == TERM_UB
         assert final.termination.detail == reason
@@ -86,7 +89,34 @@ def assert_traces_replay(machine, result):
         # Invariant predicates are re-checked by the caller (they need
         # the predicate, not just the trace); here we only require the
         # trace to be structurally replayable.
-        canonical_replay(machine, violation.trace)
+        replay(machine, violation.trace)
+
+
+def assert_entry_points_agree(machine, budget, mode, explored=None):
+    """``reachable_states``, ``walk`` and ``explore`` consume one
+    search, so under every mode they must admit the same states, each
+    exactly once, and agree on whether the budget cut the sweep short.
+    *explored* is an ``explore`` result of the same configuration to
+    reuse; one is computed when omitted."""
+    kwargs = MODE_KWARGS[mode]
+    reached = []
+    cut = False
+    try:
+        for state in Explorer(machine, budget, **kwargs).reachable_states():
+            reached.append(state)
+    except StateBudgetExceeded:
+        cut = True
+    walked = []
+    complete = Explorer(machine, budget, **kwargs).walk(
+        lambda state, transitions: walked.append(state) is None
+    )
+    if explored is None:
+        explored = explore_mode(machine, budget, mode)
+    assert len(set(reached)) == len(reached)
+    assert len(walked) == len(reached)
+    assert set(walked) == set(reached)
+    assert len(reached) == explored.states_visited
+    assert cut == (not complete) == explored.hit_state_budget
 
 
 class Sweep:

@@ -55,7 +55,7 @@ class TestJsonSchemas:
             assert sorted(outcome) == ["kind", "log"]
         assert sorted(payload["por"]) == [
             "ample_states", "dynamic_states", "full_states",
-            "sleep_pruned", "symmetry_merged", "transitions_pruned",
+            "sleep_pruned", "transitions_pruned",
         ]
 
     def test_explore_json_violation_rows(self, toy_file, capsys):

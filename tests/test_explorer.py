@@ -7,9 +7,21 @@ from repro.explore.explorer import Explorer, final_logs
 from repro.lang.frontend import check_level
 from repro.machine.translator import translate_level
 
+from tests.differential_harness import (
+    MODE_KWARGS,
+    Sweep,
+    assert_entry_points_agree,
+    replay,
+)
+
 
 def machine_for(source: str):
     return translate_level(check_level("level L { " + source + " }"))
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return Sweep()
 
 
 COUNTER = (
@@ -71,10 +83,19 @@ class TestExploration:
         assert len(states) == 10
         assert excinfo.value.max_states == 10
 
-    def test_reachable_states_complete_without_truncation(self):
-        machine = machine_for(COUNTER)
-        states = list(Explorer(machine).reachable_states())
-        assert len(states) == Explorer(machine).explore().states_visited
+    @pytest.mark.parametrize("mode", sorted(MODE_KWARGS))
+    @pytest.mark.parametrize(
+        "study,level", [("queue", "QueueImpl"), ("mcslock", "MCSImpl")]
+    )
+    def test_reachable_states_complete_without_truncation(
+        self, sweep, study, level, mode
+    ):
+        # The three entry points consume one search, so they admit the
+        # same states under every reduction.
+        machine = sweep.case_machine(study, level, "tso")
+        explored = Explorer(machine, **MODE_KWARGS[mode]).explore()
+        assert not explored.hit_state_budget
+        assert_entry_points_agree(machine, 2_000_000, mode, explored)
 
     def test_walk_returns_false_on_truncation(self):
         machine = machine_for(COUNTER)
@@ -142,13 +163,6 @@ class TestInvariants:
         assert result.violations
 
 
-def _replay(machine, trace):
-    state = machine.initial_state()
-    for transition in trace:
-        state = machine.next_state(state, transition)
-    return state
-
-
 class TestTraces:
     def test_violation_trace_replays_to_state(self):
         machine = machine_for(COUNTER)
@@ -163,7 +177,7 @@ class TestTraces:
         assert result.violations
         for violation in result.violations:
             assert violation.trace
-            assert _replay(machine, violation.trace) == violation.state
+            assert replay(machine, violation.trace) == violation.state
 
     def test_violation_traces_are_bfs_shortest(self):
         # BFS visits states in non-decreasing depth, so the reported
@@ -201,7 +215,7 @@ class TestTraces:
         assert result.ub_traces
         assert len(result.ub_traces) == len(result.ub_reasons)
         for trace in result.ub_traces:
-            final = _replay(machine, trace)
+            final = replay(machine, trace)
             assert final.termination is not None
             assert final.termination.kind == TERM_UB
 
@@ -217,3 +231,10 @@ class TestFinalLogs:
     def test_deadlock_reported(self):
         machine = machine_for("void main() { assume false; }")
         assert {kind for kind, _ in final_logs(machine)} == {"deadlock"}
+
+    def test_truncated_sweep_raises(self):
+        # A budget-cut sweep must not pass off its partial outcome set
+        # as every outcome.
+        machine = machine_for(COUNTER)
+        with pytest.raises(StateBudgetExceeded):
+            final_logs(machine, max_states=10)

@@ -16,8 +16,7 @@ final stores:
 * two-threaded lock-protected programs may have several outcomes, but
   a compiled execution must land on one the explorer enumerated, and
   POR-on/POR-off explorations must enumerate the *same* outcome set;
-* the whole reduction stack — dynamic POR + sleep sets, thread
-  symmetry, hash-sharded two-worker partitioning, and the
+* the whole reduction stack — dynamic POR + sleep sets and the
   regular-to-atomic lift — agrees with the full fan-out on every
   random machine, and counterexample traces found under reduction
   replay on a fresh unreduced machine (macro transitions recorded by
@@ -38,6 +37,8 @@ from repro.compiler.pybackend import compile_to_python
 from repro.explore.explorer import Explorer
 from repro.lang.frontend import check_level
 from repro.machine.translator import translate_level
+
+from tests.differential_harness import replay
 
 MODES = ("sc", "conservative", "tso")
 
@@ -216,40 +217,18 @@ def test_por_preserves_outcome_set(source):
 
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(source=_two_thread_program())
-def test_dpor_and_symmetry_preserve_outcome_set(source):
-    """Dynamic POR with sleep sets, alone and composed with
-    thread-symmetry, agrees with the full fan-out on outcomes, UB and
-    assertion presence — on every generated machine."""
-    full = _explore(source, por=False)
-    for kwargs in ({"dpor": True}, {"dpor": True, "symmetry": True}):
-        machine = translate_level(check_level(source))
-        reduced = Explorer(machine, 60_000, **kwargs).explore()
-        assert not reduced.hit_state_budget, source
-        assert _outcome_set(full) == _outcome_set(reduced), \
-            (kwargs, source)
-        assert set(full.ub_reasons) == set(reduced.ub_reasons), \
-            (kwargs, source)
-        assert bool(full.assert_failures) == \
-            bool(reduced.assert_failures), (kwargs, source)
-
-
-@settings(max_examples=8, derandomize=True, deadline=None)
-@given(source=_two_thread_program())
-def test_sharded_matches_full_exactly(source):
-    """Hash-sharded two-worker exploration is a partition of the full
-    fan-out: identical state and transition counts, identical
-    outcomes."""
-    from repro.explore import ShardedExplorer
-
+def test_dpor_preserves_outcome_set(source):
+    """Dynamic POR with sleep sets agrees with the full fan-out on
+    outcomes, UB and assertion presence — on every generated
+    machine."""
     full = _explore(source, por=False)
     machine = translate_level(check_level(source))
-    sharded = ShardedExplorer(
-        machine, workers=2, max_states=60_000
-    ).explore()
-    assert sharded.states_visited == full.states_visited, source
-    assert sharded.transitions_taken == full.transitions_taken, source
-    assert _outcome_set(full) == _outcome_set(sharded), source
-    assert set(full.ub_reasons) == set(sharded.ub_reasons), source
+    reduced = Explorer(machine, 60_000, dpor=True).explore()
+    assert not reduced.hit_state_budget, source
+    assert _outcome_set(full) == _outcome_set(reduced), source
+    assert set(full.ub_reasons) == set(reduced.ub_reasons), source
+    assert bool(full.assert_failures) == \
+        bool(reduced.assert_failures), source
 
 
 @st.composite
@@ -271,32 +250,23 @@ def _racy_div_program(draw) -> str:
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(source=_racy_div_program())
 def test_reduced_counterexample_traces_replay_unreduced(source):
-    """Every UB trace a reduced (or sharded) exploration reports must
-    replay, transition by transition, on a fresh *unreduced* machine to
-    the exact claimed failure — reductions may shrink the search, never
+    """Every UB trace a reduced exploration reports must replay,
+    transition by transition, on a fresh *unreduced* machine to the
+    exact claimed failure — reductions may shrink the search, never
     fabricate a witness."""
-    from repro.explore import ShardedExplorer, canonical_replay
     from repro.machine.state import TERM_UB
 
     full = _explore(source, por=False)
     assert full.has_ub, source
-
-    def check(result):
-        assert set(result.ub_reasons) == set(full.ub_reasons), source
-        for reason, trace in zip(result.ub_reasons, result.ub_traces):
-            fresh = translate_level(check_level(source))
-            final = canonical_replay(fresh, trace)
-            assert final.termination is not None, source
-            assert final.termination.kind == TERM_UB, source
-            assert final.termination.detail == reason, source
-
-    for kwargs in ({"dpor": True}, {"dpor": True, "symmetry": True}):
-        machine = translate_level(check_level(source))
-        check(Explorer(machine, 60_000, **kwargs).explore())
     machine = translate_level(check_level(source))
-    check(
-        ShardedExplorer(machine, workers=2, max_states=60_000).explore()
-    )
+    result = Explorer(machine, 60_000, dpor=True).explore()
+    assert set(result.ub_reasons) == set(full.ub_reasons), source
+    for reason, trace in zip(result.ub_reasons, result.ub_traces):
+        fresh = translate_level(check_level(source))
+        final = replay(fresh, trace)
+        assert final.termination is not None, source
+        assert final.termination.kind == TERM_UB, source
+        assert final.termination.detail == reason, source
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -327,7 +297,6 @@ def test_atomic_counterexample_traces_expand_and_replay(source):
     micro transitions (macro steps are flattened before they reach a
     trace) and replays on a fresh unreduced machine to the same
     violating state."""
-    from repro.explore import canonical_replay
     from repro.explore.atomic import MacroTransition
     from repro.machine.state import TERM_UB
 
@@ -343,7 +312,7 @@ def test_atomic_counterexample_traces_expand_and_replay(source):
                 isinstance(t, MacroTransition) for t in trace
             ), source
             fresh = translate_level(check_level(source))
-            final = canonical_replay(fresh, trace)
+            final = replay(fresh, trace)
             assert final.termination is not None, source
             assert final.termination.kind == TERM_UB, source
             assert final.termination.detail == reason, source

@@ -1,19 +1,15 @@
 """Differential sweep of the full reduction stack.
 
-The explorer offers five ways to shrink (or partition) the state
-sweep: static ample-set POR (:mod:`repro.explore.por`), dynamic POR
-with sleep sets (:mod:`repro.explore.dpor`), thread-symmetry
-canonicalization (:mod:`repro.explore.symmetry`), hash-sharded
-multi-process exploration (:mod:`repro.explore.sharded`), and the
-regular-to-atomic lift (:mod:`repro.explore.atomic`).  All of them
-must be *observationally invisible*: on every case-study level and
-every litmus shape, under every memory model that admits them, the
-final outcomes, UB reasons, assertion-failure presence,
-invariant-violation existence and budget status are bit-identical to
-the full single-process fan-out.  Sharding must additionally visit
-exactly the same states (it partitions, it does not prune), and every
-counterexample trace a reduced or sharded run reports must replay on a
-fresh unreduced machine to the claimed outcome.
+The explorer offers three ways to shrink the state sweep: static
+ample-set POR (:mod:`repro.explore.por`), dynamic POR with sleep sets
+(:mod:`repro.explore.dpor`), and the regular-to-atomic lift
+(:mod:`repro.explore.atomic`).  All of them must be *observationally
+invisible*: on every case-study level and every litmus shape, under
+every memory model that admits them, the final outcomes, UB reasons,
+assertion-failure presence, invariant-violation existence and budget
+status are bit-identical to the full fan-out, and every counterexample
+trace a reduced run reports must replay on a fresh unreduced machine
+to the claimed outcome.
 
 The mode dispatcher, verdict projection, replay check and the memo of
 full-fan-out baselines live in :mod:`tests.differential_harness`,
@@ -24,7 +20,7 @@ import pytest
 
 from repro.casestudies import load
 from repro.cli import _invariant_predicate
-from repro.explore import Explorer, ShardedExplorer, canonical_replay
+from repro.explore import Explorer
 from repro.lang.frontend import check_level, check_program
 from repro.machine.state import TERM_UB
 from repro.machine.translator import translate_level
@@ -32,9 +28,11 @@ from repro.machine.translator import translate_level
 from tests.differential_harness import (
     REDUCED_MODES,
     Sweep,
+    assert_entry_points_agree,
     assert_traces_replay,
     case_rows,
     explore_mode,
+    replay,
     verdict,
 )
 from tests.test_por import LITMUS, STUDY_BUDGETS
@@ -66,13 +64,7 @@ class TestCaseStudyLevels:
         machine = sweep.case_machine(study, level, model)
         result = explore_mode(machine, STUDY_BUDGETS[study], mode)
         assert verdict(result) == verdict(full), (row[0], mode, model)
-        if mode == "sharded2":
-            # Sharding partitions; it must visit exactly the full
-            # state space.
-            assert result.states_visited == full.states_visited
-            assert result.transitions_taken == full.transitions_taken
-        else:
-            assert result.states_visited <= full.states_visited
+        assert result.states_visited <= full.states_visited
         assert_traces_replay(machine, result)
 
 
@@ -85,10 +77,40 @@ class TestLitmusShapes:
         machine = sweep.litmus_machine(name, model)
         result = explore_mode(machine, 2_000_000, mode)
         assert verdict(result) == verdict(full), (name, mode, model)
-        if mode == "sharded2":
-            assert result.states_visited == full.states_visited
-            assert result.transitions_taken == full.transitions_taken
         assert_traces_replay(machine, result)
+
+
+# ---------------------------------------------------------------------------
+# explore, reachable_states and walk are consumers of one search.
+
+#: State budget of the entry-point sweep over case-study levels.  About
+#: a quarter of the level/mode/model rows (the larger queue levels, and
+#: the mcslock levels under TSO) exceed it, so the sweep covers
+#: budget-cut searches as well as complete ones.
+AGREE_BUDGET = 2_000
+
+
+class TestEntryPointsAgree:
+    """Every entry point of the explorer runs the same breadth-first
+    kernel, so under every mode they admit the same states, and a
+    budget cut shows in all three at once."""
+
+    @pytest.mark.parametrize("model", CASE_MODELS)
+    @pytest.mark.parametrize("mode", ("full",) + REDUCED_MODES)
+    @pytest.mark.parametrize(
+        "row", _CASE_ROWS, ids=[r[0] for r in _CASE_ROWS]
+    )
+    def test_case_study_level(self, sweep, row, mode, model):
+        _, study, level = row
+        machine = sweep.case_machine(study, level, model)
+        assert_entry_points_agree(machine, AGREE_BUDGET, mode)
+
+    @pytest.mark.parametrize("model", LITMUS_MODELS)
+    @pytest.mark.parametrize("mode", ("full",) + REDUCED_MODES)
+    @pytest.mark.parametrize("name", sorted(LITMUS))
+    def test_litmus_shape(self, sweep, name, mode, model):
+        machine = sweep.litmus_machine(name, model)
+        assert_entry_points_agree(machine, 2_000_000, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +151,7 @@ class TestCounterexamplesSurvive:
         # refutes the invariant.
         violation = result.violations[0]
         fresh = translate_level(ctx)
-        final = canonical_replay(fresh, violation.trace)
+        final = replay(fresh, violation.trace)
         assert not predicate(final), mode
 
     @pytest.mark.parametrize("mode", ("full",) + REDUCED_MODES)
@@ -141,7 +163,7 @@ class TestCounterexamplesSurvive:
         assert result.ub_traces, mode
         for reason, trace in zip(result.ub_reasons, result.ub_traces):
             fresh = translate_level(ctx)
-            final = canonical_replay(fresh, trace)
+            final = replay(fresh, trace)
             assert final.termination is not None
             assert final.termination.kind == TERM_UB
             assert final.termination.detail == reason
@@ -151,23 +173,20 @@ class TestCounterexamplesSurvive:
 # Release/acquire: every reduction flag must cleanly no-op.
 
 class TestRaFallback:
-    """Under C11 release/acquire the independence and symmetry
-    arguments do not cover the model's view-advance environment moves,
-    so the explorer must drop every reduction flag, say so, and
-    produce the identical unreduced exploration."""
+    """Under C11 release/acquire the independence arguments do not
+    cover the model's view-advance environment moves, so the explorer
+    must drop every reduction flag, say so, and produce the identical
+    unreduced exploration."""
 
     @pytest.mark.parametrize(
         "flags",
         [
             {"por": True},
             {"dpor": True},
-            {"symmetry": True},
-            {"dpor": True, "symmetry": True},
             {"atomic": True},
             {"atomic": True, "dpor": True},
         ],
-        ids=["por", "dpor", "symmetry", "dpor+symmetry", "atomic",
-             "atomic+dpor"],
+        ids=["por", "dpor", "atomic", "atomic+dpor"],
     )
     @pytest.mark.parametrize("name", ("SB", "MP"))
     def test_flags_noop_cleanly(self, name, flags):
@@ -181,7 +200,6 @@ class TestRaFallback:
         assert explorer.reductions_disabled is not None
         assert "ra" in explorer.reductions_disabled
         assert explorer.reducer is None
-        assert explorer.symmetry is None
         assert explorer.atomic is None
         result = explorer.explore()
         assert result.states_visited == baseline.states_visited
@@ -189,20 +207,6 @@ class TestRaFallback:
         assert verdict(result) == verdict(baseline)
         assert result.por_stats is None
         assert result.atomic_stats is None
-
-    def test_sharding_composes_with_ra(self):
-        """Sharding is a partition, not a reduction: it stays sound
-        under RA and must match the unreduced single-process sweep."""
-        ctx = check_level("level L { " + LITMUS["SB"] + " }")
-        baseline = Explorer(
-            translate_level(ctx, memory_model="ra"), 2_000_000
-        ).explore()
-        sharded = ShardedExplorer(
-            translate_level(ctx, memory_model="ra"), workers=2,
-            max_states=2_000_000,
-        ).explore()
-        assert sharded.states_visited == baseline.states_visited
-        assert verdict(sharded) == verdict(baseline)
 
     def test_case_study_level_noops_under_ra(self):
         study = load("queue")
@@ -213,7 +217,7 @@ class TestRaFallback:
         ).explore()
         explorer = Explorer(
             translate_level(ctx, memory_model="ra"), 400_000,
-            dpor=True, symmetry=True, atomic=True,
+            dpor=True, atomic=True,
         )
         assert explorer.reductions_disabled is not None
         result = explorer.explore()

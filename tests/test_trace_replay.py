@@ -21,16 +21,11 @@ from repro.lang.frontend import check_level, check_program
 from repro.machine.state import TERM_UB
 from repro.machine.translator import translate_level
 
+from tests.differential_harness import replay
+
 
 def machine_for(source: str):
     return translate_level(check_level("level L { " + source + " }"))
-
-
-def _replay(machine, trace):
-    state = machine.initial_state()
-    for transition in trace:
-        state = machine.next_state(state, transition)
-    return state
 
 
 def _print_regs(*names: str) -> str:
@@ -72,7 +67,7 @@ class TestInvariantViolationReplay:
         assert result.violations
         for violation in result.violations:
             assert len(violation.state.log) > 0
-            assert _replay(machine, violation.trace) == violation.state
+            assert replay(machine, violation.trace) == violation.state
 
     @pytest.mark.parametrize("study_name", ["tsp", "barrier"])
     def test_case_study_violations_replay(self, study_name):
@@ -89,7 +84,7 @@ class TestInvariantViolationReplay:
         )
         assert result.violations
         for violation in result.violations[:10]:
-            replayed = _replay(machine, violation.trace)
+            replayed = replay(machine, violation.trace)
             assert replayed == violation.state
             assert replayed.next_tid > 1
 
@@ -126,7 +121,7 @@ class TestUBReplay:
         assert result.has_ub  # the race where t1 has not stored yet
         assert len(result.ub_traces) == len(result.ub_reasons)
         for reason, trace in zip(result.ub_reasons, result.ub_traces):
-            final = _replay(machine, trace)
+            final = replay(machine, trace)
             assert final.termination is not None
             assert final.termination.kind == TERM_UB
             assert final.termination.detail == reason
@@ -153,7 +148,7 @@ class TestRefinementCounterexampleReplay:
         assert cex is not None and cex.trace
         # The trace includes the unsimulatable transition itself, so it
         # replays exactly onto the recorded stuck low-level state.
-        assert _replay(low, cex.trace) == cex.low_state
+        assert replay(low, cex.trace) == cex.low_state
 
     def test_weak_memory_counterexample_replays(self):
         # Low exhibits the SB weak outcome; a sequentially-consistent
@@ -167,4 +162,4 @@ class TestRefinementCounterexampleReplay:
         assert not result.holds
         cex = result.counterexample
         assert cex is not None and cex.trace
-        assert _replay(low, cex.trace) == cex.low_state
+        assert replay(low, cex.trace) == cex.low_state
