@@ -11,44 +11,54 @@ per-statement ``NextState`` functions (Figure 12's machine-generated
 path), realized with the ``exec``-compile idiom already used by
 :mod:`repro.compiler.pybackend`.
 
-For a ``StateMachine`` + memory model it emits (and ``exec``-compiles,
-with an on-disk source cache keyed by the level fingerprint + model) a
-flat ``enabled_and_next(state)`` function that returns the exact
+For a ``StateMachine`` under any of the three memory models (SC,
+x86-TSO, C11 RA) it emits and ``exec``-compiles a flat
+``enabled_and_next(state)`` function that returns the exact
 ``[(Transition, successor_state), ...]`` list the interpreted pipeline
 would produce — same transitions, same order, bit-identical successor
 states, identical UB reasons — with the per-PC dispatch, guard
 evaluation and state construction inlined.  No per-step AST walk, no
-``EvalContext`` construction.
+``EvalContext`` construction.  The models differ only in the dispatch
+loop's environment moves (TSO drains inlined, RA view advances through
+the model's hooks) and in how shared writes commit (TSO buffers, SC
+writes memory, RA release-writes through ``write_leaves``).
 
 **Fallback rules.**  The specializer is conservative: any step it cannot
 prove it compiles faithfully (pointer dereferences, ``somehow``/extern
 specs with state-dependent witness candidates, struct writes, ``old()``,
 quantifiers, ...) is emitted as a call into the interpreted enumeration
 for that single step (:func:`_interp_step`), preserving order and
-semantics exactly.  Whole machines fall back (``stepper_for`` returns
-``None``) when the memory model is not SC or x86-TSO — the RA model's
-env transitions and view bookkeeping stay interpreted — or when codegen
-fails for any reason.  Compiled and interpreted exploration are
-differentially tested for bit-identical state sets, UB reasons and
-verdicts across all three memory models (``tests/test_stepc.py``, the
-PR-5 fuzz suite).
+semantics exactly.  A whole machine falls back (``stepper_for`` returns
+``None``) only when codegen fails.  Compiled and interpreted
+exploration are differentially tested for bit-identical state sets, UB
+reasons and verdicts across all three memory models
+(``tests/test_stepc.py``, the fuzz suite).
 
-**Cache key.**  The on-disk source cache key is a structural hash over
-the level name, the memory model, every pc (method, yieldability), every
-step (class, pc, target and full expression ASTs with their checked
-types), the variable layout that drives place classification
-(globals/ghosts, per-method locals with address-taken flags, newframe
-locals) and :func:`repro.farm.cache.code_version` — so any toolchain or
-program change invalidates the cached source.  Value *domains* are
-deliberately not part of the key: they only affect the parameter tuples
-bound at load time, not the generated source.
+**Cache key.**  The on-disk cache holds one ``{key}.marshal`` file per
+machine: the marshalled ``(source, code)`` pair, so a warm process
+``exec``s the code object instead of compiling the source again.  The
+key is a structural hash over the level name, the memory model, every
+pc (method, yieldability), every step (class, pc, target and full
+expression ASTs with their checked types), the variable layout that
+drives place classification (globals/ghosts, per-method locals with
+address-taken flags, newframe locals),
+:func:`repro.farm.cache.code_version` and the interpreter's bytecode
+magic number — so any toolchain or program change invalidates the
+entry, and another interpreter's entry is a miss.  An unreadable,
+corrupt or stale entry regenerates.  Value *domains* are deliberately
+not part of the key: they only affect the parameter tuples bound at
+load time, not the generated code.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import marshal
 import os
+from importlib.util import MAGIC_NUMBER
 from pathlib import Path
+from types import CodeType
 from typing import Any
 
 from repro.lang import asts as ast
@@ -829,6 +839,13 @@ class _Gen:
                        "state.log, None,")
             out.append("                    state.next_tid, "
                        "state.next_serial, ao, state.histories)))")
+        elif self.model == "ra":
+            # The thread's view advances, through the model's hooks and
+            # in the interpreter's order: before the thread's steps.
+            out.append("            for _ep in mm.env_moves(state, thread, "
+                       "machine):")
+            out.append("                _ap((Transition(tid, None, _ep), "
+                       "mm.apply_env(state, tid, _ep)))")
         out.append("            if fn is not None:")
         out.append("                fn(state, tid, thread, threads, _ap, _hT)")
         out.append("        return out")
@@ -1336,13 +1353,20 @@ class _Gen:
         w.push()
         self._emit_hoisted(w, ec)
         local_writes, shared_writes, ghost_writes = emit_checks(w)
+        # RA stores are release writes (history, view and memory), so
+        # they go through the model after the fused build; they touch
+        # neither the frame nor the pc, so the order is invisible.
+        release = self.model == "ra"
         self._emit_build(
             w, step,
             local_writes=local_writes,
             sb_writes=shared_writes if buffered else [],
-            mem_writes=[] if buffered else shared_writes,
+            mem_writes=[] if buffered or release else shared_writes,
             ghost_writes=ghost_writes,
         )
+        if release and shared_writes:
+            leaves = "".join(f"({loc}, {val}), " for loc, val in shared_writes)
+            w.emit(f"_ns = mm.write_leaves(_ns, tid, ({leaves}), False)")
         w.pop()
         w.emit("except UBSignal as _u:")
         w.push()
@@ -1807,10 +1831,11 @@ class _Gen:
         w.pop()
         w.emit("else:")
         w.push()
-        # SC and TSO both use the base identity ``on_join`` (only RA
-        # merges views, and RA machines are never compiled), so the
-        # join advance fuses directly from *state*.
         self._emit_build(w, step)
+        # The model's join synchronisation (RA merges the joined
+        # thread's view) touches only this thread's view, so it may
+        # follow the fused advance.
+        w.emit("_ns = mm.on_join(_ns, tid, _t)")
         w.pop()
         w.emit(f"_ap((Transition(tid, {step_ref}, {pt_src}), _ns))")
         w.pop()
@@ -2055,7 +2080,9 @@ def _ast_sig(node: Any) -> Any:
 
 
 def machine_fingerprint(machine: StateMachine) -> str:
-    """Level fingerprint + model: the on-disk cache key ingredients."""
+    """The on-disk cache key: level fingerprint, memory model and the
+    interpreter's bytecode magic number (the entry holds a code object,
+    so another interpreter's entry must miss)."""
     from repro.farm.cache import code_version, structural_hash
 
     ctx = machine.ctx
@@ -2092,8 +2119,9 @@ def machine_fingerprint(machine: StateMachine) -> str:
         ),
     ]
     return structural_hash(
-        "stepc", _STEPC_FORMAT, code_version(), machine.level_name,
-        machine.memmodel.name, pcs, steps, globals_sig, locals_sig, extra,
+        "stepc", _STEPC_FORMAT, MAGIC_NUMBER.hex(), code_version(),
+        machine.level_name, machine.memmodel.name, pcs, steps, globals_sig,
+        locals_sig, extra,
     )
 
 
@@ -2109,27 +2137,36 @@ def _cache_dir() -> Path | None:
     return Path(home) / ".cache" / "armada" / "stepc"
 
 
-def _cache_load(key: str) -> str | None:
+def _cache_load(key: str) -> tuple[str, CodeType] | None:
+    """The cached ``(source, code)`` pair for *key*, or ``None`` on a
+    miss or an unreadable entry."""
     directory = _cache_dir()
     if directory is None:
         return None
     try:
-        return (directory / f"{key}.py").read_text()
-    except OSError:
+        entry = marshal.loads((directory / f"{key}.marshal").read_bytes())
+    except (OSError, EOFError, ValueError, TypeError):
         return None
+    if (
+        type(entry) is tuple and len(entry) == 2
+        and type(entry[0]) is str and type(entry[1]) is CodeType
+    ):
+        return entry
+    return None
 
 
-def _cache_store(key: str, source: str) -> None:
+def _cache_store(key: str, source: str, code: CodeType) -> None:
     directory = _cache_dir()
     if directory is None:
         return
+    tmp = directory / f".{key}.{os.getpid()}.tmp"
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f".{key}.{os.getpid()}.tmp"
-        tmp.write_text(source)
-        tmp.replace(directory / f"{key}.py")
+        tmp.write_bytes(marshal.dumps((source, code)))
+        tmp.replace(directory / f"{key}.marshal")
     except OSError:
-        pass
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -2219,47 +2256,44 @@ class CompiledStepper:
 
 
 def compile_stepper(machine: StateMachine) -> CompiledStepper:
-    """Generate (or load from the source cache), exec-compile, and bind
+    """Generate and compile (or load from the bytecode cache), then bind
     the specialized step relation for *machine*.  Raises on machines the
     specializer cannot handle at all; per-step gaps fall back inline."""
     key = machine_fingerprint(machine)
-    source = _cache_load(key)
-    cache_hit = source is not None
-    gen = _Gen(machine)
-    if source is None:
+    fn = None
+    entry = _cache_load(key)
+    if entry is not None:
+        source, code = entry
+        try:
+            fn = _bind(code, machine)
+        except Exception:
+            pass  # A stale or corrupt cached entry: regenerate below.
+    cache_hit = fn is not None
+    if cache_hit:
+        # Recover the counters from the fallback markers in the source.
+        fallback_steps = source.count("_interp(machine, ")
+        compiled_steps = machine.step_count() - fallback_steps
+    else:
+        gen = _Gen(machine)
         source = gen.generate(key)
-        _cache_store(key, source)
-    namespace = dict(_NAMESPACE_BASE)
-    try:
         code = compile(
             source, f"<armada-stepc:{machine.level_name}:"
             f"{machine.memmodel.name}>", "exec"
         )
-        exec(code, namespace)
-        fn = namespace["build"](machine)
-    except Exception:
-        if not cache_hit:
-            raise
-        # A stale/corrupt cached source: regenerate from scratch.
-        gen = _Gen(machine)
-        source = gen.generate(key)
-        _cache_store(key, source)
-        namespace = dict(_NAMESPACE_BASE)
-        exec(compile(source, "<armada-stepc>", "exec"), namespace)
-        fn = namespace["build"](machine)
-        cache_hit = False
-    if cache_hit:
-        # Counters come from a fresh (uncached) generation pass; when
-        # the source came from disk, recover them from the fallback
-        # markers in the source itself.
-        gen.fallback_steps = source.count("_interp(machine, ")
-        gen.compiled_steps = (
-            machine.step_count() - gen.fallback_steps
-        )
+        fn = _bind(code, machine)
+        _cache_store(key, source, code)
+        compiled_steps = gen.compiled_steps
+        fallback_steps = gen.fallback_steps
     return CompiledStepper(
-        machine, fn, source, key, cache_hit,
-        gen.compiled_steps, gen.fallback_steps,
+        machine, fn, source, key, cache_hit, compiled_steps, fallback_steps,
     )
+
+
+def _bind(code: CodeType, machine: StateMachine):
+    """Run the compiled module and bind its ``build`` to *machine*."""
+    namespace = dict(_NAMESPACE_BASE)
+    exec(code, namespace)
+    return namespace["build"](machine)
 
 
 def _domains_token(domains) -> tuple:
@@ -2275,16 +2309,13 @@ def _domains_token(domains) -> tuple:
 
 
 def stepper_for(machine: StateMachine) -> CompiledStepper | None:
-    """The compiled stepper for *machine*, or ``None`` when the whole
-    machine must stay interpreted (non-SC/TSO model, codegen failure).
+    """The compiled stepper for *machine*, or ``None`` when codegen
+    fails and the whole machine must stay interpreted.
 
     Memoized on the machine, keyed by the value domains: the proof
     engine replaces ``machine.domains`` after translation, and the
     parameter tuples bound into the compiled function depend on them.
     """
-    memmodel = getattr(machine, "memmodel", None)
-    if memmodel is None or memmodel.name not in ("sc", "tso"):
-        return None
     token = _domains_token(getattr(machine, "domains", None))
     cached = machine.__dict__.get("_stepc_cache")
     if cached is not None and cached[0] == token:

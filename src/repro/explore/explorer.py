@@ -191,9 +191,9 @@ class Explorer:
             reducer = None
         self.reducer = reducer
         # Compiled step specialization (repro.compiler.stepc): one flat
-        # enabled_and_next(state) per machine, with automatic fallback
-        # to the interpreter (stepper_for returns None for uncovered
-        # machines, e.g. under the RA model).
+        # enabled_and_next(state) per machine under every memory model,
+        # with automatic fallback to the interpreter (stepper_for
+        # returns None only when codegen fails).
         self.stepper = stepper_for(machine) if compiled else None
         self.successors = successors_for(machine, compiled)
         #: Sleep sets ride along with the dynamic reducer only: their

@@ -5,13 +5,14 @@ from pathlib import Path
 import pytest
 
 from repro.casestudies import load as load_case_study
+from repro.compiler.stepc import stepper_for
 from repro.explore.refinement_check import (
     check_refinement,
     log_equal_relation,
     log_prefix_relation,
     with_ub_conjunct,
 )
-from repro.lang.frontend import check_program
+from repro.lang.frontend import check_level, check_program
 from repro.machine.state import ProgramState, Termination
 from repro.machine.pmap import PMap
 from repro.machine.translator import translate_level
@@ -258,7 +259,20 @@ PINNED_PRODUCT_STATES = {
 }
 
 
-def _engine_pair(study: str, proof_name: str):
+#: The same pairs' product states under C11 RA, where both machines
+#: run on the compiled stepper too.
+PINNED_RA_PRODUCT_STATES = {
+    ("lock_chain3", "P0"): 124,
+    ("lock_chain3", "P1"): 124,
+    ("barrier", "BarrierIntroducesGhosts"): 29,
+    ("barrier", "BarrierCementsSafety"): 34,
+    ("pointers", "PointersProof"): 14,
+    ("tsp", "ImplementationRefinesArbitraryGuard"): 27,
+    ("tsp", "ArbitraryGuardRefinesBestLenSequential"): 68,
+}
+
+
+def _engine_pair(study: str, proof_name: str, memory_model=None):
     """Machines, relation and budget of one proof pair, built the way
     :class:`ProofEngine` builds them for its whole-program check."""
     if study == "lock_chain3":
@@ -268,7 +282,8 @@ def _engine_pair(study: str, proof_name: str):
         source, max_states = case.source, case.max_states
     checked = check_program(source, filename=f"<{study}>")
     engine = ProofEngine(
-        checked, **({"max_states": max_states} if max_states else {})
+        checked, memory_model=memory_model,
+        **({"max_states": max_states} if max_states else {}),
     )
     proof = next(
         p for p in checked.program.proofs if p.name == proof_name
@@ -359,6 +374,40 @@ class TestCompiledDifferential:
         assert compiled.holds
         assert compiled.product_states == \
             PINNED_PRODUCT_STATES[study, proof_name]
+
+    @pytest.mark.parametrize(
+        "study,proof_name", sorted(PINNED_RA_PRODUCT_STATES)
+    )
+    def test_ra_proof_pairs_match_and_keep_their_counts(
+        self, study, proof_name
+    ):
+        low, high, options = _engine_pair(study, proof_name, "ra")
+        assert stepper_for(low) is not None
+        assert stepper_for(high) is not None
+        compiled = check_refinement(low, high, compiled=True, **options)
+        interpreted = check_refinement(
+            low, high, compiled=False, **options
+        )
+        assert _signature(compiled) == _signature(interpreted)
+        assert compiled.holds
+        assert compiled.product_states == \
+            PINNED_RA_PRODUCT_STATES[study, proof_name]
+
+    def test_ra_weak_memory_refutation_matches(self):
+        from tests.test_trace_replay import LITMUS, _print_regs
+
+        def ra_machine(body: str):
+            return translate_level(
+                check_level("level L { " + body + " }"), memory_model="ra"
+            )
+
+        low = ra_machine(LITMUS["SB"])
+        high = ra_machine("void main() { " + _print_regs("1", "1") + " }")
+        compiled = check_refinement(low, high, compiled=True)
+        interpreted = check_refinement(low, high, compiled=False)
+        assert _signature(compiled) == _signature(interpreted)
+        assert not compiled.holds and not compiled.inconclusive
+        assert compiled.counterexample.trace
 
     @pytest.mark.parametrize("name", sorted(REFUTING_PAIRS))
     def test_refuting_pairs_match(self, name):

@@ -3,17 +3,21 @@
 The compiled ``enabled_and_next`` must be *observationally invisible*:
 for every machine it covers, it returns exactly the interpreter's
 ``[(Transition, successor), ...]`` list — same order, same successor
-states (bit-identical hashes), same UB reasons, same verdicts — across
-the SC and TSO memory models.  Machines it cannot cover (the RA model,
-unsupported step shapes) fall back to the interpreter, silently for
-whole machines and inline per step.
+states (bit-identical hashes), same UB reasons, same verdicts — under
+all three memory models (SC, x86-TSO and C11 RA).  Step shapes it
+cannot cover fall back to the interpreter inline, per step.  A warm
+process loads the compiled code from the bytecode cache instead of
+recompiling it; an unreadable, corrupt or foreign cache entry is a
+miss and regenerates.
 """
 
+import builtins
 import json
 
 import pytest
 
 from repro.casestudies import ALL, load
+from repro.compiler import stepc
 from repro.compiler.stepc import compile_stepper, stepper_for
 from repro.errors import StateBudgetExceeded
 from repro.explore.explorer import Explorer
@@ -67,7 +71,7 @@ class TestExactRelation:
     """The compiled function reproduces the interpreter's transition
     list exactly, state by state, in order."""
 
-    @pytest.mark.parametrize("model", ["sc", "tso"])
+    @pytest.mark.parametrize("model", ["sc", "tso", "ra"])
     def test_pairs_identical_over_reachable_set(self, model):
         machine = machine_for(SMALL, model)
         stepper = stepper_for(machine)
@@ -102,7 +106,7 @@ class TestLitmusEquivalence:
 
 
 class TestCaseStudyEquivalence:
-    @pytest.mark.parametrize("model", ["sc", "tso"])
+    @pytest.mark.parametrize("model", ["sc", "tso", "ra"])
     @pytest.mark.parametrize("study_name", sorted(ALL))
     def test_every_level_identical(self, study_name, model):
         study = load(study_name)
@@ -123,12 +127,13 @@ class TestCaseStudyEquivalence:
 
 
 class TestFallback:
-    def test_ra_machines_stay_interpreted(self):
+    def test_ra_machines_are_compiled(self):
         machine = machine_for(SMALL, "ra")
-        assert stepper_for(machine) is None
-        # compiled=True must be a harmless no-op, not an error.
-        result = Explorer(machine, compiled=True).explore()
-        assert result.final_outcomes == {("normal", (2,))}
+        stepper = stepper_for(machine)
+        assert stepper is not None
+        assert Explorer(machine, compiled=True).stepper is stepper
+        _ri, rc = assert_same_exploration(machine_for(SMALL, "ra"), machine)
+        assert rc.final_outcomes == {("normal", (2,))}
 
     def test_per_step_fallback_is_equivalent(self):
         # The pointers study takes addresses of locals, which the
@@ -215,7 +220,7 @@ class TestSourceCache:
                                              monkeypatch):
         monkeypatch.setenv("ARMADA_STEPC_CACHE", str(tmp_path))
         first = compile_stepper(machine_for(SMALL, "tso"))
-        (tmp_path / f"{first.cache_key}.py").write_text("syntax error(")
+        (tmp_path / f"{first.cache_key}.marshal").write_text("syntax error(")
         recovered = compile_stepper(machine_for(SMALL, "tso"))
         assert recovered.cache_hit is False
         state = machine_for(SMALL, "tso").initial_state()
@@ -228,3 +233,36 @@ class TestSourceCache:
         sc = compile_stepper(machine_for(SMALL, "sc"))
         tso = compile_stepper(machine_for(SMALL, "tso"))
         assert sc.cache_key != tso.cache_key
+
+    def test_other_magic_number_is_a_miss(self, tmp_path, monkeypatch):
+        # An entry written by another interpreter holds bytecode this
+        # one cannot run: it must miss rather than load.
+        monkeypatch.setenv("ARMADA_STEPC_CACHE", str(tmp_path))
+        native_magic = stepc.MAGIC_NUMBER
+        monkeypatch.setattr(stepc, "MAGIC_NUMBER", b"\xff\xff\r\n")
+        foreign = compile_stepper(machine_for(SMALL, "tso"))
+        monkeypatch.setattr(stepc, "MAGIC_NUMBER", native_magic)
+        native = compile_stepper(machine_for(SMALL, "tso"))
+        assert native.cache_key != foreign.cache_key
+        assert native.cache_hit is False
+        assert compile_stepper(machine_for(SMALL, "tso")).cache_hit is True
+
+    @pytest.mark.parametrize("model", ["tso", "ra"])
+    def test_warm_compile_does_not_recompile(self, tmp_path, monkeypatch,
+                                             model):
+        monkeypatch.setenv("ARMADA_STEPC_CACHE", str(tmp_path))
+        cold = compile_stepper(machine_for(SMALL, model))
+        machine = machine_for(SMALL, model)
+        real_compile = builtins.compile
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compile() called on a warm cache")
+
+        monkeypatch.setattr(builtins, "compile", no_compile)
+        warm = compile_stepper(machine)
+        monkeypatch.setattr(builtins, "compile", real_compile)
+        assert warm.cache_hit is True
+        assert warm.source == cold.source
+        state = machine.initial_state()
+        assert [p[1] for p in warm.fn(state)] == \
+            [p[1] for p in cold.fn(state)]
