@@ -1,29 +1,14 @@
-"""Regular-to-atomic reduction: state-space and obligation payoff.
+"""Regular-to-atomic reduction: obligation payoff.
 
-Two experiments land in ``benchmarks/results/atomic.{md,json}``:
+The queue and mcslock proof chains verify twice, baseline and
+``--atomic``; the result lands in ``benchmarks/results/atomic.{md,json}``.
+The farm must schedule **strictly fewer** obligations under the
+collapse (consecutive statement lemmas along non-breaking runs merge
+into atomic blocks) with bit-identical per-proof verdicts and an
+unchanged end-to-end refinement result.
 
-1. **Exploration sweep** — the queue and mcslock levels are explored
-   under sc and tso four ways: full fan-out, the regular-to-atomic
-   lift (``--atomic``), dynamic POR, and atomic composed with dynamic
-   POR.  Every mode must be observationally identical to the full
-   sweep (same outcomes, UB reasons, budget status) while the atomic
-   rows record how many states the lift hides and how many micro-steps
-   its chains absorb.  Acceptance floors: the lift alone hides
-   **≥25%** of states on the implementation levels (measured: ~40-45%)
-   and **≥10%** on every abstract level (nondet choice points break
-   chains early, so the upper levels save less: ~13-22%).  A
-   release/acquire row asserts the clean self-disable: identical state
-   count to the unreduced sweep and a ``reductions_disabled`` reason.
-
-2. **Obligation collapse** — the queue and mcslock proof chains verify
-   twice, baseline and ``--atomic``.  The farm must schedule
-   **strictly fewer** obligations under the collapse (consecutive
-   statement lemmas along non-breaking runs merge into atomic blocks)
-   with bit-identical per-proof verdicts and an unchanged end-to-end
-   refinement result.
-
-Set ``BENCH_ATOMIC_SMOKE=1`` to restrict both experiments to the
-queue study (CI's bench-smoke step).
+Set ``BENCH_ATOMIC_SMOKE=1`` to restrict the experiment to the queue
+study (CI's bench-smoke step).
 """
 
 from __future__ import annotations
@@ -32,126 +17,15 @@ import os
 import time
 
 from _common import fmt_table, record
-from repro.explore import Explorer
 from repro.casestudies import load
 from repro.farm import FarmConfig, VerificationFarm
 from repro.lang.frontend import check_program
-from repro.machine.translator import translate_level
 from repro.proofs.engine import ProofEngine
 
 SMOKE = os.environ.get("BENCH_ATOMIC_SMOKE") == "1"
 
 STUDIES = ("queue",) if SMOKE else ("queue", "mcslock")
-MODELS = ("sc", "tso")
 BUDGET = 400_000
-
-#: Minimum fraction of states the lift must hide: implementation
-#: levels chain long straightline runs of local micro-steps; the
-#: abstract levels replace them with nondet choices that break chains.
-IMPL_SAVINGS_FLOOR = 0.25
-ABSTRACT_SAVINGS_FLOOR = 0.10
-
-
-def _machines(study_name: str, model: str):
-    study = load(study_name)
-    checked = check_program(study.source, f"<{study_name}>")
-    for level in checked.program.levels:
-        yield (
-            f"{study_name}/{level.name}",
-            translate_level(checked.contexts[level.name],
-                            memory_model=model),
-        )
-
-
-def _verdict(result):
-    return (
-        frozenset(result.final_outcomes),
-        frozenset(result.ub_reasons),
-        bool(result.assert_failures),
-        result.hit_state_budget,
-    )
-
-
-def _explore(machine, **kwargs):
-    started = time.perf_counter()
-    result = Explorer(machine, BUDGET, **kwargs).explore()
-    return result, time.perf_counter() - started
-
-
-def test_atomic_exploration_payoff():
-    rows = []
-    data: dict = {"smoke": SMOKE, "explore": {}, "ra": {}}
-
-    for study in STUDIES:
-        for model in MODELS:
-            for name, machine in _machines(study, model):
-                full, full_s = _explore(machine)
-                atomic, atomic_s = _explore(machine, atomic=True)
-                both, both_s = _explore(machine, atomic=True, dpor=True)
-                assert _verdict(atomic) == _verdict(full), (name, model)
-                assert _verdict(both) == _verdict(full), (name, model)
-                saved = 1 - atomic.states_visited / full.states_visited
-                floor = (
-                    IMPL_SAVINGS_FLOOR if "Impl" in name
-                    else ABSTRACT_SAVINGS_FLOOR
-                )
-                assert saved >= floor, (
-                    f"{name}/{model}: atomic saved only {saved:.0%}"
-                )
-                stats = atomic.atomic_stats
-                rows.append([
-                    name, model,
-                    full.states_visited,
-                    atomic.states_visited,
-                    f"{saved:.0%}",
-                    both.states_visited,
-                    stats.chains,
-                    stats.micro_absorbed,
-                    f"{full_s:.3f}s",
-                    f"{atomic_s:.3f}s",
-                ])
-                data["explore"][f"{name}/{model}"] = {
-                    "full_states": full.states_visited,
-                    "atomic_states": atomic.states_visited,
-                    "atomic_dpor_states": both.states_visited,
-                    "saved": round(saved, 4),
-                    "chains": stats.chains,
-                    "micro_absorbed": stats.micro_absorbed,
-                    "full_seconds": round(full_s, 4),
-                    "atomic_seconds": round(atomic_s, 4),
-                    "atomic_dpor_seconds": round(both_s, 4),
-                }
-
-    # Release/acquire: the lift must self-disable and change nothing.
-    for name, machine in _machines(STUDIES[0], "ra"):
-        baseline, _ = _explore(machine)
-        explorer = Explorer(machine, BUDGET, atomic=True)
-        assert explorer.reductions_disabled is not None
-        assert "ra" in explorer.reductions_disabled
-        lifted = explorer.explore()
-        assert lifted.states_visited == baseline.states_visited
-        assert _verdict(lifted) == _verdict(baseline)
-        assert lifted.atomic_stats is None
-        data["ra"][name] = {
-            "states": baseline.states_visited,
-            "reductions_disabled": explorer.reductions_disabled,
-        }
-        rows.append([
-            name, "ra", baseline.states_visited,
-            baseline.states_visited, "0% (self-disabled)",
-            "-", "-", "-", "-", "-",
-        ])
-        break  # one RA row demonstrates the fallback
-
-    lines = ["## Exploration: states hidden by the atomic lift", ""]
-    lines += fmt_table(
-        ["level", "model", "full", "atomic", "saved", "atomic+dpor",
-         "chains", "micro absorbed", "full time", "atomic time"],
-        rows,
-    )
-    _ATOMIC_REPORT["explore_lines"] = lines
-    _ATOMIC_REPORT["data"] = data
-    _flush_if_complete()
 
 
 def _verify(study_name: str, atomic: bool):
@@ -209,35 +83,15 @@ def test_atomic_obligation_collapse():
             "atomic_seconds": round(lifted_s, 4),
         }
 
-    lines = ["## Verification: farm obligations under --atomic", ""]
+    lines = [
+        "Farm obligations of each chain with and without --atomic; "
+        "per-proof verdicts and the end-to-end result are identical.",
+        "",
+    ]
     lines += fmt_table(
         ["chain", "proofs", "baseline obligations",
          "atomic obligations", "saved", "verified",
          "baseline time", "atomic time"],
         rows,
     )
-    _ATOMIC_REPORT["verify_lines"] = lines
-    _ATOMIC_REPORT.setdefault("data", {})["verify"] = data["verify"]
-    _flush_if_complete()
-
-
-#: The two experiments run as separate pytest items but publish one
-#: report; whichever finishes second writes the file.
-_ATOMIC_REPORT: dict = {}
-
-
-def _flush_if_complete() -> None:
-    if "explore_lines" not in _ATOMIC_REPORT:
-        return
-    if "verify_lines" not in _ATOMIC_REPORT:
-        return
-    lines = (
-        _ATOMIC_REPORT["explore_lines"] + [""]
-        + _ATOMIC_REPORT["verify_lines"]
-    )
-    record(
-        "atomic",
-        "Regular-to-atomic: explored states and farm obligations",
-        lines,
-        _ATOMIC_REPORT.get("data"),
-    )
+    record("atomic", "Regular-to-atomic: farm obligations", lines, data)

@@ -1,25 +1,15 @@
-"""Exploration core: compiled step specialization and POR, measured.
+"""Exploration core: compiled step specialization, measured.
 
 Two experiments land in ``benchmarks/results/explore.{md,json}`` and
 ``benchmarks/results/explore_relation.{md,json}``:
 
-1. **Reduction sweep** — for every case-study level and a set of TSO
-   litmus shapes, the state space is explored four ways: interpreted
-   full fan-out, compiled (``repro.compiler.stepc``) full fan-out,
-   compiled + static ample-set reduction (``repro.explore.por``), and
-   compiled + dynamic POR with sleep sets (``repro.explore.dpor``).
-   The run asserts all four are *observationally identical* (same final
-   outcomes, same UB reasons, same budget status) while recording the
-   states/transitions each reduction saved and the wall-clock of each
-   mode.  Static POR must never cost more than 1.5x the full sweep on
-   any row (the small-graph regression guard): static independence
-   facts are cached per machine and single-runnable-thread states
-   short-circuit, so tiny graphs no longer pay a fact-computation tax.
-   The dynamic reducer is exempt from that guard — it trades
-   per-transition footprint work for much deeper pruning, and the
-   acceptance floor below is about *states*, not time: on at least two
-   mcslock/queue rows where the static rule saves ≤20% of states, the
-   dynamic rule must save ≥30%.
+1. **Exploration sweep** — for every case-study level and a set of TSO
+   litmus shapes, the state space is explored twice: with the
+   interpreter and with the compiled stepper
+   (``repro.compiler.stepc``).  The run asserts both are
+   *observationally identical* (same states and transitions, same
+   final outcomes, same UB reasons, same budget status) and records the
+   wall-clock of each.
 
 2. **Step-relation enumeration** — the paper's Figure-12 regime: how
    fast can the successor relation itself be enumerated over the
@@ -60,12 +50,6 @@ LITMUS_BUDGET = 200_000
 
 SMOKE = os.environ.get("BENCH_EXPLORE_SMOKE") == "1"
 
-#: POR may never cost more than this multiple of the full sweep on any
-#: row, plus a small absolute allowance so micro-rows (a few ms) do not
-#: fail on scheduler noise.
-POR_OVERHEAD_LIMIT = 1.5
-POR_OVERHEAD_SLACK_S = 0.005
-
 #: Required step-relation speedup on QueueNondet/tso.
 RELATION_SPEEDUP_FLOOR = 5.0 if SMOKE else 10.0
 RELATION_CAP = 8_000 if SMOKE else 40_000
@@ -80,8 +64,7 @@ def _print_regs(*names: str) -> str:
 
 
 #: The classic x86-TSO shapes (see tests/test_tso_litmus.py).  IRIW is
-#: omitted: its 4M-state space makes the unreduced baseline too slow
-#: for a benchmark that runs both sides.
+#: omitted: its 4M-state space makes the interpreted sweep too slow.
 LITMUS = {
     "SB": (
         "var x: uint32; var y: uint32; var r1: uint32; var r2: uint32; "
@@ -140,140 +123,69 @@ def _workloads():
 
 
 def _explore(machine, budget: int, *, compiled: bool = True,
-             repeats: int = 2, **kwargs):
+             repeats: int = 2):
     """Best-of-*repeats* exploration (min wall time counters noise; the
-    first run also warms the stepper / reducer static facts, so no row
-    pays one-time costs).  ``kwargs`` select the reduction (``por``,
-    ``dpor``)."""
+    first run also warms the stepper, so no row pays one-time costs)."""
     best = None
     elapsed = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        result = Explorer(
-            machine, budget, compiled=compiled, **kwargs
-        ).explore()
+        result = Explorer(machine, budget, compiled=compiled).explore()
         elapsed = min(elapsed, time.perf_counter() - started)
         best = result
     return best, elapsed
 
 
-def test_reduction_sweep_equivalence_and_payoff():
+def test_exploration_sweep_equivalence():
     rows = []
     data: dict = {"smoke": SMOKE, "programs": {}}
-    strict_reductions = 0
-    #: mcslock/queue rows where the static rule is nearly blind
-    #: (≤20% saved) but the dynamic rule prunes ≥30%.
-    dynamic_payoff_rows = 0
 
     for name, machine, budget in _workloads():
         interp, interp_s = _explore(
             machine, budget, compiled=False, repeats=1,
         )
-        off, off_s = _explore(machine, budget)
-        on, on_s = _explore(machine, budget, por=True)
-        dyn, dyn_s = _explore(machine, budget, dpor=True)
+        compiled, compiled_s = _explore(machine, budget)
 
-        # The compiled stepper must be observationally invisible, and
-        # every reduction may only shrink the number of intermediate
-        # states, never change what the program can do.
+        # The compiled stepper must be observationally invisible.
         assert not interp.hit_state_budget, name
-        for other in (off, on, dyn):
-            assert other.hit_state_budget == interp.hit_state_budget, name
-            assert other.final_outcomes == interp.final_outcomes, name
-            assert set(other.ub_reasons) == set(interp.ub_reasons), name
-            assert bool(other.assert_failures) == \
-                bool(interp.assert_failures), name
-        assert off.states_visited == interp.states_visited, name
-        assert off.transitions_taken == interp.transitions_taken, name
-        assert on.states_visited <= off.states_visited, name
-        assert dyn.states_visited <= off.states_visited, name
+        assert compiled.hit_state_budget == interp.hit_state_budget, name
+        assert compiled.final_outcomes == interp.final_outcomes, name
+        assert set(compiled.ub_reasons) == set(interp.ub_reasons), name
+        assert bool(compiled.assert_failures) == \
+            bool(interp.assert_failures), name
+        assert compiled.states_visited == interp.states_visited, name
+        assert compiled.transitions_taken == \
+            interp.transitions_taken, name
 
-        # POR small-graph guard: never pay more than 1.5x the full
-        # sweep (plus a few ms of absolute noise allowance).  Applies
-        # to the *static* rule only — the dynamic reducer deliberately
-        # spends per-transition footprint work to prune deeper.
-        assert on_s <= POR_OVERHEAD_LIMIT * off_s + POR_OVERHEAD_SLACK_S, (
-            f"{name}: POR {on_s * 1000:.1f}ms vs full {off_s * 1000:.1f}ms"
-        )
-
-        if on.states_visited < off.states_visited:
-            strict_reductions += 1
-        pruned = (
-            on.por_stats.transitions_pruned
-            if on.por_stats is not None else 0
-        )
-        saved_pct = (
-            100.0 * (off.states_visited - on.states_visited)
-            / off.states_visited
-        )
-        dyn_saved_pct = (
-            100.0 * (off.states_visited - dyn.states_visited)
-            / off.states_visited
-        )
-        if (name.startswith(("mcslock/", "queue/"))
-                and saved_pct <= 20.0 and dyn_saved_pct >= 30.0):
-            dynamic_payoff_rows += 1
         rows.append([
             name,
-            off.states_visited,
-            on.states_visited,
-            f"{saved_pct:.1f}%",
-            dyn.states_visited,
-            f"{dyn_saved_pct:.1f}%",
+            compiled.states_visited,
+            compiled.transitions_taken,
             f"{interp_s * 1000:.1f}",
-            f"{off_s * 1000:.1f}",
-            f"{on_s * 1000:.1f}",
-            f"{dyn_s * 1000:.1f}",
+            f"{compiled_s * 1000:.1f}",
+            f"{interp_s / compiled_s:.1f}x",
         ])
         data["programs"][name] = {
-            "states_full": off.states_visited,
-            "states_por": on.states_visited,
-            "states_saved_pct": saved_pct,
-            "states_dpor": dyn.states_visited,
-            "states_saved_dpor_pct": dyn_saved_pct,
-            "sleep_pruned": (
-                dyn.por_stats.sleep_pruned
-                if dyn.por_stats is not None else 0
-            ),
-            "transitions_full": off.transitions_taken,
-            "transitions_por": on.transitions_taken,
-            "transitions_pruned": pruned,
+            "states": compiled.states_visited,
+            "transitions": compiled.transitions_taken,
             "seconds_interpreted": interp_s,
-            "seconds_full": off_s,
-            "seconds_por": on_s,
-            "seconds_dpor": dyn_s,
+            "seconds_compiled": compiled_s,
             "outcomes_equal": True,
         }
 
-    data["strict_reductions"] = strict_reductions
-    data["dynamic_payoff_rows"] = dynamic_payoff_rows
-    if not SMOKE:
-        # Acceptance: the static reduction must strictly shrink the
-        # state space on at least 3 benchmarked programs, and the
-        # dynamic rule must save ≥30% of states on at least 2
-        # mcslock/queue rows where the static rule manages ≤20%.
-        assert strict_reductions >= 3, strict_reductions
-        assert dynamic_payoff_rows >= 2, dynamic_payoff_rows
-
     lines = [
-        "Identical final outcomes, UB reasons and assertion verdicts "
-        "across interpreted, compiled, compiled+POR and dynamic-POR "
-        f"sweeps on every row ({strict_reductions} rows strictly "
-        f"reduced by the static rule; {dynamic_payoff_rows} "
-        "mcslock/queue rows where the dynamic rule saves ≥30% while the static rule manages ≤20%; "
-        "static POR never exceeds 1.5x the full sweep — the dynamic "
-        "reducer is exempt from that guard, trading time for pruning "
-        "depth).",
+        "Identical states, transitions, final outcomes, UB reasons and "
+        "assertion verdicts from the interpreted and the compiled "
+        "sweep on every row.",
         "",
     ]
     lines += fmt_table(
-        ["program", "states full", "states POR", "saved",
-         "states dPOR", "saved",
-         "interp (ms)", "compiled (ms)", "POR (ms)", "dPOR (ms)"],
+        ["program", "states", "transitions", "interp (ms)",
+         "compiled (ms)", "speedup"],
         rows,
     )
     record("explore",
-           "Exploration: compiled stepper and the reduction stack",
+           "Exploration: interpreted and compiled stepping",
            lines, data)
 
 

@@ -29,8 +29,7 @@ from repro.memmodel.litmus import CORPUS
 
 MODELS_ORDER = ("sc", "tso", "ra")
 
-#: Case studies with their explorer budgets.  POR stays off so the
-#: state counts are comparable across models (RA always runs full).
+#: Case studies with their explorer budgets.
 STUDIES = {
     "mcslock": 600_000,
     "queue": 600_000,
@@ -44,7 +43,7 @@ def _explore(source: str, model: str, budget: int):
         check_level(source), memory_model=model
     )
     started = time.perf_counter()
-    result = Explorer(machine, max_states=budget, por=False).explore()
+    result = Explorer(machine, max_states=budget).explore()
     elapsed = time.perf_counter() - started
     outcomes = {
         tuple(log) for kind, log in result.final_outcomes
@@ -98,9 +97,7 @@ def main() -> None:
                     checked.contexts[level], memory_model=model
                 )
                 started = time.perf_counter()
-                result = Explorer(
-                    machine, max_states=budget, por=False
-                ).explore()
+                result = Explorer(machine, max_states=budget).explore()
                 elapsed = time.perf_counter() - started
                 assert not result.hit_state_budget, (name, model)
                 outcomes = sorted(
@@ -124,8 +121,8 @@ def main() -> None:
             )
 
     lines = [
-        "Explorer state counts per memory model (POR off; identical",
-        "budgets per program).  SC is the floor, TSO adds store-buffer",
+        "Explorer state counts per memory model (identical budgets",
+        "per program).  SC is the floor, TSO adds store-buffer",
         "drain interleavings, RA adds per-location view advances.",
         "",
         "## Litmus corpus",

@@ -1,12 +1,14 @@
-"""Per-step independence facts for partial-order reduction.
+"""Per-step independence facts for the regular-to-atomic classification.
 
-The explorer's ample-set reduction (:mod:`repro.explore.por`) may only
-prune interleavings around a step that is *independent* of every step
-another thread could take — firing it first or last must reach the same
-states.  This module computes, purely statically, the set of steps that
-qualify as candidates; the explorer re-checks each candidate's actual
-effect dynamically (see ``AmpleReducer``) before pruning, so these facts
-only need to be a sound *filter*, never a final verdict.
+A step may only join an atomic run
+(:func:`repro.explore.atomic.classify_atomic`) if it is *independent*
+of every step another thread could take — firing it first or last must
+reach the same states.  This module computes, purely statically, the
+set of steps that qualify as candidates; the classification narrows
+them further (no shared writes), and the ``regular_to_atomic``
+strategy's per-path obligations re-check each collapsed run
+dynamically, so these facts only need to be a sound *filter*, never a
+final verdict.
 
 Two classifications are exported:
 
@@ -33,9 +35,9 @@ following hold:
 * Every location it **writes** (per
   :func:`repro.analysis.accesses.extract_accesses`) is a private global,
   and the write is buffered (plain ``:=``; a TSO-bypassing ``::=``
-  mutates memory directly, which the reducer's cheap dynamic guard does
-  not re-verify).  A write to a non-address-taken local produces no
-  access record at all, so ordinary register-like updates pass.
+  mutates memory directly, which this filter does not model).  A write
+  to a non-address-taken local produces no access record at all, so
+  ordinary register-like updates pass.
 * Every location it **reads** is effectively unwritable by other
   threads: either no step anywhere in the program writes it, or it is a
   private global.  Mutex words are excluded outright.
@@ -73,7 +75,7 @@ from repro.analysis.lockset import LocksetResult, compute_locksets
 
 @dataclass(frozen=True)
 class IndependenceFacts:
-    """Static classification of a machine's steps for the reducer.
+    """Static classification of a machine's steps.
 
     ``local_step_ids`` holds ``id(step)`` keys (steps use identity
     equality) of the provably independent steps; ``private_globals``

@@ -65,6 +65,22 @@ def _version() -> str:
     return "unknown"
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that looks the version up only when given: the
+    lookup imports ``importlib.metadata`` and searches the installed
+    distributions, which no other command needs."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(
+            option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+            help="show program's version number and exit", **kwargs,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_version()}")
+        parser.exit()
+
+
 def _read_source(path: str) -> str:
     """Read a program file, exiting 1 with a one-line error on failure
     instead of tracebacking."""
@@ -120,8 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     engine = ProofEngine(
         checked, max_states=args.max_states,
         validate_refinement=args.validate, farm=farm,
-        analyze=args.analyze, por=args.por,
-        memory_model=args.memory_model,
+        analyze=args.analyze, memory_model=args.memory_model,
         compiled=args.compiled, atomic=args.atomic,
     )
     if args.trace:
@@ -173,8 +188,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                   f"(inspect with: armada stats {args.trace})")
     for note in outcome.analysis_notes:
         print(note)
-    if outcome.por_summary:
-        print(outcome.por_summary)
     for result in outcome.outcomes:
         if result.success:
             status = "verified"
@@ -254,7 +267,7 @@ def _invariant_predicate(ctx, machine, source: str):
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from repro.farm.exploration import exploration_summary, run_exploration
+    from repro.explore import Explorer, exploration_summary
     from repro.lang.frontend import check_program
     from repro.machine.translator import translate_level
 
@@ -272,15 +285,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         src: _invariant_predicate(ctx, machine, src)
         for src in (args.invariant or [])
     }
-    result, disabled = run_exploration(
-        machine,
-        max_states=args.max_states,
-        por=args.por and not args.dpor,
-        dpor=args.dpor,
-        atomic=args.atomic,
-        compiled=args.compiled,
-        invariants=invariants or None,
-    )
+    result = Explorer(
+        machine, max_states=args.max_states, compiled=args.compiled,
+    ).explore(invariants or None)
 
     outcomes = sorted(
         result.final_outcomes, key=lambda o: (o[0], tuple(map(str, o[1])))
@@ -288,17 +295,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        payload = exploration_summary(machine, level, result, disabled)
+        payload = exploration_summary(machine, level, result)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"level {level}: {result.states_visited} states, "
               f"{result.transitions_taken} transitions explored")
-        if disabled is not None:
-            print(f"note: {disabled}")
-        if result.por_stats is not None:
-            print(result.por_stats.describe())
-        if result.atomic_stats is not None:
-            print(result.atomic_stats.describe())
         if result.hit_state_budget:
             print(f"WARNING: state budget ({args.max_states}) exhausted "
                   "— the enumeration is incomplete; raise --max-states")
@@ -511,8 +512,6 @@ def _render_verify_result(result: dict) -> None:
     """Print a serve verify result in ``armada verify``'s format."""
     for note in result.get("analysis_notes") or []:
         print(note)
-    if result.get("por_summary"):
-        print(result["por_summary"])
     for o in result.get("outcomes") or []:
         status = {
             "verified": "verified",
@@ -578,15 +577,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.kind == "verify":
         options["validate"] = args.validate
         options["analyze"] = args.analyze
-        options["por"] = args.por
         options["atomic"] = args.atomic
-    else:
-        if args.level is not None:
-            options["level"] = args.level
-        if args.kind == "explore":
-            options["por"] = args.por or not args.dpor
-            options["dpor"] = args.dpor
-            options["atomic"] = args.atomic
+    elif args.level is not None:
+        options["level"] = args.level
     job_id = client.submit(
         source,
         kind=args.kind,
@@ -736,10 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Armada reproduction: low-effort verification of "
         "high-performance concurrent programs (PLDI 2020)",
     )
-    parser.add_argument(
-        "--version", action="version",
-        version=f"%(prog)s {_version()}",
-    )
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parse and type-check a file")
@@ -792,13 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
              "eliminations",
     )
     p.add_argument(
-        "--por", action=argparse.BooleanOptionalAction, default=False,
-        help="ample-set partial-order reduction for obligation state "
-             "sweeps (off by default: obligation predicates may "
-             "quantify over private thread state that reduction "
-             "elides; the choice is part of the proof-cache key)",
-    )
-    p.add_argument(
         "--compiled", action=argparse.BooleanOptionalAction, default=True,
         help="compiled step specialization for state sweeps (default: "
              "on; bit-identical to the interpreter — states, UB "
@@ -807,11 +790,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--atomic", action=argparse.BooleanOptionalAction, default=False,
-        help="regular-to-atomic reduction (sec. 4.2.2): collapse runs "
-             "of non-PC-breaking local statements into atomic blocks — "
-             "obligation sweeps hide chain-interior states and "
-             "consecutive statement lemmas merge into single farm "
-             "jobs; verdicts are unchanged; self-disables under "
+        help="regular-to-atomic reduction (sec. 4.2.2): consecutive "
+             "statement lemmas along runs of non-PC-breaking local "
+             "statements merge into single atomic-block farm jobs; "
+             "verdicts are unchanged; self-disables under "
              "--memory-model ra; part of the proof-cache key",
     )
     p.add_argument(
@@ -859,27 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level to explore (default: first)")
     p.add_argument("--max-states", type=int, default=200_000)
     _add_memory_model_flag(p)
-    p.add_argument(
-        "--por", action=argparse.BooleanOptionalAction, default=True,
-        help="ample-set partial-order reduction (default: on; "
-             "outcomes, UB and invariant verdicts over shared state "
-             "are identical either way)",
-    )
-    p.add_argument(
-        "--dpor", action="store_true",
-        help="dynamic partial-order reduction with sleep sets "
-             "(footprints observed at exploration time; supersedes "
-             "--por; verdicts, UB reasons and invariant outcomes are "
-             "identical to the full fan-out)",
-    )
-    p.add_argument(
-        "--atomic", action=argparse.BooleanOptionalAction, default=False,
-        help="regular-to-atomic lift: runs of non-PC-breaking local "
-             "steps execute as single atomic actions, hiding interior "
-             "states (composes with --por/--dpor; outcomes, "
-             "UB reasons and shared-state invariant verdicts are "
-             "identical; self-disables under --memory-model ra)",
-    )
     p.add_argument(
         "--compiled", action=argparse.BooleanOptionalAction, default=True,
         help="compiled step specialization for state sweeps (default: "
@@ -1054,13 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--analyze", action="store_true",
                    help="run the static analyzer alongside (verify)")
-    p.add_argument("--por", action="store_true",
-                   help="partial-order reduction for state sweeps")
-    p.add_argument("--dpor", action="store_true",
-                   help="dynamic partial-order reduction (explore)")
     p.add_argument("--atomic", action="store_true",
-                   help="regular-to-atomic reduction (verify and "
-                        "explore)")
+                   help="regular-to-atomic reduction (verify)")
     p.add_argument("--level", default=None,
                    help="level to analyze/explore (default: first)")
     p.add_argument(

@@ -42,7 +42,7 @@ pc (method, yieldability), every step (class, pc, target and full
 expression ASTs with their checked types), the variable layout that
 drives place classification (globals/ghosts, per-method locals with
 address-taken flags, newframe locals),
-:func:`repro.farm.cache.code_version` and the interpreter's bytecode
+:func:`repro.hashing.code_version` and the interpreter's bytecode
 magic number — so any toolchain or program change invalidates the
 entry, and another interpreter's entry is a miss.  An unreadable,
 corrupt or stale entry regenerates.  Value *domains* are deliberately
@@ -61,6 +61,7 @@ from pathlib import Path
 from types import CodeType
 from typing import Any
 
+from repro.hashing import code_version, structural_hash
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.machine.pmap import PMap
@@ -2083,8 +2084,6 @@ def machine_fingerprint(machine: StateMachine) -> str:
     """The on-disk cache key: level fingerprint, memory model and the
     interpreter's bytecode magic number (the entry holds a code object,
     so another interpreter's entry must miss)."""
-    from repro.farm.cache import code_version, structural_hash
-
     ctx = machine.ctx
     pcs = [
         [pc, info.method, bool(info.yieldable)]
@@ -2173,28 +2172,12 @@ def _cache_store(key: str, source: str, code: CodeType) -> None:
 # Entry points
 
 
-@dataclasses.dataclass(frozen=True)
-class StepFootprint:
-    """Static access metadata for one step, exported to the
-    exploration-time reducers (:mod:`repro.explore.dpor`): the abstract
-    locations the step may read/write, whether every write is a plain
-    TSO-buffered store, whether any access is atomic, and whether the
-    step is ghost-free.  Derived once per machine from the analyzer's
-    access map and shared by every exploration of the stepper."""
-
-    reads: frozenset
-    writes: frozenset
-    buffered_writes_only: bool
-    atomic: bool
-    ghost_free: bool
-
-
 class CompiledStepper:
     """A compiled ``enabled_and_next`` plus its provenance."""
 
     __slots__ = (
         "machine", "fn", "source", "cache_key", "cache_hit",
-        "compiled_steps", "fallback_steps", "_footprints",
+        "compiled_steps", "fallback_steps",
     )
 
     def __init__(self, machine, fn, source, cache_key, cache_hit,
@@ -2206,7 +2189,6 @@ class CompiledStepper:
         self.cache_hit = cache_hit
         self.compiled_steps = compiled_steps
         self.fallback_steps = fallback_steps
-        self._footprints: dict[int, StepFootprint] | None = None
 
     def enabled_and_next(
         self, state: ProgramState
@@ -2214,45 +2196,6 @@ class CompiledStepper:
         return self.fn(state)
 
     __call__ = enabled_and_next
-
-    def step_footprints(self) -> dict[int, StepFootprint]:
-        """``id(step) -> StepFootprint`` for every step of the machine,
-        built lazily on first use (steps compare by identity, so the id
-        key is stable for the machine's lifetime)."""
-        table = self._footprints
-        if table is None:
-            # Deferred: repro.analysis reaches back into the strategy
-            # layer, which imports repro.explore and this module.
-            from repro.analysis.accesses import extract_accesses
-            from repro.analysis.independence import _mentions_ghost
-
-            machine = self.machine
-            amap = extract_accesses(machine.ctx, machine)
-            table = {}
-            for pc, steps in machine.steps_by_pc.items():
-                method = machine.pcs[pc].method
-                for step in steps:
-                    reads: set = set()
-                    writes: set = set()
-                    buffered_only = True
-                    atomic = False
-                    for access in amap.step_accesses(step):
-                        if access.kind == "write":
-                            writes.add(access.location)
-                            if not access.buffered or access.atomic:
-                                buffered_only = False
-                        else:
-                            reads.add(access.location)
-                        atomic = atomic or access.atomic
-                    table[id(step)] = StepFootprint(
-                        frozenset(reads), frozenset(writes),
-                        buffered_only, atomic,
-                        not _mentions_ghost(
-                            machine.ctx, method, step.reads_exprs()
-                        ),
-                    )
-            self._footprints = table
-        return table
 
 
 def compile_stepper(machine: StateMachine) -> CompiledStepper:

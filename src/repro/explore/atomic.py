@@ -1,4 +1,5 @@
-"""Regular-to-atomic state-space lift (SNIPPETS.md: F* RegularToAtomic).
+"""PC classification for the regular-to-atomic transformation
+(SNIPPETS.md: F* RegularToAtomic).
 
 Armada's experimental ``Strategies.RegularToAtomic`` collapses runs of
 non-*PC-breaking* statements into single atomic actions: a program
@@ -8,38 +9,30 @@ operations, thread create/join, output), nondeterministic, a loop head,
 or a method entry (``armada_created_threads_initially_breaking``).
 Everything between two breaking PCs executes as one indivisible action.
 
-This module is the exploration-side half of that transformation: a
-:class:`AtomicLift` extends each explored transition whose firing
-thread lands on a non-breaking PC by running that thread's (unique,
-deterministic) local steps until it reaches the next breaking PC.  The
-intermediate ("hidden") states are never admitted to the seen set, so
-the sweep visits strictly fewer states while preserving every verdict.
+:func:`classify_atomic` computes that verdict per PC.  Two consumers
+share it: the ``regular_to_atomic`` proof strategy
+(:mod:`repro.strategies.regular_to_atomic`), which builds its atomic
+paths from it, and ``ProofEngine(atomic=True)``, which merges
+consecutive statement lemmas along non-breaking runs into one
+obligation.  The explorer does not use it: every search is unreduced.
 
 Soundness (see DESIGN.md "Regular-to-atomic" for the full argument):
 
 * A *chainable* step is an ``Assign``/``Branch``/``Assume`` step that
-  the POR independence facts classify as local
+  the independence facts classify as local
   (:func:`repro.analysis.independence.step_independence`) **and** that
   performs **zero** shared-memory writes per the analyzer's access map.
   Such a step commutes in both directions with every transition of
-  every other thread, and a hidden state differs from its chain end
-  only in the chained thread's PC and registers — shared memory,
-  ghosts, buffers and logs are bit-identical, so invariants over
-  shared state cannot distinguish them.
-* Chaining is exactly the ample-set rule instantiated with a singleton
-  provably-independent deterministic step; the cycle proviso (C3) is
-  discharged by classifying every loop head as breaking: any cycle
-  must pass a breaking PC, where the full fan-out happens.
-* A chain ends early — which is always sound, it merely exposes an
-  intermediate state — whenever the step is blocked (a false
-  ``assume``: deadlock parity), more than one step is enabled, the
-  program terminated (UB surfaces exactly where the full sweep puts
-  it), or the ``MAX_CHAIN`` safety bound trips.
+  every other thread, and a state inside a run differs from the run's
+  end only in the running thread's PC and registers — shared memory,
+  ghosts, buffers and logs are bit-identical.
+* The cycle proviso is discharged by classifying every loop head as
+  breaking: any cycle must pass a breaking PC.
 
 Memory models whose environment moves the independence argument does
 not cover (C11 RA) disable the classification wholesale, as do levels
 whose footprint extraction fails: :func:`classify_atomic` then reports
-a ``disabled`` reason and the explorer falls back to the plain sweep.
+a ``disabled`` reason and both consumers leave the proof uncollapsed.
 """
 
 from __future__ import annotations
@@ -48,33 +41,15 @@ import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.machine.program import Transition
-from repro.machine.state import ProgramState, UBSignal
 from repro.machine.steps import AssignStep, AssumeStep, BranchStep, Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.program import StateMachine
 
-
-@dataclass(frozen=True)
-class MacroTransition:
-    """One atomic action: a base transition plus the chained local
-    steps of the same thread.  Stored in the explorer's parent map;
-    :func:`repro.explore.explorer._trace_to` flattens it back into its
-    micro :class:`Transition` list, so recorded traces replay on any
-    fresh machine with the ordinary ``next_state``."""
-
-    tid: int
-    micro: tuple[Transition, ...]
-
-    @property
-    def is_drain(self) -> bool:
-        return False
-
-    def describe(self) -> str:
-        first = self.micro[0]
-        inner = first.describe()
-        return f"t{self.tid}:atomic[{len(self.micro)}]({inner}...)"
+#: Memory models whose environment moves the independence argument
+#: covers: TSO drains touch only the draining thread's buffer and the
+#: drained location.  RA's view advances are not covered.
+_CLASSIFIED_MODELS = frozenset({"sc", "tso"})
 
 
 @dataclass(frozen=True)
@@ -84,9 +59,9 @@ class AtomicClassification:
     ``breaking`` maps every PC to its verdict; ``reasons`` records why
     each breaking PC breaks (tests and ``describe`` want the
     explanation, not just the bit); ``chain_pcs`` is the non-breaking
-    complement the lift consults on the hot path.  ``disabled`` is the
-    reason the whole classification is unavailable (RA model, footprint
-    extraction failure) — conservative self-disable, never a guess."""
+    complement.  ``disabled`` is the reason the whole classification is
+    unavailable (RA model, footprint extraction failure) — conservative
+    self-disable, never a guess."""
 
     breaking: dict[str, bool] = field(default_factory=dict)
     reasons: dict[str, str] = field(default_factory=dict)
@@ -100,24 +75,10 @@ class AtomicClassification:
 
     def describe(self) -> str:
         if self.disabled is not None:
-            return f"atomic lift disabled: {self.disabled}"
+            return f"atomic collapse disabled: {self.disabled}"
         total = len(self.breaking)
         return (
             f"atomic: {len(self.chain_pcs)}/{total} pcs non-breaking"
-        )
-
-
-@dataclass
-class AtomicStats:
-    """Counters for one lift's activity."""
-
-    chains: int = 0
-    micro_absorbed: int = 0
-
-    def describe(self) -> str:
-        return (
-            f"atomic: {self.chains} chains absorbed "
-            f"{self.micro_absorbed} micro-steps"
         )
 
 
@@ -126,7 +87,7 @@ def step_breaking_reason(
 ) -> str | None:
     """Why *step* must end an atomic block (``None`` = chainable).
 
-    The rule is strictly narrower than POR locality: a local step may
+    The rule is strictly narrower than independence: a local step may
     still write a *private* global (invisible to other threads but
     visible to invariant predicates over shared state), so chainable
     steps additionally require an empty write footprint.
@@ -168,11 +129,11 @@ def _loop_heads(machine: "StateMachine") -> frozenset[str]:
 
 def _classify(machine: "StateMachine") -> AtomicClassification:
     memmodel = getattr(machine, "memmodel", None)
-    if memmodel is not None and not memmodel.supports_por:
+    if memmodel is not None and memmodel.name not in _CLASSIFIED_MODELS:
         return AtomicClassification(
             disabled=(
                 f"memory model {memmodel.name} does not support the "
-                "atomic lift"
+                "atomic collapse"
             ),
         )
     ctx = getattr(machine, "ctx", None)
@@ -189,7 +150,7 @@ def _classify(machine: "StateMachine") -> AtomicClassification:
     except Exception as error:
         # Any PC whose classification is unknown must be breaking; if
         # the footprint extraction fails outright, every PC is unknown
-        # and the lift self-disables.
+        # and the classification self-disables.
         return AtomicClassification(
             disabled=f"classification unavailable: {error}"
         )
@@ -228,8 +189,7 @@ def _classify(machine: "StateMachine") -> AtomicClassification:
 
 
 #: Classification is a whole-machine static analysis; cache it per
-#: machine so repeated Explorer constructions (one per obligation
-#: sweep) pay for it once.  Mirrors ``por._FACTS_CACHE``.
+#: machine so the strategy and the engine's collapse pay for it once.
 _CLASS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -247,76 +207,3 @@ def classify_atomic(machine: "StateMachine") -> AtomicClassification:
     except TypeError:
         pass
     return result
-
-
-class AtomicLift:
-    """Extends explored transitions through non-breaking PCs.
-
-    ``chain(tr, nxt)`` returns the transition/successor pair to admit:
-    either the inputs unchanged, or a :class:`MacroTransition` whose
-    end state has the firing thread parked on a breaking PC (or
-    blocked, ambiguous, terminated — see the module docstring)."""
-
-    #: Safety bound on chain length.  Loop heads are breaking, so a
-    #: well-classified machine can never hit it; it turns a classifier
-    #: bug into a shorter chain (sound) instead of a hang.
-    MAX_CHAIN = 128
-
-    def __init__(
-        self,
-        machine: "StateMachine",
-        classification: AtomicClassification | None = None,
-    ) -> None:
-        self.machine = machine
-        self.classification = (
-            classification if classification is not None
-            else classify_atomic(machine)
-        )
-        self.stats = AtomicStats()
-
-    def chain(
-        self, tr: Transition, nxt: ProgramState
-    ) -> tuple[Transition | MacroTransition, ProgramState]:
-        chain_pcs = self.classification.chain_pcs
-        if tr.is_drain or not chain_pcs or nxt.termination is not None:
-            return tr, nxt
-        machine = self.machine
-        tid = tr.tid
-        micro = [tr]
-        cur = nxt
-        while len(micro) <= self.MAX_CHAIN:
-            thread = cur.threads.get(tid)
-            if thread is None or thread.pc is None:
-                break
-            pc = thread.pc
-            if pc not in chain_pcs:
-                break
-            if cur.atomic_owner not in (None, tid):
-                break  # pragma: no cover - chained pcs are yieldable
-            chosen: Step | None = None
-            ambiguous = False
-            for step in machine.steps_at(pc):
-                try:
-                    ok = step.enabled(machine, cur, tid, {})
-                except UBSignal:
-                    ok = True  # UB is not blocking; it fires and crashes
-                if not ok:
-                    continue
-                if chosen is not None:
-                    ambiguous = True
-                    break
-                chosen = step
-            if chosen is None or ambiguous:
-                # Blocked (assume) or more than one continuation: the
-                # state stays visible, exactly like the full sweep.
-                break
-            step_tr = Transition(tid, chosen, ())
-            cur = machine.next_state(cur, step_tr)
-            micro.append(step_tr)
-            if cur.termination is not None:
-                break
-        if len(micro) == 1:
-            return tr, nxt
-        self.stats.chains += 1
-        self.stats.micro_absorbed += len(micro) - 1
-        return MacroTransition(tid=tid, micro=tuple(micro)), cur

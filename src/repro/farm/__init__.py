@@ -12,17 +12,19 @@ Layers (bottom-up):
 
 * :mod:`repro.farm.cache` — content-addressed on-disk verdict store
   with framed, checksummed, self-healing entries; re-verifying an
-  unchanged program discharges lemmas by file read.
+  unchanged program discharges lemmas by file read.  Its keys come
+  from :mod:`repro.hashing`, a leaf module, so that code which only
+  needs a fingerprint (the stepper's bytecode cache) never loads the
+  farm.
 * :mod:`repro.farm.scheduler` — turns lemma obligations and
   whole-program refinement checks into :class:`~repro.farm.scheduler.Job`
-  records with stable keys.
+  records with stable keys.  State-space exploration (``armada
+  explore``) is not a farm job: it builds an
+  :class:`~repro.explore.Explorer` directly.
 * :mod:`repro.farm.resilience` — deadline, retry, and fault-injection
   policy (see :mod:`repro.faults`).
 * :mod:`repro.farm.journal` — append-only settled-verdict log for
   crash-safe resume (``armada verify --journal``).
-* :mod:`repro.farm.exploration` — state-space exploration as a third
-  job kind (full / POR / dynamic POR / atomic lift), sharing
-  flag semantics and output shape across the CLI and the daemon.
 * :mod:`repro.farm.workers` — runs the queue sequentially, on a thread
   pool, or on a process pool (with inline fallback for non-picklable
   obligations, crash detection, and pool respawn), and applies verdicts
@@ -39,11 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.farm.cache import (  # noqa: F401
-    ProofCache,
-    code_version,
-    structural_hash,
-)
+from repro.farm.cache import ProofCache  # noqa: F401
 from repro.farm.events import (  # noqa: F401
     CACHE_EVICT,
     CACHE_HIT,
@@ -66,11 +64,6 @@ from repro.farm.events import (  # noqa: F401
     FarmEvent,
     FarmSummary,
 )
-from repro.farm.exploration import (  # noqa: F401
-    exploration_job,
-    exploration_summary,
-    run_exploration,
-)
 from repro.farm.journal import Journal  # noqa: F401
 from repro.farm.resilience import (  # noqa: F401
     DEFAULT_MAX_RETRIES,
@@ -91,6 +84,7 @@ from repro.farm.workers import (  # noqa: F401
     run_jobs,
 )
 from repro.faults import FaultPlan  # noqa: F401
+from repro.hashing import code_version, structural_hash  # noqa: F401
 
 
 @dataclass

@@ -11,10 +11,12 @@ lemma obligation is keyed by a *structural hash* of
 * a code-version fingerprint over the ``repro`` package sources (a new
   strategy or prover fix must invalidate old verdicts).
 
-A key therefore identifies the obligation *semantically*: any edit to a
-level, a recipe, a lemma customization, the prover budget, or the
-toolchain itself changes the key and forces a re-check, while an
-untouched lemma is discharged by a single file read.
+Keys are built with :func:`repro.hashing.structural_hash` and
+:func:`repro.hashing.code_version`.  A key therefore identifies the
+obligation *semantically*: any edit to a level, a recipe, a lemma
+customization, the prover budget, or the toolchain itself changes the
+key and forces a re-check, while an untouched lemma is discharged by a
+single file read.
 
 Entry framing and self-healing
 ------------------------------
@@ -54,73 +56,14 @@ import pickle
 import struct
 import threading
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 from repro.verifier.prover import SETTLED, Verdict
-
-#: Bump to invalidate every existing cache entry on a format change.
-#: Format 2 introduced length+checksum framing (unframed format-1
-#: entries fail the magic check and are quarantined on first read).
-CACHE_FORMAT = 2
 
 #: Entry frame: magic+version, 8-byte payload length, 32-byte SHA-256.
 _MAGIC = b"ARMV\x02\n"
 _LEN = struct.Struct(">Q")
 _HEADER_SIZE = len(_MAGIC) + _LEN.size + hashlib.sha256().digest_size
-
-
-def _encode(value: Any, out: list[bytes]) -> None:
-    """Canonical, type-tagged encoding of nested str/int/bool/None and
-    sequences, so structurally equal values hash equally and
-    structurally different ones (``"1"`` vs ``1``, ``["ab"]`` vs
-    ``["a", "b"]``) never collide."""
-    if value is None:
-        out.append(b"N;")
-    elif isinstance(value, bool):
-        out.append(b"b1;" if value else b"b0;")
-    elif isinstance(value, int):
-        raw = str(value).encode()
-        out.append(b"i%d:%s;" % (len(raw), raw))
-    elif isinstance(value, str):
-        raw = value.encode()
-        out.append(b"s%d:%s;" % (len(raw), raw))
-    elif isinstance(value, (list, tuple)):
-        out.append(b"l%d:" % len(value))
-        for item in value:
-            _encode(item, out)
-        out.append(b";")
-    else:
-        raw = repr(value).encode()
-        out.append(b"r%d:%s;" % (len(raw), raw))
-
-
-def structural_hash(*parts: Any) -> str:
-    """Stable hex digest of a tuple of (possibly nested) values."""
-    out: list[bytes] = [b"v%d;" % CACHE_FORMAT]
-    _encode(list(parts), out)
-    return hashlib.sha256(b"".join(out)).hexdigest()
-
-
-_code_version: str | None = None
-_code_version_lock = threading.Lock()
-
-
-def code_version() -> str:
-    """Fingerprint of the ``repro`` package sources, memoized per
-    process.  Any change to the toolchain (strategies, prover,
-    translator, ...) yields a new version and invalidates the cache."""
-    global _code_version
-    with _code_version_lock:
-        if _code_version is None:
-            root = Path(__file__).resolve().parent.parent
-            digest = hashlib.sha256()
-            for path in sorted(root.rglob("*.py")):
-                digest.update(path.relative_to(root).as_posix().encode())
-                digest.update(b"\x00")
-                digest.update(path.read_bytes())
-                digest.update(b"\x00")
-            _code_version = digest.hexdigest()
-        return _code_version
 
 
 def frame_entry(payload: bytes) -> bytes:

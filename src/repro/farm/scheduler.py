@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.farm.cache import code_version, structural_hash
+from repro.hashing import code_version, structural_hash
 from repro.obs import OBS
 
 

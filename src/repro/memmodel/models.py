@@ -12,9 +12,7 @@ from strong shared memory:
   join do beyond their data effect (:meth:`atomic_update`,
   :meth:`atomic_acquire`, :meth:`fence`, :meth:`on_join`),
 * how threads and the whole program state are initialised
-  (:meth:`init_thread` / :meth:`init_state`), and
-* whether the ample-set partial-order reduction's independence argument
-  applies (:attr:`supports_por`).
+  (:meth:`init_thread` / :meth:`init_state`).
 
 Visible-value resolution itself lives in
 :meth:`repro.machine.state.ProgramState.local_view`, which dispatches on
@@ -69,10 +67,6 @@ class MemoryModel:
 
     #: Stable identifier; part of every proof-cache key and fingerprint.
     name: str = "abstract"
-    #: Whether the ample-set POR independence argument is sound for this
-    #: model.  The dynamic guard inspects store buffers and shared
-    #: memory but not RA histories/views, so RA must opt out.
-    supports_por: bool = True
 
     # -- initialisation -------------------------------------------------
 
@@ -164,7 +158,6 @@ class SCModel(MemoryModel):
     read-side override is needed."""
 
     name = "sc"
-    supports_por = True
 
 
 class TSOModel(MemoryModel):
@@ -173,7 +166,6 @@ class TSOModel(MemoryModel):
     and fences already require ``sb_empty`` in the step semantics."""
 
     name = "tso"
-    supports_por = True
 
     def write_leaves(self, state, tid, leaves, buffered):
         if buffered:
@@ -221,14 +213,9 @@ class RAModel(MemoryModel):
     is an SC fence through a global view stored under
     :data:`SC_FENCE_KEY`; ``join`` acquires the joined thread's final
     view (pthread happens-before).
-
-    POR is disabled (:attr:`supports_por` = False): the ample guard
-    never inspects histories/views, so its invisibility check would be
-    unsound here.
     """
 
     name = "ra"
-    supports_por = False
 
     # -- initialisation -------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.farm.cache import structural_hash
+from repro.hashing import structural_hash
 from repro.verifier.prover import PROVED, REFUTED, Verdict
 
 

@@ -29,6 +29,7 @@ from repro.errors import (
 )
 from repro.farm import VerificationFarm, global_check_job, lemma_jobs
 from repro.farm.scheduler import Job
+from repro.hashing import code_version, structural_hash
 from repro.lang import asts as ast
 from repro.lang.frontend import CheckedProgram, check_program
 from repro.machine.program import DomainConfig, StateMachine
@@ -89,10 +90,6 @@ class ChainOutcome:
     #: suggestions, and fast-path discharges.  Empty when analysis is
     #: off.
     analysis_notes: list[str] = field(default_factory=list)
-    #: Aggregate ample-set reduction statistics across every state sweep
-    #: the proofs performed (``--por``); None when reduction is off or
-    #: no strategy enumerated states.
-    por_summary: str | None = None
 
     @property
     def success(self) -> bool:
@@ -155,7 +152,6 @@ class ProofEngine:
         validate_refinement: str = "auto",
         farm: VerificationFarm | None = None,
         analyze: bool = False,
-        por: "bool | str" = False,
         outcome_cache: "object | None" = None,
         memory_model: str | None = None,
         compiled: bool = True,
@@ -175,17 +171,6 @@ class ProofEngine:
         trivial discharge for provably thread-local locations), and
         collect recipe advisories into ``ChainOutcome.analysis_notes``.
 
-        ``por``: enable partial-order reduction for the state sweeps
-        obligations perform.  Off by default — sound for every
-        property over multithreaded shared state, but an obligation
-        predicate may quantify over intermediate private-thread
-        configurations that reduction elides (see
-        :mod:`repro.explore.por`).  ``True`` selects the static ample
-        rule; the string ``"dynamic"`` selects the dynamic reducer
-        (:mod:`repro.explore.dpor`), which observes footprints at
-        exploration time.  The mode is part of the farm cache
-        fingerprint, so differently-reduced verdicts never mix.
-
         ``outcome_cache``: an object with ``get(key) -> ProofOutcome |
         None`` and ``put(key, outcome)`` (see
         :class:`repro.serve.incremental.OutcomeCache`).  When a proof's
@@ -203,14 +188,13 @@ class ProofEngine:
         under one model is never replayed for another.
 
         ``atomic``: apply the regular-to-atomic transformation
-        (:mod:`repro.strategies.regular_to_atomic`).  Obligation state
-        sweeps run under the atomic lift (hidden states agree with
-        their chain end on all shared state), and each generated
+        (:mod:`repro.strategies.regular_to_atomic`): each generated
         script's consecutive statement lemmas along non-breaking runs
         collapse into single atomic-block obligations — the same
-        checks run, but the farm schedules strictly fewer jobs.  Part
-        of the cache fingerprint; self-disables per level when the
-        classification is unavailable (C11 RA).
+        checks run over the same unreduced state sweeps, but the farm
+        schedules strictly fewer jobs.  Part of the cache fingerprint;
+        self-disables per level when the classification is
+        unavailable (C11 RA).
         """
         from repro.memmodel import get_model
 
@@ -222,7 +206,6 @@ class ProofEngine:
         self.validate_refinement = validate_refinement
         self.farm = farm or VerificationFarm()
         self.analyze = analyze
-        self.por = por
         # Compiled step specialization for every state sweep (bounded
         # obligations, analyzer cross-checks).  Bit-identical to the
         # interpreter, so deliberately NOT part of any cache
@@ -234,7 +217,6 @@ class ProofEngine:
         self._machines: dict[str, StateMachine] = {}
         self._analyses: dict[str, "object"] = {}
         self._analysis_notes: list[str] = []
-        self._requests: list[ProofRequest] = []
 
     # ------------------------------------------------------------------
 
@@ -349,11 +331,8 @@ class ProofEngine:
                 high_machine=self.machine(proof.high_level),
                 prover=self.prover,
                 max_states=self.max_states,
-                por=self.por,
                 compiled=self.compiled,
-                atomic=self.atomic,
             )
-            self._requests.append(request)
             if self.analyze:
                 request.analysis = self.analysis(proof.low_level)
                 self._analysis_notes.extend(
@@ -416,7 +395,6 @@ class ProofEngine:
             )
         return (
             f"{self.prover.fingerprint()}|max_states={self.max_states}"
-            f"|por={self.por if isinstance(self.por, str) else ('on' if self.por else 'off')}"
             f"|atomic={'on' if self.atomic else 'off'}"
             f"|mm={self.memory_model}|{domain_part}"
         )
@@ -434,7 +412,6 @@ class ProofEngine:
         cached = self._level_fingerprints.get(level_name)
         if cached is not None:
             return cached
-        from repro.farm.cache import structural_hash
         from repro.lang.astutil import expr_to_str
         from repro.proofs.render import render_machine_definitions
 
@@ -474,8 +451,6 @@ class ProofEngine:
         lemma, so the cache key must change whenever either machine
         does.
         """
-        from repro.farm.cache import structural_hash
-
         return structural_hash(
             "machine-pair",
             self.level_fingerprint(proof.low_level),
@@ -489,17 +464,15 @@ class ProofEngine:
         produces: both machines' semantics (level fingerprints), the
         full recipe (strategy, arguments, every directive — lemma
         customizations included), the prover/exploration configuration
-        (:meth:`_job_fingerprint`, which also covers POR and domains),
-        the refinement-validation policy (it decides whether the
-        whole-program check runs), and the toolchain version.  Two runs
-        with equal keys perform byte-identical obligation checks, so
-        reusing the stored :class:`ProofOutcome` — the basis of
-        ``armada serve``'s incremental re-verification — is sound even
-        for the whole-program bounded checks the lemma cache cannot
-        cover.
+        (:meth:`_job_fingerprint`, which also covers the atomic collapse
+        and domains), the refinement-validation policy (it decides
+        whether the whole-program check runs), and the toolchain
+        version.  Two runs with equal keys perform byte-identical
+        obligation checks, so reusing the stored :class:`ProofOutcome`
+        — the basis of ``armada serve``'s incremental re-verification
+        — is sound even for the whole-program bounded checks the lemma
+        cache cannot cover.
         """
-        from repro.farm.cache import code_version, structural_hash
-
         recipe = [
             (item.name, list(item.args)) for item in proof.items
         ]
@@ -738,7 +711,6 @@ class ProofEngine:
             self.farm.discharge(batch)
         chain_outcome = ChainOutcome(
             analysis_notes=list(self._analysis_notes),
-            por_summary=self._por_summary(),
         )
         for prep, reused in entries:
             if reused is not None:
@@ -760,22 +732,6 @@ class ProofEngine:
             chain_outcome.success and len(chain_outcome.chain) >= 2
         )
         return chain_outcome
-
-    def _por_summary(self) -> str | None:
-        """Merge ample-set statistics from every request's reducers."""
-        if not self.por:
-            return None
-        from repro.explore.por import PorStats
-
-        merged = PorStats()
-        seen_reducer = False
-        for request in self._requests:
-            for reducer in request._reducers.values():
-                merged.merge(reducer.stats)
-                seen_reducer = True
-        if not seen_reducer:
-            return None
-        return merged.describe()
 
     def _compose_chain(self) -> tuple[list[str], str | None]:
         """Order the levels by following the proofs' low→high edges from
@@ -831,7 +787,6 @@ def verify_source(
     validate_refinement: str = "auto",
     farm: VerificationFarm | None = None,
     analyze: bool = False,
-    por: bool = False,
     memory_model: str | None = None,
     atomic: bool = False,
 ) -> ChainOutcome:
@@ -840,7 +795,7 @@ def verify_source(
     engine = ProofEngine(
         checked, max_states=max_states,
         validate_refinement=validate_refinement,
-        farm=farm, analyze=analyze, por=por,
+        farm=farm, analyze=analyze,
         memory_model=memory_model, atomic=atomic,
     )
     return engine.run_all()

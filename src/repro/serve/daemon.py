@@ -46,7 +46,8 @@ from typing import Any
 
 from repro.errors import ArmadaError
 from repro.farm import FarmConfig, VerificationFarm
-from repro.farm.cache import ProofCache, code_version, structural_hash
+from repro.farm.cache import ProofCache
+from repro.hashing import code_version, structural_hash
 from repro.obs import OBS
 from repro.serve import protocol
 from repro.serve.incremental import FingerprintIndex, OutcomeCache
@@ -309,7 +310,6 @@ class ArmadaDaemon:
             validate_refinement=str(options.get("validate", "auto")),
             farm=farm,
             analyze=bool(options.get("analyze", False)),
-            por=bool(options.get("por", False)),
             outcome_cache=self.outcomes,
             memory_model=options.get("memory_model"),
             compiled=bool(options.get("compiled", True)),
@@ -342,7 +342,6 @@ class ArmadaDaemon:
             "chain": outcome.chain,
             "chain_error": outcome.chain_error,
             "analysis_notes": outcome.analysis_notes,
-            "por_summary": outcome.por_summary,
             "incremental": job.incremental,
             "outcomes": [
                 {
@@ -393,10 +392,7 @@ class ArmadaDaemon:
         }
 
     def _run_explore(self, job: ServeJob) -> dict[str, Any]:
-        from repro.farm.exploration import (
-            exploration_summary,
-            run_exploration,
-        )
+        from repro.explore import Explorer, exploration_summary
         from repro.lang.frontend import check_program
         from repro.machine.translator import translate_level
 
@@ -412,16 +408,12 @@ class ArmadaDaemon:
         machine = translate_level(
             ctx, memory_model=options.get("memory_model")
         )
-        dpor = bool(options.get("dpor", False))
-        result, disabled = run_exploration(
+        result = Explorer(
             machine,
             max_states=int(options.get("max_states", 200_000)),
-            por=bool(options.get("por", True)) and not dpor,
-            dpor=dpor,
-            atomic=bool(options.get("atomic", False)),
             compiled=bool(options.get("compiled", True)),
-        )
-        summary = exploration_summary(machine, level, result, disabled)
+        ).explore()
+        summary = exploration_summary(machine, level, result)
         summary["status"] = "explored"
         return summary
 

@@ -50,50 +50,13 @@ class ProofRequest:
     #: consult it for fast paths (e.g. tso_elim discharges ownership
     #: obligations trivially for provably thread-local locations).
     analysis: Any = None
-    #: Enable partial-order reduction for the state sweeps obligations
-    #: perform.  Off by default: POR preserves outcomes and
-    #: multithreaded shared state but may hide intermediate *private*
-    #: thread configurations, which an obligation predicate could
-    #: legitimately quantify over.  The engine's ``por=True`` opts in
-    #: to the static ample rule; ``por="dynamic"`` selects the dynamic
-    #: reducer (exploration-time footprints; see
-    #: :mod:`repro.explore.dpor`).  Either choice is recorded in the
-    #: proof-cache fingerprint.
-    por: "bool | str" = False
     #: Use the compiled step specialization (repro.compiler.stepc) for
     #: state sweeps.  Bit-identical to the interpreter; off only for
     #: debugging or timing comparisons.
     compiled: bool = True
-    #: Run obligation state sweeps under the regular-to-atomic lift
-    #: (:mod:`repro.explore.atomic`).  Hidden states agree with their
-    #: chain end on all shared state (memory, ghosts, buffers, logs),
-    #: so invariant-style obligations are unaffected; obligations
-    #: quantifying over a single thread's *private* registers at a
-    #: non-breaking pc see only atomic-visible states (documented
-    #: approximation, mirrors ``por``).  Self-disables per machine when
-    #: classification is unavailable (e.g. C11 RA).  Part of the
-    #: proof-cache fingerprint.
-    atomic: bool = False
     _reachable_cache: dict = field(default_factory=dict)
-    _reducers: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-
-    def _por_for(self, machine: StateMachine):
-        """A shared per-machine reducer (static facts computed once)."""
-        if not self.por:
-            return None
-        key = id(machine)
-        if key not in self._reducers:
-            if self.por == "dynamic":
-                from repro.explore.dpor import DynamicReducer
-
-                self._reducers[key] = DynamicReducer(machine)
-            else:
-                from repro.explore.por import AmpleReducer
-
-                self._reducers[key] = AmpleReducer(machine)
-        return self._reducers[key]
 
     def reachable_states(self, machine: StateMachine) -> list[ProgramState]:
         """Reachable states of *machine*, cached across lemmas.
@@ -109,8 +72,7 @@ class ProofRequest:
 
             states = list(
                 Explorer(
-                    machine, self.max_states, por=self._por_for(machine),
-                    compiled=self.compiled, atomic=self.atomic,
+                    machine, self.max_states, compiled=self.compiled,
                 ).reachable_states()
             )
             self._reachable_cache[key] = states

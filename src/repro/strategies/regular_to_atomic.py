@@ -13,7 +13,7 @@ either the atomic action it denotes or a successor table of
 ``armada_successor_info_t`` entries; :func:`atomic_paths` constructs
 the same shape here from the classification in
 :mod:`repro.explore.atomic` (which itself derives from the analyzer's
-access footprints and the POR independence facts).
+access footprints and the independence facts).
 
 As a chain strategy, ``regular_to_atomic`` relates a level to itself
 viewed at atomic granularity: the two levels must have identical
@@ -417,7 +417,7 @@ class RegularToAtomicStrategy(Strategy):
         itself and the refinement function is the identity)."""
         reason = cls.disabled or "no non-breaking pcs"
         script.definitional(
-            "AtomicLiftDisabled",
+            "AtomicCollapseDisabled",
             f"the atomic collapse is disabled: {reason}",
             ["// every pc stays breaking; the levels coincide"],
         )
@@ -475,7 +475,7 @@ class RegularToAtomicStrategy(Strategy):
             ),
             body=[
                 "// re-audits the classification from fresh analyzer",
-                "// footprints and POR independence facts",
+                "// footprints and independence facts",
             ],
             obligation=obligation,
         )

@@ -1,36 +1,86 @@
-"""Shared harness for differential exploration sweeps.
+"""Shared harness for the exploration sweeps.
 
-Every reduction the explorer offers — static ample-set POR, dynamic
-POR + sleep sets, and the regular-to-atomic lift — must be
-*observationally invisible*.  This module holds the machinery the
-differential suites (:mod:`tests.test_reduction_differential`,
-:mod:`tests.test_fuzz_differential`) share: the mode dispatcher, the
-verdict projection each mode must preserve bit-for-bit, the
-trace-replay check, the check that the explorer's three entry points
-admit the same states, and a memo of checked programs / machines / full
-fan-out baselines so each (program, model) baseline is explored once
-per module, not once per comparison.
+The suites that sweep every case-study level and litmus shape
+(:mod:`tests.test_reduction_differential`,
+:mod:`tests.test_search_contracts`, :mod:`tests.test_stepc`,
+:mod:`tests.test_memmodel`, :mod:`tests.test_explorer`) and the
+Hypothesis fuzz (:mod:`tests.test_fuzz_differential`) share this
+module: the case-study and litmus corpus, the trace-replay check,
+the check that the explorer's three entry points admit the same
+states, and a memo of checked programs and machines so each (program,
+model) machine is translated once per module, not once per
+comparison.
 """
 
 from repro.casestudies import ALL, load
 from repro.errors import StateBudgetExceeded
 from repro.explore import Explorer
 from repro.lang.frontend import check_level, check_program
-from repro.machine.state import TERM_UB
 from repro.machine.translator import translate_level
 
-from tests.test_por import LITMUS, STUDY_BUDGETS
 
-#: The reduced modes, each compared against "full".
-REDUCED_MODES = ("por", "dpor", "atomic", "atomic+dpor")
+def _print_regs(*names: str) -> str:
+    parts = []
+    for i, name in enumerate(names):
+        parts.append(f"var s{i}: uint32 := 0; s{i} := {name}; "
+                     f"print_uint32(s{i});")
+    return " ".join(parts)
 
-#: Explorer keyword arguments per mode.
-MODE_KWARGS = {
-    "full": {},
-    "por": {"por": True},
-    "dpor": {"dpor": True},
-    "atomic": {"atomic": True},
-    "atomic+dpor": {"atomic": True, "dpor": True},
+
+#: The x86-TSO litmus shapes of tests/test_tso_litmus.py.
+LITMUS = {
+    "SB": (
+        "var x: uint32; var y: uint32; var r1: uint32; var r2: uint32; "
+        "void t1() { x := 1; r1 := y; fence(); } "
+        "void main() { var a: uint64 := 0; a := create_thread t1(); "
+        "y := 1; r2 := x; join a; fence(); "
+        + _print_regs("r1", "r2") + " }"
+    ),
+    "MP": (
+        "var data: uint32; var flag: uint32; "
+        "var rf: uint32; var rd: uint32; "
+        "void writer() { data := 42; flag := 1; } "
+        "void main() { var a: uint64 := 0; "
+        "a := create_thread writer(); "
+        "rf := flag; rd := data; join a; fence(); "
+        + _print_regs("rf", "rd") + " }"
+    ),
+    "LB": (
+        "var x: uint32; var y: uint32; "
+        "var r1: uint32; var r2: uint32; "
+        "void t1() { r1 := x; y := 1; } "
+        "void main() { var a: uint64 := 0; a := create_thread t1(); "
+        "r2 := y; x := 1; join a; fence(); "
+        + _print_regs("r1", "r2") + " }"
+    ),
+    "CoRR": (
+        "var x: uint32; var r1: uint32; var r2: uint32; "
+        "void writer() { x := 1; } "
+        "void main() { var a: uint64 := 0; "
+        "a := create_thread writer(); "
+        "r1 := x; r2 := x; join a; fence(); "
+        + _print_regs("r1", "r2") + " }"
+    ),
+    "2+2W": (
+        "var x: uint32; var r1: uint32; "
+        "void main() { x := 1; x := 2; r1 := x; fence(); "
+        + _print_regs("r1") + " }"
+    ),
+    "IRIW": (
+        "var x: uint32; var y: uint32; "
+        "var r1: uint32; var r2: uint32; "
+        "var r3: uint32; var r4: uint32; "
+        "void wx() { x ::= 1; } "
+        "void wy() { y ::= 1; } "
+        "void reader1() { r1 ::= x; r2 ::= y; } "
+        "void main() { "
+        "var a: uint64 := 0; var b: uint64 := 0; var c: uint64 := 0; "
+        "a := create_thread wx(); b := create_thread wy(); "
+        "c := create_thread reader1(); "
+        "r3 ::= y; r4 ::= x; "
+        "join a; join b; join c; "
+        + _print_regs("r1", "r2", "r3", "r4") + " }"
+    ),
 }
 
 
@@ -45,25 +95,13 @@ def case_rows():
     return rows
 
 
-def explore_mode(machine, budget, mode, invariants=None):
-    """Explore *machine* under one named mode of the sweep."""
-    return Explorer(
-        machine, budget, **MODE_KWARGS[mode]
-    ).explore(invariants)
-
-
-def verdict(result):
-    """Everything a reduction must preserve exactly.  UB reasons
-    compare as a set: a reduction may reach the same UB through fewer
-    distinct states, but never report a reason the full sweep lacks
-    (or miss one it has)."""
-    return (
-        frozenset(result.final_outcomes),
-        frozenset(result.ub_reasons),
-        bool(result.assert_failures),
-        sorted({v.invariant_name for v in result.violations}),
-        result.hit_state_budget,
-    )
+def sweep_rows():
+    """Every case-study level and every litmus shape, as (id, spec)
+    rows; :meth:`Sweep.machine` translates a spec."""
+    return [
+        (row_id, ("case", study, level))
+        for row_id, study, level in case_rows()
+    ] + [(name, ("litmus", name)) for name in sorted(LITMUS)]
 
 
 def replay(machine, trace):
@@ -75,43 +113,25 @@ def replay(machine, trace):
     return state
 
 
-def assert_traces_replay(machine, result):
-    """Every counterexample trace must replay on a fresh unreduced
-    machine to the outcome it claims.  Macro transitions recorded by
-    the atomic lift are flattened into micro steps before they reach a
-    trace, so the same replay covers every mode."""
-    for reason, trace in zip(result.ub_reasons, result.ub_traces):
-        final = replay(machine, trace)
-        assert final.termination is not None
-        assert final.termination.kind == TERM_UB
-        assert final.termination.detail == reason
-    for violation in result.violations:
-        # Invariant predicates are re-checked by the caller (they need
-        # the predicate, not just the trace); here we only require the
-        # trace to be structurally replayable.
-        replay(machine, violation.trace)
-
-
-def assert_entry_points_agree(machine, budget, mode, explored=None):
+def assert_entry_points_agree(machine, budget, explored=None):
     """``reachable_states``, ``walk`` and ``explore`` consume one
-    search, so under every mode they must admit the same states, each
-    exactly once, and agree on whether the budget cut the sweep short.
-    *explored* is an ``explore`` result of the same configuration to
-    reuse; one is computed when omitted."""
-    kwargs = MODE_KWARGS[mode]
+    search, so they must admit the same states, each exactly once, and
+    agree on whether the budget cut the sweep short.  *explored* is an
+    ``explore`` result of the same budget to reuse; one is computed
+    when omitted."""
     reached = []
     cut = False
     try:
-        for state in Explorer(machine, budget, **kwargs).reachable_states():
+        for state in Explorer(machine, budget).reachable_states():
             reached.append(state)
     except StateBudgetExceeded:
         cut = True
     walked = []
-    complete = Explorer(machine, budget, **kwargs).walk(
+    complete = Explorer(machine, budget).walk(
         lambda state, transitions: walked.append(state) is None
     )
     if explored is None:
-        explored = explore_mode(machine, budget, mode)
+        explored = Explorer(machine, budget).explore()
     assert len(set(reached)) == len(reached)
     assert len(walked) == len(reached)
     assert set(walked) == set(reached)
@@ -120,12 +140,11 @@ def assert_entry_points_agree(machine, budget, mode, explored=None):
 
 
 class Sweep:
-    """Shared memo of checked programs, machines, and full baselines."""
+    """Shared memo of checked programs and machines."""
 
     def __init__(self):
         self._checked = {}
         self._machines = {}
-        self._full = {}
 
     def checked(self, study):
         if study not in self._checked:
@@ -147,18 +166,8 @@ class Sweep:
             self._machines[key] = translate_level(ctx, memory_model=model)
         return self._machines[key]
 
-    def full_case(self, study, level, model):
-        key = (study, level, model)
-        if key not in self._full:
-            machine = self.case_machine(study, level, model)
-            self._full[key] = explore_mode(
-                machine, STUDY_BUDGETS[study], "full"
-            )
-        return self._full[key]
-
-    def full_litmus(self, name, model):
-        key = ("litmus", name, model)
-        if key not in self._full:
-            machine = self.litmus_machine(name, model)
-            self._full[key] = explore_mode(machine, 2_000_000, "full")
-        return self._full[key]
+    def machine(self, spec, model):
+        """The machine of a :func:`sweep_rows` spec under *model*."""
+        if spec[0] == "case":
+            return self.case_machine(spec[1], spec[2], model)
+        return self.litmus_machine(spec[1], model)

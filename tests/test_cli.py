@@ -1,7 +1,13 @@
 """Tests for the armada CLI."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -267,3 +273,49 @@ class TestShippedArmadaFile:
             / "running_example.arm"
         )
         assert main(["run", str(path), "--level", "Implementation"]) == 0
+
+
+class TestImportFootprint:
+    """What a command imports is part of its start-up cost.  Checked in
+    a fresh interpreter, because pytest itself has already imported
+    ``importlib.metadata`` into this one."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps({'exit': code, 'modules': sorted(sys.modules)}))\n"
+    )
+
+    def _modules(self, tmp_path, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))
+        )
+        env["ARMADA_STEPC_CACHE"] = str(tmp_path / "stepc")
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+            check=True,
+        )
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["exit"] == 0, done.stdout + done.stderr
+        return set(report["modules"])
+
+    def test_explore_loads_no_farm_verifier_or_analyzer(
+        self, program_file, tmp_path
+    ):
+        modules = self._modules(tmp_path, "explore", program_file)
+        for package in ("repro.farm", "repro.verifier", "repro.analysis",
+                        "importlib.metadata"):
+            loaded = sorted(
+                m for m in modules
+                if m == package or m.startswith(package + ".")
+            )
+            assert not loaded, loaded
+
+    def test_check_does_not_look_up_the_version(
+        self, program_file, tmp_path
+    ):
+        modules = self._modules(tmp_path, "check", program_file)
+        assert "importlib.metadata" not in modules

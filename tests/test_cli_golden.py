@@ -42,21 +42,14 @@ class TestJsonSchemas:
         assert main(["explore", toy_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload) == [
-            "atomic", "hit_state_budget", "level", "memory_model",
-            "outcomes", "por", "reductions_disabled", "states",
-            "transitions", "ub", "violations",
+            "hit_state_budget", "level", "memory_model",
+            "outcomes", "states", "transitions", "ub", "violations",
         ]
-        assert payload["atomic"] is None
         assert payload["memory_model"] == "tso"
         assert payload["level"] == "L"
         assert payload["states"] > 0
-        assert payload["reductions_disabled"] is None
         for outcome in payload["outcomes"]:
             assert sorted(outcome) == ["kind", "log"]
-        assert sorted(payload["por"]) == [
-            "ample_states", "dynamic_states", "full_states",
-            "sleep_pruned", "transitions_pruned",
-        ]
 
     def test_explore_json_violation_rows(self, toy_file, capsys):
         assert main(["explore", toy_file, "--json",
@@ -66,11 +59,6 @@ class TestJsonSchemas:
         for row in payload["violations"]:
             assert sorted(row) == ["invariant", "trace"]
             assert isinstance(row["trace"], list)
-
-    def test_explore_json_por_off_is_null(self, toy_file, capsys):
-        assert main(["explore", toy_file, "--json", "--no-por"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["por"] is None
 
     def test_analyze_json_schema(self, toy_file, capsys):
         assert main(["analyze", toy_file, "--json"]) == 0

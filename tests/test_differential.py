@@ -1,23 +1,17 @@
-"""Differential smoke test: optimisation layers must not change verdicts.
+"""Differential smoke test: the proof cache must not change verdicts.
 
-Two of the repo's performance features are *supposed* to be observably
-pure accelerations — ample-set partial-order reduction in the explorer,
-and the farm's content-addressed proof cache.  One parametrized test
-runs the TSP refinement chain (``examples/running_example.arm``) both
-ways along each dimension and diffs everything a user can see: final
-outcomes, UB reasons, invariant verdicts, per-lemma verdict sequences,
-and the composed chain.  Any divergence means the "optimisation" is
-changing answers, which is a soundness bug, not a perf regression.
+The farm's content-addressed proof cache is *supposed* to be an
+observably pure acceleration.  The test verifies the TSP refinement
+chain (``examples/running_example.arm``) cold and warm and diffs
+everything a user can see: per-lemma verdict sequences and the
+composed chain.  Any divergence means the cache is changing answers,
+which is a soundness bug, not a perf regression.
 """
 
 import os
 
-import pytest
-
-from repro.explore.explorer import Explorer
 from repro.farm import FarmConfig, VerificationFarm
 from repro.lang.frontend import check_program
-from repro.machine.translator import translate_level
 from repro.proofs.engine import ProofEngine
 
 EXAMPLE = os.path.join(
@@ -29,21 +23,6 @@ EXAMPLE = os.path.join(
 def _checked():
     with open(EXAMPLE, encoding="utf-8") as handle:
         return check_program(handle.read(), EXAMPLE)
-
-
-def _explorer_fingerprint(result):
-    """Everything a user can observe from one exploration."""
-    return {
-        "outcomes": sorted(
-            (kind, tuple(log)) for kind, log in result.final_outcomes
-        ),
-        "ub": sorted(result.ub_reasons),
-        "assert_failures": result.assert_failures,
-        "violations": sorted(
-            v.invariant_name for v in result.violations
-        ),
-        "hit_state_budget": result.hit_state_budget,
-    }
 
 
 def _chain_fingerprint(outcome):
@@ -67,35 +46,21 @@ def _chain_fingerprint(outcome):
     }
 
 
-@pytest.mark.parametrize("dimension", ["explorer-por", "farm-cache"])
-def test_acceleration_layers_preserve_verdicts(dimension, tmp_path):
-    if dimension == "explorer-por":
-        checked = _checked()
-        for level in checked.program.levels:
-            machine = translate_level(checked.contexts[level.name])
-            baseline = Explorer(machine, max_states=200_000).explore()
-            reduced = Explorer(
-                machine, max_states=200_000, por=True
-            ).explore()
-            assert (_explorer_fingerprint(baseline)
-                    == _explorer_fingerprint(reduced)), level.name
-            # And the reduction must actually be a reduction (the TSP
-            # implementation level has independent thread steps).
-            assert reduced.states_visited <= baseline.states_visited
-    else:  # farm-cache: a cold run and a warm run must agree exactly
-        cache_dir = str(tmp_path / "proof-cache")
-        fingerprints = []
-        summaries = []
-        for _ in ("cold", "warm"):
-            farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
-            engine = ProofEngine(_checked(), farm=farm)
-            fingerprints.append(_chain_fingerprint(engine.run_all()))
-            summaries.append(farm.summary())
-        cold, warm = fingerprints
-        assert cold == warm
-        assert cold["success"]
-        cold_summary, warm_summary = summaries
-        assert cold_summary.cache_hits == 0
-        assert warm_summary.jobs == cold_summary.jobs
-        # Warm run must serve the cacheable obligations from disk.
-        assert warm_summary.cache_hits > 0
+def test_farm_cache_preserves_verdicts(tmp_path):
+    # A cold run and a warm run must agree exactly.
+    cache_dir = str(tmp_path / "proof-cache")
+    fingerprints = []
+    summaries = []
+    for _ in ("cold", "warm"):
+        farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
+        engine = ProofEngine(_checked(), farm=farm)
+        fingerprints.append(_chain_fingerprint(engine.run_all()))
+        summaries.append(farm.summary())
+    cold, warm = fingerprints
+    assert cold == warm
+    assert cold["success"]
+    cold_summary, warm_summary = summaries
+    assert cold_summary.cache_hits == 0
+    assert warm_summary.jobs == cold_summary.jobs
+    # Warm run must serve the cacheable obligations from disk.
+    assert warm_summary.cache_hits > 0

@@ -190,23 +190,6 @@ class TestStateBudgetHonesty:
         )
 
 
-class TestPorPlumbing:
-    def test_por_outcome_matches_unreduced(self):
-        plain = verify_source(SWEEPING_PROOF)
-        reduced = verify_source(SWEEPING_PROOF, por=True)
-        assert plain.success and reduced.success
-        assert plain.por_summary is None
-        assert reduced.por_summary is not None
-        assert reduced.por_summary.startswith("POR:")
-
-    def test_por_changes_job_fingerprint(self):
-        checked = check_program(SWEEPING_PROOF)
-        with_por = ProofEngine(checked, por=True)._job_fingerprint()
-        without = ProofEngine(checked, por=False)._job_fingerprint()
-        assert with_por != without
-        assert "por=on" in with_por and "por=off" in without
-
-
 #: Identical loop levels: 41 loop iterations need far more than five
 #: product states, and the plain weakening pair has no lemma obligation
 #: that a five-state budget could refute.

@@ -8,7 +8,6 @@ from repro.lang.frontend import check_level
 from repro.machine.translator import translate_level
 
 from tests.differential_harness import (
-    MODE_KWARGS,
     Sweep,
     assert_entry_points_agree,
     replay,
@@ -83,19 +82,18 @@ class TestExploration:
         assert len(states) == 10
         assert excinfo.value.max_states == 10
 
-    @pytest.mark.parametrize("mode", sorted(MODE_KWARGS))
     @pytest.mark.parametrize(
         "study,level", [("queue", "QueueImpl"), ("mcslock", "MCSImpl")]
     )
     def test_reachable_states_complete_without_truncation(
-        self, sweep, study, level, mode
+        self, sweep, study, level
     ):
         # The three entry points consume one search, so they admit the
-        # same states under every reduction.
+        # same states.
         machine = sweep.case_machine(study, level, "tso")
-        explored = Explorer(machine, **MODE_KWARGS[mode]).explore()
+        explored = Explorer(machine).explore()
         assert not explored.hit_state_budget
-        assert_entry_points_agree(machine, 2_000_000, mode, explored)
+        assert_entry_points_agree(machine, 2_000_000, explored)
 
     def test_walk_returns_false_on_truncation(self):
         machine = machine_for(COUNTER)

@@ -1,13 +1,12 @@
 """Hypothesis-driven differential fuzzing: the executable semantics
 must agree with themselves.
 
-The repo has three independent answers to "what does this program
-compute": the compiled Python back ends (``repro.compiler.pybackend``),
-the explorer's small-step state enumeration, and — within the explorer —
-the ample-set partial-order reduction.  This suite generates random
-*core-safe* Armada programs (locals-only arithmetic, at most one shared
-access per statement, structurally bounded loops, division only by
-nonzero constants) and asserts that every observer reports the same
+The repo has two independent answers to "what does this program
+compute": the compiled Python back ends (``repro.compiler.pybackend``)
+and the explorer's small-step state enumeration.  This suite generates
+random *core-safe* Armada programs (locals-only arithmetic, at most one
+shared access per statement, structurally bounded loops, division only
+by nonzero constants) and asserts that every observer reports the same
 final stores:
 
 * single-threaded programs are deterministic, so all three compiled
@@ -15,12 +14,9 @@ final stores:
   outcome must produce the identical print log;
 * two-threaded lock-protected programs may have several outcomes, but
   a compiled execution must land on one the explorer enumerated, and
-  POR-on/POR-off explorations must enumerate the *same* outcome set;
-* the whole reduction stack — dynamic POR + sleep sets and the
-  regular-to-atomic lift — agrees with the full fan-out on every
-  random machine, and counterexample traces found under reduction
-  replay on a fresh unreduced machine (macro transitions recorded by
-  the atomic lift arrive pre-expanded into their micro steps);
+  SC, TSO and RA explorations must enumerate the *same* outcome set;
+* counterexample traces the explorer reports replay on a fresh machine
+  to the exact claimed failure;
 * random race-free programs *verify* identically with and without
   ``--atomic``: the engine-side lemma collapse changes farm job
   counts, never verdicts.
@@ -163,11 +159,11 @@ def _two_thread_program(draw) -> str:
     )
 
 
-def _explore(source: str, por: bool, memory_model: str | None = None):
+def _explore(source: str, memory_model: str | None = None):
     machine = translate_level(
         check_level(source), memory_model=memory_model
     )
-    result = Explorer(machine, max_states=60_000, por=por).explore()
+    result = Explorer(machine, max_states=60_000).explore()
     assert not result.hit_state_budget, source
     return result
 
@@ -186,7 +182,7 @@ def test_compiled_modes_agree_with_explorer_single_thread(source):
     # One thread ⇒ one schedule ⇒ all three memory models coincide.
     assert logs["conservative"] == logs["sc"], source
     assert logs["tso"] == logs["sc"], source
-    outcomes = _outcome_set(_explore(source, por=False))
+    outcomes = _outcome_set(_explore(source))
     assert outcomes == [("normal", tuple(logs["sc"]))], source
 
 
@@ -194,7 +190,7 @@ def test_compiled_modes_agree_with_explorer_single_thread(source):
 @given(source=_two_thread_program())
 def test_compiled_execution_is_an_explored_outcome_two_threads(source):
     ctx = check_level(source)
-    result = _explore(source, por=False)
+    result = _explore(source)
     assert not result.has_ub, source
     legal_logs = {
         tuple(log) for kind, log in result.final_outcomes
@@ -206,35 +202,10 @@ def test_compiled_execution_is_an_explored_outcome_two_threads(source):
         assert log in legal_logs, (mode, source)
 
 
-@settings(max_examples=15, derandomize=True, deadline=None)
-@given(source=_two_thread_program())
-def test_por_preserves_outcome_set(source):
-    full = _explore(source, por=False)
-    reduced = _explore(source, por=True)
-    assert _outcome_set(full) == _outcome_set(reduced), source
-    assert sorted(full.ub_reasons) == sorted(reduced.ub_reasons), source
-
-
-@settings(max_examples=15, derandomize=True, deadline=None)
-@given(source=_two_thread_program())
-def test_dpor_preserves_outcome_set(source):
-    """Dynamic POR with sleep sets agrees with the full fan-out on
-    outcomes, UB and assertion presence — on every generated
-    machine."""
-    full = _explore(source, por=False)
-    machine = translate_level(check_level(source))
-    reduced = Explorer(machine, 60_000, dpor=True).explore()
-    assert not reduced.hit_state_budget, source
-    assert _outcome_set(full) == _outcome_set(reduced), source
-    assert set(full.ub_reasons) == set(reduced.ub_reasons), source
-    assert bool(full.assert_failures) == \
-        bool(reduced.assert_failures), source
-
-
 @st.composite
 def _racy_div_program(draw) -> str:
     """An unprotected divisor race: some interleavings divide by zero.
-    Exercises counterexample traces under reduction."""
+    Exercises counterexample traces."""
     init = draw(st.integers(min_value=1, max_value=9))
     pre = draw(st.integers(min_value=0, max_value=3))
     filler = " ".join("u := u + 1;" for _ in range(pre))
@@ -249,73 +220,20 @@ def _racy_div_program(draw) -> str:
 
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(source=_racy_div_program())
-def test_reduced_counterexample_traces_replay_unreduced(source):
-    """Every UB trace a reduced exploration reports must replay,
-    transition by transition, on a fresh *unreduced* machine to the
-    exact claimed failure — reductions may shrink the search, never
-    fabricate a witness."""
+def test_counterexample_traces_replay(source):
+    """Every UB trace an exploration reports must replay, transition
+    by transition, on a fresh machine to the exact claimed failure —
+    a recorded trace is a witness, never a fabrication."""
     from repro.machine.state import TERM_UB
 
-    full = _explore(source, por=False)
-    assert full.has_ub, source
-    machine = translate_level(check_level(source))
-    result = Explorer(machine, 60_000, dpor=True).explore()
-    assert set(result.ub_reasons) == set(full.ub_reasons), source
+    result = _explore(source)
+    assert result.has_ub, source
     for reason, trace in zip(result.ub_reasons, result.ub_traces):
         fresh = translate_level(check_level(source))
         final = replay(fresh, trace)
         assert final.termination is not None, source
         assert final.termination.kind == TERM_UB, source
         assert final.termination.detail == reason, source
-
-
-@settings(max_examples=10, derandomize=True, deadline=None)
-@given(source=_two_thread_program())
-def test_atomic_lift_preserves_outcome_set(source):
-    """The regular-to-atomic lift, alone and composed with dynamic
-    POR, agrees with the full fan-out on outcomes, UB and assertion
-    presence — while only ever hiding states, never adding them."""
-    full = _explore(source, por=False)
-    for kwargs in ({"atomic": True}, {"atomic": True, "dpor": True}):
-        machine = translate_level(check_level(source))
-        reduced = Explorer(machine, 60_000, **kwargs).explore()
-        assert not reduced.hit_state_budget, source
-        assert _outcome_set(full) == _outcome_set(reduced), \
-            (kwargs, source)
-        assert set(full.ub_reasons) == set(reduced.ub_reasons), \
-            (kwargs, source)
-        assert bool(full.assert_failures) == \
-            bool(reduced.assert_failures), (kwargs, source)
-        assert reduced.states_visited <= full.states_visited, \
-            (kwargs, source)
-
-
-@settings(max_examples=8, derandomize=True, deadline=None)
-@given(source=_racy_div_program())
-def test_atomic_counterexample_traces_expand_and_replay(source):
-    """A counterexample found under the atomic lift arrives as plain
-    micro transitions (macro steps are flattened before they reach a
-    trace) and replays on a fresh unreduced machine to the same
-    violating state."""
-    from repro.explore.atomic import MacroTransition
-    from repro.machine.state import TERM_UB
-
-    full = _explore(source, por=False)
-    assert full.has_ub, source
-    for kwargs in ({"atomic": True}, {"atomic": True, "dpor": True}):
-        machine = translate_level(check_level(source))
-        result = Explorer(machine, 60_000, **kwargs).explore()
-        assert set(result.ub_reasons) == set(full.ub_reasons), \
-            (kwargs, source)
-        for reason, trace in zip(result.ub_reasons, result.ub_traces):
-            assert not any(
-                isinstance(t, MacroTransition) for t in trace
-            ), source
-            fresh = translate_level(check_level(source))
-            final = replay(fresh, trace)
-            assert final.termination is not None, source
-            assert final.termination.kind == TERM_UB, source
-            assert final.termination.detail == reason, source
 
 
 @settings(max_examples=6, derandomize=True, deadline=None)
@@ -345,10 +263,7 @@ def test_memory_models_agree_on_race_free_programs(source):
     """DRF guarantee, checked differentially: a lock-protected program
     never exposes a weak behaviour, so exploring it under SC, x86-TSO
     and C11 release/acquire must enumerate the same outcome set."""
-    baseline = _outcome_set(_explore(source, por=False,
-                                     memory_model="tso"))
+    baseline = _outcome_set(_explore(source, memory_model="tso"))
     for model in ("sc", "ra"):
-        outcomes = _outcome_set(
-            _explore(source, por=False, memory_model=model)
-        )
+        outcomes = _outcome_set(_explore(source, memory_model=model))
         assert outcomes == baseline, (model, source)

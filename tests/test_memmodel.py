@@ -7,9 +7,11 @@ under one model must never be replayed for another, even when the two
 runs share a cache directory or an outcome cache.
 """
 
+from functools import lru_cache
+
 import pytest
 
-from repro.explore.explorer import final_logs
+from repro.explore.explorer import Explorer, final_logs
 from repro.farm import FarmConfig, VerificationFarm
 from repro.lang.frontend import check_level, check_program
 from repro.machine.translator import translate_level
@@ -24,6 +26,8 @@ from repro.memmodel import (
 )
 from repro.memmodel.litmus import CORPUS, TESTS, check_matrix, run_litmus
 from repro.proofs.engine import ProofEngine
+
+from tests.differential_harness import Sweep, sweep_rows
 
 
 class TestRegistry:
@@ -50,11 +54,6 @@ class TestRegistry:
         assert all(
             isinstance(m, MemoryModel) for m in MODELS.values()
         )
-
-    def test_only_ra_opts_out_of_por(self):
-        assert MODELS["sc"].supports_por
-        assert MODELS["tso"].supports_por
-        assert not MODELS["ra"].supports_por
 
 
 def _machine(source: str, model: str):
@@ -154,6 +153,36 @@ class TestLitmusMatrix:
         ra = run_litmus("IRIW", "ra")
         assert tso <= ra
         assert (1, 0, 1, 0) in ra - tso
+
+
+_ROWS = sweep_rows()
+_SWEEP = Sweep()
+
+
+@lru_cache(maxsize=None)
+def _observed(row_id, model):
+    """Final outcomes and UB reasons of the complete exploration of a
+    :func:`sweep_rows` row under *model*."""
+    spec = dict(_ROWS)[row_id]
+    result = Explorer(_SWEEP.machine(spec, model), 100_000).explore()
+    assert not result.hit_state_budget, (row_id, model)
+    return frozenset(result.final_outcomes), frozenset(result.ub_reasons)
+
+
+class TestWeakModelsKeepScBehaviours:
+    """x86-TSO and C11 release/acquire only add behaviours to SC: on
+    every case-study level and litmus shape, each final outcome
+    (deadlocks and assertion failures included) and each UB reason an
+    SC exploration finds, the weaker model finds too."""
+
+    @pytest.mark.parametrize("weak", ["tso", "ra"])
+    @pytest.mark.parametrize("row_id", [r[0] for r in _ROWS])
+    def test_sc_behaviours_survive(self, row_id, weak):
+        sc_outcomes, sc_ub = _observed(row_id, "sc")
+        outcomes, ub = _observed(row_id, weak)
+        assert sc_outcomes
+        assert sc_outcomes <= outcomes
+        assert sc_ub <= ub
 
 
 PROGRAM = """

@@ -1,7 +1,9 @@
 """Unit tests for the regular-to-atomic transformation.
 
-Three layers under test, bottom-up:
+Four layers under test, bottom-up:
 
+* the static independence facts the classification starts from
+  (:func:`repro.analysis.independence.step_independence`);
 * PC classification (:func:`repro.explore.atomic.classify_atomic`):
   which step kinds break an atomic block, per memory model — every
   thread-visible kind must break, chainable local statements must not,
@@ -13,19 +15,18 @@ Three layers under test, bottom-up:
 * the per-path simulation obligation, including the case the soundness
   story hinges on — a deliberately unsound collapse (an interior PC
   that is actually breaking) must be **rejected**, not sampled into a
-  vacuous pass — and the engine-side ``collapse_proof_script``.
+  vacuous pass — and the engine-side ``collapse_proof_script``, down
+  to whole case studies verifying to the same verdicts with and
+  without the collapse.
 """
 
 import pytest
 
-from repro.explore.atomic import (
-    AtomicClassification,
-    AtomicLift,
-    MacroTransition,
-    classify_atomic,
-)
+from repro.analysis.independence import step_independence
+from repro.casestudies import ALL, load
+from repro.explore.atomic import AtomicClassification, classify_atomic
+from repro.lang import asts as ast
 from repro.lang.frontend import check_level, check_program
-from repro.machine.program import Transition
 from repro.machine.steps import (
     AssertStep,
     AssignStep,
@@ -41,6 +42,7 @@ from repro.machine.steps import (
 )
 from repro.machine.translator import translate_level
 from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict, proved
+from repro.proofs.engine import ProofEngine
 from repro.strategies.base import ProofRequest
 from repro.strategies.regular_to_atomic import (
     AtomicPathInfo,
@@ -49,6 +51,8 @@ from repro.strategies.regular_to_atomic import (
     atomic_paths,
     collapse_proof_script,
 )
+
+from tests.differential_harness import LITMUS
 
 MODELS = ("sc", "tso")
 
@@ -66,6 +70,66 @@ def pcs_holding(machine, step_type):
         pc for pc, steps in machine.steps_by_pc.items()
         if any(isinstance(s, step_type) for s in steps)
     ]
+
+
+# ---------------------------------------------------------------------------
+# independence facts
+
+
+class TestIndependenceFacts:
+    def test_register_steps_are_local(self):
+        machine = machine_for(
+            "void main() { var i: uint32 := 0; "
+            "while i < 3 { i := i + 1; } print_uint32(i); }"
+        )
+        facts = step_independence(machine.ctx, machine)
+        # Pure register arithmetic and branches qualify; the print
+        # (extern) step never does.
+        assert facts.local_steps > 0
+        assert facts.local_steps < facts.total_steps
+
+    def test_multithreaded_global_not_private(self):
+        machine = machine_for(LITMUS["SB"])
+        facts = step_independence(machine.ctx, machine)
+        assert "x" not in facts.private_globals
+        assert "y" not in facts.private_globals
+
+    def test_single_context_global_is_private(self):
+        machine = machine_for(
+            "var x: uint32; var y: uint32; "
+            "void worker() { y := 1; y := 2; } "
+            "void main() { var a: uint64 := 0; "
+            "a := create_thread worker(); "
+            "x := 1; x := 2; join a; fence(); print_uint32(x); }"
+        )
+        facts = step_independence(machine.ctx, machine)
+        # x is only ever touched by main, y only by the worker: both
+        # are single-context, so buffered stores to them (and their
+        # drains) are invisible to the other thread.
+        assert "x" in facts.private_globals
+        assert "y" in facts.private_globals
+
+    def test_ghost_mentions_disqualify(self):
+        machine = machine_for(
+            "ghost var g: uint32 := 0; "
+            "void main() { var t: uint32 := 0; g := 1; t := g; }"
+        )
+        facts = step_independence(machine.ctx, machine)
+        # Both the ghost write and the ghost read are non-local.
+        checked_some = False
+        for steps in machine.steps_by_pc.values():
+            for step in steps:
+                if not isinstance(step, AssignStep):
+                    continue
+                mentions_g = any(
+                    isinstance(node, ast.Var) and node.name == "g"
+                    for expr in step.reads_exprs()
+                    for node in ast.walk_expr(expr)
+                )
+                if mentions_g:
+                    checked_some = True
+                    assert not facts.is_local(step)
+        assert checked_some
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +452,7 @@ class TestPathSimulation:
         request = request_for(SELF_REFINEMENT, memory_model="ra")
         script = RegularToAtomicStrategy().generate(request)
         names = [l.name for l in script.lemmas]
-        assert "AtomicLiftDisabled" in names
+        assert "AtomicCollapseDisabled" in names
         assert "IdentityRefinement" in names
         assert not any(n.startswith("AtomicPathSimulates") for n in names)
 
@@ -402,66 +466,6 @@ class TestPathSimulation:
         )
         with pytest.raises(StrategyError, match="identical"):
             RegularToAtomicStrategy().generate(request)
-
-
-# ---------------------------------------------------------------------------
-# the exploration-side lift
-
-
-class TestAtomicLift:
-    def test_chain_parks_thread_on_breaking_pc(self):
-        machine = machine_for(
-            "void main() { var i: uint32 := 0; i := i + 1; "
-            "i := i * 2; print_uint32(i); }"
-        )
-        lift = AtomicLift(machine)
-        state = machine.initial_state()
-        (tr,) = [
-            t for t in machine.enabled_transitions(state)
-            if not t.is_drain
-        ]
-        chained, end = lift.chain(tr, machine.next_state(state, tr))
-        assert isinstance(chained, MacroTransition)
-        assert chained.micro[0] is tr
-        assert len(chained.micro) >= 2
-        end_pc = end.threads[chained.tid].pc
-        assert end_pc not in lift.classification.chain_pcs
-        assert lift.stats.chains == 1
-        assert lift.stats.micro_absorbed == len(chained.micro) - 1
-
-    def test_macro_equals_micro_composition(self):
-        machine = machine_for(
-            "void main() { var i: uint32 := 0; i := i + 1; "
-            "i := i * 2; print_uint32(i); }"
-        )
-        lift = AtomicLift(machine)
-        state = machine.initial_state()
-        (tr,) = [
-            t for t in machine.enabled_transitions(state)
-            if not t.is_drain
-        ]
-        chained, end = lift.chain(tr, machine.next_state(state, tr))
-        replay = state
-        for micro in chained.micro:
-            replay = machine.next_state(replay, micro)
-        assert replay == end
-
-    def test_drains_and_macroless_pass_through(self):
-        machine = machine_for(
-            "var x: uint32; void main() { x := 1; print_uint32(x); }"
-        )
-        lift = AtomicLift(machine)
-        state = machine.initial_state()
-        for tr in machine.enabled_transitions(state):
-            nxt = machine.next_state(state, tr)
-            if tr.is_drain:
-                assert lift.chain(tr, nxt) == (tr, nxt)
-
-    def test_describe_shows_width(self):
-        micro = (Transition(1, None, ()), Transition(1, None, ()))
-        macro = MacroTransition(tid=1, micro=micro)
-        assert "atomic[2]" in macro.describe()
-        assert not macro.is_drain
 
 
 # ---------------------------------------------------------------------------
@@ -562,3 +566,42 @@ class TestCollapseProofScript:
         collapse_proof_script(script, CLS)
         (merged,) = script.lemmas
         assert merged.customization == ["// tweak-a", "// tweak-b"]
+
+
+# ---------------------------------------------------------------------------
+# engine-side collapse on the case studies
+
+#: Case studies whose proof scripts hold runs of non-breaking lemmas,
+#: so the collapse merges some of their obligations.
+COLLAPSING = ("mcslock", "queue")
+
+
+class TestCaseStudyVerdicts:
+    """``ProofEngine(atomic=True)`` merges lemma obligations and keeps
+    every verdict: on each case study each proof succeeds or fails as
+    it does without the collapse, the level chain composes the same
+    way, and no proof gains lemmas."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("name", sorted(ALL))
+    def test_collapse_keeps_verdicts(self, name, model):
+        study = load(name)
+        base, collapsed = (
+            ProofEngine(
+                check_program(study.source, f"<{name}>"),
+                max_states=study.max_states,
+                memory_model=model,
+                atomic=atomic,
+            ).run_all()
+            for atomic in (False, True)
+        )
+        assert [(o.proof_name, o.success) for o in collapsed.outcomes] \
+            == [(o.proof_name, o.success) for o in base.outcomes]
+        assert collapsed.success == base.success
+        assert collapsed.chain == base.chain
+        assert collapsed.end_to_end == base.end_to_end
+        for plain, merged in zip(base.outcomes, collapsed.outcomes):
+            assert merged.lemma_count <= plain.lemma_count
+        if name in COLLAPSING:
+            assert sum(o.lemma_count for o in collapsed.outcomes) < \
+                sum(o.lemma_count for o in base.outcomes)

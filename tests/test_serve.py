@@ -263,7 +263,7 @@ class TestConcurrentClients:
         ).racy()
         batch_explore = Explorer(
             translate_level(checked.contexts["Impl"]),
-            max_states=200_000, por=True,
+            max_states=200_000,
         ).explore()
 
         daemon, thread, _ = start_daemon(tmp_path / "state", slots=2)

@@ -13,18 +13,26 @@ miss and regenerates.
 
 import builtins
 import json
+from collections import deque
+from pathlib import Path
 
 import pytest
 
 from repro.casestudies import ALL, load
 from repro.compiler import stepc
-from repro.compiler.stepc import compile_stepper, stepper_for
+from repro.compiler.stepc import (
+    compile_stepper,
+    stepper_for,
+    successors_for,
+)
 from repro.errors import StateBudgetExceeded
 from repro.explore.explorer import Explorer
 from repro.lang.frontend import check_level, check_program
 from repro.machine.translator import translate_level
 from repro.memmodel.litmus import CORPUS, run_litmus
 from repro.obs import OBS
+
+from tests.differential_harness import Sweep, sweep_rows
 
 #: Budget for the case-study equivalence sweeps — deliberately small
 #: enough that truncation triggers on the big levels, so the compiled
@@ -67,6 +75,32 @@ def assert_same_exploration(interp_machine, compiled_machine,
     return ri, rc
 
 
+#: Budget of the state-by-state sweeps over every level: enough to
+#: reach every step of the small levels and to cut the large ones.
+LEVEL_CAP = 2_000
+
+
+def assert_exact_over_admitted(machine, fn):
+    """*fn* returns the interpreter's pairs, with successors of equal
+    hash, at every state an interpreted breadth-first sweep admits
+    within LEVEL_CAP."""
+    interpreted = successors_for(machine, compiled=False)
+    initial = machine.initial_state()
+    seen = {initial}
+    frontier = deque((initial,))
+    while frontier:
+        state = frontier.popleft()
+        expected = interpreted(state)
+        pairs = fn(state)
+        assert pairs == expected
+        assert [hash(p[1]) for p in pairs] == \
+            [hash(p[1]) for p in expected]
+        for _, nxt in expected:
+            if nxt not in seen and len(seen) < LEVEL_CAP:
+                seen.add(nxt)
+                frontier.append(nxt)
+
+
 class TestExactRelation:
     """The compiled function reproduces the interpreter's transition
     list exactly, state by state, in order."""
@@ -76,14 +110,7 @@ class TestExactRelation:
         machine = machine_for(SMALL, model)
         stepper = stepper_for(machine)
         assert stepper is not None
-        for state in Explorer(machine, compiled=False).reachable_states():
-            pairs = stepper.fn(state)
-            transitions = machine.enabled_transitions(state)
-            assert [p[0] for p in pairs] == transitions
-            for (_, nxt), tr in zip(pairs, transitions):
-                expected = machine.next_state(state, tr)
-                assert nxt == expected
-                assert hash(nxt) == hash(expected)
+        assert_exact_over_admitted(machine, stepper.fn)
 
     def test_repeat_calls_are_stable(self):
         # Successor hash-consing must not leak state between calls.
@@ -124,6 +151,43 @@ class TestCaseStudyEquivalence:
                 memory_model=model,
             )
             assert_same_exploration(mi, mc, max_states=STUDY_CAP)
+
+
+_ROWS = sweep_rows()
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return Sweep()
+
+
+class TestEveryLevelExact:
+    """State by state, on every case-study level and litmus shape, the
+    compiled stepper returns the interpreter's transition list, whether
+    it was generated in this process or loaded from the bytecode
+    cache."""
+
+    @pytest.mark.parametrize("model", ["sc", "tso", "ra"])
+    @pytest.mark.parametrize("row", _ROWS, ids=[r[0] for r in _ROWS])
+    def test_pairs_identical_over_reachable_set(self, sweep, row, model):
+        machine = sweep.machine(row[1], model)
+        stepper = stepper_for(machine)
+        assert stepper is not None
+        assert_exact_over_admitted(machine, stepper.fn)
+
+    @pytest.mark.parametrize("model", ["sc", "tso", "ra"])
+    @pytest.mark.parametrize("row", _ROWS, ids=[r[0] for r in _ROWS])
+    def test_cached_stepper_is_exact(self, sweep, row, model, tmp_path,
+                                     monkeypatch):
+        monkeypatch.setenv("ARMADA_STEPC_CACHE", str(tmp_path))
+        machine = sweep.machine(row[1], model)
+        cold = compile_stepper(machine)
+        warm = compile_stepper(machine)
+        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+        assert warm.source == cold.source
+        assert (warm.compiled_steps, warm.fallback_steps) == \
+            (cold.compiled_steps, cold.fallback_steps)
+        assert_exact_over_admitted(machine, warm.fn)
 
 
 class TestFallback:
@@ -246,6 +310,29 @@ class TestSourceCache:
         assert native.cache_key != foreign.cache_key
         assert native.cache_hit is False
         assert compile_stepper(machine_for(SMALL, "tso")).cache_hit is True
+
+    def test_failed_store_leaves_no_tmp_file(self, tmp_path,
+                                             monkeypatch):
+        # A store whose final rename fails (full disk, permissions)
+        # must not leave its temporary file behind, and the compiled
+        # stepper must still work from the in-memory code object.
+        monkeypatch.setenv("ARMADA_STEPC_CACHE", str(tmp_path))
+
+        def failing_replace(self, target):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(Path, "replace", failing_replace)
+        machine = machine_for(SMALL, "tso")
+        stepper = compile_stepper(machine)
+        assert stepper.cache_hit is False
+        interpreted = successors_for(machine, compiled=False)
+        states = list(Explorer(machine, compiled=False).reachable_states())
+        assert len(states) > 1
+        for state in states:
+            assert stepper.fn(state) == interpreted(state)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert list(tmp_path.glob(".*.tmp")) == []
+        assert list(tmp_path.glob("*.marshal")) == []
 
     @pytest.mark.parametrize("model", ["tso", "ra"])
     def test_warm_compile_does_not_recompile(self, tmp_path, monkeypatch,

@@ -415,9 +415,9 @@ class TestJobFingerprints:
     ``_job_fingerprint()``: PR 7's model-replay bug was exactly a
     missing dimension (verdicts cached under one memory model replayed
     under another).  This matrix enumerates the verdict-bearing
-    configuration axes — POR mode × memory model × atomic — and
-    requires every combination to fingerprint distinctly, so adding an
-    axis without fingerprinting it fails here, not in a user's cache.
+    configuration axes — memory model × atomic — and requires every
+    combination to fingerprint distinctly, so adding an axis without
+    fingerprinting it fails here, not in a user's cache.
     """
 
     @staticmethod
@@ -432,15 +432,13 @@ class TestJobFingerprints:
 
     def test_every_option_combination_is_distinct(self):
         fingerprints = {}
-        for por in (False, True, "dynamic"):
-            for memory_model in ("sc", "tso", "ra"):
-                for atomic in (False, True):
-                    engine = self._engine(
-                        por=por, memory_model=memory_model,
-                        atomic=atomic,
-                    )
-                    key = (por, memory_model, atomic)
-                    fingerprints[key] = engine._job_fingerprint()
+        for memory_model in ("sc", "tso", "ra"):
+            for atomic in (False, True):
+                engine = self._engine(
+                    memory_model=memory_model, atomic=atomic,
+                )
+                key = (memory_model, atomic)
+                fingerprints[key] = engine._job_fingerprint()
         assert len(set(fingerprints.values())) == len(fingerprints), (
             "job fingerprints collide across verdict-bearing options"
         )
