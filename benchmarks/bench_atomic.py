@@ -31,7 +31,7 @@ BUDGET = 400_000
 def _verify(study_name: str, atomic: bool):
     study = load(study_name)
     checked = check_program(study.source, f"<{study_name}>")
-    farm = VerificationFarm(FarmConfig(jobs=1, cache_dir=None))
+    farm = VerificationFarm(FarmConfig(cache_dir=None))
     try:
         engine = ProofEngine(
             checked, max_states=BUDGET, farm=farm, atomic=atomic,

@@ -1,14 +1,12 @@
-"""Verification farm speedup: cold vs warm-cache vs parallel discharge.
+"""Verification farm speedup: cold vs warm-cache discharge.
 
-The paper's toolchain leans on Dafny/Z3 to discharge verification
-conditions in parallel and to skip re-verifying unchanged modules.  The
-``repro.farm`` subsystem reproduces both levers; this benchmark measures
-what they buy on the four Table 1 case-study chains:
+The paper's toolchain leans on Dafny/Z3 to skip re-verifying unchanged
+modules.  The ``repro.farm`` proof cache reproduces that lever; this
+benchmark measures what it buys on the four Table 1 case-study chains:
 
 * **cold** — sequential discharge into an empty proof cache;
 * **warm** — an identical re-run against the populated cache
-  (incremental verification: every lemma obligation should be a hit);
-* **parallel** — threaded discharge (4 workers), no cache.
+  (incremental verification: every lemma obligation should be a hit).
 
 Results land in ``benchmarks/results/farm_speedup.{md,json}``.
 """
@@ -20,8 +18,6 @@ import time
 from _common import fmt_table, record
 from repro.casestudies import TABLE1, run_case_study
 from repro.farm import FarmConfig, VerificationFarm
-
-WORKERS = 4
 
 
 def _timed_run(study, farm):
@@ -47,9 +43,6 @@ def test_farm_speedup(tmp_path):
         warm_farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
         _, warm_s = _timed_run(study, warm_farm)
 
-        par_farm = VerificationFarm(FarmConfig(jobs=WORKERS))
-        _, par_s = _timed_run(study, par_farm)
-
         warm = warm_farm.summary()
         if warm.jobs:
             # Incrementality: the warm run re-executes at most the
@@ -61,7 +54,6 @@ def test_farm_speedup(tmp_path):
                 warm.jobs,
                 f"{cold_s:.2f}s",
                 f"{warm_s:.2f}s",
-                f"{par_s:.2f}s",
                 f"{cold_s / warm_s:.1f}x" if warm_s else "-",
                 f"{warm.hit_rate:.0%}",
             ]
@@ -70,26 +62,23 @@ def test_farm_speedup(tmp_path):
             "obligations": warm.jobs,
             "cold_seconds": cold_s,
             "warm_seconds": warm_s,
-            "parallel_seconds": par_s,
             "warm_cache_hits": warm.cache_hits,
             "warm_hit_rate": warm.hit_rate,
-            "workers": WORKERS,
         }
 
     lines = [
         "Cold = sequential, empty cache.  Warm = identical re-run on "
         "the populated cache.",
-        f"Parallel = {WORKERS} threaded workers, no cache.",
         "",
     ]
     lines += fmt_table(
-        ["study", "obligations", "cold", "warm", f"parallel "
-         f"(x{WORKERS})", "warm speedup", "warm hit rate"],
+        ["study", "obligations", "cold", "warm", "warm speedup",
+         "warm hit rate"],
         rows,
     )
     record(
         "farm_speedup",
-        "Verification farm: cold vs warm-cache vs parallel",
+        "Verification farm: cold vs warm-cache",
         lines,
         data,
     )

@@ -50,8 +50,6 @@ class _BypassFarm(VerificationFarm):
     def discharge(self, jobs):
         return run_jobs(
             jobs,
-            mode=self.config.resolved_mode(),
-            max_workers=self.config.jobs,
             cache=self.cache,
             events=self.events,
             resilience=None,

@@ -121,8 +121,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 1
     farm = VerificationFarm(
         FarmConfig(
-            jobs=args.jobs,
-            mode=args.farm_mode,
             cache_dir=None if args.no_cache else args.cache,
             cache_max_bytes=args.cache_max_bytes,
             obligation_timeout=args.obligation_timeout,
@@ -490,8 +488,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         slots=args.slots,
         cache_max_bytes=args.cache_max_bytes,
-        farm_jobs=args.jobs,
-        farm_mode=args.farm_mode,
     )
     return run_daemon(daemon)
 
@@ -745,16 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="whole-program bounded refinement validation policy",
     )
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="verification farm workers (1 = sequential)",
-    )
-    p.add_argument(
-        "--farm-mode", choices=("auto", "sequential", "thread",
-                                "process"),
-        default="auto",
-        help="worker pool kind; auto picks threads when --jobs > 1",
-    )
-    p.add_argument(
         "--cache", default=_default_cache_dir(), metavar="DIR",
         help="proof cache directory (default: %(default)s, or "
              "$ARMADA_CACHE_DIR)",
@@ -814,9 +800,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
-        help="re-runs of a transiently failed obligation (worker "
-             "death, injected fault) before it is abandoned as "
-             "UNKNOWN (default: %(default)s)",
+        help="re-runs of a transiently failed obligation (an "
+             "injected fault) before it is abandoned as UNKNOWN "
+             "(default: %(default)s)",
     )
     p.add_argument(
         "--journal", default=None, metavar="FILE",
@@ -825,9 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--inject-faults", default=None, metavar="PLAN.json",
-        help="deterministic chaos: a JSON fault plan (crash_worker, "
-             "delay, raise, timeout, corrupt_cache_entry) addressed "
-             "by obligation index/label/attempt — testing only",
+        help="deterministic chaos: a JSON fault plan (delay, raise, "
+             "timeout, corrupt_cache_entry) addressed by obligation "
+             "index/label/attempt — testing only",
     )
     p.set_defaults(func=_cmd_verify)
 
@@ -973,16 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--slots", type=int, default=2, metavar="N",
         help="jobs run concurrently (default: %(default)s)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="farm workers per job (default: %(default)s)",
-    )
-    p.add_argument(
-        "--farm-mode", choices=("auto", "sequential", "thread",
-                                "process"),
-        default="auto",
-        help="worker pool kind for each job's farm",
     )
     p.add_argument(
         "--cache-max-bytes", type=int, default=None, metavar="N",

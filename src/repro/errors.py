@@ -79,10 +79,10 @@ class ProofFailure(ArmadaError):
 class StateBudgetExceeded(ArmadaError):
     """Raised when bounded exploration exhausts its state budget before
     covering the reachable state space.  Callers must never treat a
-    truncated enumeration as exhaustive: obligations that consume
-    ``Explorer.reachable_states`` see this error propagate into a
-    refuted/failed verdict instead of silently passing on partial
-    coverage."""
+    truncated enumeration as exhaustive: an obligation or a strategy
+    that consumes ``Explorer.reachable_states`` sees this error turn
+    into an *inconclusive* verdict, neither passing on partial coverage
+    nor claiming a refutation."""
 
     def __init__(self, max_states: int, message: str | None = None) -> None:
         self.max_states = max_states
@@ -101,21 +101,15 @@ class FaultPlanError(ArmadaError):
 
 
 class TransientFault(Exception):
-    """An infrastructure failure of the verification farm — a dead
-    worker, an injected chaos fault — as opposed to a proof-level
-    refutation.
+    """An infrastructure failure of the verification farm, as opposed
+    to a proof-level refutation.  Only an injected ``raise`` fault
+    raises it.
 
     Deliberately *not* an :class:`ArmadaError`: the workers turn
     ``ArmadaError`` into a refuted verdict, but a transient fault says
     nothing about the obligation's validity, so it is retried (with
     backoff) and, once retries are exhausted, surfaces as an
     *inconclusive* UNKNOWN verdict rather than a refutation."""
-
-
-class WorkerCrash(TransientFault):
-    """A farm worker died mid-obligation (real ``kill -9`` of a
-    process-pool worker, or the simulated equivalent in thread and
-    sequential modes).  The in-flight obligation is requeued."""
 
 
 class InconclusiveCheck(ArmadaError):

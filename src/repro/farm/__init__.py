@@ -1,12 +1,14 @@
-"""``repro.farm`` — a parallel, cached, *fault-tolerant* verification
+"""``repro.farm`` — a cached, *fault-tolerant* verification
 orchestrator.
 
 Armada's workflow (Figure 1 of the paper) generates thousands of lemmas
 per refinement recipe and hands them to Dafny/Z3, which discharge
 verification conditions in parallel and cache verified modules between
-runs.  This subsystem gives the reproduction the same shape: lemma
-discharge becomes a first-class *job system* instead of a sequential
-loop inside the proof engine.
+runs.  This subsystem keeps the cache and makes lemma discharge a
+first-class *job system* instead of a loop inside the proof engine.  It
+discharges one obligation at a time: the slowest obligation of a batch
+dominates its discharge time, so a worker pool would have almost
+nothing to overlap.
 
 Layers (bottom-up):
 
@@ -25,15 +27,14 @@ Layers (bottom-up):
   policy (see :mod:`repro.faults`).
 * :mod:`repro.farm.journal` — append-only settled-verdict log for
   crash-safe resume (``armada verify --journal``).
-* :mod:`repro.farm.workers` — runs the queue sequentially, on a thread
-  pool, or on a process pool (with inline fallback for non-picklable
-  obligations, crash detection, and pool respawn), and applies verdicts
-  back in deterministic order.
+* :mod:`repro.farm.workers` — runs the queue in order on the calling
+  thread, under deadlines and retries, and applies verdicts back in
+  queue order.
 * :mod:`repro.farm.events` — structured event stream + summary report.
 
 :class:`VerificationFarm` is the facade the proof engine and the CLI
-use; a default-constructed farm (one worker, no cache, no deadlines)
-behaves exactly like the historical sequential checker.
+use; a default-constructed farm (no cache, no deadlines) behaves
+exactly like the historical sequential checker.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ from repro.farm.events import (  # noqa: F401
     JOB_STARTED,
     JOB_TIMEOUT,
     JOURNAL_HIT,
-    POOL_FALLBACK,
-    WORKER_CRASH,
-    WORKER_RESPAWN,
     EventLog,
     FarmEvent,
     FarmSummary,
@@ -76,26 +74,15 @@ from repro.farm.scheduler import (  # noqa: F401
     lemma_job_key,
     lemma_jobs,
 )
-from repro.farm.workers import (  # noqa: F401
-    MODES,
-    PROCESS,
-    SEQUENTIAL,
-    THREAD,
-    run_jobs,
-)
+from repro.farm.workers import run_jobs  # noqa: F401
 from repro.faults import FaultPlan  # noqa: F401
 from repro.hashing import code_version, structural_hash  # noqa: F401
 
 
 @dataclass
 class FarmConfig:
-    """How a :class:`VerificationFarm` schedules, caches, and survives."""
+    """How a :class:`VerificationFarm` caches and survives."""
 
-    #: Worker count; 1 means sequential discharge.
-    jobs: int = 1
-    #: ``"auto"`` picks threads when jobs > 1; ``"sequential"``,
-    #: ``"thread"``, and ``"process"`` force a mode.
-    mode: str = "auto"
     #: Proof-cache directory; None disables caching.
     cache_dir: str | Path | None = None
     #: Byte budget for the proof cache; exceeding it evicts
@@ -114,18 +101,13 @@ class FarmConfig:
     #: Resume-journal path; None disables journaling.
     journal_path: str | Path | None = None
 
-    def resolved_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        return THREAD if self.jobs > 1 else SEQUENTIAL
-
 
 class VerificationFarm:
     """Facade: one farm per verification run.
 
     The engine hands it job batches via :meth:`discharge`; the farm
-    routes them through the cache, the journal, and the worker pool
-    under one resilience policy, and accumulates the event stream
+    routes them through the cache, the journal, and the workers under
+    one resilience policy, and accumulates the event stream
     across batches so one summary covers the whole chain.
     """
 
@@ -140,10 +122,6 @@ class VerificationFarm:
         instance across every job's farm this way.  A shared cache's
         quarantine/eviction callbacks stay with its owner."""
         self.config = config or FarmConfig()
-        if self.config.resolved_mode() not in MODES:
-            raise ValueError(
-                f"unknown farm mode {self.config.mode!r}"
-            )
         self.events = EventLog()
         self.shutdown = ShutdownToken()
         #: True when this farm's cache is owned by someone else.
@@ -182,9 +160,9 @@ class VerificationFarm:
         self.events.emit(CACHE_EVICT, key, "", detail=f"{size} bytes")
 
     def request_shutdown(self) -> None:
-        """Ask the farm to drain: in-flight obligations finish, queued
-        ones short-circuit to UNKNOWN (inconclusive, uncached), pools
-        wind down.  Safe from signal handlers and other threads."""
+        """Ask the farm to drain: the in-flight obligation finishes,
+        queued ones short-circuit to UNKNOWN (inconclusive, uncached).
+        Safe from signal handlers and other threads."""
         self.shutdown.request()
 
     @property
@@ -196,8 +174,6 @@ class VerificationFarm:
         armed at the first discharge and shared by every later batch."""
         return run_jobs(
             jobs,
-            mode=self.config.resolved_mode(),
-            max_workers=self.config.jobs,
             cache=self.cache,
             events=self.events,
             resilience=self.resilience,
@@ -211,20 +187,14 @@ class VerificationFarm:
 
     # ------------------------------------------------------------------
 
-    def describe(self) -> str:
-        mode = self.config.resolved_mode()
-        if mode == SEQUENTIAL:
-            return SEQUENTIAL
-        return f"{mode} x{max(1, self.config.jobs)}"
-
     def summary(self) -> FarmSummary:
         return self.events.summary()
 
     def summary_line(self) -> str:
-        return self.summary().one_line(self.describe())
+        return self.summary().one_line()
 
     def report_lines(self) -> list[str]:
-        lines = [f"verification farm [{self.describe()}]"]
+        lines = ["verification farm [sequential]"]
         lines.append(f"policy: {self.resilience.describe()}")
         lines.extend(self.summary().report_lines())
         if self.cache is not None:

@@ -1,14 +1,12 @@
 """Structured event stream for the verification farm.
 
 Every scheduling decision the farm makes — a job entering the queue, a
-worker picking it up, a verdict coming back, a cache hit avoiding work —
-is recorded as a :class:`FarmEvent`.  The log is append-only and
-thread-safe so workers can emit from any thread; consumers read it after
-a discharge round to build the summary report (``armada verify
---farm-report``) or to assert scheduling behaviour in tests.
-
-Events are telemetry: verdict *application* is kept deterministic by the
-workers regardless of the order events were emitted in.
+job starting, a verdict coming back, a cache hit avoiding work — is
+recorded as a :class:`FarmEvent`.  The log is append-only and guarded
+by a lock, so another thread may read it while a discharge runs.
+Consumers read it after a discharge round to build the summary report
+(``armada verify --farm-report``) or to assert scheduling behaviour in
+tests.
 """
 
 from __future__ import annotations
@@ -22,13 +20,10 @@ JOB_STARTED = "job_started"
 JOB_FINISHED = "job_finished"
 CACHE_HIT = "cache_hit"
 CACHE_STORE = "cache_store"
-POOL_FALLBACK = "pool_fallback"
 # --- resilience / chaos events ---
 JOB_RETRY = "job_retry"
 JOB_TIMEOUT = "job_timeout"
 JOB_ABANDONED = "job_abandoned"
-WORKER_CRASH = "worker_crash"
-WORKER_RESPAWN = "worker_respawn"
 FAULT_INJECTED = "fault_injected"
 CACHE_QUARANTINE = "cache_quarantine"
 CACHE_EVICT = "cache_evict"
@@ -101,17 +96,12 @@ class FarmSummary:
     executed: int = 0
     cache_hits: int = 0
     cache_stores: int = 0
-    pool_fallbacks: int = 0
     #: Re-executions of transiently failed obligations.
     retries: int = 0
     #: Obligations that exceeded a wall-clock deadline (TIMEOUT verdicts).
     timeouts: int = 0
     #: Obligations abandoned as UNKNOWN after retry exhaustion.
     abandoned: int = 0
-    #: Worker deaths observed (real SIGKILLs and simulated crashes).
-    worker_crashes: int = 0
-    #: Process pools rebuilt after a crash.
-    worker_respawns: int = 0
     #: Faults fired by an injected plan.
     faults_injected: int = 0
     #: Corrupt cache entries quarantined and recomputed.
@@ -142,18 +132,12 @@ class FarmSummary:
                 summary.cache_hits += 1
             elif event.kind == CACHE_STORE:
                 summary.cache_stores += 1
-            elif event.kind == POOL_FALLBACK:
-                summary.pool_fallbacks += 1
             elif event.kind == JOB_RETRY:
                 summary.retries += 1
             elif event.kind == JOB_TIMEOUT:
                 summary.timeouts += 1
             elif event.kind == JOB_ABANDONED:
                 summary.abandoned += 1
-            elif event.kind == WORKER_CRASH:
-                summary.worker_crashes += 1
-            elif event.kind == WORKER_RESPAWN:
-                summary.worker_respawns += 1
             elif event.kind == FAULT_INJECTED:
                 summary.faults_injected += 1
             elif event.kind == CACHE_QUARANTINE:
@@ -175,12 +159,12 @@ class FarmSummary:
         """Fraction of queued jobs discharged from cache."""
         return self.cache_hits / self.jobs if self.jobs else 0.0
 
-    def one_line(self, mode: str = "sequential") -> str:
+    def one_line(self) -> str:
         return (
             f"farm: {self.jobs} obligations, "
             f"{self.cache_hits} from cache, "
             f"{self.executed} executed in "
-            f"{self.worker_seconds:.2f}s worker time [{mode}]"
+            f"{self.worker_seconds:.2f}s worker time [sequential]"
         )
 
     def report_lines(self) -> list[str]:
@@ -193,10 +177,6 @@ class FarmSummary:
             f"cache stores:         {self.cache_stores}",
             f"max queue depth:      {self.max_queue_depth}",
         ]
-        if self.pool_fallbacks:
-            lines.append(
-                f"process-pool fallbacks to inline: {self.pool_fallbacks}"
-            )
         if self.journal_hits:
             lines.append(
                 f"replayed from journal:  {self.journal_hits}"
@@ -209,16 +189,13 @@ class FarmSummary:
             lines.append(
                 f"cancelled by drain request: {self.cancelled}"
             )
-        if self.retries or self.worker_crashes or self.timeouts \
-                or self.abandoned or self.faults_injected \
-                or self.cache_quarantined:
+        if self.retries or self.timeouts or self.abandoned \
+                or self.faults_injected or self.cache_quarantined:
             lines.append(
                 f"retries: {self.retries}  timeouts: {self.timeouts}  "
                 f"abandoned: {self.abandoned}"
             )
             lines.append(
-                f"worker crashes: {self.worker_crashes}  "
-                f"respawns: {self.worker_respawns}  "
                 f"faults injected: {self.faults_injected}  "
                 f"cache entries quarantined: {self.cache_quarantined}"
             )

@@ -9,16 +9,15 @@ questions the workers ask about every obligation:
   expired obligation yields a TIMEOUT verdict — *inconclusive*, never
   refuted — and an expired chain budget short-circuits the remaining
   queue the same way instead of hanging.
-* **How often may it fail?**  Transient failures (worker death,
-  injected faults) are retried with exponential backoff capped by
+* **How often may it fail?**  Transient failures (only injected faults
+  raise them) are retried with exponential backoff capped by
   ``max_retries``; once exhausted, the obligation goes UNKNOWN.
 * **How long to wait between tries?**  Deterministic jitter: backoff
   delays are derived from SHA-256 over ``(seed, job key, attempt)``,
   so a chaos run sleeps the same pattern every time.
 
-The default config enables crash recovery and retries with no
-deadlines and no fault plan — the shape a production farm wants —
-while costing the fault-free hot path nothing beyond a few ``is
+The default config enables retries with no deadlines and no fault
+plan, while costing the fault-free hot path nothing beyond a few ``is
 None`` tests.
 """
 
@@ -38,11 +37,10 @@ class ShutdownToken:
     """A one-way drain signal shared by a farm and its workers.
 
     Once requested (SIGTERM/SIGINT handler, a serve-side cancel), the
-    obligation currently executing on each worker finishes normally,
-    every *not-yet-started* obligation short-circuits to an UNKNOWN
-    verdict — inconclusive, so it is never cached or journaled and a
-    resumed run re-checks it — and the pools wind down without
-    orphaning processes.  The token is monotonic: there is no way to
+    obligation currently executing finishes normally, and every
+    *not-yet-started* obligation short-circuits to an UNKNOWN verdict —
+    inconclusive, so it is never cached or journaled and a resumed run
+    re-checks it.  The token is monotonic: there is no way to
     un-request a drain, which keeps the worker-side check a single
     lock-free ``Event.is_set``.
     """
@@ -105,7 +103,7 @@ class ResilienceConfig:
     def report_expiry_once(self) -> bool:
         """True exactly once per run, so the workers emit a single
         ``deadline_expired`` event no matter how many obligations the
-        expiry short-circuits (a benign race may rarely double it)."""
+        expiry short-circuits."""
         if self._expiry_reported:
             return False
         self._expiry_reported = True

@@ -10,13 +10,12 @@ The scheduler turns the checkable units of a verification run into
   cacheable across runs.
 * **Whole-program refinement checks** — the bounded simulation checks
   some strategies request.  They are scheduled through the same queue
-  (so they run on the pool alongside lemma jobs) but are keyed by proof
-  identity and marked non-cacheable: their input is a pair of state
-  machines, which the structural hash does not cover.
+  as lemma jobs but are keyed by proof identity and marked
+  non-cacheable: their input is a pair of state machines, which the
+  structural hash does not cover.
 
 Job order is the order obligations appear in their scripts; the workers
-apply results back in exactly this order, so the per-lemma verdict
-sequence is deterministic no matter how execution interleaves.
+run them and apply results back in exactly this order.
 """
 
 from __future__ import annotations
@@ -53,13 +52,12 @@ class Job:
     from_cache: bool = False
     #: Served from a ``--journal`` resume file instead of running.
     from_journal: bool = False
-    ran_inline: bool = False
     wall_seconds: float = 0.0
     #: Position in the batch queue — the address fault-plan rules and
     #: chaos tests use to name one obligation deterministically.
     index: int = -1
     #: Executions consumed so far (0 while untried); a transiently
-    #: failed job is requeued until this exceeds the retry budget.
+    #: failed job is retried until this exceeds the retry budget.
     attempts: int = 0
     #: Injected-fault actions that fired on this job, in firing order.
     faults_hit: list[str] = field(default_factory=list)

@@ -1,63 +1,52 @@
-"""Worker pool: discharges farm jobs concurrently, deterministically,
-and — since the resilience layer — *fault-tolerantly*.
+"""Discharges farm jobs one at a time, with deadlines, retries, the
+proof cache and the resume journal.
 
-``run_jobs`` is the farm's execution core.  It takes the scheduler's job
-queue and drives it to completion in phases:
+``run_jobs`` is the farm's execution core.  It drives the scheduler's
+job queue to completion in three phases:
 
 1. **Cache/journal probe** — cacheable jobs are looked up in the proof
    cache (``cache_hit``) and then in the resume journal
    (``journal_hit``); hits skip execution entirely.
-2. **Execution** — remaining jobs run sequentially, on a thread pool, or
-   on a process pool.  Process workers require picklable thunks; lemma
-   obligations are closures over machines and contexts, which pickle
-   refuses, so such jobs *fall back to inline execution* in the
-   scheduling process (``pool_fallback`` event).  Correctness therefore
-   never depends on the pool: every mode runs every job.
+2. **Execution** — the remaining jobs run in queue order on the calling
+   thread.
 3. **Apply + store** — results are written back via each job's ``apply``
-   callback *in queue order* on the calling thread, so the per-lemma
-   verdict sequence is identical across all modes; freshly computed
-   settled verdicts are stored to the cache and appended to the journal.
+   callback *in queue order*; freshly computed settled verdicts are
+   stored to the cache and appended to the journal.
 
 Resilience semantics (see :mod:`repro.farm.resilience`):
 
 * An attempt that exceeds its wall-clock budget (per-obligation
   deadline, or what is left of the chain budget) yields a **TIMEOUT
   verdict** — inconclusive, never refuted, never hung.  The runaway
-  attempt is abandoned on a daemon thread; obligations are pure
-  functions of their fingerprint, so the discarded result is harmless.
-* A **transient failure** (:class:`~repro.errors.TransientFault`:
-  worker death, injected chaos) is retried with deterministic
+  attempt is abandoned on a daemon thread, which keeps running until
+  its obligation returns; obligations are pure functions of their
+  fingerprint, so the discarded result is harmless.
+* A **transient failure** (:class:`~repro.errors.TransientFault`,
+  raised only by an injected fault) is retried with deterministic
   exponential backoff, capped by the retry budget; exhaustion yields an
   UNKNOWN verdict (``job_abandoned``).
-* A **dead process worker** (real ``kill -9``) breaks the pool; every
-  completed result is kept, the casualties are requeued, and the pool
-  is rebuilt (``worker_crash`` / ``worker_respawn``).  Requeueing is
-  sound because obligations are pure: at-least-once execution cannot
-  change a verdict.  The scheduler never waits on a dead queue — a
-  broken pool always surfaces as an exception that the respawn loop
-  consumes.
+* A **drain request** short-circuits every job that has not started to
+  an UNKNOWN verdict (``job_cancelled``).
 
 An ``ArmadaError`` inside a wrapped obligation becomes a refuted verdict
-carrying the error text (the proof engine's historical behaviour); any
-other exception propagates to the caller, in every mode.
+carrying the error text (the proof engine's historical behaviour),
+except :class:`~repro.errors.StateBudgetExceeded`: a sweep cut short by
+its state budget neither proves nor refutes the obligation, so it
+becomes UNKNOWN and is never cached.  Any other exception propagates to
+the caller.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import (
     ArmadaError,
     InconclusiveCheck,
     ObligationTimeout,
+    StateBudgetExceeded,
     TransientFault,
-    WorkerCrash,
 )
 from repro.farm.events import (
     CACHE_HIT,
@@ -72,14 +61,10 @@ from repro.farm.events import (
     JOB_STARTED,
     JOB_TIMEOUT,
     JOURNAL_HIT,
-    POOL_FALLBACK,
-    WORKER_CRASH,
-    WORKER_RESPAWN,
     EventLog,
 )
 from repro.farm.scheduler import Job
 from repro.faults.plan import (
-    CRASH_WORKER,
     DELAY,
     PHASE_CACHE_STORE,
     PHASE_EXECUTE,
@@ -89,11 +74,6 @@ from repro.faults.plan import (
 )
 from repro.obs import OBS
 from repro.verifier.prover import TIMEOUT, UNKNOWN, Verdict
-
-SEQUENTIAL = "sequential"
-THREAD = "thread"
-PROCESS = "process"
-MODES = (SEQUENTIAL, THREAD, PROCESS)
 
 
 class _DepthTracker:
@@ -114,6 +94,8 @@ class _DepthTracker:
 
 
 def _wrap_armada_error(error: ArmadaError) -> Verdict:
+    if isinstance(error, StateBudgetExceeded):
+        return Verdict(UNKNOWN, {"error": str(error)})
     from repro.proofs.artifacts import bool_verdict
 
     return bool_verdict(False, {"error": str(error)})
@@ -141,19 +123,6 @@ def _cancelled_verdict() -> Verdict:
     )
 
 
-def _cancel_job(job: Job, events: EventLog,
-                tracker: _DepthTracker) -> None:
-    """Short-circuit one job a drain request left unstarted."""
-    job.result = _inconclusive_result(job, _cancelled_verdict())
-    job.finished = True
-    events.emit(JOB_CANCELLED, job.key, job.label,
-                detail="shutdown requested")
-    if OBS.enabled:
-        OBS.count("farm.cancelled")
-    depth = tracker.finish_one()
-    events.emit(JOB_FINISHED, job.key, job.label, queue_depth=depth)
-
-
 def _inconclusive_result(job: Job, verdict: Verdict):
     """Inconclusive outcome in the shape the job's ``apply`` expects.
 
@@ -170,9 +139,10 @@ def _call_with_deadline(fn, budget: float | None):
     """Run *fn* with a wall-clock budget.
 
     The attempt runs on a daemon helper thread; if the budget expires
-    the helper is abandoned (its eventual result is discarded — sound
-    because obligations are pure) and :class:`ObligationTimeout` is
-    raised in the caller."""
+    the helper is abandoned and :class:`ObligationTimeout` is raised in
+    the caller.  An abandoned helper keeps running (and holding the GIL
+    in turns) until *fn* returns; its result is discarded, which is
+    sound because obligations are pure."""
     if budget is None:
         return fn()
     if budget <= 0:
@@ -197,7 +167,7 @@ def _call_with_deadline(fn, budget: float | None):
     return box["result"]
 
 
-def _fire_execute_fault(rule: FaultRule, in_pool_worker: bool) -> None:
+def _fire_execute_fault(rule: FaultRule) -> None:
     """Apply one injected fault at the execute phase.  ``delay``
     returns (the obligation then runs late); the rest interrupt."""
     if rule.action == DELAY:
@@ -207,44 +177,13 @@ def _fire_execute_fault(rule: FaultRule, in_pool_worker: bool) -> None:
         raise TransientFault(
             rule.message or f"injected transient fault ({rule.describe()})"
         )
-    if rule.action == CRASH_WORKER:
-        if in_pool_worker:
-            # A real kill -9 of this pool worker, mid-obligation.
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise WorkerCrash(f"injected worker crash ({rule.describe()})")
     if rule.action == TIMEOUT_FAULT:
         raise ObligationTimeout(rule.seconds, "injected deadline")
 
 
-def _picklable(thunk) -> bool:
-    try:
-        pickle.dumps(thunk)
-        return True
-    except Exception:
-        return False
-
-
-def _chain_budget_expired(job: Job, events: EventLog,
-                          tracker: _DepthTracker, res) -> None:
-    """Short-circuit a job the chain deadline left no budget for."""
-    detail = (
-        f"chain deadline budget ({res.chain_deadline:g}s) exhausted "
-        "before this obligation ran"
-    )
-    job.result = _inconclusive_result(job, _timeout_verdict(detail))
-    job.finished = True
-    if res.report_expiry_once():
-        events.emit(DEADLINE_EXPIRED, "", "", detail=detail)
-    events.emit(JOB_TIMEOUT, job.key, job.label, detail=detail)
-    if OBS.enabled:
-        OBS.count("farm.timeouts")
-    depth = tracker.finish_one()
-    events.emit(JOB_FINISHED, job.key, job.label, queue_depth=depth)
-
-
 def _run_one(job: Job, events: EventLog, tracker: _DepthTracker,
              res=None) -> None:
-    """Execute one job in this process, with retries and deadlines."""
+    """Execute one job, with retries and deadlines."""
     events.emit(JOB_STARTED, job.key, job.label,
                 queue_depth=tracker.depth())
     traced = OBS.enabled
@@ -294,7 +233,7 @@ def _run_one(job: Job, events: EventLog, tracker: _DepthTracker,
 
         def attempt():
             if rule is not None:
-                _fire_execute_fault(rule, in_pool_worker=False)
+                _fire_execute_fault(rule)
             return job.thunk()
 
         try:
@@ -325,11 +264,6 @@ def _run_one(job: Job, events: EventLog, tracker: _DepthTracker,
             break
         except TransientFault as fault:
             job.wall_seconds = time.perf_counter() - started
-            if isinstance(fault, WorkerCrash):
-                events.emit(WORKER_CRASH, job.key, job.label,
-                            detail=str(fault))
-                if traced:
-                    OBS.count("farm.worker_crashes")
             max_retries = res.max_retries if res is not None else 0
             if job.attempts > max_retries:
                 job.result = _inconclusive_result(
@@ -366,16 +300,12 @@ _NULL_CONTEXT = _NullContext()
 
 def run_jobs(
     jobs: list[Job],
-    mode: str = SEQUENTIAL,
-    max_workers: int = 1,
     cache=None,
     events: EventLog | None = None,
     resilience=None,
     journal=None,
 ) -> list[Job]:
     """Discharge every job; returns the same list with results filled."""
-    if mode not in MODES:
-        raise ValueError(f"unknown farm mode {mode!r}; expected {MODES}")
     if events is None:
         events = EventLog()
     res = resilience
@@ -428,22 +358,10 @@ def run_jobs(
         to_run.append(job)
 
     tracker = _DepthTracker(len(to_run))
-    workers = max(1, max_workers)
-    if mode == SEQUENTIAL or workers == 1 or len(to_run) <= 1:
-        for job in to_run:
-            _run_one(job, events, tracker, res)
-    elif mode == THREAD:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_one, job, events, tracker, res)
-                for job in to_run
-            ]
-            for future in futures:
-                future.result()
-    else:  # PROCESS
-        _run_process_mode(to_run, events, tracker, workers, res)
+    for job in to_run:
+        _run_one(job, events, tracker, res)
 
-    # Deterministic write-back: queue order, calling thread.
+    # Write-back in queue order.
     for job in jobs:
         job.apply(job.result)
         if (
@@ -474,241 +392,3 @@ def run_jobs(
             journal.record(job.key, job.result)
     return jobs
 
-
-# ----------------------------------------------------------------------
-# process mode
-
-
-def _pool_attempt(thunk, label, rule, budget, shard_dir, traced):
-    """One attempt inside a pool worker process.
-
-    Transient and timeout outcomes cross the process boundary as tagged
-    tuples (custom exceptions do not all survive pickling); ArmadaError
-    propagates as before.  A ``crash_worker`` rule SIGKILLs this worker
-    mid-obligation — this function then never returns and the parent
-    observes a broken pool.
-    """
-    if traced and not OBS.enabled and shard_dir is not None:
-        OBS.enable_shard(shard_dir)
-    span_attrs = {"cached": False}
-    if rule is not None:
-        span_attrs["fault"] = rule.action
-    with OBS.span(label, "obligation", **span_attrs) \
-            if OBS.enabled else _NULL_CONTEXT:
-
-        def attempt():
-            if rule is not None:
-                _fire_execute_fault(rule, in_pool_worker=True)
-            return thunk()
-
-        try:
-            return ("ok", _call_with_deadline(attempt, budget))
-        except ObligationTimeout as timeout:
-            return ("timeout", str(timeout))
-        except TransientFault as fault:
-            return ("transient", str(fault))
-
-
-def _finish_pool_job(job, result, started, events, tracker) -> None:
-    job.result = result
-    job.wall_seconds = time.perf_counter() - started
-    job.finished = True
-    depth = tracker.finish_one()
-    events.emit(JOB_FINISHED, job.key, job.label,
-                wall_seconds=job.wall_seconds, queue_depth=depth)
-
-
-def _run_process_mode(
-    to_run: list[Job],
-    events: EventLog,
-    tracker: _DepthTracker,
-    workers: int,
-    res=None,
-) -> None:
-    """Process-pool execution with inline fallback, crash detection,
-    and pool respawn.
-
-    Obligations that close over non-picklable state (in practice: any
-    closure) cannot cross a process boundary; they run inline through
-    the same resilient path as thread mode.  Poolable jobs run in
-    rounds: a worker death breaks the whole pool (that is how
-    ``ProcessPoolExecutor`` surfaces SIGKILL), so completed results are
-    kept, the casualties are requeued, and a fresh pool is spawned for
-    the next round.  Rounds always terminate: every round either
-    finishes a job or consumes someone's retry budget, and both are
-    finite.
-    """
-    poolable = [job for job in to_run if _picklable(job.thunk)]
-    inline = [job for job in to_run if not _picklable(job.thunk)]
-    traced = OBS.enabled
-    shard_dir = OBS.shard_dir() if traced else None
-    for job in inline:
-        events.emit(POOL_FALLBACK, job.key, job.label,
-                    queue_depth=tracker.depth())
-        job.ran_inline = True
-        _run_one(job, events, tracker, res)
-
-    pending = list(poolable)
-    pool: ProcessPoolExecutor | None = None
-    try:
-        while pending:
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            batch, pending = pending, []
-            submitted: list[tuple[Job, object, FaultRule | None,
-                                  float]] = []
-            pool_broken = False
-            for job in batch:
-                if res is not None and res.shutdown_requested():
-                    _cancel_job(job, events, tracker)
-                    continue
-                if res is not None and res.chain_expired():
-                    _chain_budget_expired(job, events, tracker, res)
-                    continue
-                rule = None
-                if res is not None:
-                    rule = res.fault(PHASE_EXECUTE, job.index,
-                                     job.label, job.attempts)
-                if rule is not None:
-                    job.faults_hit.append(rule.action)
-                    events.emit(FAULT_INJECTED, job.key, job.label,
-                                detail=rule.describe())
-                    if traced:
-                        OBS.count("farm.faults_injected")
-                budget = (
-                    res.attempt_budget() if res is not None else None
-                )
-                events.emit(JOB_STARTED, job.key, job.label,
-                            queue_depth=tracker.depth())
-                job.attempts += 1
-                try:
-                    future = pool.submit(
-                        _pool_attempt, job.thunk, job.label, rule,
-                        budget, shard_dir, traced,
-                    )
-                except BrokenProcessPool:
-                    # Pool died while we were still submitting: the
-                    # attempt never ran, so it costs no retry budget.
-                    job.attempts -= 1
-                    pool_broken = True
-                    pending.append(job)
-                    continue
-                submitted.append((job, future, rule, time.perf_counter()))
-
-            casualties: list[tuple[Job, FaultRule | None]] = []
-            for job, future, rule, started in submitted:
-                try:
-                    tag, *payload = future.result()
-                except BrokenProcessPool:
-                    pool_broken = True
-                    casualties.append((job, rule))
-                    continue
-                except ArmadaError as error:
-                    if not job.wrap_errors:
-                        raise
-                    _finish_pool_job(job, _wrap_armada_error(error),
-                                     started, events, tracker)
-                    continue
-                if tag == "ok":
-                    _finish_pool_job(job, payload[0], started, events,
-                                     tracker)
-                elif tag == "timeout":
-                    events.emit(JOB_TIMEOUT, job.key, job.label,
-                                detail=payload[0])
-                    if traced:
-                        OBS.count("farm.timeouts")
-                    _finish_pool_job(
-                        job,
-                        _inconclusive_result(
-                            job, _timeout_verdict(payload[0])
-                        ),
-                        started, events, tracker,
-                    )
-                else:  # transient
-                    reason = payload[0]
-                    max_retries = (
-                        res.max_retries if res is not None else 0
-                    )
-                    if job.attempts > max_retries:
-                        events.emit(JOB_ABANDONED, job.key, job.label,
-                                    detail=reason)
-                        if traced:
-                            OBS.count("farm.abandoned")
-                        _finish_pool_job(
-                            job,
-                            _inconclusive_result(
-                                job,
-                                _abandoned_verdict(job.attempts, reason),
-                            ),
-                            started, events, tracker,
-                        )
-                    else:
-                        events.emit(JOB_RETRY, job.key, job.label,
-                                    detail=reason)
-                        if traced:
-                            OBS.count("farm.retries")
-                        time.sleep(
-                            res.backoff_seconds(job.key, job.attempts)
-                        )
-                        pending.append(job)
-
-            if casualties:
-                events.emit(
-                    WORKER_CRASH, casualties[0][0].key,
-                    casualties[0][0].label,
-                    detail=(
-                        f"process-pool worker died; {len(casualties)} "
-                        "in-flight obligation(s) requeued"
-                    ),
-                )
-                if traced:
-                    OBS.count("farm.worker_crashes")
-                # Blame: jobs whose injected rule was the crash consumed
-                # their attempt; innocent bystanders that died with the
-                # pool get their attempt back (it never completed).
-                # With no injected crash (a real kill), every casualty
-                # keeps the attempt so retries stay bounded.
-                blamed = {
-                    id(job) for job, rule in casualties
-                    if rule is not None and rule.action == CRASH_WORKER
-                }
-                max_retries = res.max_retries if res is not None else 0
-                for job, rule in casualties:
-                    if blamed and id(job) not in blamed:
-                        job.attempts -= 1
-                    if job.attempts > max_retries:
-                        events.emit(JOB_ABANDONED, job.key, job.label,
-                                    detail="worker crash")
-                        if traced:
-                            OBS.count("farm.abandoned")
-                        _finish_pool_job(
-                            job,
-                            _inconclusive_result(
-                                job,
-                                _abandoned_verdict(
-                                    job.attempts,
-                                    "worker crash (kill -9?)",
-                                ),
-                            ),
-                            time.perf_counter(), events, tracker,
-                        )
-                    else:
-                        events.emit(JOB_RETRY, job.key, job.label,
-                                    detail="worker crash — requeued")
-                        if traced:
-                            OBS.count("farm.retries")
-                        pending.append(job)
-
-            if pool_broken:
-                pool.shutdown(wait=False)
-                pool = None
-                if pending:
-                    events.emit(WORKER_RESPAWN, "", "",
-                                detail=f"pool rebuilt x{workers}")
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-    if traced:
-        # The scheduler side merges worker shards back into the main
-        # trace once the pool has drained (process-safe by design).
-        OBS.merge_shards()

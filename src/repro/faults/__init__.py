@@ -2,8 +2,8 @@
 
 Chaos engineering for the verification farm: a :class:`FaultPlan` is a
 seeded, JSON-serializable description of *exactly which* obligations
-fail *in exactly which way* (worker crash, delay, transient raise,
-forced timeout, cache-entry corruption), threaded through the
+fail *in exactly which way* (delay, transient raise, forced timeout,
+cache-entry corruption), threaded through the
 scheduler/workers/cache behind a single disabled-by-default guard and
 exposed as ``armada verify --inject-faults PLAN.json`` — so chaos runs
 are reproducible in tests and CI instead of being flaky by
@@ -18,7 +18,6 @@ at it.
 from repro.faults.plan import (  # noqa: F401
     ACTIONS,
     CORRUPT_CACHE_ENTRY,
-    CRASH_WORKER,
     DELAY,
     PHASE_CACHE_STORE,
     PHASE_EXECUTE,

@@ -5,11 +5,6 @@ naming *where* a fault fires (an obligation index in the farm's batch
 queue, a label substring, a pipeline phase, a retry attempt) and *what*
 happens there:
 
-* ``crash_worker`` — the worker holding the obligation dies.  In a
-  process-pool worker this is a real ``SIGKILL`` of the worker process
-  mid-obligation; in thread/sequential modes it raises
-  :class:`~repro.errors.WorkerCrash`, which the farm treats identically
-  (the obligation is requeued and retried).
 * ``delay`` — sleep ``seconds`` before running the obligation (useful
   for forcing real deadline expiries).
 * ``raise`` — raise a :class:`~repro.errors.TransientFault` (a generic
@@ -21,12 +16,10 @@ happens there:
   self-healing on the next read.
 
 Rules address a specific ``attempt`` (0 = first execution), so a rule
-that crashes attempt 0 lets the retry at attempt 1 succeed — plans are
-fully deterministic with no shared mutable state, which is what lets
-the same plan object be evaluated consistently in the scheduling
-process *and* inside spawned pool workers.  The plan's ``seed`` feeds
-the farm's retry-backoff jitter, making even the sleep pattern of a
-chaos run reproducible.
+that raises at attempt 0 lets the retry at attempt 1 succeed — plans
+are fully deterministic with no shared mutable state.  The plan's
+``seed`` feeds the farm's retry-backoff jitter, making even the sleep
+pattern of a chaos run reproducible.
 
 Plans are disabled by default everywhere: the farm only evaluates a
 plan when one was explicitly supplied (``armada verify --inject-faults
@@ -37,19 +30,17 @@ test, so the zero-fault hot path pays nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.errors import FaultPlanError
 
-CRASH_WORKER = "crash_worker"
 DELAY = "delay"
 RAISE = "raise"
 TIMEOUT_FAULT = "timeout"
 CORRUPT_CACHE_ENTRY = "corrupt_cache_entry"
-ACTIONS = (CRASH_WORKER, DELAY, RAISE, TIMEOUT_FAULT,
-           CORRUPT_CACHE_ENTRY)
+ACTIONS = (DELAY, RAISE, TIMEOUT_FAULT, CORRUPT_CACHE_ENTRY)
 
 #: Pipeline phases a rule can attach to.
 PHASE_EXECUTE = "execute"
@@ -58,7 +49,6 @@ PHASES = (PHASE_EXECUTE, PHASE_CACHE_STORE)
 
 #: The phase each action fires in unless the rule says otherwise.
 _DEFAULT_PHASE = {
-    CRASH_WORKER: PHASE_EXECUTE,
     DELAY: PHASE_EXECUTE,
     RAISE: PHASE_EXECUTE,
     TIMEOUT_FAULT: PHASE_EXECUTE,
@@ -73,7 +63,7 @@ class FaultRule:
     A rule matches an obligation when every constraint it states holds:
     ``index`` (position in the farm's batch queue), ``label`` (substring
     of the job's ``proof:lemma`` label), and ``attempt`` (which retry;
-    ``None`` fires on every attempt — use with care, an always-crashing
+    ``None`` fires on every attempt — use with care, an always-raising
     rule exhausts the retry budget and the obligation goes UNKNOWN).
     """
 

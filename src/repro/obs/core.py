@@ -19,10 +19,10 @@ via per-thread stacks, producing the hierarchy::
     chain  >  proof (level pair)  >  strategy
     obligation  >  phase (prover / explore)
 
-Obligation spans are created by the farm workers, possibly on worker
-threads or in worker processes, so they are parented to whatever span
-is active *on that thread* (none, for pool threads) — consumers group
-by ``kind``, not by reconstructing one global tree.
+Obligation spans are created by the farm workers and parented to
+whatever span is active *on that thread*; ``armada serve`` runs jobs on
+several threads, so consumers group by ``kind``, not by reconstructing
+one global tree.
 
 Counters and histograms attach to the innermost active span of the
 emitting thread (falling back to a process-global accumulator emitted
@@ -40,17 +40,7 @@ Trace format (JSONL, one object per line)
 * ``{"type": "counters", "counters": {...}, "histograms": {...}}`` —
   the process-global accumulators, emitted by :meth:`disable`.
 
-Every line is flushed as written, so a trace is readable mid-run and a
-forked worker process never inherits buffered partial lines.
-
-Process safety
---------------
-Farm worker processes do not write to the parent's file: any emission
-from a process other than the one that called :meth:`enable` is
-transparently redirected to a per-worker shard
-(``<trace>.shards/shard-<pid>.jsonl``); the scheduler merges shards
-back into the main trace (re-keying span ids) after each process-pool
-round via :meth:`merge_shards`.
+Every line is flushed as written, so a trace is readable mid-run.
 """
 
 from __future__ import annotations
@@ -168,13 +158,10 @@ class Observer:
 
     def __init__(self) -> None:
         self.enabled = False
-        self._path: str | None = None
         self._file = None
         self._lock = threading.Lock()
         self._next_id = 0
         self._tls = threading.local()
-        self._pid = os.getpid()
-        self._is_shard = False
         self._global_counters: dict[str, int | float] = {}
         self._global_histograms: dict[str, list] = {}
 
@@ -185,10 +172,7 @@ class Observer:
         """Start tracing to *path* (truncates any existing file)."""
         if self.enabled:
             raise RuntimeError("observer is already enabled")
-        self._path = os.fspath(path)
-        self._file = open(self._path, "w", encoding="utf-8")
-        self._pid = os.getpid()
-        self._is_shard = False
+        self._file = open(path, "w", encoding="utf-8")
         self._next_id = 0
         self._global_counters = {}
         self._global_histograms = {}
@@ -197,19 +181,17 @@ class Observer:
         self._emit({"type": "meta", "format": TRACE_FORMAT})
 
     def disable(self) -> None:
-        """Flush global accumulators, merge leftover shards, close."""
+        """Flush the global accumulators and close the trace."""
         if not self.enabled:
             return
-        if not self._is_shard:
-            self.merge_shards()
-            self._emit({
-                "type": "counters",
-                "counters": dict(self._global_counters),
-                "histograms": {
-                    name: _histogram_summary(cells)
-                    for name, cells in self._global_histograms.items()
-                },
-            })
+        self._emit({
+            "type": "counters",
+            "counters": dict(self._global_counters),
+            "histograms": {
+                name: _histogram_summary(cells)
+                for name, cells in self._global_histograms.items()
+            },
+        })
         self.enabled = False
         handle, self._file = self._file, None
         if handle is not None:
@@ -217,24 +199,6 @@ class Observer:
                 handle.close()
             except OSError:
                 pass
-        self._path = None
-
-    def enable_shard(self, shard_dir: str) -> None:
-        """Trace into a per-process shard (worker-process entry point).
-
-        Used by spawned worker processes, which do not inherit the
-        parent observer; forked workers are redirected automatically by
-        :meth:`_emit`.
-        """
-        os.makedirs(shard_dir, exist_ok=True)
-        self._path = os.path.join(
-            shard_dir, f"shard-{os.getpid()}.jsonl"
-        )
-        self._file = open(self._path, "a", encoding="utf-8")
-        self._pid = os.getpid()
-        self._is_shard = True
-        self._tls = threading.local()
-        self.enabled = True
 
     # ------------------------------------------------------------------
     # recording
@@ -272,70 +236,6 @@ class Observer:
                 _observe_into(self._global_histograms, name, value)
 
     # ------------------------------------------------------------------
-    # process shards
-
-    def shard_dir(self) -> str | None:
-        """Where worker processes of this trace park their shards."""
-        if self._path is None:
-            return None
-        base = self._path
-        if self._is_shard:
-            base = os.path.dirname(base) or "."
-            return base
-        return base + ".shards"
-
-    def merge_shards(self) -> int:
-        """Fold worker shard files into the main trace.
-
-        Span ids are re-keyed into the parent's id space (parents that
-        point outside a shard are dropped to ``null``); shard files are
-        deleted after merging.  Returns the number of merged records.
-        """
-        if not self.enabled or self._is_shard:
-            return 0
-        directory = self.shard_dir()
-        if directory is None or not os.path.isdir(directory):
-            return 0
-        merged = 0
-        for name in sorted(os.listdir(directory)):
-            path = os.path.join(directory, name)
-            remap: dict[int, int] = {}
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    for line in handle:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            record = json.loads(line)
-                        except ValueError:
-                            continue
-                        if record.get("type") == "span":
-                            old = record.get("id")
-                            with self._lock:
-                                self._next_id += 1
-                                new = self._next_id
-                            if isinstance(old, int):
-                                remap[old] = new
-                            record["id"] = new
-                            record["parent"] = remap.get(
-                                record.get("parent")
-                            )
-                        self._emit(record)
-                        merged += 1
-            except OSError:
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        try:
-            os.rmdir(directory)
-        except OSError:
-            pass
-        return merged
-
-    # ------------------------------------------------------------------
     # internals
 
     def _stack(self) -> list:
@@ -345,23 +245,7 @@ class Observer:
             self._tls.stack = stack
         return stack
 
-    def _become_shard(self) -> None:
-        """A forked worker inherited the parent's observer: redirect
-        every subsequent write to this process's own shard file."""
-        shard_dir = self.shard_dir()
-        # Drop the inherited handle without closing it: every line was
-        # flushed when written, and the parent still owns the file.
-        self._file = None
-        if shard_dir is None:
-            self.enabled = False
-            return
-        self.enable_shard(shard_dir)
-
     def _emit(self, record: dict) -> None:
-        if os.getpid() != self._pid:
-            self._become_shard()
-            if not self.enabled:
-                return
         line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
             handle = self._file

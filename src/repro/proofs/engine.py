@@ -25,6 +25,7 @@ from repro.errors import (
     ArmadaError,
     InconclusiveCheck,
     ProofFailure,
+    StateBudgetExceeded,
     StrategyError,
 )
 from repro.farm import VerificationFarm, global_check_job, lemma_jobs
@@ -352,6 +353,14 @@ class ProofEngine:
                 proof.name, proof.strategy.name, False, None,
                 f"correspondence error: {error.message}",
                 False, time.perf_counter() - started,
+            )
+        except StateBudgetExceeded as error:
+            # A sweep inside generation hit --max-states: the proof is
+            # neither verified nor refuted.
+            prep.outcome = ProofOutcome(
+                proof.name, proof.strategy.name, False, None,
+                f"inconclusive: {error}", False,
+                time.perf_counter() - started, inconclusive=True,
             )
         except ArmadaError as error:
             prep.outcome = ProofOutcome(

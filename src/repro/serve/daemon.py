@@ -147,8 +147,6 @@ class ArmadaDaemon:
         state_dir: str | Path = ".armada-serve",
         slots: int = 2,
         cache_max_bytes: int | None = None,
-        farm_jobs: int = 1,
-        farm_mode: str = "auto",
     ) -> None:
         if socket_path is None and port is None:
             socket_path = Path(state_dir) / "armada.sock"
@@ -157,8 +155,6 @@ class ArmadaDaemon:
         self.port = port
         self.state_dir = Path(state_dir)
         self.slots = max(1, slots)
-        self.farm_jobs = farm_jobs
-        self.farm_mode = farm_mode
         self.started_at = _now()
 
         self.state_dir.mkdir(parents=True, exist_ok=True)
@@ -292,12 +288,7 @@ class ArmadaDaemon:
             / f"{self._program_key(job)[:32]}.jsonl"
         )
         farm = VerificationFarm(
-            FarmConfig(
-                jobs=self.farm_jobs,
-                mode=self.farm_mode,
-                journal_path=journal_path,
-            ),
-            cache=self.cache,
+            FarmConfig(journal_path=journal_path), cache=self.cache
         )
         job.farm = farm
         if job.cancel_requested or self.draining:

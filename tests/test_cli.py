@@ -208,12 +208,41 @@ class TestVerifyFarmFlags:
         assert "farm:" in capsys.readouterr().out
 
     def test_verify_jobs_and_report(self, program_file, capsys):
-        assert main([
-            "verify", program_file, "--jobs", "2", "--farm-report",
-        ]) == 0
+        assert main(["verify", program_file, "--farm-report"]) == 0
         out = capsys.readouterr().out
-        assert "verification farm [thread x2]" in out
+        assert "verification farm [sequential]" in out
         assert "obligations queued" in out
+
+    @pytest.mark.parametrize("command", ["verify", "serve"])
+    def test_no_worker_pool_options(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--max-states" in out or "--slots" in out
+        for option in ("--jobs", "--farm-mode"):
+            assert option not in out
+
+    def test_budget_cut_is_inconclusive_and_rechecked(self, tmp_path,
+                                                      capsys):
+        # A sweep cut by --max-states neither proves nor refutes: both
+        # the obligation-level cut (assume_intro) and the cut inside
+        # the reduction strategy's generation print INCONCLUSIVE, and
+        # the cut obligations are never cached, so a second identical
+        # run executes them again.
+        from repro.casestudies import load
+
+        path = tmp_path / "mcslock.arm"
+        path.write_text(load("mcslock").source)
+        argv = ["verify", str(path), "--max-states", "300",
+                "--cache", str(tmp_path / "cache")]
+        for run in range(2):
+            assert main(argv) == 1
+            out = capsys.readouterr().out
+            assert ("MCSCementsMutualExclusion [assume_intro]: "
+                    "INCONCLUSIVE") in out
+            assert ("MCSReducesCriticalSection [reduction]: "
+                    "INCONCLUSIVE") in out
+            assert "FAILED" not in out
+        assert "42 from cache, 2 executed" in out
 
     @pytest.fixture()
     def obligation_file(self):
@@ -308,6 +337,16 @@ class TestImportFootprint:
         modules = self._modules(tmp_path, "explore", program_file)
         for package in ("repro.farm", "repro.verifier", "repro.analysis",
                         "importlib.metadata"):
+            loaded = sorted(
+                m for m in modules
+                if m == package or m.startswith(package + ".")
+            )
+            assert not loaded, loaded
+
+    def test_verify_loads_no_worker_pool(self, program_file, tmp_path):
+        modules = self._modules(tmp_path, "verify", program_file,
+                                "--no-cache")
+        for package in ("concurrent.futures", "multiprocessing"):
             loaded = sorted(
                 m for m in modules
                 if m == package or m.startswith(package + ".")

@@ -177,17 +177,40 @@ SWEEPING_PROOF = (
 
 
 class TestStateBudgetHonesty:
-    def test_truncated_sweep_refutes_instead_of_passing(self):
-        # A budget too small for the state space must fail the proof —
-        # never let a silently truncated enumeration discharge an
-        # obligation.
+    def test_truncated_sweep_is_inconclusive_instead_of_passing(self):
+        # A budget too small for the state space must not verify the
+        # proof — never let a silently truncated enumeration discharge
+        # an obligation — and must not refute it either: the cut says
+        # nothing about the program.
         ok = verify_source(SWEEPING_PROOF)
         assert ok.success
         clipped = verify_source(SWEEPING_PROOF, max_states=3)
         assert not clipped.success
+        assert clipped.inconclusive
+        assert clipped.status == "inconclusive"
         assert any(
             "state budget" in (o.error or "") for o in clipped.outcomes
         )
+        for outcome in clipped.outcomes:
+            if not outcome.success:
+                assert outcome.inconclusive
+                assert outcome.error.startswith("inconclusive:")
+
+    def test_budget_cut_in_generation_is_inconclusive(self):
+        # The reduction strategy sweeps the low level inside
+        # ``generate``; a cut there leaves no script to check, and the
+        # proof is inconclusive rather than failed.
+        from repro.casestudies import load
+
+        outcome = verify_source(load("mcslock").source, max_states=300)
+        by_name = {o.proof_name: o for o in outcome.outcomes}
+        reduction = by_name["MCSReducesCriticalSection"]
+        assert not reduction.success and reduction.inconclusive
+        assert reduction.script is None
+        assert reduction.error.startswith("inconclusive:")
+        assert "state budget" in reduction.error
+        assert by_name["MCSCementsMutualExclusion"].inconclusive
+        assert outcome.status == "inconclusive"
 
 
 #: Identical loop levels: 41 loop iterations need far more than five

@@ -1,9 +1,9 @@
 """Tests for the verification farm: scheduling, caching, equivalence.
 
-The load-bearing property is *mode equivalence*: sequential, threaded,
-process-pool, and cached discharge of a full case-study chain must
-produce identical per-lemma verdicts and the same ``ChainOutcome``
-success — parallelism and incrementality are pure optimisations.
+The load-bearing property is *cache equivalence*: uncached and cached
+discharge of a full case-study chain must produce identical per-lemma
+verdicts and the same ``ChainOutcome`` success — incrementality is a
+pure optimisation.
 """
 
 import pathlib
@@ -11,12 +11,12 @@ import pickle
 
 import pytest
 
-from repro.casestudies import load, run_case_study
+from repro.casestudies import TABLE1, load, run_case_study
+from repro.errors import ProofFailure, StateBudgetExceeded
 from repro.farm import (
     CACHE_HIT,
     JOB_FINISHED,
     JOB_QUEUED,
-    POOL_FALLBACK,
     FarmConfig,
     ProofCache,
     VerificationFarm,
@@ -30,7 +30,12 @@ from repro.proofs.artifacts import (
     ProofScript,
     proved,
 )
-from repro.verifier.prover import ProverConfig, Verdict
+from repro.verifier.prover import (
+    REFUTED,
+    UNKNOWN,
+    ProverConfig,
+    Verdict,
+)
 
 
 def snapshot(outcome):
@@ -213,29 +218,10 @@ class TestEvents:
         assert summary.cache_hits == 0
         assert summary.max_queue_depth >= 1
 
-    def test_summary_line_mentions_mode(self):
-        farm = VerificationFarm(FarmConfig(jobs=3))
-        assert "[thread x3]" in farm.summary_line()
-
-
-class TestProcessFallback:
-    def test_closures_fall_back_inline(self):
-        farm = VerificationFarm(FarmConfig(jobs=2, mode="process"))
-        script, calls = make_script()
-        script.add(
-            Lemma("L2", "also claims", ["b2"],
-                  obligation=lambda: proved())
-        )
-        farm.discharge(lemma_jobs(script, "pf"))
-        assert calls == [1]
-        assert script.lemmas[0].verdict.ok
-        assert script.lemmas[1].verdict.ok
-        assert len(farm.events.events(POOL_FALLBACK)) == 2
-
 
 class TestModeEquivalence:
-    """Sequential, threaded, process, and cached runs of a full
-    case-study chain agree byte-for-byte on per-lemma verdicts."""
+    """Uncached and cached runs of a full case-study chain agree
+    byte-for-byte on per-lemma verdicts."""
 
     @pytest.fixture(scope="class")
     def study(self):
@@ -244,18 +230,6 @@ class TestModeEquivalence:
     @pytest.fixture(scope="class")
     def sequential(self, study):
         return run_case_study(study)
-
-    def test_threaded_equivalent(self, study, sequential):
-        farm = VerificationFarm(FarmConfig(jobs=4))
-        report = run_case_study(study, farm=farm)
-        assert report.outcome.success == sequential.outcome.success
-        assert snapshot(report.outcome) == snapshot(sequential.outcome)
-
-    def test_process_equivalent(self, study, sequential):
-        farm = VerificationFarm(FarmConfig(jobs=2, mode="process"))
-        report = run_case_study(study, farm=farm)
-        assert report.outcome.success == sequential.outcome.success
-        assert snapshot(report.outcome) == snapshot(sequential.outcome)
 
     def test_cached_equivalent_and_hit_rate(
         self, study, sequential, tmp_path
@@ -285,18 +259,65 @@ class TestModeEquivalence:
         assert summary.cache_hits == lemma_obligations
         assert summary.cache_hits / lemma_obligations >= 0.9
 
-    def test_threaded_cached_combination(self, study, sequential,
-                                         tmp_path):
+
+class TestCacheEquivalenceEveryStudy:
+    """An uncached run, a cold cached run and a warm cached run of every
+    Table 1 chain agree byte-for-byte on per-lemma verdicts."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE1))
+    def test_cold_and_warm_match_uncached(self, name, tmp_path):
+        study = load(name)
+        uncached = run_case_study(study)
         cache_dir = tmp_path / "proof-cache"
-        run_case_study(
-            study,
-            farm=VerificationFarm(FarmConfig(jobs=4,
-                                             cache_dir=cache_dir)),
+        cold = run_case_study(
+            study, farm=VerificationFarm(FarmConfig(cache_dir=cache_dir))
         )
-        farm = VerificationFarm(FarmConfig(jobs=4, cache_dir=cache_dir))
-        report = run_case_study(study, farm=farm)
-        assert snapshot(report.outcome) == snapshot(sequential.outcome)
-        assert farm.summary().cache_hits > 0
+        warm_farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
+        warm = run_case_study(study, farm=warm_farm)
+        assert snapshot(cold.outcome) == snapshot(uncached.outcome)
+        assert snapshot(warm.outcome) == snapshot(uncached.outcome)
+        assert warm.outcome.success == uncached.outcome.success
+        summary = warm_farm.summary()
+        assert summary.cache_hits + summary.executed == summary.jobs
+
+
+class TestBudgetCuts:
+    """A reachability sweep cut by its state budget neither proves nor
+    refutes its obligation, so the farm must not settle it."""
+
+    def _run(self, tmp_path, error):
+        """(verdict, cached verdict, journaled verdict) of one job
+        whose obligation raises *error*."""
+        from repro.farm import Job, Journal, run_jobs
+
+        def thunk():
+            raise error
+
+        sink = []
+        cache = ProofCache(tmp_path / "cache")
+        journal = Journal(tmp_path / "journal.jsonl")
+        run_jobs([Job("k", "P:L", thunk, sink.append)], cache=cache,
+                 journal=journal)
+        journal.close()
+        return sink[0], cache.get("k"), \
+            Journal(tmp_path / "journal.jsonl").lookup("k")
+
+    def test_budget_cut_is_unknown_and_never_stored(self, tmp_path):
+        verdict, cached, journaled = self._run(
+            tmp_path, StateBudgetExceeded(10)
+        )
+        assert verdict.status == UNKNOWN and verdict.inconclusive
+        assert "state budget" in verdict.counterexample["error"]
+        assert cached is None and journaled is None
+
+    def test_other_armada_errors_still_refute(self, tmp_path):
+        verdict, cached, journaled = self._run(
+            tmp_path, ProofFailure("no such lemma")
+        )
+        assert verdict.status == REFUTED
+        assert "no such lemma" in verdict.counterexample["error"]
+        assert cached.status == REFUTED
+        assert journaled.status == REFUTED
 
 
 class TestMachineFingerprint:

@@ -2,14 +2,12 @@
 
 Injected faults (``repro.faults``) drive every resilience path the farm
 claims to have: deterministic retries with backoff, per-obligation and
-whole-chain deadlines yielding inconclusive TIMEOUT verdicts, *real*
-``kill -9`` of process-pool workers with requeue + pool respawn, cache
+whole-chain deadlines yielding inconclusive TIMEOUT verdicts, cache
 self-healing on truncated/garbage entries, and journal-based resume.
 Each scenario asserts the headline guarantee — the surviving run
 reports the same verdicts a fault-free run would, except for
 obligations that were deliberately timed out — plus the observability
-contract (retry/timeout/crash counts in events and traces) and
-hygiene (no orphan worker processes).
+contract (retry/timeout/fault counts in events and traces).
 """
 
 import json
@@ -27,11 +25,6 @@ from repro.farm import (
     JOB_RETRY,
     JOB_TIMEOUT,
     JOURNAL_HIT,
-    PROCESS,
-    SEQUENTIAL,
-    THREAD,
-    WORKER_CRASH,
-    WORKER_RESPAWN,
     EventLog,
     FarmConfig,
     Job,
@@ -59,7 +52,7 @@ EXAMPLE = os.path.join(
 
 
 def _ok_thunk():
-    """Module-level (hence picklable) obligation that always proves."""
+    """An obligation that always proves."""
     return proved()
 
 
@@ -80,26 +73,6 @@ def _fast_retries(**kwargs) -> ResilienceConfig:
     return ResilienceConfig(**kwargs)
 
 
-def _child_pids() -> set[int]:
-    pid = os.getpid()
-    try:
-        with open(f"/proc/{pid}/task/{pid}/children") as handle:
-            return {int(p) for p in handle.read().split()}
-    except OSError:
-        return set()
-
-
-def _assert_no_orphans(before: set[int], deadline: float = 5.0) -> None:
-    """Every worker spawned since *before* must be gone (reaped)."""
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        leftover = _child_pids() - before
-        if not leftover:
-            return
-        time.sleep(0.02)
-    raise AssertionError(f"orphan worker processes: {leftover}")
-
-
 # ----------------------------------------------------------------------
 # fault plans
 
@@ -109,7 +82,7 @@ class TestFaultPlan:
         plan = FaultPlan.from_dict({
             "seed": 3,
             "faults": [
-                {"action": "crash_worker", "index": 1},
+                {"action": "raise", "index": 1},
                 {"action": "corrupt_cache_entry", "label": "lemma"},
             ],
         })
@@ -132,6 +105,8 @@ class TestFaultPlan:
     def test_rejects_unknown_action_phase_and_keys(self):
         with pytest.raises(FaultPlanError, match="unknown fault action"):
             FaultRule("explode", index=0)
+        with pytest.raises(FaultPlanError, match="unknown fault action"):
+            FaultRule("crash_worker", index=0)
         with pytest.raises(FaultPlanError, match="unknown fault phase"):
             FaultRule("raise", index=0, phase="teardown")
         with pytest.raises(FaultPlanError, match="must be addressable"):
@@ -158,7 +133,7 @@ class TestFaultPlan:
 
     def test_plan_is_picklable(self):
         plan = FaultPlan.from_dict(
-            {"faults": [{"action": "crash_worker", "index": 0}]}
+            {"faults": [{"action": "raise", "index": 0}]}
         )
         assert pickle.loads(pickle.dumps(plan)) == plan
 
@@ -180,7 +155,7 @@ class TestDeadlines:
 
         jobs = [_job(0, thunk=slow, sink=sink), _job(1, sink=sink)]
         started = time.monotonic()
-        run_jobs(jobs, mode=SEQUENTIAL, cache=cache, events=events,
+        run_jobs(jobs, cache=cache, events=events,
                  resilience=_fast_retries(obligation_timeout=0.05),
                  journal=journal)
         assert time.monotonic() - started < 4.0  # did not wait out sleep
@@ -213,7 +188,7 @@ class TestDeadlines:
 
         jobs = [_job(i, thunk=slow, sink=sink) for i in range(4)]
         started = time.monotonic()
-        run_jobs(jobs, mode=SEQUENTIAL, events=events,
+        run_jobs(jobs, events=events,
                  resilience=_fast_retries(chain_deadline=0.25))
         assert time.monotonic() - started < 2.0
         assert sink[0].status == PROVED  # ran within the budget
@@ -271,62 +246,6 @@ class TestRetries:
                                  retry_max_delay=0.4,
                                  faults=FaultPlan(seed=10))
         assert other.backoff_seconds("k", 1) != delays[0]
-
-    def test_simulated_crash_in_thread_mode(self):
-        sink, events = {}, EventLog()
-        plan = FaultPlan.from_dict({"faults": [
-            {"action": "crash_worker", "index": 1, "attempt": 0},
-        ]})
-        jobs = [_job(i, sink=sink) for i in range(4)]
-        run_jobs(jobs, mode=THREAD, max_workers=2, events=events,
-                 resilience=_fast_retries(faults=plan))
-        assert [sink[i].status for i in range(4)] == [PROVED] * 4
-        assert len(events.events(WORKER_CRASH)) == 1
-        assert len(events.events(JOB_RETRY)) == 1
-
-
-# ----------------------------------------------------------------------
-# real kill -9 of process-pool workers
-
-
-class TestProcessPoolCrash:
-    @pytest.mark.flaky
-    def test_sigkill_requeues_and_respawns(self):
-        before = _child_pids()
-        sink, events = {}, EventLog()
-        plan = FaultPlan.from_dict({"faults": [
-            {"action": "crash_worker", "index": 0, "attempt": 0},
-            {"action": "crash_worker", "index": 2, "attempt": 0},
-        ]})
-        jobs = [_job(i, sink=sink) for i in range(6)]
-        run_jobs(jobs, mode=PROCESS, max_workers=2, events=events,
-                 resilience=_fast_retries(faults=plan))
-        # Only the in-flight obligations were lost, and only
-        # transiently: every verdict matches the fault-free run.
-        assert [sink[i].status for i in range(6)] == [PROVED] * 6
-        assert len(events.events(WORKER_CRASH)) >= 1
-        assert len(events.events(WORKER_RESPAWN)) >= 1
-        assert jobs[0].attempts >= 2  # the crashed attempt was charged
-        _assert_no_orphans(before)
-
-    @pytest.mark.flaky
-    def test_sigkill_every_attempt_terminates_as_unknown(self):
-        # An obligation whose worker always dies must not deadlock the
-        # scheduler: it burns its retry budget and goes UNKNOWN.
-        before = _child_pids()
-        sink, events = {}, EventLog()
-        plan = FaultPlan.from_dict({"faults": [
-            {"action": "crash_worker", "index": 0, "attempt": None},
-        ]})
-        jobs = [_job(i, sink=sink) for i in range(3)]
-        started = time.monotonic()
-        run_jobs(jobs, mode=PROCESS, max_workers=2, events=events,
-                 resilience=_fast_retries(max_retries=1, faults=plan))
-        assert time.monotonic() - started < 60.0
-        assert sink[0].status == UNKNOWN
-        assert sink[1].status == PROVED and sink[2].status == PROVED
-        assert len(events.events(JOB_ABANDONED)) == 1
-        _assert_no_orphans(before)
 
 
 # ----------------------------------------------------------------------
@@ -517,6 +436,23 @@ class TestObservability:
         }
 
 
+    def test_farm_report_counts_injected_faults(self):
+        plan = FaultPlan.from_dict({"faults": [
+            {"action": "raise", "index": 0, "attempt": 0},
+        ]})
+        farm = VerificationFarm(FarmConfig(
+            retry_base_delay=0.001, faults=plan,
+        ))
+        sink = {}
+        farm.discharge([_job(0, sink=sink), _job(1, sink=sink)])
+        assert [sink[0].status, sink[1].status] == [PROVED, PROVED]
+        report = "\n".join(farm.report_lines())
+        assert "verification farm [sequential]" in report
+        assert "retries: 1  timeouts: 0  abandoned: 0" in report
+        assert "faults injected: 1  cache entries quarantined: 0" in report
+        assert farm.summary_line().endswith("[sequential]")
+
+
 # ----------------------------------------------------------------------
 # end to end: the TSP chain under chaos
 
@@ -539,17 +475,15 @@ class TestEndToEndChaos:
 
     def test_chaos_run_matches_fault_free_run(self):
         source = self._source()
-        baseline = verify_source(
-            source, farm=VerificationFarm(FarmConfig(jobs=4))
-        )
+        baseline = verify_source(source, farm=VerificationFarm())
         assert baseline.success
         plan = FaultPlan.from_dict({"seed": 7, "faults": [
-            {"action": "crash_worker", "index": 0, "attempt": 0},
-            {"action": "crash_worker", "index": 2, "attempt": 0},
+            {"action": "raise", "index": 0, "attempt": 0},
+            {"action": "raise", "index": 2, "attempt": 0},
             {"action": "raise", "index": 3, "attempt": 0},
         ]})
         farm = VerificationFarm(FarmConfig(
-            jobs=4, retry_base_delay=0.001, faults=plan,
+            retry_base_delay=0.001, faults=plan,
         ))
         chaos = verify_source(source, farm=farm)
         # Every fault was transient, so the chaos verdicts are the
@@ -557,7 +491,6 @@ class TestEndToEndChaos:
         assert self._verdicts(chaos) == self._verdicts(baseline)
         assert chaos.success and chaos.status == "verified"
         summary = farm.summary()
-        assert summary.worker_crashes == 2
         assert summary.retries == 3
         assert summary.faults_injected == 3
 
@@ -567,7 +500,7 @@ class TestEndToEndChaos:
             {"action": "timeout", "index": 4, "seconds": 0.5},
         ]})
         farm = VerificationFarm(FarmConfig(
-            jobs=4, retry_base_delay=0.001, faults=plan,
+            retry_base_delay=0.001, faults=plan,
         ))
         outcome = verify_source(source, farm=farm)
         # Not verified — but *inconclusive*, never refuted.

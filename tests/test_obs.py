@@ -1,4 +1,4 @@
-"""Tests for repro.obs: spans, counters, shards, aggregation, CLI.
+"""Tests for repro.obs: spans, counters, aggregation, CLI.
 
 The observer is a process-global singleton, so every test runs under a
 fixture that guarantees it is disabled (and its trace file closed)
@@ -139,55 +139,6 @@ class TestSpans:
         }
 
 
-class TestShards:
-    def test_merge_rekeys_span_ids(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        OBS.enable(path)
-        with OBS.span("parent-side", "chain"):
-            pass
-        shard_dir = OBS.shard_dir()
-        os.makedirs(shard_dir, exist_ok=True)
-        # A shard whose ids collide with the parent's id space.
-        with open(os.path.join(shard_dir, "shard-99.jsonl"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "type": "span", "id": 1, "parent": None,
-                "kind": "obligation", "name": "shard-outer",
-                "seconds": 0.1, "attrs": {}, "counters": {},
-                "histograms": {},
-            }) + "\n")
-            handle.write(json.dumps({
-                "type": "span", "id": 2, "parent": 1,
-                "kind": "phase", "name": "shard-inner",
-                "seconds": 0.05, "attrs": {}, "counters": {},
-                "histograms": {},
-            }) + "\n")
-        merged = OBS.merge_shards()
-        OBS.disable()
-        assert merged == 2
-        assert not os.path.exists(shard_dir)
-        spans = {r["name"]: r for r in read_records(path)
-                 if r["type"] == "span"}
-        ids = [r["id"] for r in spans.values()]
-        assert len(ids) == len(set(ids))  # no collisions after re-key
-        assert (spans["shard-inner"]["parent"]
-                == spans["shard-outer"]["id"])
-        assert spans["shard-outer"]["parent"] is None
-
-    def test_enable_shard_roundtrip(self, tmp_path):
-        shard_dir = str(tmp_path / "t.jsonl.shards")
-        OBS.enable_shard(shard_dir)
-        with OBS.span("worker-ob", "obligation", cached=False):
-            pass
-        OBS.disable()
-        OBS.enable(tmp_path / "t.jsonl")
-        assert OBS.merge_shards() == 1
-        OBS.disable()
-        spans = [r for r in read_records(tmp_path / "t.jsonl")
-                 if r["type"] == "span"]
-        assert spans[0]["name"] == "worker-ob"
-
-
 class TestAggregation:
     def test_load_trace_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -287,15 +238,21 @@ class TestCliTrace:
         assert cold_stats.obligation_cached == 0
         assert warm_stats.obligation_cached > 0
 
-    def test_trace_with_thread_farm(self, program_file, tmp_path,
-                                    capsys):
+    def test_trace_with_obligation_deadline(self, program_file, tmp_path,
+                                            capsys):
+        # A deadline runs each obligation on a helper thread; its
+        # obligation span and the farm's count must still agree.
         from repro.cli import main
 
-        trace = str(tmp_path / "threads.jsonl")
-        assert main(["verify", program_file, "--jobs", "2",
-                     "--farm-mode", "thread", "--trace", trace]) == 0
-        capsys.readouterr()
-        assert aggregate_file(trace).obligation_total > 0
+        trace = str(tmp_path / "deadline.jsonl")
+        assert main(["verify", program_file, "--no-cache",
+                     "--obligation-timeout", "60",
+                     "--trace", trace]) == 0
+        out = capsys.readouterr().out
+        queued = int(out.split("farm: ")[1].split(" obligations")[0])
+        stats = aggregate_file(trace)
+        assert queued > 0
+        assert stats.obligation_total == queued
 
     def test_stats_missing_file_exits_1(self, tmp_path, capsys):
         from repro.cli import main
