@@ -27,15 +27,13 @@ def main() -> None:
               f"{row['lemmas']} lemmas, {row['generated_sloc']} SLOC")
     assert report.verified
 
-    print("\n=== Mover classification in the reduction proof ===")
+    print("\n=== Phase discipline in the reduction proof ===")
     reduction = report.outcome.outcomes[-1].script
     for lemma in reduction.lemmas:
         if lemma.name.startswith("PhaseDiscipline"):
             print(f"  {lemma.name}: "
                   f"{lemma.verdict.status if lemma.verdict else '?'}")
-            for line in lemma.body:
-                if "classification" in line:
-                    print(f"    {line.strip('/ ')}")
+            print(f"    {lemma.statement}")
 
     print("\n=== Racing two threads through the lock ===")
     machine = translate_level(check_level(study.levels[0][1]))

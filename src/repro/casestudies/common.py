@@ -119,7 +119,7 @@ def run_case_study(
     """Check, translate, and verify a complete case study.
 
     ``farm`` routes lemma discharge through a shared verification farm
-    (worker pool + proof cache); the default is sequential/uncached."""
+    (proof cache, deadlines, retries); the default farm is uncached."""
     checked = check_program(study.source, filename=f"<{study.name}>")
     engine = ProofEngine(
         checked,

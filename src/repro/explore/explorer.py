@@ -9,13 +9,13 @@ paper's toolchain, with bounded instead of unbounded guarantees).
 
 One breadth-first search (:meth:`Explorer._search`) does every sweep:
 it owns the seen table, the state budget and the parent pointers.  The
-three public entry points only consume what it yields — ``explore``
+four public entry points only consume what it yields — ``explore``
 checks invariants and records outcomes, ``reachable_states`` yields the
-states, ``walk`` hands each state to a visitor — so they admit the same
-states.  The search is unreduced: every enabled transition of every
-admitted state is taken (DESIGN.md, "Exploration: honest bounds",
-records why the partial-order reductions and the atomic lift were
-removed).
+states, ``walk`` hands each state to a visitor, ``successor_table``
+keeps every state's successors — so they admit the same states.  The
+search is unreduced: every enabled transition of every admitted state
+is taken (DESIGN.md, "Exploration: honest bounds", records why the
+partial-order reductions and the atomic lift were removed).
 
 Three contracts this module is careful about:
 
@@ -24,9 +24,10 @@ Three contracts this module is careful about:
   reported counterexample trace is minimal.
 * **Budget**: ``max_states`` is a hard upper bound on the number of
   *distinct* states admitted (the initial state counts).  Truncation is
-  never silent — ``reachable_states`` and ``final_logs`` raise
-  :class:`~repro.errors.StateBudgetExceeded`, ``walk`` returns
-  ``False``, and ``explore`` sets ``hit_state_budget``.
+  never silent — ``reachable_states``, ``successor_table`` and
+  ``final_logs`` raise :class:`~repro.errors.StateBudgetExceeded`,
+  ``walk`` returns ``False``, and ``explore`` sets
+  ``hit_state_budget``.
 * **Traces**: the search keeps a parent pointer per admitted state, so
   every :class:`InvariantViolation` (and every UB outcome) carries the
   shortest transition sequence that reproduces it from the initial
@@ -213,6 +214,29 @@ class Explorer:
             yield state
         if sweep.truncated:
             raise StateBudgetExceeded(self.max_states)
+
+    def successor_table(
+        self, start: ProgramState | None = None
+    ) -> dict[ProgramState, list[tuple[Transition, ProgramState]]]:
+        """Every reachable state, in BFS order, mapped to its
+        ``(transition, successor)`` pairs: the transition relation,
+        with each state stepped once.
+
+        Successors are interned against the table's keys, so equal
+        states are one object and a lookup or comparison among them
+        succeeds on identity.  Raises :class:`StateBudgetExceeded` when
+        the budget cut the sweep short, like ``reachable_states``.
+        """
+        sweep = _Sweep()
+        table: dict[ProgramState, list] = {}
+        intern = {}.setdefault
+        for state, pairs in self._search(start, sweep):
+            table[intern(state, state)] = [
+                (transition, intern(nxt, nxt)) for transition, nxt in pairs
+            ]
+        if sweep.truncated:
+            raise StateBudgetExceeded(self.max_states)
+        return table
 
     def walk(
         self,

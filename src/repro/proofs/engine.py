@@ -11,9 +11,11 @@ per-pair results by refinement transitivity into the end-to-end theorem
 Obligation checking is delegated to the verification farm
 (:mod:`repro.farm`): every lemma obligation across every proof of a
 chain — plus the whole-program refinement checks — is collected into a
-job queue with stable content-addressed keys, then discharged through a
-cache and a worker pool.  A default farm (one worker, no cache)
-reproduces the historical sequential behaviour exactly.
+job queue with stable content-addressed keys, then discharged one at a
+time through the proof cache.  No strategy steps a state while it
+generates its script: the state sweeps run inside the obligations, so
+an obligation served from the cache costs no sweep.  A default farm
+(no cache) checks every obligation.
 """
 
 from __future__ import annotations
@@ -139,6 +141,9 @@ class _PreparedProof:
     validation_inconclusive: bool = False
     prepare_seconds: float = 0.0
     jobs: list[Job] = field(default_factory=list)
+    #: The strategy's request, whose sweep cache is dropped once the
+    #: proof is finalized.
+    request: ProofRequest | None = None
 
 
 class ProofEngine:
@@ -334,6 +339,7 @@ class ProofEngine:
                 max_states=self.max_states,
                 compiled=self.compiled,
             )
+            prep.request = request
             if self.analyze:
                 request.analysis = self.analysis(proof.low_level)
                 self._analysis_notes.extend(
@@ -355,8 +361,9 @@ class ProofEngine:
                 False, time.perf_counter() - started,
             )
         except StateBudgetExceeded as error:
-            # A sweep inside generation hit --max-states: the proof is
-            # neither verified nor refuted.
+            # No shipped strategy sweeps states while generating, but
+            # a sweep that did and hit --max-states would leave the
+            # proof neither verified nor refuted.
             prep.outcome = ProofOutcome(
                 proof.name, proof.strategy.name, False, None,
                 f"inconclusive: {error}", False,
@@ -595,7 +602,12 @@ class ProofEngine:
         return global_check_job(proof.name, thunk, apply)
 
     def _finalize(self, prep: _PreparedProof) -> ProofOutcome:
-        """Fold checked verdicts into this proof's outcome."""
+        """Fold checked verdicts into this proof's outcome.  Every
+        obligation has run by now, so the sweeps they cached are
+        dropped first: the outcome's script keeps the obligations, and
+        with them the request."""
+        if prep.request is not None:
+            prep.request.release_sweeps()
         if prep.outcome is not None:
             return prep.outcome
         proof = prep.proof
@@ -684,8 +696,7 @@ class ProofEngine:
         """Run every proof and compose the chain by transitivity.
 
         Script generation stays per-proof, but the obligations of *all*
-        proofs are collected into one farm batch, so a multi-worker
-        farm parallelises across the entire chain.
+        proofs are collected into one farm batch, discharged in order.
         """
         import dataclasses
 

@@ -4,55 +4,23 @@
 between programs.  Often, they are specific to a certain
 correspondence."  Here the library has two faces:
 
-* reusable *checkers* that strategies call to discharge obligations on a
-  specific program pair (commutativity of two steps, inductiveness of an
-  invariant, transitivity of a refinement relation, determinism of the
-  annotated-behaviour ``NextState`` function);
+* the interpreted right- and left-mover checks of §4.2.1
+  (:func:`right_mover_at`, :func:`left_mover_at`), which step each
+  commuted pair through ``NextState``.  The reduction strategy decides
+  the same checks by lookups in one compiled sweep
+  (:func:`repro.strategies.reduction.classify_movers`); these stay as
+  its differential oracle and for the nondeterminism-encapsulation
+  ablation bench;
 * the rendered *library lemmas* themselves (:data:`LIBRARY_LEMMAS`),
-  Dafny-like statements of the meta-theorems each checker instantiates
+  Dafny-like statements of the meta-theorems the strategies instantiate
   (Cohen–Lamport reduction, rely-guarantee soundness, refinement
   transitivity), included once per proof for SLOC accounting.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.machine.program import StateMachine, Transition
 from repro.machine.state import ProgramState
-
-
-def steps_commute(
-    machine: StateMachine,
-    state: ProgramState,
-    first: Transition,
-    second: Transition,
-) -> bool:
-    """Do *first* (thread i) and *second* (thread j) commute at *state*?
-
-    Uses encapsulated nondeterminism exactly as §4.2.1 describes: the
-    alternate-universe intermediate state is ``NextState(s1, sigma_j)``,
-    and the check is ``NextState(NextState(s1, sigma_j), sigma_i) == s3``
-    — plus enabledness preservation in the commuted order.
-    """
-    if first.tid == second.tid:
-        return True
-    s2 = machine.next_state(state, first)
-    if not s2.running:
-        return False
-    if not _transition_enabled(machine, s2, second):
-        return False
-    s3 = machine.next_state(s2, second)
-    # Commuted order.
-    if not _transition_enabled(machine, state, second):
-        return False
-    s2_alt = machine.next_state(state, second)
-    if not s2_alt.running:
-        return False
-    if not _transition_enabled(machine, s2_alt, first):
-        return False
-    s3_alt = machine.next_state(s2_alt, first)
-    return s3 == s3_alt
 
 
 def right_mover_at(
@@ -138,32 +106,7 @@ def _transition_enabled(
         return True
 
 
-def invariant_inductive(
-    machine: StateMachine,
-    states: list[ProgramState],
-    invariant: Callable[[ProgramState], bool],
-) -> tuple[bool, ProgramState | None]:
-    """Check an invariant over a reachable-state set: holds initially
-    and is preserved by every transition (which, over the full reachable
-    set, is exactly inductiveness relative to reachability)."""
-    for state in states:
-        if not invariant(state):
-            return False, state
-    return True, None
-
-
-def relation_transitive(
-    relation: Callable[[ProgramState, ProgramState], bool],
-    triples: list[tuple[ProgramState, ProgramState, ProgramState]],
-) -> bool:
-    """Sampled check of the transitivity requirement on R (§3.1.3)."""
-    for a, b, c in triples:
-        if relation(a, b) and relation(b, c) and not relation(a, c):
-            return False
-    return True
-
-
-#: Rendered library lemmas (the meta-theorems the checkers instantiate).
+#: Rendered library lemmas (the meta-theorems the strategies instantiate).
 LIBRARY_LEMMAS: list[tuple[str, list[str]]] = [
     (
         "lemma RefinementTransitive(R: RefinementRelation)",

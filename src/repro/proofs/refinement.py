@@ -18,8 +18,7 @@ expression, ``low_<name>`` / ``high_<name>`` denote the value of global
 The engine conjoins the UB conjunct of §3.2.3 automatically, exactly as
 for the default relation, and uses R for whole-program validation.
 Transitivity of the written relation is the developer's obligation
-(§3.1.3); :func:`repro.proofs.library.relation_transitive` spot-checks
-it on sampled state triples during validation.
+(§3.1.3); the toolchain does not check it.
 """
 
 from __future__ import annotations

@@ -63,8 +63,8 @@ class ProofRequest:
 
         Raises :class:`repro.errors.StateBudgetExceeded` when the state
         space does not fit in ``max_states`` — the farm turns that into
-        a refuted verdict, so a truncated sweep can never silently pass
-        an obligation.
+        an UNKNOWN (inconclusive) verdict, so a truncated sweep can
+        never silently pass an obligation, nor refute one.
         """
         key = id(machine)
         if key not in self._reachable_cache:
@@ -77,6 +77,13 @@ class ProofRequest:
             )
             self._reachable_cache[key] = states
         return self._reachable_cache[key]
+
+    def release_sweeps(self) -> None:
+        """Forget the cached sweeps.  The engine calls this once a
+        proof's verdicts are folded: the script's obligations still
+        hold this request, and a finished outcome (which the serve
+        daemon may keep for a long time) must not keep its states."""
+        self._reachable_cache.clear()
 
     def reachable_transitions(
         self, machine: StateMachine

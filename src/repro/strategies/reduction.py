@@ -14,29 +14,37 @@ The obligations are the Cohen–Lamport conditions:
 * each path between yield points matches ``R* [N] L*`` (right movers,
   at most one non-mover, left movers).
 
-Commutativity lemmas are generated one per (mover step, other step)
-pair — "This requires generating many lemmas, one for each pair of
-steps" — and discharged with the encapsulated-nondeterminism trick of
-§4.2.1: the alternate-universe intermediate state is simply
-``NextState(s1, sigma_j)``, so each lemma hypothesizes
-``NextState(NextState(s1, sigma_j), sigma_i) == s3`` and the checker
-validates it over the reachable states of the low-level machine.
+Generation is static, as in the paper: it reads only the two levels'
+text.  It checks the correspondence, finds the region steps and the
+paths through each reduced region, and emits one commutativity lemma
+per (region step, other step) pair — "This requires generating many
+lemmas, one for each pair of steps" — plus one ``PhaseDiscipline``
+lemma per region path.
+
+The phase obligations do the checking.  The first one to run sweeps
+the low level once (:meth:`Explorer.successor_table`) and classifies
+every region step as a right and/or left mover with the
+encapsulated-nondeterminism trick of §4.2.1: the alternate-universe
+intermediate state is simply ``NextState(s1, sigma_j)``, so a check
+asks whether ``NextState(NextState(s1, sigma_j), sigma_i) == s3``.
+Every state such a check visits is a successor of a reachable state,
+so each one is a lookup in the sweep's table, not another step.  The
+classification (or a state-budget cut) is memoised for the proof's
+other phase obligations; the farm caches their verdicts under the
+machine-pair fingerprint, so a warm run never sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.compiler.stepc import successors_for
-from repro.errors import StrategyError
+from repro.errors import StateBudgetExceeded, StrategyError
 from repro.machine.program import StateMachine, Transition
+from repro.machine.state import ProgramState
 from repro.machine.steps import Step
 from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict
-from repro.proofs.library import (
-    left_mover_at,
-    render_library_preamble,
-    right_mover_at,
-)
+from repro.proofs.library import render_library_preamble
 from repro.proofs.render import (
     describe_step_effect,
     render_machine_definitions,
@@ -83,10 +91,11 @@ class ReductionStrategy(Strategy):
                 "reduction: the high level removes no yield points"
             )
         region_steps = self._region_steps(request.low_machine, reduced_pcs)
-        classification = self._classify_movers(
-            request, script, region_steps
+        self._commute_lemmas(request.low_machine, script, region_steps)
+        self._phase_lemmas(
+            request.low_machine, script, reduced_pcs,
+            _memoized_classification(request, region_steps),
         )
-        self._phase_lemmas(request, script, reduced_pcs, classification)
         return script
 
     # ------------------------------------------------------------------
@@ -133,83 +142,24 @@ class ReductionStrategy(Strategy):
 
     # ------------------------------------------------------------------
 
-    def _classify_movers(
-        self,
-        request: ProofRequest,
+    @staticmethod
+    def _commute_lemmas(
+        machine: StateMachine,
         script: ProofScript,
         region_steps: list[Step],
-    ) -> MoverClassification:
-        machine = request.low_machine
-        region_ids = {id(step) for step in region_steps}
-        successors = successors_for(machine, request.compiled)
-
-        # Gather, per step, the reachable (state, transition) instances.
-        instances: dict[int, list] = {id(s): [] for s in region_steps}
-        by_state: dict = {}
-        for state in request.reachable_states(machine):
-            transitions = [pair[0] for pair in successors(state)]
-            by_state[state] = transitions
-            for transition in transitions:
-                if (
-                    transition.step is not None
-                    and id(transition.step) in region_ids
-                ):
-                    instances[id(transition.step)].append(
-                        (state, transition)
-                    )
-
-        right: set[str] = set()
-        left: set[str] = set()
-        witnesses: dict[str, str] = {}
-        other_step_names: set[str] = set()
-        for step in region_steps:
-            key = step_constructor_name(step)
-            is_right = True
-            is_left = True
-            for state, transition in instances[id(step)]:
-                for other in by_state[state]:
-                    if other.tid == transition.tid:
-                        continue
-                    name = (
-                        "drain" if other.is_drain
-                        else step_constructor_name(other.step)
-                    )
-                    other_step_names.add(name)
-                    if is_right and not right_mover_at(
-                        machine, state, transition, other
-                    ):
-                        is_right = False
-                        witnesses.setdefault(
-                            key, f"right-mover fails against {name}"
-                        )
-                    if is_left and not left_mover_at(
-                        machine, state, transition, other
-                    ):
-                        is_left = False
-                        witnesses.setdefault(
-                            key, f"left-mover fails against {name}"
-                        )
-                if not is_right and not is_left:
-                    break
-            if is_right:
-                right.add(key)
-            if is_left:
-                left.add(key)
-        # One commutativity lemma per (reduced step, other step) pair, as
-        # in the paper ("one lemma for each pair of steps of the
-        # low-level program where the first step in that pair is a right
-        # mover").  The pairing covers every step type of the program
-        # plus the store-buffer drain, even if a pair never co-occurs in
-        # a reachable state (such lemmas hold vacuously).
+    ) -> None:
+        """One commutativity lemma per (region step, other step) pair, as
+        in the paper ("one lemma for each pair of steps of the low-level
+        program where the first step in that pair is a right mover").
+        The pairing covers every step type of the program plus the
+        memory model's environment move, even if a pair never
+        co-occurs in a reachable state (such lemmas hold vacuously).
+        Which way each step moves is decided by the phase obligations."""
         all_names = {
             step_constructor_name(s) for s in machine.all_steps()
-        } | other_step_names | {"drain"}
+        } | {"drain"}
         for step in region_steps:
             key = step_constructor_name(step)
-            direction = (
-                "right" if key in right
-                else "left" if key in left else "none"
-            )
             for name in sorted(all_names):
                 script.add(
                     Lemma(
@@ -220,30 +170,33 @@ class ReductionStrategy(Strategy):
                         ),
                         body=[
                             f"// {describe_step_effect(step)} commutes "
-                            f"({direction} mover candidate)",
+                            "with the steps of other threads",
                             "// alternate-universe state constructed as",
                             "// NextState(s1, sigma_j) via encapsulated",
                             "// nondeterminism (sec. 4.1)",
                         ],
                     )
                 )
-        return MoverClassification(right, left, witnesses)
 
     # ------------------------------------------------------------------
 
     def _phase_lemmas(
         self,
-        request: ProofRequest,
+        machine: StateMachine,
         script: ProofScript,
         reduced_pcs: set[str],
-        classification: MoverClassification,
+        classification: Callable[[], MoverClassification],
     ) -> None:
-        """Check every path through each reduced region is R* [N] L*."""
-        machine = request.low_machine
+        """One obligation per path through a reduced region: the path
+        is R* [N] L* under the (memoised) mover classification."""
         paths = self._region_paths(machine, reduced_pcs)
-        failures: list[dict] = []
         for index, path in enumerate(paths):
-            shape_ok, detail = self._check_shape(path, classification)
+
+            def obligation(path: list[Step] = path):
+                return bool_verdict(
+                    *self._check_shape(path, classification())
+                )
+
             script.add(
                 Lemma(
                     name=f"PhaseDiscipline_path_{index}",
@@ -258,15 +211,11 @@ class ReductionStrategy(Strategy):
                         "// phase 1 = after a right mover; phase 2 = "
                         "before a left mover;",
                         "// no transition from phase 2 back to phase 1",
-                        f"// classification: {detail}",
+                        "// movers classified over the reachable states",
                     ],
-                    obligation=(
-                        lambda ok=shape_ok, d=detail: bool_verdict(ok, d)
-                    ),
+                    obligation=obligation,
                 )
             )
-            if not shape_ok:
-                failures.append({"path": index, "detail": detail})
 
     def _check_shape(
         self, path: list[Step], classification: MoverClassification
@@ -331,3 +280,122 @@ class ReductionStrategy(Strategy):
         for entry in sorted(entry_steps, key=lambda s: s.pc):
             walk(entry.target, [entry], frozenset({entry.pc}))
         return paths
+
+
+# ---------------------------------------------------------------------------
+# mover classification
+
+
+def _memoized_classification(
+    request: ProofRequest, region_steps: list[Step]
+) -> Callable[[], MoverClassification]:
+    """The classification of *region_steps* over the low level, computed
+    by the first call and returned by every later one.  A state-budget
+    cut is kept as well, so each phase obligation of the proof reports
+    the same cut (an UNKNOWN verdict) without sweeping again."""
+    memo: list = []
+
+    def classification() -> MoverClassification:
+        if not memo:
+            from repro.explore.explorer import Explorer
+
+            try:
+                table = Explorer(
+                    request.low_machine, request.max_states,
+                    compiled=request.compiled,
+                ).successor_table()
+                memo.append(classify_movers(table, region_steps))
+            except StateBudgetExceeded as cut:
+                memo.append(cut)
+        if isinstance(memo[0], StateBudgetExceeded):
+            raise memo[0]
+        return memo[0]
+
+    return classification
+
+
+def classify_movers(
+    table: dict, region_steps: list[Step]
+) -> MoverClassification:
+    """Which way each of *region_steps* commutes, over every reachable
+    state of *table*, a level's :meth:`Explorer.successor_table`.
+
+    At each reachable state, each transition ``m`` of a region step is
+    paired with each transition ``o`` of another thread enabled there.
+    ``m`` moves right past ``o`` if, whenever ``m`` then ``o`` fires,
+    ``o`` then ``m`` fires too and reaches the same state; it moves
+    left if the converse holds.  A region step is a right (left) mover
+    when every such pair passes.  The states involved are ``s·m`` and
+    ``s·o`` and their successors, so each check is a lookup in the
+    table, and interned successors make "the same state" an identity
+    test.  ``right_mover_at``/``left_mover_at`` in
+    :mod:`repro.proofs.library` are the same checks, stepped by the
+    interpreter; the tests use them as the differential oracle.
+    """
+
+    def after(state: ProgramState, transition: Transition):
+        """Where *transition* leads from *state*; None if disabled."""
+        for candidate, nxt in table[state]:
+            if candidate == transition:
+                return nxt
+        return None
+
+    def reorders(first_next, second, second_next, first) -> bool:
+        """From a state where both fire, if ``first`` then ``second``
+        runs (``first_next`` = after ``first``), ``second`` then
+        ``first`` runs to the same state."""
+        if not first_next.running:
+            return True
+        final = after(first_next, second)
+        if final is None:
+            return True
+        if not second_next.running:
+            return False
+        return after(second_next, first) is final
+
+    instances: dict[Step, list] = {step: [] for step in region_steps}
+    for state, pairs in table.items():
+        for transition, nxt in pairs:
+            found = instances.get(transition.step)
+            if found is not None:
+                found.append((state, transition, nxt))
+
+    right: set[str] = set()
+    left: set[str] = set()
+    witnesses: dict[str, str] = {}
+    for step in region_steps:
+        key = step_constructor_name(step)
+        is_right = True
+        is_left = True
+        for state, mover, mover_next in instances[step]:
+            for other, other_next in table[state]:
+                if other.tid == mover.tid:
+                    continue
+                if is_right and not reorders(
+                    mover_next, other, other_next, mover
+                ):
+                    is_right = False
+                    witnesses.setdefault(
+                        key, f"right-mover fails against {_name(other)}"
+                    )
+                if is_left and not reorders(
+                    other_next, mover, mover_next, other
+                ):
+                    is_left = False
+                    witnesses.setdefault(
+                        key, f"left-mover fails against {_name(other)}"
+                    )
+            if not is_right and not is_left:
+                break
+        if is_right:
+            right.add(key)
+        if is_left:
+            left.add(key)
+    return MoverClassification(right, left, witnesses)
+
+
+def _name(transition: Transition) -> str:
+    return (
+        "drain" if transition.is_drain
+        else step_constructor_name(transition.step)
+    )

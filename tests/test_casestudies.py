@@ -91,6 +91,48 @@ class TestSeededMutations:
         assert not outcome.success
 
 
+#: Every ``armada casestudy all`` row: proof -> (lemmas, generated
+#: SLOC).  EXPERIMENTS.md Table 1 reports these numbers; a change to
+#: any of them must be reported there too.
+TABLE1_ROWS = {
+    "tsp": {
+        "ImplementationRefinesArbitraryGuard": (24, 714),
+        "ArbitraryGuardRefinesBestLenSequential": (7, 313),
+    },
+    "barrier": {
+        "BarrierIntroducesGhosts": (17, 275),
+        "BarrierCementsSafety": (8, 284),
+    },
+    "pointers": {
+        "PointersProof": (15, 425),
+    },
+    "mcslock": {
+        "MCSIntroducesOwner": (44, 660),
+        "MCSCementsMutualExclusion": (9, 581),
+        "MCSReducesCriticalSection": (254, 2963),
+    },
+    "queue": {
+        "QueueIntroducesAbstractQueue": (36, 545),
+        "QueueCementsInvariant": (6, 471),
+        "QueueLogsAbstractly": (37, 1073),
+        "QueueErasesConcreteReads": (37, 1082),
+        "QueueHidesElements": (37, 558),
+        "QueueHidesWriteIndex": (36, 543),
+        "QueueHidesReadIndex": (35, 528),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_lemma_counts_and_generated_sloc_pinned(name):
+    report = run_case_study(load(name))
+    rows = {
+        row["proof"]: (row["lemmas"], row["generated_sloc"])
+        for row in report.rows()
+    }
+    assert rows == TABLE1_ROWS[name]
+
+
 class TestPaperNumbers:
     def test_effort_amplification(self):
         # The central claim: generated proofs dwarf the recipes.

@@ -223,11 +223,11 @@ class TestVerifyFarmFlags:
 
     def test_budget_cut_is_inconclusive_and_rechecked(self, tmp_path,
                                                       capsys):
-        # A sweep cut by --max-states neither proves nor refutes: both
-        # the obligation-level cut (assume_intro) and the cut inside
-        # the reduction strategy's generation print INCONCLUSIVE, and
-        # the cut obligations are never cached, so a second identical
-        # run executes them again.
+        # A sweep cut by --max-states neither proves nor refutes: the
+        # cut obligations of assume_intro and of the reduction
+        # strategy's phase discipline print INCONCLUSIVE, and they are
+        # never cached, so a second identical run executes all four
+        # again.
         from repro.casestudies import load
 
         path = tmp_path / "mcslock.arm"
@@ -242,7 +242,7 @@ class TestVerifyFarmFlags:
             assert ("MCSReducesCriticalSection [reduction]: "
                     "INCONCLUSIVE") in out
             assert "FAILED" not in out
-        assert "42 from cache, 2 executed" in out
+        assert "42 from cache, 4 executed" in out
 
     @pytest.fixture()
     def obligation_file(self):

@@ -196,17 +196,25 @@ class TestStateBudgetHonesty:
                 assert outcome.inconclusive
                 assert outcome.error.startswith("inconclusive:")
 
-    def test_budget_cut_in_generation_is_inconclusive(self):
-        # The reduction strategy sweeps the low level inside
-        # ``generate``; a cut there leaves no script to check, and the
-        # proof is inconclusive rather than failed.
+    def test_budget_cut_in_phase_obligations_is_inconclusive(self):
+        # The reduction strategy generates its script without sweeping;
+        # its phase obligations classify the movers over one sweep of
+        # the low level.  A cut there leaves every phase verdict
+        # UNKNOWN, and the proof is inconclusive rather than failed.
         from repro.casestudies import load
+        from repro.verifier.prover import UNKNOWN
 
         outcome = verify_source(load("mcslock").source, max_states=300)
         by_name = {o.proof_name: o for o in outcome.outcomes}
         reduction = by_name["MCSReducesCriticalSection"]
         assert not reduction.success and reduction.inconclusive
-        assert reduction.script is None
+        assert reduction.script is not None
+        phases = [
+            lemma for lemma in reduction.script.lemmas
+            if lemma.name.startswith("PhaseDiscipline")
+        ]
+        assert len(phases) == 2
+        assert all(lemma.verdict.status == UNKNOWN for lemma in phases)
         assert reduction.error.startswith("inconclusive:")
         assert "state budget" in reduction.error
         assert by_name["MCSCementsMutualExclusion"].inconclusive
@@ -243,3 +251,54 @@ class TestWholeProgramBounds:
         engine = ProofEngine(checked, validate_refinement="always")
         outcome = engine.run_all()
         assert outcome.status == "verified"
+
+
+def _requests_reachable_from(root):
+    """Every :class:`ProofRequest` reachable from *root*: through
+    objects, containers and closures, but not through modules, classes
+    or a function's globals, which reach the whole heap."""
+    import gc
+    import types
+
+    from repro.strategies.base import ProofRequest
+
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, ProofRequest):
+            found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+            stack.extend(obj.__defaults__ or ())
+            stack.extend((obj.__kwdefaults__ or {}).values())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestFinishedOutcomesHoldNoSweeps:
+    """A finished outcome keeps its script, whose obligations keep their
+    strategy's request; the request's state sweeps must not stay alive
+    with it (the serve daemon caches thousands of outcomes)."""
+
+    def test_no_outcome_reaches_a_sweep(self):
+        from repro.casestudies import load
+
+        outcome = verify_source(load("mcslock").source)
+        assert outcome.success
+        requests = [
+            request
+            for proof in outcome.outcomes
+            for request in _requests_reachable_from(proof)
+        ]
+        # The traversal does reach the requests: the assume_intro
+        # obligations hold theirs.
+        assert requests
+        assert all(not request._reachable_cache for request in requests)

@@ -110,6 +110,25 @@ class TestExploration:
             lambda state, transitions: False
         ) is False
 
+    @pytest.mark.parametrize("model", ["sc", "tso", "ra"])
+    def test_successor_table_is_the_interned_relation(self, model):
+        machine = translate_level(
+            check_level("level L { " + COUNTER + " }"), memory_model=model
+        )
+        table = Explorer(machine).successor_table()
+        assert list(table) == list(Explorer(machine).reachable_states())
+        interpreted = Explorer(machine, compiled=False).successors
+        keys = {id(state) for state in table}
+        for state, pairs in table.items():
+            assert pairs == interpreted(state)
+            # Interned: every successor is the table's own key object.
+            assert all(id(nxt) in keys for _, nxt in pairs)
+
+    def test_successor_table_raises_on_truncation(self):
+        machine = machine_for(COUNTER)
+        with pytest.raises(StateBudgetExceeded):
+            Explorer(machine, max_states=10).successor_table()
+
     def test_ub_reasons_collected(self):
         machine = machine_for(
             "void main() { var a: uint32 := 1; var b: uint32 := 0; "

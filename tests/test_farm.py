@@ -260,12 +260,40 @@ class TestModeEquivalence:
         assert summary.cache_hits / lemma_obligations >= 0.9
 
 
+def forbid_stepping(monkeypatch):
+    """Make every way of stepping a state raise: the compiled stepper's
+    entry points and ``Explorer`` wherever a ``repro`` module bound
+    them, and the interpreter's ``next_state``/``enabled_transitions``."""
+    import sys
+
+    from repro.compiler import stepc
+    from repro.explore import explorer
+    from repro.machine.program import StateMachine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm run stepped a state")
+
+    entry_points = (stepc.successors_for, stepc.stepper_for,
+                    explorer.Explorer)
+    for module_name, module in list(sys.modules.items()):
+        if module is None or not module_name.startswith("repro"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is entry for entry in entry_points):
+                monkeypatch.setattr(module, attr, forbidden)
+    monkeypatch.setattr(StateMachine, "next_state", forbidden)
+    monkeypatch.setattr(StateMachine, "enabled_transitions", forbidden)
+
+
 class TestCacheEquivalenceEveryStudy:
     """An uncached run, a cold cached run and a warm cached run of every
-    Table 1 chain agree byte-for-byte on per-lemma verdicts."""
+    Table 1 chain agree byte-for-byte on per-lemma verdicts, and the
+    warm run steps no state: proof generation is static, and every
+    obligation that sweeps comes from the cache."""
 
     @pytest.mark.parametrize("name", sorted(TABLE1))
-    def test_cold_and_warm_match_uncached(self, name, tmp_path):
+    def test_cold_and_warm_match_uncached(self, name, tmp_path,
+                                          monkeypatch):
         study = load(name)
         uncached = run_case_study(study)
         cache_dir = tmp_path / "proof-cache"
@@ -273,6 +301,7 @@ class TestCacheEquivalenceEveryStudy:
             study, farm=VerificationFarm(FarmConfig(cache_dir=cache_dir))
         )
         warm_farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
+        forbid_stepping(monkeypatch)
         warm = run_case_study(study, farm=warm_farm)
         assert snapshot(cold.outcome) == snapshot(uncached.outcome)
         assert snapshot(warm.outcome) == snapshot(uncached.outcome)
