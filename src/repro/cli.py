@@ -104,29 +104,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.errors import FaultPlanError
     from repro.farm import FarmConfig, VerificationFarm
-    from repro.faults import load_fault_plan
     from repro.lang.frontend import check_program
     from repro.obs import OBS
     from repro.proofs.engine import ProofEngine
 
     source = _read_source(args.file)
-    faults = None
-    if args.inject_faults:
-        try:
-            faults = load_fault_plan(args.inject_faults)
-        except FaultPlanError as error:
-            print(f"armada: {error}", file=sys.stderr)
-            return 1
     farm = VerificationFarm(
         FarmConfig(
             cache_dir=None if args.no_cache else args.cache,
             cache_max_bytes=args.cache_max_bytes,
             obligation_timeout=args.obligation_timeout,
             chain_deadline=args.chain_deadline,
-            max_retries=args.max_retries,
-            faults=faults,
             journal_path=args.journal,
         )
     )
@@ -190,8 +179,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if result.success:
             status = "verified"
         elif result.inconclusive:
-            # Timeouts / abandoned obligations: nothing was refuted,
-            # so this must not read as "the program is wrong".
+            # Bounds, timeouts and drained obligations: nothing was
+            # refuted, so this must not read as "the program is wrong".
             status = "INCONCLUSIVE"
         else:
             status = "FAILED"
@@ -210,8 +199,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if outcome.inconclusive:
         print(
             "chain INCONCLUSIVE: checks hit a bound, timed out or were "
-            "abandoned; re-run with larger bounds or a larger "
-            "deadline/retry budget"
+            "cancelled; re-run with larger bounds or a larger deadline"
         )
     print(farm.summary_line())
     if args.farm_report:
@@ -799,21 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
              "remaining obligations go TIMEOUT instead of hanging",
     )
     p.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="re-runs of a transiently failed obligation (an "
-             "injected fault) before it is abandoned as UNKNOWN "
-             "(default: %(default)s)",
-    )
-    p.add_argument(
         "--journal", default=None, metavar="FILE",
         help="append settled verdicts to FILE as they land; re-running "
              "with the same journal resumes an interrupted run",
-    )
-    p.add_argument(
-        "--inject-faults", default=None, metavar="PLAN.json",
-        help="deterministic chaos: a JSON fault plan (delay, raise, "
-             "timeout, corrupt_cache_entry) addressed by obligation "
-             "index/label/attempt — testing only",
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -775,7 +775,6 @@ class _Gen:
             f"{pc!r}: {fn}" for pc, fn in pc_funcs
         )
         out.append(f"    _DISPATCH = {{{dispatch}}}")
-        out.append("    _TIDS = {}")
         if self.model == "tso":
             out.append("    _DC = {}")
         out.append("    def enabled_and_next(state):")
@@ -786,14 +785,11 @@ class _Gen:
         out.append("        threads = state.threads")
         out.append("        ao = state.atomic_owner")
         out.append("        if ao is None:")
-        out.append("            _T = _TIDS.get(threads)")
-        out.append("            if _T is None:")
-        out.append("                _T = tuple(")
-        out.append("                    (tid, _t, hash((tid, _t)), "
+        out.append("            _T = [")
+        out.append("                (tid, _t, hash((tid, _t)), "
                    "_DISPATCH.get(_t.pc))")
-        out.append("                    for tid, _t in "
-                   "sorted(threads._items.items()))")
-        out.append("                _TIDS[threads] = _T")
+        out.append("                for tid, _t in "
+                   "sorted(threads._items.items())]")
         out.append("        else:")
         out.append("            _t0 = threads[ao]")
         out.append("            _T = ((ao, _t0, hash((ao, _t0)), "

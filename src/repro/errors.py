@@ -95,43 +95,23 @@ class StateBudgetExceeded(ArmadaError):
         )
 
 
-class FaultPlanError(ArmadaError):
-    """Raised when a ``--inject-faults`` plan file cannot be parsed or
-    names an unknown fault action/phase."""
-
-
-class TransientFault(Exception):
-    """An infrastructure failure of the verification farm, as opposed
-    to a proof-level refutation.  Only an injected ``raise`` fault
-    raises it.
-
-    Deliberately *not* an :class:`ArmadaError`: the workers turn
-    ``ArmadaError`` into a refuted verdict, but a transient fault says
-    nothing about the obligation's validity, so it is retried (with
-    backoff) and, once retries are exhausted, surfaces as an
-    *inconclusive* UNKNOWN verdict rather than a refutation."""
-
-
 class InconclusiveCheck(ArmadaError):
     """A farm obligation was short-circuited before it settled — by a
-    drain request, a chain deadline, or retry exhaustion.  Distinct
-    from a plain :class:`ArmadaError` so the proof engine can report
-    the affected proof as *inconclusive* (retry me) rather than
-    *failed* (the program is wrong)."""
+    drain request or a deadline.  Distinct from a plain
+    :class:`ArmadaError` so the proof engine can report the affected
+    proof as *inconclusive* (re-run me) rather than *failed* (the
+    program is wrong)."""
 
 
 class ObligationTimeout(Exception):
-    """An obligation exceeded its wall-clock deadline.  Not retried —
-    a deterministic obligation that timed out once will time out again
-    — and not an :class:`ArmadaError`: it becomes a TIMEOUT verdict,
-    which the engine reports as inconclusive, never as refuted."""
+    """An obligation exceeded its wall-clock deadline.  Not an
+    :class:`ArmadaError`: it becomes a TIMEOUT verdict, which the engine
+    reports as inconclusive, never as refuted."""
 
-    def __init__(self, seconds: float, reason: str = "deadline") -> None:
+    def __init__(self, seconds: float) -> None:
         self.seconds = seconds
-        self.reason = reason
         super().__init__(
-            f"obligation exceeded its {seconds:g}s wall-clock "
-            f"{reason}"
+            f"obligation exceeded its {seconds:g}s wall-clock deadline"
         )
 
 

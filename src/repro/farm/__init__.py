@@ -1,4 +1,4 @@
-"""``repro.farm`` — a cached, *fault-tolerant* verification
+"""``repro.farm`` — a cached, deadline-bounded verification
 orchestrator.
 
 Armada's workflow (Figure 1 of the paper) generates thousands of lemmas
@@ -23,13 +23,11 @@ Layers (bottom-up):
   records with stable keys.  State-space exploration (``armada
   explore``) is not a farm job: it builds an
   :class:`~repro.explore.Explorer` directly.
-* :mod:`repro.farm.resilience` — deadline, retry, and fault-injection
-  policy (see :mod:`repro.faults`).
+* :mod:`repro.farm.resilience` — deadline and drain policy.
 * :mod:`repro.farm.journal` — append-only settled-verdict log for
   crash-safe resume (``armada verify --journal``).
 * :mod:`repro.farm.workers` — runs the queue in order on the calling
-  thread, under deadlines and retries, and applies verdicts back in
-  queue order.
+  thread, under deadlines, and applies verdicts back in queue order.
 * :mod:`repro.farm.events` — structured event stream + summary report.
 
 :class:`VerificationFarm` is the facade the proof engine and the CLI
@@ -49,12 +47,9 @@ from repro.farm.events import (  # noqa: F401
     CACHE_QUARANTINE,
     CACHE_STORE,
     DEADLINE_EXPIRED,
-    FAULT_INJECTED,
-    JOB_ABANDONED,
     JOB_CANCELLED,
     JOB_FINISHED,
     JOB_QUEUED,
-    JOB_RETRY,
     JOB_STARTED,
     JOB_TIMEOUT,
     JOURNAL_HIT,
@@ -64,7 +59,6 @@ from repro.farm.events import (  # noqa: F401
 )
 from repro.farm.journal import Journal  # noqa: F401
 from repro.farm.resilience import (  # noqa: F401
-    DEFAULT_MAX_RETRIES,
     ResilienceConfig,
     ShutdownToken,
 )
@@ -75,13 +69,12 @@ from repro.farm.scheduler import (  # noqa: F401
     lemma_jobs,
 )
 from repro.farm.workers import run_jobs  # noqa: F401
-from repro.faults import FaultPlan  # noqa: F401
 from repro.hashing import code_version, structural_hash  # noqa: F401
 
 
 @dataclass
 class FarmConfig:
-    """How a :class:`VerificationFarm` caches and survives."""
+    """How a :class:`VerificationFarm` caches, bounds and journals."""
 
     #: Proof-cache directory; None disables caching.
     cache_dir: str | Path | None = None
@@ -92,12 +85,6 @@ class FarmConfig:
     obligation_timeout: float | None = None
     #: Whole-chain wall-clock budget (seconds); None = unbounded.
     chain_deadline: float | None = None
-    #: Retry budget for transient failures before UNKNOWN.
-    max_retries: int = DEFAULT_MAX_RETRIES
-    #: Backoff floor between retries (seconds); tests shrink this.
-    retry_base_delay: float = 0.05
-    #: Deterministic fault-injection plan (disabled when None).
-    faults: FaultPlan | None = None
     #: Resume-journal path; None disables journaling.
     journal_path: str | Path | None = None
 
@@ -147,9 +134,6 @@ class VerificationFarm:
         self.resilience = ResilienceConfig(
             obligation_timeout=self.config.obligation_timeout,
             chain_deadline=self.config.chain_deadline,
-            max_retries=self.config.max_retries,
-            retry_base_delay=self.config.retry_base_delay,
-            faults=self.config.faults,
             shutdown=self.shutdown,
         )
 

@@ -129,8 +129,8 @@ class ProofCache:
         return path.parent.name + path.stem
 
     def entry_path(self, key: str) -> Path:
-        """Where *key*'s entry lives on disk (fault injection and
-        tests corrupt entries through this)."""
+        """Where *key*'s entry lives on disk (tests corrupt entries
+        through this)."""
         return self._path(key)
 
     def _quarantine(self, key: str, path: Path, reason: str) -> None:
@@ -263,21 +263,6 @@ class ProofCache:
                 self.evicted_bytes += size
             if self.on_evict is not None:
                 self.on_evict(self._key_of(path), size)
-
-    def corrupt_entry(self, key: str) -> bool:
-        """Deliberately truncate *key*'s entry to half its length (the
-        ``corrupt_cache_entry`` chaos fault).  Returns True if an entry
-        existed to corrupt."""
-        path = self._path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return False
-        try:
-            path.write_bytes(raw[: max(1, len(raw) // 2)])
-        except OSError:
-            return False
-        return True
 
     def __len__(self) -> int:
         if not self.directory.is_dir():

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 JOB_QUEUED = "job_queued"
 JOB_STARTED = "job_started"
+#: The job's obligation ran (to a verdict or to its own deadline); a
+#: job short-circuited before it started emits no finish event.
 JOB_FINISHED = "job_finished"
 CACHE_HIT = "cache_hit"
 CACHE_STORE = "cache_store"
-# --- resilience / chaos events ---
-JOB_RETRY = "job_retry"
+# --- deadline, drain and cache-healing events ---
 JOB_TIMEOUT = "job_timeout"
-JOB_ABANDONED = "job_abandoned"
-FAULT_INJECTED = "fault_injected"
 CACHE_QUARANTINE = "cache_quarantine"
 CACHE_EVICT = "cache_evict"
 JOURNAL_HIT = "journal_hit"
@@ -43,9 +42,8 @@ class FarmEvent:
     label: str
     #: Wall-clock seconds the job's obligation ran (finish events only).
     wall_seconds: float = 0.0
-    #: Jobs not yet finished at emission time (start/finish events).
-    queue_depth: int = 0
-    #: Free-text qualifier (which fault fired, why a retry happened).
+    #: Free-text qualifier (which deadline expired, why a job was
+    #: cancelled or an entry quarantined).
     detail: str = ""
     timestamp: float = 0.0
 
@@ -63,12 +61,10 @@ class EventLog:
         job_key: str,
         label: str,
         wall_seconds: float = 0.0,
-        queue_depth: int = 0,
         detail: str = "",
     ) -> None:
         event = FarmEvent(
-            kind, job_key, label, wall_seconds, queue_depth, detail,
-            time.monotonic(),
+            kind, job_key, label, wall_seconds, detail, time.monotonic(),
         )
         with self._lock:
             self._events.append(event)
@@ -93,17 +89,13 @@ class FarmSummary:
     """Aggregate view of one or more discharge rounds."""
 
     jobs: int = 0
+    #: Obligations that ran, to a verdict or to their own deadline.
     executed: int = 0
     cache_hits: int = 0
     cache_stores: int = 0
-    #: Re-executions of transiently failed obligations.
-    retries: int = 0
-    #: Obligations that exceeded a wall-clock deadline (TIMEOUT verdicts).
+    #: Obligations that hit a wall-clock deadline or found the chain
+    #: budget spent (TIMEOUT verdicts).
     timeouts: int = 0
-    #: Obligations abandoned as UNKNOWN after retry exhaustion.
-    abandoned: int = 0
-    #: Faults fired by an injected plan.
-    faults_injected: int = 0
     #: Corrupt cache entries quarantined and recomputed.
     cache_quarantined: int = 0
     #: Entries the LRU policy removed to respect the cache byte cap.
@@ -113,7 +105,6 @@ class FarmSummary:
     #: Obligations short-circuited by a drain request.
     cancelled: int = 0
     worker_seconds: float = 0.0
-    max_queue_depth: int = 0
     #: The slowest executed jobs, as (label, wall seconds), slowest first.
     slowest: list[tuple[str, float]] = field(default_factory=list)
 
@@ -132,14 +123,8 @@ class FarmSummary:
                 summary.cache_hits += 1
             elif event.kind == CACHE_STORE:
                 summary.cache_stores += 1
-            elif event.kind == JOB_RETRY:
-                summary.retries += 1
             elif event.kind == JOB_TIMEOUT:
                 summary.timeouts += 1
-            elif event.kind == JOB_ABANDONED:
-                summary.abandoned += 1
-            elif event.kind == FAULT_INJECTED:
-                summary.faults_injected += 1
             elif event.kind == CACHE_QUARANTINE:
                 summary.cache_quarantined += 1
             elif event.kind == CACHE_EVICT:
@@ -148,8 +133,6 @@ class FarmSummary:
                 summary.journal_hits += 1
             elif event.kind == JOB_CANCELLED:
                 summary.cancelled += 1
-            if event.queue_depth > summary.max_queue_depth:
-                summary.max_queue_depth = event.queue_depth
         timed.sort(key=lambda pair: -pair[1])
         summary.slowest = timed[:5]
         return summary
@@ -175,7 +158,6 @@ class FarmSummary:
             f"executed by workers:  {self.executed} "
             f"({self.worker_seconds:.2f}s worker time)",
             f"cache stores:         {self.cache_stores}",
-            f"max queue depth:      {self.max_queue_depth}",
         ]
         if self.journal_hits:
             lines.append(
@@ -189,14 +171,9 @@ class FarmSummary:
             lines.append(
                 f"cancelled by drain request: {self.cancelled}"
             )
-        if self.retries or self.timeouts or self.abandoned \
-                or self.faults_injected or self.cache_quarantined:
+        if self.timeouts or self.cache_quarantined:
             lines.append(
-                f"retries: {self.retries}  timeouts: {self.timeouts}  "
-                f"abandoned: {self.abandoned}"
-            )
-            lines.append(
-                f"faults injected: {self.faults_injected}  "
+                f"timeouts: {self.timeouts}  "
                 f"cache entries quarantined: {self.cache_quarantined}"
             )
         if self.slowest:

@@ -1,36 +1,27 @@
-"""Resilience policy for the verification farm.
+"""Deadline and drain policy for the verification farm.
 
-One :class:`ResilienceConfig` travels with a farm and answers three
+One :class:`ResilienceConfig` travels with a farm and answers two
 questions the workers ask about every obligation:
 
-* **How long may it run?**  A per-obligation wall-clock deadline
-  (``obligation_timeout``) and a whole-chain deadline budget
-  (``chain_deadline``), armed at the farm's first discharge.  An
-  expired obligation yields a TIMEOUT verdict — *inconclusive*, never
-  refuted — and an expired chain budget short-circuits the remaining
-  queue the same way instead of hanging.
-* **How often may it fail?**  Transient failures (only injected faults
-  raise them) are retried with exponential backoff capped by
-  ``max_retries``; once exhausted, the obligation goes UNKNOWN.
-* **How long to wait between tries?**  Deterministic jitter: backoff
-  delays are derived from SHA-256 over ``(seed, job key, attempt)``,
-  so a chaos run sleeps the same pattern every time.
+* **May it start?**  Not once a drain was requested (the
+  :class:`ShutdownToken`), and not once the whole-chain deadline budget
+  (``chain_deadline``, armed at the farm's first discharge) is spent.
+  Either way the obligation short-circuits to an inconclusive verdict
+  instead of hanging.
+* **How long may it run?**  The tighter of the per-obligation
+  wall-clock deadline (``obligation_timeout``) and what is left of the
+  chain budget.  An expired obligation yields a TIMEOUT verdict —
+  *inconclusive*, never refuted.
 
-The default config enables retries with no deadlines and no fault
-plan, while costing the fault-free hot path nothing beyond a few ``is
-None`` tests.
+The default config has no deadlines, so the workers call each
+obligation directly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-
-from repro.faults.plan import FaultPlan, FaultRule
-
-DEFAULT_MAX_RETRIES = 2
 
 
 class ShutdownToken:
@@ -60,31 +51,19 @@ class ShutdownToken:
 
 @dataclass
 class ResilienceConfig:
-    """Deadline, retry, and fault-injection policy for one farm."""
+    """Deadline and drain policy for one farm."""
 
     #: Per-obligation wall-clock deadline in seconds; None = unbounded.
     obligation_timeout: float | None = None
     #: Whole-chain wall-clock budget in seconds, measured from the
     #: farm's first discharge; None = unbounded.
     chain_deadline: float | None = None
-    #: How many times a transiently failed obligation is re-run before
-    #: it is abandoned as UNKNOWN (0 disables retries).
-    max_retries: int = DEFAULT_MAX_RETRIES
-    #: Exponential backoff: attempt *n* sleeps
-    #: ``min(base * 2**n, max) * (1 + jitter)`` seconds.
-    retry_base_delay: float = 0.05
-    retry_max_delay: float = 2.0
-    #: The (disabled-by-default) fault-injection plan; None = no hooks.
-    faults: FaultPlan | None = None
     #: Cooperative drain signal; None = this farm cannot be drained.
     shutdown: ShutdownToken | None = field(default=None, repr=False)
     #: Monotonic timestamp the chain budget expires at; armed lazily.
     deadline_at: float | None = field(default=None, repr=False)
     #: Whether the one-per-run ``deadline_expired`` event fired yet.
     _expiry_reported: bool = field(default=False, repr=False)
-
-    # ------------------------------------------------------------------
-    # chain deadline budget
 
     def arm(self) -> None:
         """Start the chain budget clock (idempotent)."""
@@ -110,8 +89,8 @@ class ResilienceConfig:
         return True
 
     def attempt_budget(self) -> float | None:
-        """Seconds one attempt may run: the tighter of the obligation
-        deadline and what is left of the chain budget."""
+        """Seconds one obligation may run: the tighter of the
+        obligation deadline and what is left of the chain budget."""
         remaining = None
         if self.deadline_at is not None:
             remaining = max(0.0, self.deadline_at - time.monotonic())
@@ -121,41 +100,10 @@ class ResilienceConfig:
             return self.obligation_timeout
         return min(self.obligation_timeout, remaining)
 
-    # ------------------------------------------------------------------
-    # retry backoff
-
-    def backoff_seconds(self, key: str, attempt: int) -> float:
-        """Deterministically jittered exponential backoff delay before
-        re-running *key*'s attempt number *attempt* (1-based)."""
-        base = min(
-            self.retry_base_delay * (2 ** max(0, attempt - 1)),
-            self.retry_max_delay,
-        )
-        seed = self.faults.seed if self.faults is not None else 0
-        digest = hashlib.sha256(
-            f"{seed}:{key}:{attempt}".encode()
-        ).digest()
-        jitter = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF
-        return base * (1.0 + jitter)
-
-    # ------------------------------------------------------------------
-    # fault addressing
-
-    def fault(self, phase: str, index: int, label: str,
-              attempt: int) -> FaultRule | None:
-        """The injected fault firing at this site, if any."""
-        if self.faults is None:
-            return None
-        return self.faults.match(phase, index, label, attempt)
-
     def describe(self) -> str:
-        parts = [f"retries<={self.max_retries}"]
+        parts = []
         if self.obligation_timeout is not None:
             parts.append(f"obligation<={self.obligation_timeout:g}s")
         if self.chain_deadline is not None:
             parts.append(f"chain<={self.chain_deadline:g}s")
-        if self.faults is not None:
-            parts.append(
-                f"faults={len(self.faults)} from {self.faults.name}"
-            )
-        return ", ".join(parts)
+        return ", ".join(parts) or "no deadlines"

@@ -53,14 +53,6 @@ class Job:
     #: Served from a ``--journal`` resume file instead of running.
     from_journal: bool = False
     wall_seconds: float = 0.0
-    #: Position in the batch queue — the address fault-plan rules and
-    #: chaos tests use to name one obligation deterministically.
-    index: int = -1
-    #: Executions consumed so far (0 while untried); a transiently
-    #: failed job is retried until this exceeds the retry budget.
-    attempts: int = 0
-    #: Injected-fault actions that fired on this job, in firing order.
-    faults_hit: list[str] = field(default_factory=list)
     metadata: dict[str, Any] = field(default_factory=dict)
 
 

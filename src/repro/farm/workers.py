@@ -1,5 +1,5 @@
-"""Discharges farm jobs one at a time, with deadlines, retries, the
-proof cache and the resume journal.
+"""Discharges farm jobs one at a time, with deadlines, the proof cache
+and the resume journal.
 
 ``run_jobs`` is the farm's execution core.  It drives the scheduler's
 job queue to completion in three phases:
@@ -13,20 +13,21 @@ job queue to completion in three phases:
    callback *in queue order*; freshly computed settled verdicts are
    stored to the cache and appended to the journal.
 
-Resilience semantics (see :mod:`repro.farm.resilience`):
+Deadline and drain semantics (see :mod:`repro.farm.resilience`):
 
-* An attempt that exceeds its wall-clock budget (per-obligation
+* An obligation that exceeds its wall-clock budget (per-obligation
   deadline, or what is left of the chain budget) yields a **TIMEOUT
   verdict** — inconclusive, never refuted, never hung.  The runaway
-  attempt is abandoned on a daemon thread, which keeps running until
-  its obligation returns; obligations are pure functions of their
-  fingerprint, so the discarded result is harmless.
-* A **transient failure** (:class:`~repro.errors.TransientFault`,
-  raised only by an injected fault) is retried with deterministic
-  exponential backoff, capped by the retry budget; exhaustion yields an
-  UNKNOWN verdict (``job_abandoned``).
+  obligation is abandoned on a daemon thread, which keeps running until
+  it returns; obligations are pure functions of their fingerprint, so
+  the discarded result is harmless.
+* A **spent chain budget** short-circuits every job that has not
+  started to a TIMEOUT verdict (``job_timeout``).
 * A **drain request** short-circuits every job that has not started to
   an UNKNOWN verdict (``job_cancelled``).
+
+Only a job whose obligation ran emits ``job_finished``, so the summary
+counts a short-circuited job as neither executed nor slow.
 
 An ``ArmadaError`` inside a wrapped obligation becomes a refuted verdict
 carrying the error text (the proof engine's historical behaviour),
@@ -46,51 +47,22 @@ from repro.errors import (
     InconclusiveCheck,
     ObligationTimeout,
     StateBudgetExceeded,
-    TransientFault,
 )
 from repro.farm.events import (
     CACHE_HIT,
     CACHE_STORE,
     DEADLINE_EXPIRED,
-    FAULT_INJECTED,
-    JOB_ABANDONED,
     JOB_CANCELLED,
     JOB_FINISHED,
     JOB_QUEUED,
-    JOB_RETRY,
     JOB_STARTED,
     JOB_TIMEOUT,
     JOURNAL_HIT,
     EventLog,
 )
 from repro.farm.scheduler import Job
-from repro.faults.plan import (
-    DELAY,
-    PHASE_CACHE_STORE,
-    PHASE_EXECUTE,
-    RAISE,
-    TIMEOUT_FAULT,
-    FaultRule,
-)
 from repro.obs import OBS
 from repro.verifier.prover import TIMEOUT, UNKNOWN, Verdict
-
-
-class _DepthTracker:
-    """Counts unfinished jobs so events can record queue depth."""
-
-    def __init__(self, pending: int) -> None:
-        self._pending = pending
-        self._lock = threading.Lock()
-
-    def depth(self) -> int:
-        with self._lock:
-            return self._pending
-
-    def finish_one(self) -> int:
-        with self._lock:
-            self._pending -= 1
-            return self._pending
 
 
 def _wrap_armada_error(error: ArmadaError) -> Verdict:
@@ -103,13 +75,6 @@ def _wrap_armada_error(error: ArmadaError) -> Verdict:
 
 def _timeout_verdict(detail: str) -> Verdict:
     return Verdict(TIMEOUT, {"error": detail})
-
-
-def _abandoned_verdict(attempts: int, reason: str) -> Verdict:
-    return Verdict(
-        UNKNOWN,
-        {"error": f"abandoned after {attempts} attempt(s): {reason}"},
-    )
 
 
 def _cancelled_verdict() -> Verdict:
@@ -138,7 +103,7 @@ def _inconclusive_result(job: Job, verdict: Verdict):
 def _call_with_deadline(fn, budget: float | None):
     """Run *fn* with a wall-clock budget.
 
-    The attempt runs on a daemon helper thread; if the budget expires
+    The call runs on a daemon helper thread; if the budget expires
     the helper is abandoned and :class:`ObligationTimeout` is raised in
     the caller.  An abandoned helper keeps running (and holding the GIL
     in turns) until *fn* returns; its result is discarded, which is
@@ -146,7 +111,7 @@ def _call_with_deadline(fn, budget: float | None):
     if budget is None:
         return fn()
     if budget <= 0:
-        raise ObligationTimeout(0.0, "chain deadline budget")
+        raise ObligationTimeout(0.0)
     box: dict[str, object] = {}
 
     def target() -> None:
@@ -167,122 +132,70 @@ def _call_with_deadline(fn, budget: float | None):
     return box["result"]
 
 
-def _fire_execute_fault(rule: FaultRule) -> None:
-    """Apply one injected fault at the execute phase.  ``delay``
-    returns (the obligation then runs late); the rest interrupt."""
-    if rule.action == DELAY:
-        time.sleep(rule.seconds)
-        return
-    if rule.action == RAISE:
-        raise TransientFault(
-            rule.message or f"injected transient fault ({rule.describe()})"
-        )
-    if rule.action == TIMEOUT_FAULT:
-        raise ObligationTimeout(rule.seconds, "injected deadline")
+def _short_circuit(job: Job, events: EventLog, kind: str,
+                   verdict: Verdict, detail: str, counter: str) -> None:
+    """Settle a job that never started with an inconclusive verdict."""
+    job.result = _inconclusive_result(job, verdict)
+    job.finished = True
+    events.emit(kind, job.key, job.label, detail=detail)
+    if OBS.enabled:
+        OBS.count(counter)
 
 
-def _run_one(job: Job, events: EventLog, tracker: _DepthTracker,
-             res=None) -> None:
-    """Execute one job, with retries and deadlines."""
-    events.emit(JOB_STARTED, job.key, job.label,
-                queue_depth=tracker.depth())
+def _run_one(job: Job, events: EventLog, res=None) -> None:
+    """Execute one job: the drain check, the chain-deadline check, then
+    the obligation under its deadline."""
+    events.emit(JOB_STARTED, job.key, job.label)
     traced = OBS.enabled
     if traced:
         queued_at = job.metadata.get("queued_at")
         if queued_at is not None:
             OBS.observe("farm.queue_wait_seconds",
                         time.perf_counter() - queued_at)
-    while True:
-        if res is not None and res.shutdown_requested():
-            job.result = _inconclusive_result(job, _cancelled_verdict())
-            events.emit(JOB_CANCELLED, job.key, job.label,
-                        detail="shutdown requested")
-            if traced:
-                OBS.count("farm.cancelled")
-            break
-        if res is not None and res.chain_expired():
+    budget = None
+    if res is not None:
+        if res.shutdown_requested():
+            _short_circuit(job, events, JOB_CANCELLED,
+                           _cancelled_verdict(), "shutdown requested",
+                           "farm.cancelled")
+            return
+        # Read before the expiry check: a budget the chain clock has
+        # run down to zero is then always caught by that check.
+        budget = res.attempt_budget()
+        if res.chain_expired():
             detail = (
                 f"chain deadline budget ({res.chain_deadline:g}s) "
                 "exhausted"
             )
-            job.result = _inconclusive_result(
-                job, _timeout_verdict(detail)
-            )
             if res.report_expiry_once():
                 events.emit(DEADLINE_EXPIRED, "", "", detail=detail)
-            events.emit(JOB_TIMEOUT, job.key, job.label, detail=detail)
-            if traced:
-                OBS.count("farm.timeouts")
-            break
-        rule = None
-        if res is not None:
-            rule = res.fault(PHASE_EXECUTE, job.index, job.label,
-                             job.attempts)
-        if rule is not None:
-            job.faults_hit.append(rule.action)
-            events.emit(FAULT_INJECTED, job.key, job.label,
-                        detail=rule.describe())
-            if traced:
-                OBS.count("farm.faults_injected")
-        budget = res.attempt_budget() if res is not None else None
-        job.attempts += 1
-        started = time.perf_counter()
-        span_attrs = {"cached": False}
-        if rule is not None:
-            span_attrs["fault"] = rule.action
-
-        def attempt():
-            if rule is not None:
-                _fire_execute_fault(rule)
-            return job.thunk()
-
-        try:
-            with OBS.span(job.label, "obligation", **span_attrs) \
-                    if traced else _NULL_CONTEXT:
-                try:
-                    if budget is None and rule is None:
-                        result = job.thunk()  # zero-overhead fast path
-                    else:
-                        result = _call_with_deadline(attempt, budget)
-                except ArmadaError as error:
-                    if not job.wrap_errors:
-                        raise
-                    result = _wrap_armada_error(error)
-            job.result = result
-            job.wall_seconds = time.perf_counter() - started
-            break
-        except ObligationTimeout as timeout:
-            job.wall_seconds = time.perf_counter() - started
-            job.result = _inconclusive_result(
-                job, _timeout_verdict(str(timeout))
-            )
-            events.emit(JOB_TIMEOUT, job.key, job.label,
-                        wall_seconds=job.wall_seconds,
-                        detail=str(timeout))
-            if traced:
-                OBS.count("farm.timeouts")
-            break
-        except TransientFault as fault:
-            job.wall_seconds = time.perf_counter() - started
-            max_retries = res.max_retries if res is not None else 0
-            if job.attempts > max_retries:
-                job.result = _inconclusive_result(
-                    job, _abandoned_verdict(job.attempts, str(fault))
-                )
-                events.emit(JOB_ABANDONED, job.key, job.label,
-                            detail=str(fault))
-                if traced:
-                    OBS.count("farm.abandoned")
-                break
-            events.emit(JOB_RETRY, job.key, job.label,
-                        detail=str(fault))
-            if traced:
-                OBS.count("farm.retries")
-            time.sleep(res.backoff_seconds(job.key, job.attempts))
+            _short_circuit(job, events, JOB_TIMEOUT,
+                           _timeout_verdict(detail), detail,
+                           "farm.timeouts")
+            return
+    started = time.perf_counter()
+    try:
+        with OBS.span(job.label, "obligation", cached=False) \
+                if traced else _NULL_CONTEXT:
+            try:
+                job.result = _call_with_deadline(job.thunk, budget)
+            except ArmadaError as error:
+                if not job.wrap_errors:
+                    raise
+                job.result = _wrap_armada_error(error)
+        job.wall_seconds = time.perf_counter() - started
+    except ObligationTimeout as timeout:
+        job.wall_seconds = time.perf_counter() - started
+        job.result = _inconclusive_result(
+            job, _timeout_verdict(str(timeout))
+        )
+        events.emit(JOB_TIMEOUT, job.key, job.label,
+                    wall_seconds=job.wall_seconds, detail=str(timeout))
+        if traced:
+            OBS.count("farm.timeouts")
     job.finished = True
-    depth = tracker.finish_one()
     events.emit(JOB_FINISHED, job.key, job.label,
-                wall_seconds=job.wall_seconds, queue_depth=depth)
+                wall_seconds=job.wall_seconds)
 
 
 class _NullContext:
@@ -314,13 +227,8 @@ def run_jobs(
 
     traced = OBS.enabled
     queued_at = time.perf_counter() if traced else 0.0
-    for position, job in enumerate(jobs):
-        # Batch-relative obligation index: the deterministic address
-        # fault-plan rules use (``armada verify`` discharges the whole
-        # chain as one batch, so indices are chain-wide there).
-        job.index = position
-        events.emit(JOB_QUEUED, job.key, job.label,
-                    queue_depth=len(jobs) - position)
+    for job in jobs:
+        events.emit(JOB_QUEUED, job.key, job.label)
         if traced:
             job.metadata["queued_at"] = queued_at
 
@@ -357,9 +265,8 @@ def run_jobs(
                 continue
         to_run.append(job)
 
-    tracker = _DepthTracker(len(to_run))
     for job in to_run:
-        _run_one(job, events, tracker, res)
+        _run_one(job, events, res)
 
     # Write-back in queue order.
     for job in jobs:
@@ -370,19 +277,9 @@ def run_jobs(
             and not job.from_cache
             and not job.from_journal
             and isinstance(job.result, Verdict)
+            and cache.put(job.key, job.result)
         ):
-            if cache.put(job.key, job.result):
-                events.emit(CACHE_STORE, job.key, job.label)
-                rule = None
-                if res is not None:
-                    rule = res.fault(PHASE_CACHE_STORE, job.index,
-                                     job.label, 0)
-                if rule is not None and cache.corrupt_entry(job.key):
-                    job.faults_hit.append(rule.action)
-                    events.emit(FAULT_INJECTED, job.key, job.label,
-                                detail=rule.describe())
-                    if traced:
-                        OBS.count("farm.faults_injected")
+            events.emit(CACHE_STORE, job.key, job.label)
         if (
             journal is not None
             and job.cacheable
@@ -391,4 +288,3 @@ def run_jobs(
         ):
             journal.record(job.key, job.result)
     return jobs
-

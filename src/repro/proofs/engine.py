@@ -59,9 +59,9 @@ class ProofOutcome:
     error: str | None = None
     refinement_checked: bool = False
     elapsed_seconds: float = 0.0
-    #: Every unproved lemma timed out or was abandoned (UNKNOWN): the
-    #: proof is *inconclusive* — not refuted — and a re-run with a
-    #: bigger deadline or a healthier farm may still settle it.
+    #: Every unproved lemma timed out, hit a state budget or was
+    #: cancelled (TIMEOUT/UNKNOWN): the proof is *inconclusive* — not
+    #: refuted — and a re-run with larger bounds may still settle it.
     inconclusive: bool = False
     #: Reused wholesale from an outcome cache (incremental
     #: re-verification): neither levels, recipe, prover budget, nor
@@ -632,9 +632,9 @@ class ProofEngine:
                 for lemma in failed[:3]
             )
             # If nothing was actually refuted — every unproved lemma
-            # timed out or was abandoned — the proof is inconclusive,
-            # not failed: a refutation claims the program is wrong, a
-            # timeout only says the farm ran out of budget.
+            # timed out, hit a bound or was cancelled — the proof is
+            # inconclusive, not failed: a refutation claims the program
+            # is wrong, a timeout only says the farm ran out of budget.
             if all(
                 lemma.verdict is not None and lemma.verdict.inconclusive
                 for lemma in failed
@@ -738,9 +738,9 @@ class ProofEngine:
                 continue
             outcome = self._finalize(prep)
             chain_outcome.outcomes.append(outcome)
-            # Inconclusive outcomes (timeouts, drains, abandoned
-            # obligations) are environment-dependent and must be
-            # retried by the next run, never pinned.
+            # Inconclusive outcomes (timeouts, drains, budget cuts)
+            # are environment-dependent and must be re-checked by the
+            # next run, never pinned.
             if self.outcome_cache is not None and not outcome.inconclusive:
                 self.outcome_cache.put(
                     self.proof_key(prep.proof), outcome

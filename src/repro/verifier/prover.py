@@ -58,9 +58,9 @@ class Verdict:
 
     @property
     def inconclusive(self) -> bool:
-        """Neither proved nor refuted: the obligation timed out or was
-        abandoned after retry exhaustion.  Propagates through the
-        engine as an inconclusive proof, never as a refutation."""
+        """Neither proved nor refuted: the obligation timed out, hit a
+        state budget, or was cancelled by a drain.  Propagates through
+        the engine as an inconclusive proof, never as a refutation."""
         return self.status not in SETTLED
 
     def __bool__(self) -> bool:

@@ -218,7 +218,9 @@ class TestVerifyFarmFlags:
         assert main([command, "--help"]) == 0
         out = capsys.readouterr().out
         assert "--max-states" in out or "--slots" in out
-        for option in ("--jobs", "--farm-mode"):
+        # Nor the retry budget and the fault-injection plan.
+        for option in ("--jobs", "--farm-mode", "--max-retries",
+                       "--inject-faults"):
             assert option not in out
 
     def test_budget_cut_is_inconclusive_and_rechecked(self, tmp_path,
@@ -271,6 +273,56 @@ class TestVerifyFarmFlags:
         assert main(["verify", obligation_file, "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert " 0 from cache" in out
+
+    def test_spent_chain_deadline_is_inconclusive_and_uncached(
+        self, obligation_file, tmp_path, capsys
+    ):
+        # --chain-deadline 0 spends the budget before the first
+        # obligation starts: every obligation goes TIMEOUT without
+        # running, so the chain is inconclusive, never refuted, and
+        # nothing reaches the cache.
+        argv = ["verify", obligation_file,
+                "--cache", str(tmp_path / "cache")]
+        assert main(argv + ["--chain-deadline", "0"]) == 1
+        out = capsys.readouterr().out
+        assert ("ArbitraryGuardRefinesBestLenSequential [tso_elim]: "
+                "INCONCLUSIVE") in out
+        assert "chain INCONCLUSIVE" in out
+        assert "farm: 6 obligations, 0 from cache, 0 executed" in out
+        assert "FAILED" not in out
+        # Without the deadline the same six obligations run and verify.
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "farm: 6 obligations, 0 from cache, 6 executed" in out
+        assert "INCONCLUSIVE" not in out
+
+    def test_journal_resumes_without_rerunning(self, obligation_file,
+                                               tmp_path, capsys):
+        journal = tmp_path / "run.jsonl"
+        argv = ["verify", obligation_file, "--no-cache",
+                "--journal", str(journal), "--farm-report"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "farm: 6 obligations, 0 from cache, 6 executed" in out
+        assert len(journal.read_text().splitlines()) == 6
+        # The same command again replays every settled verdict.
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "farm: 6 obligations, 0 from cache, 0 executed" in out
+        assert "replayed from journal:  6" in out
+        assert "(6 entries, 6 replayed, 0 corrupt lines skipped)" in out
+
+    def test_farm_report_names_the_deadlines(self, obligation_file,
+                                             capsys):
+        argv = ["verify", obligation_file, "--no-cache", "--farm-report"]
+        assert main(argv) == 0
+        assert "policy: no deadlines" in capsys.readouterr().out
+        assert main(argv + ["--obligation-timeout", "60",
+                            "--chain-deadline", "600"]) == 0
+        out = capsys.readouterr().out
+        assert "policy: obligation<=60s, chain<=600s" in out
+        assert "farm: 6 obligations, 0 from cache, 6 executed" in out
+        assert "timeouts:" not in out
 
     def test_verify_chain_error_surfaced(self, tmp_path, capsys):
         path = tmp_path / "cycle.arm"

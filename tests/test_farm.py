@@ -216,7 +216,6 @@ class TestEvents:
         assert summary.jobs == 1
         assert summary.executed == 1
         assert summary.cache_hits == 0
-        assert summary.max_queue_depth >= 1
 
 
 class TestModeEquivalence:
@@ -630,6 +629,9 @@ class TestGracefulDrain:
         cancelled = farm.events.events(JOB_CANCELLED)
         assert len(cancelled) == 4
         assert farm.summary().cancelled == 4
+        # Only the two obligations that ran count as executed.
+        assert farm.summary().executed == 2
+        assert len(farm.summary().slowest) == 2
         assert "cancelled by drain request" in "\n".join(
             farm.summary().report_lines()
         )

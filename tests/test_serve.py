@@ -569,21 +569,28 @@ class TestRealSignals:
     ):
         program = tmp_path / "chain.arm"
         program.write_text(counter_chain(6))
-        # Every check is delayed 1.5 s before it runs: a signal 2 s in
-        # is always mid-run, with at least a few obligations still
-        # unsettled afterwards.
-        plan = tmp_path / "delay.json"
-        plan.write_text(json.dumps({"faults": [{
-            "action": "delay", "label": "WholeProgramRefinement",
-            "seconds": 1.5,
-        }]}))
+        # Every whole-program check sleeps 1.5 s before it runs: a
+        # signal 2 s in is always mid-run, with at least a few
+        # obligations still unsettled afterwards.
+        launcher = (
+            "import sys, time\n"
+            "from repro.proofs import engine\n"
+            "make_job = engine.global_check_job\n"
+            "def slow_job(name, thunk, apply):\n"
+            "    def slow():\n"
+            "        time.sleep(1.5)\n"
+            "        return thunk()\n"
+            "    return make_job(name, slow, apply)\n"
+            "engine.global_check_job = slow_job\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
         journal = tmp_path / "journal.jsonl"
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "verify",
+                sys.executable, "-c", launcher, "verify",
                 str(program), "--validate", "always", "--no-cache",
                 "--journal", str(journal),
-                "--inject-faults", str(plan),
             ],
             env=self._env(), cwd=tmp_path,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
