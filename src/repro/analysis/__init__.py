@@ -18,10 +18,6 @@ from repro.lang.resolver import LevelContext
 from repro.machine.program import StateMachine
 
 from repro.analysis.accesses import AccessMap, extract_accesses
-from repro.analysis.independence import (
-    IndependenceFacts,
-    step_independence,
-)
 from repro.analysis.lockset import LocksetResult, compute_locksets
 from repro.analysis.ownership import (
     OwnershipSuggestion,
@@ -46,7 +42,6 @@ __all__ = [
     "Classification",
     "DynamicScan",
     "Finding",
-    "IndependenceFacts",
     "LocationVerdict",
     "LocksetResult",
     "OwnershipSuggestion",
@@ -58,7 +53,6 @@ __all__ = [
     "compute_locksets",
     "extract_accesses",
     "run_dynamic_scan",
-    "step_independence",
     "suggest_ownership",
     "validate_predicate",
 ]

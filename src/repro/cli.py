@@ -93,6 +93,19 @@ def _read_source(path: str) -> str:
         raise SystemExit(1)
 
 
+def _level_context(checked, name: str | None):
+    """The context of level *name* (default: the program's first
+    level), exiting 1 with the valid level names on an unknown one."""
+    level = name or checked.program.levels[0].name
+    ctx = checked.contexts.get(level)
+    if ctx is None:
+        names = ", ".join(l.name for l in checked.program.levels)
+        print(f"no level named {level} (levels: {names})",
+              file=sys.stderr)
+        raise SystemExit(1)
+    return ctx
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.lang.frontend import check_program
 
@@ -124,7 +137,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checked, max_states=args.max_states,
         validate_refinement=args.validate, farm=farm,
         analyze=args.analyze, memory_model=args.memory_model,
-        compiled=args.compiled, atomic=args.atomic,
+        compiled=args.compiled,
     )
     if args.trace:
         try:
@@ -259,13 +272,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     source = _read_source(args.file)
     checked = check_program(source, args.file)
-    level = args.level or checked.program.levels[0].name
-    ctx = checked.contexts.get(level)
-    if ctx is None:
-        names = ", ".join(l.name for l in checked.program.levels)
-        print(f"no level named {level} (levels: {names})",
-              file=sys.stderr)
-        return 1
+    ctx = _level_context(checked, args.level)
+    level = ctx.level.name
     machine = translate_level(ctx, memory_model=args.memory_model)
     invariants = {
         src: _invariant_predicate(ctx, machine, src)
@@ -331,13 +339,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         source, filename = _read_source(args.file), args.file
     checked = check_program(source, filename)
-    level = args.level or checked.program.levels[0].name
-    ctx = checked.contexts.get(level)
-    if ctx is None:
-        names = ", ".join(l.name for l in checked.program.levels)
-        print(f"no level named {level} (levels: {names})",
-              file=sys.stderr)
-        return 1
+    ctx = _level_context(checked, args.level)
     result = analyze_level(
         ctx,
         max_states=args.max_states,
@@ -371,11 +373,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
     source = _read_source(args.file)
     checked = check_program(source, args.file)
-    level = args.level or checked.program.levels[0].name
-    ctx = checked.contexts.get(level)
-    if ctx is None:
-        print(f"no level named {level}", file=sys.stderr)
-        return 1
+    ctx = _level_context(checked, args.level)
     if args.backend == "c":
         print(compile_to_c(ctx))
     else:
@@ -390,8 +388,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     source = _read_source(args.file)
     checked = check_program(source, args.file)
-    level = args.level or checked.program.levels[0].name
-    machine = translate_level(checked.contexts[level])
+    ctx = _level_context(checked, args.level)
+    machine = translate_level(ctx)
     result = run_level(machine, seed=args.seed, max_steps=args.max_steps)
     print(f"termination: {result.termination_kind} "
           f"after {result.steps_taken} steps")
@@ -561,7 +559,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.kind == "verify":
         options["validate"] = args.validate
         options["analyze"] = args.analyze
-        options["atomic"] = args.atomic
     elif args.level is not None:
         options["level"] = args.level
     job_id = client.submit(
@@ -763,14 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
              "specializer does not cover fall back automatically)",
     )
     p.add_argument(
-        "--atomic", action=argparse.BooleanOptionalAction, default=False,
-        help="regular-to-atomic reduction (sec. 4.2.2): consecutive "
-             "statement lemmas along runs of non-PC-breaking local "
-             "statements merge into single atomic-block farm jobs; "
-             "verdicts are unchanged; self-disables under "
-             "--memory-model ra; part of the proof-cache key",
-    )
-    p.add_argument(
         "--trace", default=None, metavar="FILE",
         help="record a JSONL span/metric trace of the run "
              "(inspect with 'armada stats FILE')",
@@ -967,8 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--analyze", action="store_true",
                    help="run the static analyzer alongside (verify)")
-    p.add_argument("--atomic", action="store_true",
-                   help="regular-to-atomic reduction (verify)")
     p.add_argument("--level", default=None,
                    help="level to analyze/explore (default: first)")
     p.add_argument(
@@ -1035,8 +1022,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SystemExit as error:
-        # _read_source reports unreadable files and exits 1; keep main()
-        # returning an int for programmatic callers.
+        # _read_source and _level_context report an unreadable file or
+        # an unknown level and exit 1; keep main() returning an int for
+        # programmatic callers.
         return error.code if isinstance(error.code, int) else 1
     except ArmadaError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -1,12 +1,7 @@
 """Explicit-state bounded model checking: breadth-first exploration
-with invariants, the pc classification behind the regular-to-atomic
-proof strategy, and refinement (simulation) checking."""
+with invariants, and refinement (simulation) checking."""
 
 from repro.errors import StateBudgetExceeded  # noqa: F401
-from repro.explore.atomic import (  # noqa: F401
-    AtomicClassification,
-    classify_atomic,
-)
 from repro.explore.explorer import (  # noqa: F401
     ExplorationResult,
     Explorer,

@@ -6,12 +6,15 @@ job queue to completion in three phases:
 
 1. **Cache/journal probe** — cacheable jobs are looked up in the proof
    cache (``cache_hit``) and then in the resume journal
-   (``journal_hit``); hits skip execution entirely.
+   (``journal_hit``); hits skip execution entirely, and cache hits are
+   appended to the journal.
 2. **Execution** — the remaining jobs run in queue order on the calling
-   thread.
-3. **Apply + store** — results are written back via each job's ``apply``
-   callback *in queue order*; freshly computed settled verdicts are
-   stored to the cache and appended to the journal.
+   thread.  Each freshly computed settled verdict is stored to the
+   cache and appended to the journal as soon as its obligation
+   returns, so a run that dies mid-batch keeps every verdict it
+   settled.
+3. **Apply** — results are written back via each job's ``apply``
+   callback *in queue order*.
 
 Deadline and drain semantics (see :mod:`repro.farm.resilience`):
 
@@ -241,6 +244,8 @@ def run_jobs(
                 job.finished = True
                 job.from_cache = True
                 events.emit(CACHE_HIT, job.key, job.label)
+                if journal is not None:
+                    journal.record(job.key, verdict)
                 if traced:
                     OBS.count("farm.cache_hits")
                     # A zero-duration span so traces cover *every*
@@ -267,24 +272,13 @@ def run_jobs(
 
     for job in to_run:
         _run_one(job, events, res)
+        if job.cacheable and isinstance(job.result, Verdict):
+            if cache is not None and cache.put(job.key, job.result):
+                events.emit(CACHE_STORE, job.key, job.label)
+            if journal is not None:
+                journal.record(job.key, job.result)
 
     # Write-back in queue order.
     for job in jobs:
         job.apply(job.result)
-        if (
-            cache is not None
-            and job.cacheable
-            and not job.from_cache
-            and not job.from_journal
-            and isinstance(job.result, Verdict)
-            and cache.put(job.key, job.result)
-        ):
-            events.emit(CACHE_STORE, job.key, job.label)
-        if (
-            journal is not None
-            and job.cacheable
-            and not job.from_journal
-            and isinstance(job.result, Verdict)
-        ):
-            journal.record(job.key, job.result)
     return jobs

@@ -68,13 +68,6 @@ class Lemma:
     #: Filled in by the engine after checking.
     verdict: Verdict | None = None
     customization: list[str] = field(default_factory=list)
-    #: Low-level PC this lemma reasons about, when the strategy can
-    #: attribute it to one program position.  The regular-to-atomic
-    #: collapse (``--atomic``) uses it to merge consecutive lemmas
-    #: along a non-PC-breaking run into one atomic-block obligation.
-    #: Deliberately absent from :class:`ObligationDescriptor`: the tag
-    #: never changes what an obligation checks.
-    pc: str | None = None
 
     @property
     def checked_ok(self) -> bool:

@@ -161,7 +161,6 @@ class ProofEngine:
         outcome_cache: "object | None" = None,
         memory_model: str | None = None,
         compiled: bool = True,
-        atomic: bool = False,
     ) -> None:
         """``validate_refinement``: ``"always"`` runs the whole-program
         bounded simulation check for every pair, ``"auto"`` only when a
@@ -192,15 +191,6 @@ class ProofEngine:
         every cache fingerprint — level fingerprints, job fingerprints
         and proof keys all change with the model, so a verdict obtained
         under one model is never replayed for another.
-
-        ``atomic``: apply the regular-to-atomic transformation
-        (:mod:`repro.strategies.regular_to_atomic`): each generated
-        script's consecutive statement lemmas along non-breaking runs
-        collapse into single atomic-block obligations — the same
-        checks run over the same unreduced state sweeps, but the farm
-        schedules strictly fewer jobs.  Part of the cache fingerprint;
-        self-disables per level when the classification is
-        unavailable (C11 RA).
         """
         from repro.memmodel import get_model
 
@@ -217,7 +207,6 @@ class ProofEngine:
         # interpreter, so deliberately NOT part of any cache
         # fingerprint.
         self.compiled = compiled
-        self.atomic = atomic
         self.outcome_cache = outcome_cache
         self._level_fingerprints: dict[str, str] = {}
         self._machines: dict[str, StateMachine] = {}
@@ -349,8 +338,6 @@ class ProofEngine:
                           proof=proof.name):
                 script = strategy.generate(request)
             self._apply_directives(proof, request, script)
-            if self.atomic:
-                self._collapse_atomic(proof, request, script)
             prep.script = script
             if OBS.enabled:
                 OBS.count("engine.lemmas_generated", len(script.lemmas))
@@ -377,25 +364,6 @@ class ProofEngine:
         prep.prepare_seconds = time.perf_counter() - started
         return prep
 
-    def _collapse_atomic(self, proof, request, script) -> None:
-        """Merge consecutive statement obligations along non-breaking
-        pc runs into single atomic-block lemmas (regular-to-atomic,
-        sec. 4.2.2).  Runs *after* ``_apply_directives`` so recipe
-        ``lemma`` directives still see the original names; the merged
-        lemma carries every member's customization.  A no-op when the
-        level's classification is unavailable (e.g. under C11 RA)."""
-        from repro.explore.atomic import classify_atomic
-        from repro.strategies.regular_to_atomic import (
-            collapse_proof_script,
-        )
-
-        classification = classify_atomic(self.machine(proof.low_level))
-        if not classification.enabled:
-            return
-        absorbed = collapse_proof_script(script, classification)
-        if OBS.enabled and absorbed:
-            OBS.count("atomic.lemmas_collapsed", absorbed)
-
     def _job_fingerprint(self) -> str:
         """Everything beyond lemma content that can change a verdict."""
         domains = self.domains
@@ -411,7 +379,6 @@ class ProofEngine:
             )
         return (
             f"{self.prover.fingerprint()}|max_states={self.max_states}"
-            f"|atomic={'on' if self.atomic else 'off'}"
             f"|mm={self.memory_model}|{domain_part}"
         )
 
@@ -480,11 +447,11 @@ class ProofEngine:
         produces: both machines' semantics (level fingerprints), the
         full recipe (strategy, arguments, every directive — lemma
         customizations included), the prover/exploration configuration
-        (:meth:`_job_fingerprint`, which also covers the atomic collapse
-        and domains), the refinement-validation policy (it decides
-        whether the whole-program check runs), and the toolchain
-        version.  Two runs with equal keys perform byte-identical
-        obligation checks, so reusing the stored :class:`ProofOutcome`
+        (:meth:`_job_fingerprint`, which also covers the domains), the
+        refinement-validation policy (it decides whether the
+        whole-program check runs), and the toolchain version.  Two runs
+        with equal keys perform byte-identical obligation checks, so
+        reusing the stored :class:`ProofOutcome`
         — the basis of ``armada serve``'s incremental re-verification
         — is sound even for the whole-program bounded checks the lemma
         cache cannot cover.
@@ -808,7 +775,6 @@ def verify_source(
     farm: VerificationFarm | None = None,
     analyze: bool = False,
     memory_model: str | None = None,
-    atomic: bool = False,
 ) -> ChainOutcome:
     """Parse, check, and verify a complete Armada program text."""
     checked = check_program(source, filename)
@@ -816,6 +782,6 @@ def verify_source(
         checked, max_states=max_states,
         validate_refinement=validate_refinement,
         farm=farm, analyze=analyze,
-        memory_model=memory_model, atomic=atomic,
+        memory_model=memory_model,
     )
     return engine.run_all()

@@ -304,7 +304,6 @@ class ArmadaDaemon:
             outcome_cache=self.outcomes,
             memory_model=options.get("memory_model"),
             compiled=bool(options.get("compiled", True)),
-            atomic=bool(options.get("atomic", False)),
         )
         fingerprints = engine.level_fingerprints()
         diff = self.index.diff(job.name, fingerprints)

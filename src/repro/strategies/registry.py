@@ -44,7 +44,7 @@ _LOADED = False
 
 
 def _ensure_builtins() -> None:
-    """Import the nine built-in strategies on first use."""
+    """Import the eight built-in strategies on first use."""
     global _LOADED
     if _LOADED:
         return
@@ -52,7 +52,6 @@ def _ensure_builtins() -> None:
         assume_intro,
         combining,
         reduction,
-        regular_to_atomic,
         tso_elim,
         var_intro,
         var_hiding,
@@ -61,9 +60,6 @@ def _ensure_builtins() -> None:
     from repro.strategies.assume_intro import AssumeIntroStrategy
     from repro.strategies.combining import CombiningStrategy
     from repro.strategies.reduction import ReductionStrategy
-    from repro.strategies.regular_to_atomic import (
-        RegularToAtomicStrategy,
-    )
     from repro.strategies.tso_elim import TsoElimStrategy
     from repro.strategies.var_hiding import VarHidingStrategy
     from repro.strategies.var_intro import VarIntroStrategy
@@ -81,7 +77,6 @@ def _ensure_builtins() -> None:
         CombiningStrategy,
         VarIntroStrategy,
         VarHidingStrategy,
-        RegularToAtomicStrategy,
     ):
         register(cls)
     _LOADED = True

@@ -111,7 +111,6 @@ class VarHidingStrategy(Strategy):
                         ),
                         body=["// matched pair survives the hiding"],
                         obligation=lambda ok=not reads: bool_verdict(ok),
-                        pc=low.pc,
                     )
                 )
         if hidden_assigns == 0:

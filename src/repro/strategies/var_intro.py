@@ -124,7 +124,6 @@ class VarIntroStrategy(Strategy):
                         ],
                         obligation=lambda ok=steps_identical(low, high):
                             bool_verdict(ok),
-                        pc=low.pc,
                     )
                 )
         if introduced_assigns == 0:

@@ -83,7 +83,6 @@ class WeakeningStrategy(Strategy):
                     ),
                     body=self._lemma_body(low, high, plan),
                     obligation=plan.obligation,
-                    pc=low.pc,
                 )
                 if plan.kind == "global":
                     script.global_checks.append(
@@ -208,7 +207,6 @@ class WeakeningStrategy(Strategy):
                 "// reversed assignments reach the same state (sec. 6.2)",
             ],
             obligation=obligation,
-            pc=first.pc,
         )
 
     def _check_nondet_usage(self, used_nondet: bool) -> None:

@@ -7,8 +7,8 @@ import pytest
 from repro.casestudies import ALL, TABLE1, load, run_case_study, sloc
 from repro.casestudies import barrier, mcslock, pointers, queue, tsp
 from repro.lang.core_check import check_core
-from repro.lang.frontend import check_level
-from repro.proofs.engine import verify_source
+from repro.lang.frontend import check_level, check_program
+from repro.proofs.engine import ProofEngine, verify_source
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -16,6 +16,24 @@ def test_case_study_verifies(name):
     report = run_case_study(load(name))
     failures = [r for r in report.rows() if not r["verified"]]
     assert report.verified, failures
+
+
+@pytest.mark.parametrize("memory_model", ("sc", "ra"))
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_case_study_verifies_under_sc_and_ra(name, memory_model):
+    """``run_case_study`` verifies under TSO, the default model; every
+    chain also verifies under the other two."""
+    study = load(name)
+    outcome = ProofEngine(
+        check_program(study.source, f"<{name}>"),
+        max_states=study.max_states,
+        memory_model=memory_model,
+    ).run_all()
+    failures = [
+        (o.proof_name, o.error) for o in outcome.outcomes if not o.success
+    ]
+    assert outcome.success, failures
+    assert outcome.chain == [lname for lname, _ in study.levels]
 
 
 @pytest.mark.parametrize("name", sorted(ALL))

@@ -165,9 +165,14 @@ class TestAnalyzeCommand:
         assert main(["analyze"]) == 1
         assert "FILE or --casestudy" in capsys.readouterr().err
 
-    def test_analyze_unknown_level(self, racy_file, capsys):
-        assert main(["analyze", racy_file, "--level", "Nope"]) == 1
-        assert "no level named Nope" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command", ["explore", "analyze", "compile", "run"]
+    )
+    def test_unknown_level(self, command, racy_file, capsys):
+        assert main([command, racy_file, "--level", "Nope"]) == 1
+        err = capsys.readouterr().err
+        assert "no level named Nope (levels: " in err
+        assert "Traceback" not in err
 
     def test_verify_analyze_notes(self, capsys):
         from pathlib import Path
@@ -222,6 +227,15 @@ class TestVerifyFarmFlags:
         for option in ("--jobs", "--farm-mode", "--max-retries",
                        "--inject-faults"):
             assert option not in out
+
+    def test_no_atomic_option(self, program_file, capsys):
+        assert main(["verify", program_file, "--atomic"]) == 2
+        assert "unrecognized arguments: --atomic" in (
+            capsys.readouterr().err
+        )
+        assert main(["verify", "--help"]) == 0
+        # Neither --atomic nor --no-atomic.
+        assert "-atomic" not in capsys.readouterr().out
 
     def test_budget_cut_is_inconclusive_and_rechecked(self, tmp_path,
                                                       capsys):
@@ -311,6 +325,50 @@ class TestVerifyFarmFlags:
         assert "farm: 6 obligations, 0 from cache, 0 executed" in out
         assert "replayed from journal:  6" in out
         assert "(6 entries, 6 replayed, 0 corrupt lines skipped)" in out
+
+    def test_journal_keeps_the_verdicts_of_a_run_that_dies(
+        self, obligation_file, tmp_path, capsys
+    ):
+        # The fourth obligation raises a programming error, which no
+        # verdict wraps: the run dies mid-batch with a traceback.
+        launcher = (
+            "import sys\n"
+            "from repro.proofs import engine\n"
+            "make_jobs = engine.lemma_jobs\n"
+            "calls = []\n"
+            "def dying_jobs(script, fingerprint):\n"
+            "    jobs = make_jobs(script, fingerprint)\n"
+            "    for job in jobs:\n"
+            "        def thunk(run=job.thunk):\n"
+            "            calls.append(1)\n"
+            "            if len(calls) == 4:\n"
+            "                raise RuntimeError('died mid-batch')\n"
+            "            return run()\n"
+            "        job.thunk = thunk\n"
+            "    return jobs\n"
+            "engine.lemma_jobs = dying_jobs\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        journal = tmp_path / "run.jsonl"
+        argv = ["verify", obligation_file, "--no-cache",
+                "--journal", str(journal), "--farm-report"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode != 0
+        assert "died mid-batch" in done.stderr
+        # The three obligations settled before the crash were kept.
+        assert len(journal.read_text().splitlines()) == 3
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "replayed from journal:  3" in out
+        assert "farm: 6 obligations, 0 from cache, 3 executed" in out
 
     def test_farm_report_names_the_deadlines(self, obligation_file,
                                              capsys):

@@ -16,10 +16,7 @@ final stores:
   a compiled execution must land on one the explorer enumerated, and
   SC, TSO and RA explorations must enumerate the *same* outcome set;
 * counterexample traces the explorer reports replay on a fresh machine
-  to the exact claimed failure;
-* random race-free programs *verify* identically with and without
-  ``--atomic``: the engine-side lemma collapse changes farm job
-  counts, never verdicts.
+  to the exact claimed failure.
 
 ``derandomize=True`` keeps CI deterministic: the same ≥50 programs run
 every time, and any divergence reproduces locally from the printed
@@ -234,27 +231,6 @@ def test_counterexample_traces_replay(source):
         assert final.termination is not None, source
         assert final.termination.kind == TERM_UB, source
         assert final.termination.detail == reason, source
-
-
-@settings(max_examples=6, derandomize=True, deadline=None)
-@given(source=_two_thread_program())
-def test_race_free_programs_verify_identically_with_atomic(source):
-    """Engine-level differential: a race-free program's self-refinement
-    verifies to the identical outcome with and without ``--atomic`` —
-    the collapse merges farm obligations but cannot flip a verdict."""
-    from repro.proofs.engine import verify_source
-
-    program = (
-        source.replace("level L ", "level Low ", 1) + "\n"
-        + source.replace("level L ", "level High ", 1) + "\n"
-        + "proof P { refinement Low High weakening }"
-    )
-    baseline = verify_source(program)
-    collapsed = verify_source(program, atomic=True)
-    assert baseline.success == collapsed.success, source
-    assert baseline.end_to_end == collapsed.end_to_end, source
-    assert [o.success for o in baseline.outcomes] == \
-        [o.success for o in collapsed.outcomes], source
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)

@@ -460,6 +460,22 @@ class TestJournal:
         }
         assert resumed.replayed == 1
 
+    def test_settled_verdicts_survive_a_batch_that_dies(self, tmp_path):
+        """Each verdict is cached and journaled as its obligation
+        returns, not after the batch: a crash keeps what was settled."""
+        def broken():
+            raise RuntimeError("run died mid-batch")
+
+        cache = ProofCache(tmp_path / "cache")
+        path = tmp_path / "run.jsonl"
+        journal = Journal(path)
+        jobs = [_job(0), _job(1), _job(2, thunk=broken)]
+        with pytest.raises(RuntimeError, match="mid-batch"):
+            run_jobs(jobs, cache=cache, journal=journal)
+        journal.close()
+        assert len(cache) == 2
+        assert len(path.read_text().splitlines()) == 2
+
     def test_malformed_records_are_skipped(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text("\n".join([

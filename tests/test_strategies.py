@@ -79,6 +79,50 @@ class TestWeakening:
         assert "nondet_weakening" in outcome.error
 
 
+def _self_copy_levels() -> list[tuple[str, str]]:
+    """(level name, level source) for every case-study level, plus the
+    two programs the former ``regular_to_atomic`` suite proved against
+    an identical copy of themselves."""
+    from repro.casestudies import ALL, load
+
+    levels = [
+        level for study in ALL for level in load(study).levels
+    ]
+    levels.append((
+        "Straight",
+        "level Straight { var x: uint32; void main() "
+        "{ var t: uint32 := 0; t := t + 1; t := t * 2; x := t; "
+        "print_uint32(x); } }",
+    ))
+    levels.append((
+        "SharedWrites",
+        "level SharedWrites { var x: uint32; "
+        "void t() { x := 1; } "
+        "void main() { var a: uint64 := 0; a := create_thread t(); "
+        "x := 2; x := 3; join a; } }",
+    ))
+    return levels
+
+
+@pytest.mark.parametrize("memory_model", ("sc", "tso", "ra"))
+@pytest.mark.parametrize("name,level", [
+    pytest.param(name, level, id=name)
+    for name, level in _self_copy_levels()
+])
+def test_weakening_proves_a_level_against_its_copy(name, level,
+                                                   memory_model):
+    """A level refines an identical copy of itself by ``weakening``:
+    the recipe that replaces one naming ``regular_to_atomic``."""
+    copy = level.replace(f"level {name} ", f"level {name}Copy ", 1)
+    source = (
+        f"{level}\n{copy}\n"
+        f"proof P {{ refinement {name} {name}Copy weakening }}\n"
+    )
+    outcome = verify_source(source, memory_model=memory_model)
+    assert outcome.success, [o.error for o in outcome.outcomes]
+    assert outcome.chain == [name, f"{name}Copy"]
+
+
 class TestNondetWeakening:
     def test_guard_to_star(self):
         outcome = run(two_levels(
@@ -398,14 +442,22 @@ class TestRegistry:
         assert not outcome.success
         assert "unknown proof strategy" in outcome.error
 
-    def test_all_nine_strategies_registered(self):
+    def test_all_eight_strategies_registered(self):
         from repro.strategies.registry import available_strategies
 
-        assert set(available_strategies()) >= {
+        registered = set(available_strategies())
+        assert registered >= {
             "weakening", "nondet_weakening", "tso_elim", "reduction",
             "assume_intro", "combining", "var_intro", "var_hiding",
-            "regular_to_atomic",
         }
+        assert "regular_to_atomic" not in registered
+
+    def test_regular_to_atomic_is_unknown(self):
+        from repro.errors import StrategyError
+        from repro.strategies.registry import lookup
+
+        with pytest.raises(StrategyError, match="regular_to_atomic"):
+            lookup("regular_to_atomic")
 
 
 class TestJobFingerprints:
@@ -415,9 +467,9 @@ class TestJobFingerprints:
     ``_job_fingerprint()``: PR 7's model-replay bug was exactly a
     missing dimension (verdicts cached under one memory model replayed
     under another).  This matrix enumerates the verdict-bearing
-    configuration axes — memory model × atomic — and requires every
-    combination to fingerprint distinctly, so adding an axis without
-    fingerprinting it fails here, not in a user's cache.
+    configuration axis — the memory model — and requires every value
+    to fingerprint distinctly, so adding an axis without fingerprinting
+    it fails here, not in a user's cache.
     """
 
     @staticmethod
@@ -433,12 +485,8 @@ class TestJobFingerprints:
     def test_every_option_combination_is_distinct(self):
         fingerprints = {}
         for memory_model in ("sc", "tso", "ra"):
-            for atomic in (False, True):
-                engine = self._engine(
-                    memory_model=memory_model, atomic=atomic,
-                )
-                key = (memory_model, atomic)
-                fingerprints[key] = engine._job_fingerprint()
+            engine = self._engine(memory_model=memory_model)
+            fingerprints[memory_model] = engine._job_fingerprint()
         assert len(set(fingerprints.values())) == len(fingerprints), (
             "job fingerprints collide across verdict-bearing options"
         )
@@ -455,12 +503,3 @@ class TestJobFingerprints:
         a = self._engine(compiled=True)._job_fingerprint()
         b = self._engine(compiled=False)._job_fingerprint()
         assert a == b
-
-    def test_proof_key_inherits_the_atomic_dimension(self):
-        """The outcome-cache key must separate atomic from non-atomic
-        runs: collapsed scripts discharge different obligation sets."""
-        base = self._engine(atomic=False)
-        lifted = self._engine(atomic=True)
-        assert base._job_fingerprint() != lifted._job_fingerprint()
-        assert "atomic=off" in base._job_fingerprint()
-        assert "atomic=on" in lifted._job_fingerprint()
