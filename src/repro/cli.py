@@ -132,13 +132,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             journal_path=args.journal,
         )
     )
-    checked = check_program(source, args.file)
-    engine = ProofEngine(
-        checked, max_states=args.max_states,
-        validate_refinement=args.validate, farm=farm,
-        analyze=args.analyze, memory_model=args.memory_model,
-        compiled=args.compiled,
-    )
     if args.trace:
         try:
             OBS.enable(args.trace)
@@ -146,6 +139,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"armada: cannot write trace {args.trace}: {error}",
                   file=sys.stderr)
             return 1
+    try:
+        checked = check_program(source, args.file)
+        engine = ProofEngine(
+            checked, max_states=args.max_states,
+            validate_refinement=args.validate, farm=farm,
+            analyze=args.analyze, memory_model=args.memory_model,
+            compiled=args.compiled,
+        )
+    except BaseException:
+        OBS.disable()
+        raise
     # Graceful drain: on SIGTERM/SIGINT the farm finishes in-flight
     # obligations, short-circuits the rest as inconclusive, and the
     # journal keeps every settled verdict — so the same command re-run

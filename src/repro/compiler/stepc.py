@@ -64,6 +64,7 @@ from typing import Any
 from repro.hashing import code_version, structural_hash
 from repro.lang import asts as ast
 from repro.lang import types as ty
+from repro.lang.record import Record
 from repro.machine.pmap import PMap
 from repro.machine.program import StateMachine, Transition
 from repro.machine.state import (
@@ -2055,10 +2056,10 @@ def _ast_sig(node: Any) -> Any:
             type(node).__name__,
             str(node.type) if node.type is not None else "?",
         ]
-        for f in dataclasses.fields(node):
-            if f.name in ("loc", "type"):
+        for name in node._fields:
+            if name in ("loc", "type"):
                 continue
-            sig.append(_ast_sig(getattr(node, f.name)))
+            sig.append(_ast_sig(getattr(node, name)))
         return sig
     if isinstance(node, (list, tuple)):
         return [_ast_sig(item) for item in node]
@@ -2066,14 +2067,17 @@ def _ast_sig(node: Any) -> Any:
         return str(node)
     if node is None or isinstance(node, (str, int, bool)):
         return node
-    if dataclasses.is_dataclass(node):
-        sig = [type(node).__name__]
-        for f in dataclasses.fields(node):
-            if f.name == "loc":
-                continue
-            sig.append(_ast_sig(getattr(node, f.name)))
-        return sig
-    return repr(node)
+    if isinstance(node, Record):
+        names = node._fields
+    elif dataclasses.is_dataclass(node):  # a machine Step
+        names = [f.name for f in dataclasses.fields(node)]
+    else:
+        return repr(node)
+    sig = [type(node).__name__]
+    for name in names:
+        if name != "loc":
+            sig.append(_ast_sig(getattr(node, name)))
+    return sig
 
 
 def machine_fingerprint(machine: StateMachine) -> str:

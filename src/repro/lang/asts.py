@@ -7,55 +7,51 @@ nondeterministic ``*``), statements (including ``somehow``,
 TSO-bypassing assignment ``::=``), and declarations (levels, methods,
 structs, global variables, and proof recipes).
 
-All nodes are plain dataclasses.  Resolution and type checking annotate
+All nodes are mutable records (:class:`repro.lang.record.Record`): one
+generic constructor, structural ``==`` and a dataclass-style ``repr``,
+with no code compiled at import.  Resolution and type checking annotate
 nodes in-place via the ``type`` attribute on expressions (filled by
 :mod:`repro.lang.typechecker`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import NOWHERE, SourceLoc
 from repro.lang import types as ty
+from repro.lang.record import Fresh, Record
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 
 
-@dataclass
-class Expr:
+class Expr(Record, keyword_only=("loc", "type"), uncompared=("type",)):
     """Base class for expressions.  ``type`` is set by the type checker."""
 
-    loc: SourceLoc = field(default=NOWHERE, kw_only=True)
-    type: Optional[ty.Type] = field(default=None, kw_only=True, compare=False)
+    loc: SourceLoc = NOWHERE
+    type: Optional[ty.Type] = None
 
 
-@dataclass
 class IntLit(Expr):
     value: int
 
 
-@dataclass
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass
 class NullLit(Expr):
     """The null pointer literal."""
 
 
-@dataclass
 class Var(Expr):
     """A reference to a named variable (global, local, parameter, ghost)."""
 
     name: str
 
 
-@dataclass
 class MetaVar(Expr):
     """A meta variable: ``$me`` (current thread id) or ``$sb_empty``
     (whether the current thread's store buffer is empty)."""
@@ -63,7 +59,6 @@ class MetaVar(Expr):
     name: str
 
 
-@dataclass
 class Unary(Expr):
     """Unary operators: ``-`` ``!`` ``~``."""
 
@@ -71,7 +66,6 @@ class Unary(Expr):
     operand: Expr
 
 
-@dataclass
 class Binary(Expr):
     """Binary operators, including logical ``&&``/``||``/``==>`` and the
     ghost sequence/set operators (``+`` concatenation, ``in``)."""
@@ -81,7 +75,6 @@ class Binary(Expr):
     right: Expr
 
 
-@dataclass
 class Conditional(Expr):
     """``if c then a else b`` expression (ghost levels)."""
 
@@ -90,21 +83,18 @@ class Conditional(Expr):
     els: Expr
 
 
-@dataclass
 class AddressOf(Expr):
     """``&e`` — address of a variable, field, or array element."""
 
     operand: Expr
 
 
-@dataclass
 class Deref(Expr):
     """``*e`` — pointer dereference."""
 
     operand: Expr
 
 
-@dataclass
 class FieldAccess(Expr):
     """``e.field`` — struct field access (also used for ``.length``)."""
 
@@ -112,7 +102,6 @@ class FieldAccess(Expr):
     fieldname: str
 
 
-@dataclass
 class Index(Expr):
     """``e1[e2]`` — array, sequence, or map indexing."""
 
@@ -120,7 +109,6 @@ class Index(Expr):
     index: Expr
 
 
-@dataclass
 class Nondet(Expr):
     """``*`` as an expression: a nondeterministic value (§3.1.2).
 
@@ -129,28 +117,24 @@ class Nondet(Expr):
     """
 
 
-@dataclass
 class Old(Expr):
     """``old(e)`` — value of *e* in the pre-state of a two-state predicate."""
 
     operand: Expr
 
 
-@dataclass
 class Allocated(Expr):
     """``allocated(e)`` — pointer validity predicate."""
 
     operand: Expr
 
 
-@dataclass
 class AllocatedArray(Expr):
     """``allocated_array(e)`` — array-pointer validity predicate."""
 
     operand: Expr
 
 
-@dataclass
 class Call(Expr):
     """A call to a pure/ghost function in an expression position.
 
@@ -162,21 +146,18 @@ class Call(Expr):
     args: list[Expr]
 
 
-@dataclass
 class SeqLit(Expr):
     """``[e1, e2, ...]`` — ghost sequence display."""
 
     elements: list[Expr]
 
 
-@dataclass
 class SetLit(Expr):
     """``{e1, e2, ...}`` — ghost set display."""
 
     elements: list[Expr]
 
 
-@dataclass
 class Quantifier(Expr):
     """``forall x: T :: body`` / ``exists x: T :: body`` (ghost)."""
 
@@ -190,19 +171,16 @@ class Quantifier(Expr):
 # Right-hand sides that are not ordinary expressions
 
 
-@dataclass
-class Rhs:
+class Rhs(Record, keyword_only=("loc",)):
     """Base class for assignment right-hand sides (Figure 7 ⟨RHS⟩)."""
 
-    loc: SourceLoc = field(default=NOWHERE, kw_only=True)
+    loc: SourceLoc = NOWHERE
 
 
-@dataclass
 class ExprRhs(Rhs):
     expr: Expr
 
 
-@dataclass
 class CallRhs(Rhs):
     """``method(args)`` used as an RHS (or as a bare call statement)."""
 
@@ -210,14 +188,12 @@ class CallRhs(Rhs):
     args: list[Expr]
 
 
-@dataclass
 class MallocRhs(Rhs):
     """``malloc(T)`` — allocate a single object."""
 
     alloc_type: ty.Type
 
 
-@dataclass
 class CallocRhs(Rhs):
     """``calloc(T, n)`` — allocate a zero-initialized array of objects."""
 
@@ -225,7 +201,6 @@ class CallocRhs(Rhs):
     count: Expr
 
 
-@dataclass
 class CreateThreadRhs(Rhs):
     """``create_thread method(args)`` — spawn a thread; value is its id."""
 
@@ -237,17 +212,14 @@ class CreateThreadRhs(Rhs):
 # Statements
 
 
-@dataclass
-class Stmt:
-    loc: SourceLoc = field(default=NOWHERE, kw_only=True)
+class Stmt(Record, keyword_only=("loc",)):
+    loc: SourceLoc = NOWHERE
 
 
-@dataclass
 class Block(Stmt):
-    stmts: list[Stmt] = field(default_factory=list)
+    stmts: list[Stmt] = Fresh(list)
 
 
-@dataclass
 class VarDeclStmt(Stmt):
     """``var x: T [:= rhs];`` — stack variable declaration.
 
@@ -261,7 +233,6 @@ class VarDeclStmt(Stmt):
     ghost: bool = False
 
 
-@dataclass
 class AssignStmt(Stmt):
     """Assignment: ``lhs, ... := rhs, ...;`` or TSO-bypassing ``::=``.
 
@@ -273,43 +244,36 @@ class AssignStmt(Stmt):
     tso_bypass: bool = False
 
 
-@dataclass
 class IfStmt(Stmt):
     cond: Expr
     then: Block
     els: Optional[Block] = None
 
 
-@dataclass
 class WhileStmt(Stmt):
     cond: Expr
     body: Block
-    invariants: list[Expr] = field(default_factory=list)
+    invariants: list[Expr] = Fresh(list)
 
 
-@dataclass
 class BreakStmt(Stmt):
     pass
 
 
-@dataclass
 class ContinueStmt(Stmt):
     pass
 
 
-@dataclass
 class ReturnStmt(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass
 class AssertStmt(Stmt):
     """``assert e;`` — crashes the program if *e* does not hold (§3.1.2)."""
 
     cond: Expr
 
 
-@dataclass
 class AssumeStmt(Stmt):
     """``assume e;`` — enablement condition: the statement cannot execute
     unless *e* holds (§3.1.2)."""
@@ -317,40 +281,34 @@ class AssumeStmt(Stmt):
     cond: Expr
 
 
-@dataclass
-class SomehowSpec:
-    requires: list[Expr] = field(default_factory=list)
-    modifies: list[Expr] = field(default_factory=list)
-    ensures: list[Expr] = field(default_factory=list)
+class SomehowSpec(Record):
+    requires: list[Expr] = Fresh(list)
+    modifies: list[Expr] = Fresh(list)
+    ensures: list[Expr] = Fresh(list)
 
 
-@dataclass
 class SomehowStmt(Stmt):
     """``somehow requires ... modifies ... ensures ...;`` — a declarative
     atomic action (§3.1.2).  Undefined behaviour if a precondition fails;
     havocs the modifies set subject to the two-state postconditions.
     """
 
-    spec: SomehowSpec = field(default_factory=SomehowSpec)
+    spec: SomehowSpec = Fresh(SomehowSpec)
 
 
-@dataclass
 class DeallocStmt(Stmt):
     ptr: Expr
 
 
-@dataclass
 class JoinStmt(Stmt):
     thread: Expr
 
 
-@dataclass
 class LabelStmt(Stmt):
     label: str
     stmt: Stmt
 
 
-@dataclass
 class ExplicitYieldBlock(Stmt):
     """``explicit_yield { S }`` — the body executes without interruption
     except at ``yield`` points (§3.1.2, following CIVL)."""
@@ -358,12 +316,10 @@ class ExplicitYieldBlock(Stmt):
     body: Block
 
 
-@dataclass
 class YieldStmt(Stmt):
     pass
 
 
-@dataclass
 class AtomicBlock(Stmt):
     """``atomic { S }`` — executes to completion without interruption
     (but a behaviour may terminate mid-block, §3.1.2)."""
@@ -375,23 +331,20 @@ class AtomicBlock(Stmt):
 # Declarations
 
 
-@dataclass
-class Param:
+class Param(Record):
     name: str
     type: ty.Type
-    loc: SourceLoc = field(default=NOWHERE)
+    loc: SourceLoc = NOWHERE
 
 
-@dataclass
-class MethodSpec:
-    requires: list[Expr] = field(default_factory=list)
-    ensures: list[Expr] = field(default_factory=list)
-    modifies: list[Expr] = field(default_factory=list)
-    reads: list[Expr] = field(default_factory=list)
+class MethodSpec(Record):
+    requires: list[Expr] = Fresh(list)
+    ensures: list[Expr] = Fresh(list)
+    modifies: list[Expr] = Fresh(list)
+    reads: list[Expr] = Fresh(list)
 
 
-@dataclass
-class MethodDecl:
+class MethodDecl(Record):
     """A method.  ``extern`` methods model runtime/library/OS functions or
     hardware instructions (§3.1.4); their body, if supplied, is a
     concurrency-aware model rather than compiled code.
@@ -401,36 +354,33 @@ class MethodDecl:
     params: list[Param]
     return_type: ty.Type
     body: Optional[Block]
-    spec: MethodSpec = field(default_factory=MethodSpec)
+    spec: MethodSpec = Fresh(MethodSpec)
     is_extern: bool = False
-    loc: SourceLoc = field(default=NOWHERE)
+    loc: SourceLoc = NOWHERE
 
 
-@dataclass
-class GlobalVarDecl:
+class GlobalVarDecl(Record):
     name: str
     var_type: ty.Type
     init: Optional[Expr] = None
     ghost: bool = False
-    loc: SourceLoc = field(default=NOWHERE)
+    loc: SourceLoc = NOWHERE
 
 
-@dataclass
-class StructDecl:
+class StructDecl(Record):
     name: str
-    struct_type: ty.StructType = field(default=None)  # type: ignore[assignment]
-    loc: SourceLoc = field(default=NOWHERE)
+    struct_type: ty.StructType = None  # type: ignore[assignment]
+    loc: SourceLoc = NOWHERE
 
 
-@dataclass
-class LevelDecl:
+class LevelDecl(Record):
     """``level Name { decls }`` — one program in the refinement chain."""
 
     name: str
-    structs: list[StructDecl] = field(default_factory=list)
-    globals: list[GlobalVarDecl] = field(default_factory=list)
-    methods: list[MethodDecl] = field(default_factory=list)
-    loc: SourceLoc = field(default=NOWHERE)
+    structs: list[StructDecl] = Fresh(list)
+    globals: list[GlobalVarDecl] = Fresh(list)
+    methods: list[MethodDecl] = Fresh(list)
+    loc: SourceLoc = NOWHERE
 
     def method(self, name: str) -> MethodDecl | None:
         for m in self.methods:
@@ -445,8 +395,7 @@ class LevelDecl:
         return None
 
 
-@dataclass
-class RecipeItem:
+class RecipeItem(Record):
     """One directive inside a ``proof`` block after the refinement line.
 
     The first item names the strategy; its arguments are raw strings
@@ -455,19 +404,18 @@ class RecipeItem:
     """
 
     name: str
-    args: list[str] = field(default_factory=list)
-    loc: SourceLoc = field(default=NOWHERE)
+    args: list[str] = Fresh(list)
+    loc: SourceLoc = NOWHERE
 
 
-@dataclass
-class ProofDecl:
+class ProofDecl(Record):
     """``proof Name { refinement Low High; <strategy> args; ... }``"""
 
     name: str
     low_level: str
     high_level: str
-    items: list[RecipeItem] = field(default_factory=list)
-    loc: SourceLoc = field(default=NOWHERE)
+    items: list[RecipeItem] = Fresh(list)
+    loc: SourceLoc = NOWHERE
 
     @property
     def strategy(self) -> RecipeItem:
@@ -490,12 +438,11 @@ class ProofDecl:
         return any(item.name == name for item in self.items)
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A complete Armada source file: levels plus proof recipes."""
 
-    levels: list[LevelDecl] = field(default_factory=list)
-    proofs: list[ProofDecl] = field(default_factory=list)
+    levels: list[LevelDecl] = Fresh(list)
+    proofs: list[ProofDecl] = Fresh(list)
 
     def level(self, name: str) -> LevelDecl | None:
         for lvl in self.levels:

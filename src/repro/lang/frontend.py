@@ -9,6 +9,7 @@ from repro.lang.core_check import check_core
 from repro.lang.parser import parse_program
 from repro.lang.resolver import LevelContext, resolve_level
 from repro.lang.typechecker import typecheck_level
+from repro.obs import OBS
 
 
 @dataclass
@@ -29,12 +30,18 @@ def check_program(source: str, filename: str = "<armada>") -> CheckedProgram:
     are *not* applied here — they apply only to the implementation level
     and are enforced by the compiler (:func:`repro.lang.core_check.check_core`)
     and by :meth:`repro.proofs.engine.ProofEngine`.
+
+    Traced as one ``parse`` phase span and, per level, a ``resolve``
+    and a ``typecheck`` span.
     """
-    program = parse_program(source, filename)
+    with OBS.span("parse"):
+        program = parse_program(source, filename)
     checked = CheckedProgram(program)
     for level in program.levels:
-        ctx = resolve_level(level)
-        typecheck_level(ctx)
+        with OBS.span("resolve", level=level.name):
+            ctx = resolve_level(level)
+        with OBS.span("typecheck", level=level.name):
+            typecheck_level(ctx)
         checked.contexts[level.name] = ctx
     return checked
 

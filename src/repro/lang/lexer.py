@@ -1,164 +1,115 @@
-"""Hand-written lexer for the Armada language.
+"""Lexer for the Armada language.
 
 The surface syntax follows Figure 7 of the paper: C-like operators plus
 Armada-specific forms (``::=`` for TSO-bypassing assignment, ``$me`` /
 ``$sb_empty`` meta variables, ``==>`` implication in specifications).
 Comments use ``//`` and ``/* ... */``.
+
+The lexer is one compiled regular expression, applied with ``match`` at
+each position.  Its alternatives are tried in order, so punctuation is
+listed longest first, and the error alternative (the start of an
+unterminated comment or string, or of a malformed number) comes before
+``/`` can match as punctuation; :func:`_lex_error` diagnoses it.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexError, SourceLoc
 from repro.lang.tokens import KEYWORDS, PUNCTUATIONS, Token, TokenKind
 
+# Group numbers of the alternatives below (``match.lastindex``).
+_TRIVIA, _WORD, _NUMBER, _STRING, _ERROR, _PUNCT = range(1, 7)
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in ("_", "'")
-
-
-class Lexer:
-    """Converts Armada source text into a token stream."""
-
-    def __init__(self, source: str, filename: str = "<armada>") -> None:
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokenize(self) -> list[Token]:
-        """Lex the whole input, returning tokens terminated by an EOF token."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-    # internals
-
-    def _loc(self) -> SourceLoc:
-        return SourceLoc(self._line, self._col, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch in (" ", "\t", "\r", "\n"):
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                loc = self._loc()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._pos >= len(self._source):
-                        raise LexError("unterminated block comment", loc)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        loc = self._loc()
-        if self._pos >= len(self._source):
-            return Token(TokenKind.EOF, "", loc)
-
-        ch = self._peek()
-        if _is_ident_start(ch):
-            return self._lex_ident(loc)
-        if ch.isdigit():
-            return self._lex_number(loc)
-        if ch == '"':
-            return self._lex_string(loc)
-        if ch == "$":
-            # Meta variables: $me, $sb_empty.
-            self._advance()
-            if not _is_ident_start(self._peek()):
-                return Token(TokenKind.PUNCT, "$", loc)
-            start = self._pos
-            while _is_ident_char(self._peek()):
-                self._advance()
-            return Token(TokenKind.IDENT, "$" + self._source[start : self._pos], loc)
-        for punct in PUNCTUATIONS:
-            if self._source.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, loc)
-        raise LexError(f"unexpected character {ch!r}", loc)
-
-    def _lex_ident(self, loc: SourceLoc) -> Token:
-        start = self._pos
-        while _is_ident_char(self._peek()):
-            self._advance()
-        text = self._source[start : self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, loc)
-
-    def _lex_number(self, loc: SourceLoc) -> Token:
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._is_hex(self._peek()):
-                raise LexError("malformed hex literal", loc)
-            while self._is_hex(self._peek()):
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-        if _is_ident_start(self._peek()):
-            raise LexError("identifier immediately after number", self._loc())
-        return Token(TokenKind.INTLIT, self._source[start : self._pos], loc)
-
-    @staticmethod
-    def _is_hex(ch: str) -> bool:
-        return bool(ch) and (ch.isdigit() or ch.lower() in "abcdef")
-
-    def _lex_string(self, loc: SourceLoc) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise LexError("unterminated string literal", loc)
-            if ch == '"':
-                self._advance()
-                return Token(TokenKind.STRINGLIT, "".join(chars), loc)
-            if ch == "\\":
-                self._advance()
-                escape = self._peek()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if escape not in mapping:
-                    raise LexError(f"bad escape \\{escape}", self._loc())
-                chars.append(mapping[escape])
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
+_TOKEN = re.compile(
+    r"([ \t\r\n]+|//[^\n]*|/\*.*?\*/)"  # whitespace and comments
+    r"|(\$?[^\W\d][\w']*)"  # identifiers, keywords, $meta variables
+    r"|(0[xX][0-9a-fA-F]+(?!\w)|[0-9]+(?!\w))"  # integer literals
+    r'|"((?:[^"\\]|\\[nt"\\])*)"'  # string literals
+    r'|(/\*|"|[0-9])'  # an unterminated comment or string, a bad number
+    r"|(" + "".join(re.escape(p) + "|" for p in PUNCTUATIONS if len(p) > 1)
+    + "[" + "".join(re.escape(p) for p in PUNCTUATIONS if len(p) == 1)
+    + "])",
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_LEADING_ZEROS = re.compile(r"0+[1-9]")
+_STRING_PREFIX = re.compile(r'"(?:[^"\\]|\\[nt"\\])*')
+_NUMBER_PREFIX = re.compile(r"0[xX][0-9a-fA-F]*|[0-9]+")
 
 
 def tokenize(source: str, filename: str = "<armada>") -> list[Token]:
-    """Convenience wrapper: lex *source* into a token list."""
-    return Lexer(source, filename).tokenize()
+    """Lex *source* into a token list terminated by an EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of `line`
+    end = len(source)
+    while pos < end:
+        m = match(source, pos)
+        if m is None:
+            raise LexError(
+                f"unexpected character {source[pos]!r}",
+                SourceLoc(line, pos - line_start + 1, filename),
+            )
+        group = m.lastindex
+        text = m.group()
+        if group != _TRIVIA:
+            loc = SourceLoc(line, pos - line_start + 1, filename)
+            if group == _WORD:
+                kind = (TokenKind.KEYWORD if text in KEYWORDS
+                        else TokenKind.IDENT)
+                append(Token(kind, text, loc))
+            elif group == _PUNCT:
+                append(Token(TokenKind.PUNCT, text, loc))
+            elif group == _NUMBER:
+                if _LEADING_ZEROS.match(text):
+                    raise LexError(
+                        f"leading zeros in decimal literal {text}", loc)
+                append(Token(TokenKind.INTLIT, text, loc))
+            elif group == _STRING:
+                body = m.group(_STRING)
+                if "\\" in body:
+                    body = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
+                append(Token(TokenKind.STRINGLIT, body, loc))
+            else:
+                _lex_error(source, pos, line, line_start, filename)
+        if "\n" in text:  # whitespace, comments and strings span lines
+            line += text.count("\n")
+            line_start = pos + text.rindex("\n") + 1
+        pos = m.end()
+    append(Token(TokenKind.EOF, "", SourceLoc(line, pos - line_start + 1,
+                                              filename)))
+    return tokens
+
+
+def _lex_error(source: str, pos: int, line: int, line_start: int,
+               filename: str) -> None:
+    """Raise the :class:`LexError` for the malformed token at *pos*: an
+    unterminated block comment or string, a bad string escape, or a
+    malformed number."""
+
+    def at(offset: int) -> SourceLoc:
+        text = source[pos:offset]
+        if "\n" not in text:
+            return SourceLoc(line, offset - line_start + 1, filename)
+        return SourceLoc(line + text.count("\n"),
+                         offset - (pos + text.rindex("\n")), filename)
+
+    if source.startswith("/*", pos):
+        raise LexError("unterminated block comment", at(pos))
+    if source[pos] == '"':
+        stop = _STRING_PREFIX.match(source, pos).end()
+        if stop == len(source):
+            raise LexError("unterminated string literal", at(pos))
+        # The string stops at a backslash with a bad (or no) escape.
+        raise LexError(f"bad escape \\{source[stop + 1:stop + 2]}",
+                       at(stop + 1))
+    stop = _NUMBER_PREFIX.match(source, pos).end()
+    if stop - pos == 2 and source[pos + 1] in "xX":
+        raise LexError("malformed hex literal", at(pos))
+    raise LexError("identifier immediately after number", at(stop))

@@ -24,7 +24,8 @@ RECIPE_DIRECTIVES = frozenset(
     }
 )
 
-#: Binary operator precedence levels, lowest binding first.
+#: Binary operator precedence levels, lowest binding first.  Operators
+#: on one level group left.
 _BINARY_LEVELS: list[tuple[str, ...]] = [
     ("==>", "<=="),
     ("||",),
@@ -39,6 +40,17 @@ _BINARY_LEVELS: list[tuple[str, ...]] = [
     ("*", "/", "%"),
 ]
 
+#: Binary operator -> its index in :data:`_BINARY_LEVELS`.
+_BINARY_PRECEDENCE: dict[str, int] = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops
+}
+
+#: The deepest nesting the parser accepts.  A statement, an expression,
+#: a prefix operator and each operator of a binary chain (which nests
+#: left) go one level deeper.  Every later pass recurses over the tree,
+#: so deeper input is a syntax error rather than a stack overflow.
+MAX_NESTING = 100
+
 
 class Parser:
     """Parses a token stream into an :class:`repro.lang.asts.Program`."""
@@ -46,11 +58,14 @@ class Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # token helpers
 
     def _peek(self, offset: int = 0) -> Token:
+        if not offset:
+            return self._tokens[self._pos]  # never past the EOF token
         index = min(self._pos + offset, len(self._tokens) - 1)
         return self._tokens[index]
 
@@ -97,6 +112,13 @@ class Parser:
         if token.kind is not TokenKind.IDENT:
             raise ParseError(f"expected identifier, found {token!s}", token.loc)
         return self._advance()
+
+    def _nest(self) -> None:
+        """Go one level deeper, failing past :data:`MAX_NESTING`; the
+        caller undoes it with ``self._depth -= 1``."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise _too_deep(self._peek())
 
     # ------------------------------------------------------------------
     # top level
@@ -335,6 +357,12 @@ class Parser:
         return block
 
     def parse_stmt(self) -> ast.Stmt:
+        self._nest()
+        stmt = self._parse_stmt()
+        self._depth -= 1
+        return stmt
+
+    def _parse_stmt(self) -> ast.Stmt:
         token = self._peek()
         if token.is_punct("{"):
             return self._parse_block()
@@ -426,7 +454,9 @@ class Parser:
         els = None
         if self._accept_keyword("else"):
             if self._check_keyword("if"):
+                self._nest()
                 els = ast.Block([self._parse_if()], loc=self._peek().loc)
+                self._depth -= 1
             else:
                 els = self._parse_block()
         return ast.IfStmt(cond, then, els, loc=loc)
@@ -522,11 +552,15 @@ class Parser:
     # expressions
 
     def parse_expr(self) -> ast.Expr:
+        self._nest()
         if self._check_keyword("forall") or self._check_keyword("exists"):
-            return self._parse_quantifier()
-        if self._check_keyword("if"):
-            return self._parse_conditional()
-        return self._parse_binary(0)
+            expr = self._parse_quantifier()
+        elif self._check_keyword("if"):
+            expr = self._parse_conditional()
+        else:
+            expr = self._parse_binary(0)
+        self._depth -= 1
+        return expr
 
     def _parse_quantifier(self) -> ast.Expr:
         token = self._advance()
@@ -547,50 +581,47 @@ class Parser:
         els = self.parse_expr()
         return ast.Conditional(cond, then, els, loc=loc)
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: an operand, then every binary operator
+        of level *min_level* or tighter with its right operand."""
+        left = self._parse_unary()
+        chain = 0
         while True:
             token = self._peek()
-            text = token.text
-            matches = (
-                token.kind is TokenKind.PUNCT and text in ops
-            ) or (token.is_keyword("in") and "in" in ops)
-            if not matches:
+            level = (
+                _BINARY_PRECEDENCE.get(token.text)
+                if token.kind is TokenKind.PUNCT
+                or token.kind is TokenKind.KEYWORD else None
+            )
+            if level is None or level < min_level:
                 return left
-            # `*` at binary level could be a nondet marker misparse; the
-            # unary parser already consumed operand `*`s, so a bare `*`
-            # here is genuinely multiplication.
+            # The chain nests left: its first operand ends up deepest.
+            chain += 1
+            if self._depth + chain > MAX_NESTING:
+                raise _too_deep(token)
             self._advance()
             right = self._parse_binary(level + 1)
-            left = ast.Binary(text, left, right, loc=token.loc)
+            left = ast.Binary(token.text, left, right, loc=token.loc)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        if token.is_punct("*"):
-            # Either a nondeterministic value or a dereference.  If the
-            # next token cannot start an expression, it is nondet.
-            nxt = self._peek(1)
-            if self._starts_expr(nxt):
-                self._advance()
-                return ast.Deref(self._parse_unary(), loc=token.loc)
+        if token.kind is not TokenKind.PUNCT or \
+                token.text not in ("*", "&", "-", "!", "~"):
+            return self._parse_postfix()
+        if token.text == "*" and not self._starts_expr(self._peek(1)):
+            # A `*` that cannot be a dereference is a nondeterministic
+            # value.
             self._advance()
             return ast.Nondet(loc=token.loc)
-        if token.is_punct("&"):
-            self._advance()
-            return ast.AddressOf(self._parse_unary(), loc=token.loc)
-        if token.is_punct("-"):
-            self._advance()
-            return ast.Unary("-", self._parse_unary(), loc=token.loc)
-        if token.is_punct("!"):
-            self._advance()
-            return ast.Unary("!", self._parse_unary(), loc=token.loc)
-        if token.is_punct("~"):
-            self._advance()
-            return ast.Unary("~", self._parse_unary(), loc=token.loc)
-        return self._parse_postfix()
+        self._nest()
+        self._advance()
+        operand = self._parse_unary()
+        self._depth -= 1
+        if token.text == "*":
+            return ast.Deref(operand, loc=token.loc)
+        if token.text == "&":
+            return ast.AddressOf(operand, loc=token.loc)
+        return ast.Unary(token.text, operand, loc=token.loc)
 
     @staticmethod
     def _starts_expr(token: Token) -> bool:
@@ -686,6 +717,10 @@ class Parser:
                 elements.append(self.parse_expr())
             return ast.SetLit(elements, loc=token.loc)
         raise ParseError(f"expected expression, found {token!s}", token.loc)
+
+
+def _too_deep(token: Token) -> ParseError:
+    return ParseError(f"nested more than {MAX_NESTING} deep", token.loc)
 
 
 def parse_program(source: str, filename: str = "<armada>") -> ast.Program:

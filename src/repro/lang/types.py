@@ -7,14 +7,16 @@ supported by the theorem prover" (§3.1.2).
 
 Types are immutable and compared structurally, except for structs, which
 are nominal (two structs are the same type iff they have the same name).
+They are frozen records (:class:`repro.lang.record.FrozenRecord`), which
+hash by value and compile no code at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.lang.record import FrozenRecord
 
 
-class Type:
+class Type(FrozenRecord):
     """Base class for Armada types."""
 
     def is_core(self) -> bool:
@@ -28,7 +30,6 @@ class Type:
         return False
 
 
-@dataclass(frozen=True, slots=True)
 class IntType(Type):
     """A fixed-width integer type: (u)int8/16/32/64."""
 
@@ -65,7 +66,6 @@ class IntType(Type):
         return f"{'' if self.signed else 'u'}int{self.bits}"
 
 
-@dataclass(frozen=True, slots=True)
 class MathIntType(Type):
     """The unbounded mathematical integer type ``int`` (ghost only)."""
 
@@ -76,7 +76,6 @@ class MathIntType(Type):
         return "int"
 
 
-@dataclass(frozen=True, slots=True)
 class BoolType(Type):
     """The boolean type. Compilable as a byte-sized value in core Armada."""
 
@@ -87,7 +86,6 @@ class BoolType(Type):
         return "bool"
 
 
-@dataclass(frozen=True, slots=True)
 class VoidType(Type):
     """Return type of methods that return nothing."""
 
@@ -95,7 +93,6 @@ class VoidType(Type):
         return "void"
 
 
-@dataclass(frozen=True, slots=True)
 class PtrType(Type):
     """``ptr<T>`` — may point to whole objects, struct fields, or array
     elements (§3.1.1)."""
@@ -112,7 +109,6 @@ class PtrType(Type):
         return f"ptr<{self.element}>"
 
 
-@dataclass(frozen=True, slots=True)
 class ArrayType(Type):
     """``T[N]`` — single-dimensional array of statically known size."""
 
@@ -126,18 +122,16 @@ class ArrayType(Type):
         return f"{self.element}[{self.size}]"
 
 
-@dataclass(frozen=True, slots=True)
-class StructField:
+class StructField(FrozenRecord):
     name: str
     type: Type
 
 
-@dataclass(frozen=True, slots=True)
 class StructType(Type):
     """A nominal struct type; arbitrary nesting with arrays is allowed."""
 
     name: str
-    fields: tuple[StructField, ...] = field(default=())
+    fields: tuple[StructField, ...] = ()
 
     def is_core(self) -> bool:
         return all(f.type.is_core() for f in self.fields)
@@ -166,7 +160,6 @@ class StructType(Type):
         return hash(("struct", self.name))
 
 
-@dataclass(frozen=True, slots=True)
 class SeqType(Type):
     """Ghost sequence type ``seq<T>``."""
 
@@ -176,7 +169,6 @@ class SeqType(Type):
         return f"seq<{self.element}>"
 
 
-@dataclass(frozen=True, slots=True)
 class SetType(Type):
     """Ghost finite set type ``set<T>``."""
 
@@ -186,7 +178,6 @@ class SetType(Type):
         return f"set<{self.element}>"
 
 
-@dataclass(frozen=True, slots=True)
 class MapType(Type):
     """Ghost finite map type ``map<K, V>``."""
 
@@ -197,7 +188,6 @@ class MapType(Type):
         return f"map<{self.key}, {self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
 class OptionType(Type):
     """Ghost option type ``option<T>`` (used e.g. for lock holders)."""
 

@@ -390,8 +390,6 @@ def _pc_read_footprint(machine: Any, pc: str) -> tuple[frozenset, bool]:
     memory (their base variable is skipped; index subexpressions are
     still visited).
     """
-    import dataclasses as _dc
-
     from repro.lang import asts as ast
     from repro.lang import types as lty
 
@@ -409,8 +407,8 @@ def _pc_read_footprint(machine: Any, pc: str) -> tuple[frozenset, bool]:
     include_all = False
 
     def children(expr: ast.Expr):
-        for f in _dc.fields(expr):
-            v = getattr(expr, f.name)
+        for name in expr._fields:
+            v = getattr(expr, name)
             if isinstance(v, ast.Expr):
                 yield v
             elif isinstance(v, (list, tuple)):

@@ -9,6 +9,12 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.lang.parser import MAX_NESTING
+
+EXAMPLE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples", "running_example.arm",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -392,6 +398,90 @@ class TestVerifyFarmFlags:
         )
         main(["verify", str(path)])
         assert "chain error:" in capsys.readouterr().out
+
+
+def _cli_subprocess(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__))
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _deep_program(shape, n):
+    """Two copies of one level, nested *n* deep in one of three shapes,
+    and a proof between them."""
+    init, body = "0", "x := x + 1;"
+    if shape == "parentheses":
+        init = "(" * n + "1" + ")" * n
+    elif shape == "right-nested binary":
+        expr = "x"
+        for _ in range(n):
+            expr = f"(1 + {expr})"
+        body = f"x := {expr};"
+    else:
+        for _ in range(n):
+            body = f"if x < 5 {{ {body} }}"
+    level = (" { var x: uint32 := " + init + "; void main() { " + body
+             + " print_uint32(x); } }\n")
+    return ("level A" + level + "level B" + level
+            + "proof P { refinement A B weakening }\n")
+
+
+#: The deepest n of each shape that stays within MAX_NESTING: an
+#: initializer is level 1 and each parenthesis one more; a statement in
+#: a method body is level 1, its expression level 2, and the `+` of
+#: `x + 1` or `1 + ...` one level deeper again.
+_AT_LIMIT = {
+    "parentheses": MAX_NESTING - 1,
+    "right-nested binary": MAX_NESTING - 3,
+    "nested if blocks": MAX_NESTING - 3,
+}
+
+
+class TestSyntaxErrorsExit2:
+    def test_leading_zero_literal_is_a_syntax_error(self, tmp_path):
+        source = open(EXAMPLE).read()
+        assert ":= 255;" in source
+        path = tmp_path / "zero.arm"
+        path.write_text(source.replace(":= 255;", ":= 0255;"))
+        done = _cli_subprocess("check", str(path))
+        assert done.returncode == 2
+        assert "leading zeros in decimal literal 0255" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("shape", sorted(_AT_LIMIT))
+    def test_nesting_at_the_limit_checks_and_verifies(self, shape,
+                                                      tmp_path, capsys):
+        path = tmp_path / "deep.arm"
+        path.write_text(_deep_program(shape, _AT_LIMIT[shape]))
+        assert main(["check", str(path)]) == 0
+        assert main(["verify", str(path), "--no-cache"]) == 0
+        assert "P [weakening]: verified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("shape", sorted(_AT_LIMIT))
+    def test_one_level_deeper_is_a_parse_error(self, shape, tmp_path,
+                                               capsys):
+        path = tmp_path / "deep.arm"
+        path.write_text(_deep_program(shape, _AT_LIMIT[shape] + 1))
+        for argv in (["check", str(path)],
+                     ["verify", str(path), "--no-cache"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"nested more than {MAX_NESTING} deep" in err
+
+    @pytest.mark.parametrize("shape", sorted(_AT_LIMIT))
+    def test_ten_thousand_deep_exits_2_without_a_traceback(self, shape,
+                                                           tmp_path):
+        path = tmp_path / "deep.arm"
+        path.write_text(_deep_program(shape, 10_000))
+        done = _cli_subprocess("check", str(path))
+        assert done.returncode == 2
+        assert f"nested more than {MAX_NESTING} deep" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestShippedArmadaFile:

@@ -1,10 +1,12 @@
 """Tests for the Armada lexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LexError
 from repro.lang.lexer import tokenize
-from repro.lang.tokens import TokenKind
+from repro.lang.tokens import KEYWORDS, PUNCTUATIONS, TokenKind
 
 
 def kinds(source):
@@ -125,3 +127,111 @@ class TestErrors:
     def test_unterminated_string(self):
         with pytest.raises(LexError):
             tokenize('"never closed')
+
+
+class TestErrorMessages:
+    """Every LexError path, with the message and location the lexer
+    has always reported."""
+
+    @pytest.mark.parametrize("source, message, line, column", [
+        ("a\n  ` b", "unexpected character '`'", 2, 3),
+        ("a\t#", "unexpected character '#'", 1, 3),
+        # reported at the `/*` or `"` that opens the construct
+        ("x /* never\nclosed", "unterminated block comment", 1, 3),
+        ('x := "never\nclosed', "unterminated string literal", 1, 6),
+        # reported at the escaped character (or where it is missing)
+        ('y\n  "ab\\qc"', "bad escape \\q", 2, 7),
+        ('z "\\', "bad escape \\", 1, 5),
+        ("0x", "malformed hex literal", 1, 1),
+        ("0xg", "malformed hex literal", 1, 1),
+        ("\n\n   0x;", "malformed hex literal", 3, 4),
+        # reported at the first character after the number
+        ("123abc", "identifier immediately after number", 1, 4),
+        ("20x02", "identifier immediately after number", 1, 3),
+        ("0x1g", "identifier immediately after number", 1, 4),
+        ("x := 12_3;", "identifier immediately after number", 1, 8),
+        ("x := 1é", "identifier immediately after number", 1, 7),
+    ])
+    def test_message_and_location(self, source, message, line, column):
+        with pytest.raises(LexError) as caught:
+            tokenize(source)
+        assert caught.value.message == message
+        assert (caught.value.loc.line, caught.value.loc.column) == (
+            line, column)
+
+
+class TestLeadingZeros:
+    def test_decimal_literal_with_leading_zero_is_an_error(self):
+        with pytest.raises(LexError) as caught:
+            tokenize("var x: uint32 :=\n   0255;")
+        assert caught.value.message == "leading zeros in decimal literal 0255"
+        assert (caught.value.loc.line, caught.value.loc.column) == (2, 4)
+
+    @pytest.mark.parametrize("text", ["0", "00", "000", "0x0F", "0X00ff",
+                                      "10", "100"])
+    def test_literals_python_accepts_stay_valid(self, text):
+        token = tokenize(text)[0]
+        assert token.kind is TokenKind.INTLIT
+        assert token.text == text
+        int(token.text, 0)
+
+
+#: Tokens that lex back to themselves when separated by trivia.
+_WORDS = ["x", "best_len", "x'", "_t0", "$me", "$sb_empty", "é", "while",
+          "if", "in", "uint32", "ghost"]
+_NUMBERS = ["0", "7", "42", "0x1F", "0XAB", "00"]
+_STRINGS = [('"p == $me"', "p == $me"), ('"a\\nb"', "a\nb"),
+            ('"q\\"\\\\"', 'q"\\'), ('""', "")]
+# Comments start with a space, so that none fuses with a `/` before it.
+_TRIVIA = [" ", "  ", "\t", "\n", "\r\n", " // note\n", " /* c */",
+           " /* two\nlines */ "]
+
+
+@st.composite
+def _token_layout(draw):
+    """A source text and the (kind, text, line, column) of each token
+    placed in it."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 12))):
+        choice = draw(st.integers(0, 3))
+        if choice == 0:
+            word = draw(st.sampled_from(_WORDS))
+            kind = (TokenKind.KEYWORD if word in KEYWORDS
+                    else TokenKind.IDENT)
+            pieces.append((word, kind, word))
+        elif choice == 1:
+            number = draw(st.sampled_from(_NUMBERS))
+            pieces.append((number, TokenKind.INTLIT, number))
+        elif choice == 2:
+            raw, text = draw(st.sampled_from(_STRINGS))
+            pieces.append((raw, TokenKind.STRINGLIT, text))
+        else:
+            punct = draw(st.sampled_from(PUNCTUATIONS))
+            pieces.append((punct, TokenKind.PUNCT, punct))
+    source, expected = "", []
+    line, column = 1, 1
+    for raw, kind, text in pieces:
+        # Trivia between every pair, so no two tokens can fuse.
+        gap = "".join(draw(st.lists(st.sampled_from(_TRIVIA),
+                                    min_size=1, max_size=3)))
+        for chunk in (gap, raw):
+            if chunk is raw:
+                expected.append((kind, text, line, column))
+            source += chunk
+            if "\n" in chunk:
+                line += chunk.count("\n")
+                column = len(chunk) - chunk.rindex("\n")
+            else:
+                column += len(chunk)
+    return source, expected
+
+
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(_token_layout())
+    def test_tokens_lex_back_where_they_were_placed(self, layout):
+        source, expected = layout
+        tokens = tokenize(source)
+        assert tokens[-1].kind is TokenKind.EOF
+        assert [(t.kind, t.text, t.loc.line, t.loc.column)
+                for t in tokens[:-1]] == expected

@@ -254,6 +254,42 @@ class TestCliTrace:
         assert queued > 0
         assert stats.obligation_total == queued
 
+    def test_front_end_phases_are_traced(self, program_file, tmp_path,
+                                         capsys):
+        from repro.cli import main
+
+        trace = str(tmp_path / "front.jsonl")
+        assert main(["verify", program_file, "--no-cache",
+                     "--trace", trace]) == 0
+        capsys.readouterr()
+        spans = [r for r in read_records(trace) if r["type"] == "span"
+                 and r["kind"] == "phase"]
+        by_name = {}
+        for span in spans:
+            by_name.setdefault(span["name"], []).append(span)
+        levels = ["Implementation", "ArbitraryGuard", "BestLenSequential"]
+        assert len(by_name["parse"]) == 1
+        for phase in ("resolve", "typecheck"):
+            assert [s["attrs"]["level"] for s in by_name[phase]] == levels
+        # The front end runs before the chain, so no span encloses it.
+        assert all(s["parent"] is None for s in by_name["parse"])
+
+        assert main(["stats", trace, "--json"]) == 0
+        rows = {row["phase"]: row
+                for row in json.loads(capsys.readouterr().out)["phases"]}
+        assert rows["parse"]["spans"] == 1
+        assert rows["resolve"]["spans"] == rows["typecheck"]["spans"] == 3
+
+    def test_syntax_error_closes_the_trace(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "broken.arm"
+        path.write_text("level {")
+        trace = str(tmp_path / "broken.jsonl")
+        assert main(["verify", str(path), "--trace", trace]) == 2
+        assert not OBS.enabled
+        assert read_records(trace)[-1]["type"] == "counters"
+
     def test_stats_missing_file_exits_1(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -5,7 +5,12 @@ import pytest
 from repro.errors import ParseError
 from repro.lang import asts as ast
 from repro.lang import types as ty
-from repro.lang.parser import parse_expression, parse_program
+from repro.lang.parser import (
+    _BINARY_LEVELS,
+    MAX_NESTING,
+    parse_expression,
+    parse_program,
+)
 
 
 def parse_stmts(body: str) -> list[ast.Stmt]:
@@ -283,3 +288,111 @@ class TestParseErrors:
     def test_trailing_tokens_in_expression(self):
         with pytest.raises(ParseError):
             parse_expression("a b")
+
+
+def _shape(expr):
+    """A binary tree as nested ``(op, left, right)`` over variable names."""
+    if isinstance(expr, ast.Binary):
+        return (expr.op, _shape(expr.left), _shape(expr.right))
+    return expr.name
+
+
+_LEVEL_OF = {op: level for level, ops in enumerate(_BINARY_LEVELS)
+             for op in ops}
+
+
+class TestBinaryPrecedence:
+    def test_every_operator_pair_nests_by_level(self):
+        wrong = []
+        for op1 in _LEVEL_OF:
+            for op2 in _LEVEL_OF:
+                expr = parse_expression(f"a {op1} b {op2} c")
+                if _LEVEL_OF[op2] > _LEVEL_OF[op1]:
+                    expected = (op1, "a", (op2, "b", "c"))
+                else:  # op1 binds at least as tightly: group left
+                    expected = (op2, (op1, "a", "b"), "c")
+                if _shape(expr) != expected:
+                    wrong.append((op1, op2, _shape(expr)))
+        assert not wrong
+
+    def test_implication_groups_left(self):
+        expr = parse_expression("a ==> b ==> c")
+        assert _shape(expr) == ("==>", ("==>", "a", "b"), "c")
+
+    def test_twenty_one_operators_on_eleven_levels(self):
+        assert len(_LEVEL_OF) == 21
+        assert len(_BINARY_LEVELS) == 11
+
+
+def _too_deep(source, *, program=False):
+    with pytest.raises(ParseError) as caught:
+        (parse_program if program else parse_expression)(source)
+    assert caught.value.message == f"nested more than {MAX_NESTING} deep"
+    return caught.value.loc.line, caught.value.loc.column
+
+
+class TestNestingLimit:
+    """Nesting past MAX_NESTING is a ParseError at the first token past
+    it.  A statement, an expression, a prefix operator and each operator
+    of a binary chain go one level deeper; a top-level expression is
+    level 1."""
+
+    def test_parentheses(self):
+        at_limit = MAX_NESTING - 1
+        parse_expression("(" * at_limit + "x" + ")" * at_limit)
+        deeper = at_limit + 1
+        assert _too_deep("(" * deeper + "x" + ")" * deeper) == (
+            1, deeper + 1)
+        assert _too_deep("(" * 10_000 + "x" + ")" * 10_000) == (
+            1, deeper + 1)
+
+    @staticmethod
+    def _right_nested(n):
+        expr = "x"
+        for _ in range(n):
+            expr = f"(1 + {expr})"
+        return expr
+
+    def test_right_nested_binary(self):
+        # n parentheses, and the innermost `+` one level deeper still.
+        at_limit = MAX_NESTING - 2
+        parse_expression(self._right_nested(at_limit))
+        source = self._right_nested(at_limit + 1)
+        innermost_plus = source.index("x") - 2
+        assert _too_deep(source) == (1, innermost_plus + 1)
+        assert _too_deep(self._right_nested(10_000))[0] == 1
+
+    def test_prefix_operators(self):
+        parse_expression("-" * (MAX_NESTING - 1) + "x")
+        assert _too_deep("!" * MAX_NESTING + "x") == (1, MAX_NESTING)
+        assert _too_deep("-" * 10_000 + "x") == (1, MAX_NESTING)
+
+    def test_binary_chain_nests_left(self):
+        parse_expression("x" + " + x" * (MAX_NESTING - 1))
+        source = "x" + " + x" * 10_000
+        assert _too_deep(source) == (1, 4 * MAX_NESTING - 1)
+
+    @staticmethod
+    def _nested_ifs(n):
+        body = "yield;"
+        for _ in range(n):
+            body = f"if c {{ {body} }}"
+        return "level L { void main() { " + body + " } }"
+
+    def test_nested_if_blocks(self):
+        # The n-th `if` is level n, its guard and its body level n + 1.
+        parse_program(self._nested_ifs(MAX_NESTING - 1))
+        source = self._nested_ifs(MAX_NESTING)
+        guard = len("level L { void main() { ") + 7 * (MAX_NESTING - 1) + 3
+        assert _too_deep(source, program=True) == (1, guard + 1)
+        assert _too_deep(self._nested_ifs(10_000), program=True) == (
+            1, guard + 1)
+
+    def test_else_if_chain(self):
+        def chain(n):
+            return ("level L { void main() { if c { }"
+                    + " else if c { }" * n + " } }")
+        # Each `else if` nests one level; the last guard is one deeper.
+        parse_program(chain(MAX_NESTING - 2))
+        assert _too_deep(chain(MAX_NESTING - 1), program=True)[0] == 1
+        assert _too_deep(chain(10_000), program=True)[0] == 1
