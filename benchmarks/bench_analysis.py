@@ -1,19 +1,9 @@
-"""Static-analyzer cost and the tso_elim fast-path payoff.
+"""Static-analyzer cost.
 
-Two questions, answered with wall-clock numbers under
-``benchmarks/results/analysis.{md,json}``:
-
-* **How expensive is the analyzer?**  Full ``analyze_level`` (access
-  extraction, locksets, bounded dynamic cross-check, ownership
-  synthesis) over each case study's implementation level.
-* **What does the proof-engine fast path buy?**  A synthetic
-  refinement whose tso_elim target is provably thread-local, verified
-  with ``analyze=True`` (ownership obligations discharged trivially
-  from the analyzer's verdict) vs ``analyze=False`` (every obligation
-  enumerates the reachable states).  The slow path pays one
-  state-space sweep per ``AccessRequiresOwnership`` lemma — one per
-  statement touching the location — so the gap widens with the number
-  of accesses; the analyzer walks the state space once, regardless.
+How expensive is the analyzer?  Full ``analyze_level`` (access
+extraction, locksets, bounded dynamic cross-check, ownership
+synthesis) over each case study's implementation level, as best-of-3
+wall-clock numbers under ``benchmarks/results/analysis.{md,json}``.
 """
 
 from __future__ import annotations
@@ -24,7 +14,6 @@ from _common import fmt_table, record
 from repro.analysis import analyze_level
 from repro.casestudies import ALL, load
 from repro.lang.frontend import check_program
-from repro.proofs.engine import verify_source
 
 #: Explorer budget per study (mcslock/queue need the larger bound).
 STUDY_BUDGETS = {
@@ -49,27 +38,9 @@ def _best(fn) -> tuple[float, object]:
     return best, result
 
 
-def _fastpath_program(accesses: int = 10, iters: int = 3) -> str:
-    """A single-threaded chain with *accesses* assignments to the
-    eliminated location per loop iteration."""
-
-    def level(name: str, assign: str) -> str:
-        body = " ".join(f"x {assign} x + 1;" for _ in range(accesses))
-        return (
-            f"level {name} {{ var x: uint32 := 0; void main() {{ "
-            f"var i: uint32 := 0; while i < {iters} {{ "
-            f"{body} i := i + 1; }} print_uint32(x); }} }}"
-        )
-
-    return (
-        level("Low", ":=") + "\n" + level("High", "::=") + "\n"
-        'proof P { refinement Low High tso_elim x "true" }\n'
-    )
-
-
-def test_analysis_cost_and_fastpath():
+def test_analysis_cost():
     rows = []
-    data: dict = {"analyzer": {}, "fastpath": {}}
+    data: dict = {"analyzer": {}}
 
     for name in sorted(ALL):
         study = load(name)
@@ -98,57 +69,10 @@ def test_analysis_cost_and_fastpath():
             "seconds": elapsed,
         }
 
-    program = _fastpath_program()
-
-    def run(analyze: bool):
-        outcome = verify_source(program, analyze=analyze)
-        assert outcome.success
-        return outcome
-
-    slow_s, slow = _best(lambda: run(False))
-    fast_s, fast = _best(lambda: run(True))
-    assert any(
-        "provably thread-local" in note for note in fast.analysis_notes
-    )
-    slow_lemmas = slow.outcomes[0].lemma_count
-    fast_lemmas = fast.outcomes[0].lemma_count
-    # The fast path collapses the per-access obligations into three
-    # trivially discharged lemmas.
-    assert fast_lemmas < slow_lemmas
-
-    data["fastpath"] = {
-        "verify_seconds_no_analyze": slow_s,
-        "verify_seconds_analyze": fast_s,
-        "speedup": slow_s / fast_s if fast_s else None,
-        "lemmas_no_analyze": slow_lemmas,
-        "lemmas_analyze": fast_lemmas,
-    }
-
     lines = ["## Analyzer wall time (implementation levels)", ""]
     lines += fmt_table(
         ["study", "level", "globals", "states scanned", "RACY",
          "analyze (ms)"],
         rows,
     )
-    lines += [
-        "",
-        "## tso_elim fast path (thread-local target, "
-        "10 accesses x 3 iterations)",
-        "",
-    ]
-    lines += fmt_table(
-        ["configuration", "verify (ms)", "lemmas"],
-        [
-            ["analyze=False (enumerate states per obligation)",
-             f"{slow_s * 1000:.1f}", slow_lemmas],
-            ["analyze=True (analyzer verdict discharges ownership)",
-             f"{fast_s * 1000:.1f}", fast_lemmas],
-        ],
-    )
-    lines += [
-        "",
-        f"Fast-path speedup: {slow_s / fast_s:.2f}x "
-        "(includes the analyzer's own dynamic scan).",
-    ]
-    record("analysis", "Static analysis: cost and fast-path payoff",
-           lines, data)
+    record("analysis", "Static analysis: cost", lines, data)

@@ -5,7 +5,9 @@ thread-local, lock-protected, atomic, ordered, or racy, flags the
 stores whose TSO buffering is observable, and synthesizes candidate
 ``tso_elim`` ownership predicates — all cross-validated against the
 bounded explicit-state explorer so static claims are adversarially
-checked before they reach the proof engine.
+checked before a developer writes them into a recipe.  The analyzer
+only advises (``armada analyze``): every recipe it suggests is still
+proved by the strategy's own checked lemmas.
 
 Entry point: :func:`analyze_level`.
 """
@@ -94,19 +96,6 @@ class AnalysisResult:
             if suggestion.location == name and suggestion.validated:
                 return suggestion
         return None
-
-    def is_provably_thread_local(self, name: str) -> bool:
-        """The trivial-discharge condition for the tso_elim fast path:
-        static thread-locality corroborated by a *complete* dynamic
-        scan.  A single-accessor location cannot distinguish TSO from
-        SC (a thread reads its own buffered stores), so the ownership
-        obligations hold regardless of the predicate."""
-        verdict = self.verdicts.get(name)
-        return (
-            verdict is not None
-            and verdict.classification is Classification.THREAD_LOCAL
-            and verdict.dynamic == "confirmed"
-        )
 
     def report(self) -> AnalysisReport:
         stats: dict = {

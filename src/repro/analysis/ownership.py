@@ -3,15 +3,10 @@
 The TSO-elimination strategy (§4.2.3) needs a developer-supplied
 ownership predicate; a wrong one only surfaces as a failed lemma deep
 in the proof chain.  This module turns the analyzer's verdicts into
-candidates up front:
-
-* ``LOCK_PROTECTED(m)`` locations get ``"m == $me"`` — the thread
-  holding the mutex owns the location (the lock word stores the owning
-  tid, so this is exactly the paper's running-example predicate).
-* ``THREAD_LOCAL`` locations need no predicate at all: with a single
-  accessor, TSO and SC are indistinguishable (a thread always reads
-  its own buffered stores), so the ownership obligations are
-  discharged trivially.
+candidates up front: a ``LOCK_PROTECTED(m)`` location gets
+``"m == $me"`` — the thread holding the mutex owns the location (the
+lock word stores the owning tid, so this is exactly the paper's
+running-example predicate).
 
 Every suggestion is validated **dynamically** against the bounded
 explorer before being offered: we replay the three tso_elim ownership
@@ -42,17 +37,12 @@ class OwnershipSuggestion:
     """A candidate recipe line for one location."""
 
     location: str
-    predicate: str | None  # None = trivially dischargeable
+    predicate: str
     rationale: str
     validated: bool = False
     validation_note: str = ""
 
     def describe(self) -> str:
-        if self.predicate is None:
-            return (
-                f"{self.location}: thread-local; tso_elim obligations "
-                "discharge without a predicate"
-            )
         status = "validated" if self.validated else "NOT validated"
         return (
             f'{self.location}: tso_elim {self.location} '
@@ -162,21 +152,6 @@ def suggest_ownership(
     """Candidate tso_elim predicates for every eliminable location."""
     suggestions: list[OwnershipSuggestion] = []
     for name, verdict in sorted(verdicts.items()):
-        if verdict.classification is Classification.THREAD_LOCAL:
-            suggestions.append(OwnershipSuggestion(
-                location=name,
-                predicate=None,
-                rationale=(
-                    "single accessor thread"
-                    + (
-                        " (corroborated by the bounded dynamic scan)"
-                        if verdict.dynamic == "confirmed" else ""
-                    )
-                ),
-                validated=verdict.dynamic == "confirmed",
-                validation_note="thread-locality cross-checked",
-            ))
-            continue
         if verdict.classification is Classification.LOCK_PROTECTED:
             for mutex in verdict.locks:
                 text = f"{mutex} == $me"

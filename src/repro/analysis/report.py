@@ -136,11 +136,7 @@ def _finding_of(
     tso = verdict.tso.describe() if verdict.tso else None
     suggest_text = None
     if suggestion is not None:
-        suggest_text = (
-            "no predicate needed (thread-local)"
-            if suggestion.predicate is None
-            else f'tso_elim {verdict.name} "{suggestion.predicate}"'
-        )
+        suggest_text = f'tso_elim {verdict.name} "{suggestion.predicate}"'
     if cls is Classification.RACY:
         if verdict.dynamic == "confirmed":
             severity = "high"

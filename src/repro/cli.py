@@ -81,6 +81,35 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
+def _seconds(text: str) -> float:
+    """argparse type of a deadline: a finite number of seconds, 0 or
+    more (0 is a budget already spent)."""
+    import math
+
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a bound or a count: an integer, 1 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _read_source(path: str) -> str:
     """Read a program file, exiting 1 with a one-line error on failure
     instead of tracebacking."""
@@ -129,7 +158,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             cache_max_bytes=args.cache_max_bytes,
             obligation_timeout=args.obligation_timeout,
             chain_deadline=args.chain_deadline,
-            journal_path=args.journal,
         )
     )
     if args.trace:
@@ -144,16 +172,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         engine = ProofEngine(
             checked, max_states=args.max_states,
             validate_refinement=args.validate, farm=farm,
-            analyze=args.analyze, memory_model=args.memory_model,
-            compiled=args.compiled,
+            memory_model=args.memory_model, compiled=args.compiled,
         )
     except BaseException:
         OBS.disable()
         raise
-    # Graceful drain: on SIGTERM/SIGINT the farm finishes in-flight
-    # obligations, short-circuits the rest as inconclusive, and the
-    # journal keeps every settled verdict — so the same command re-run
-    # with the same --journal resumes instead of restarting.
+    # Graceful drain: on SIGTERM/SIGINT the farm finishes the in-flight
+    # obligation and short-circuits the rest as inconclusive.  Every
+    # settled verdict is already in the proof cache, so the same
+    # command re-run with the same --cache resumes instead of
+    # restarting.
     import signal as _signal
 
     def _drain(signum: int, frame: object) -> None:
@@ -165,9 +193,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return
         farm.request_shutdown()
         print(
-            "armada: drain requested — finishing in-flight "
-            "obligations; settled verdicts are journaled "
-            "(signal again to abort immediately)",
+            "armada: drain requested — finishing the in-flight "
+            "obligation (signal again to abort immediately)",
             file=sys.stderr,
         )
 
@@ -185,13 +212,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 _signal.signal(signum, handler)
             except (ValueError, OSError):
                 pass
-        farm.close()
         if args.trace:
             OBS.disable()
             print(f"trace written to {args.trace} "
                   f"(inspect with: armada stats {args.trace})")
-    for note in outcome.analysis_notes:
-        print(note)
     for result in outcome.outcomes:
         if result.success:
             status = "verified"
@@ -222,10 +246,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.farm_report:
         for line in farm.report_lines():
             print(line)
+    cache = farm.cache
+    if cache is not None and cache.failed_stores:
+        print(
+            f"armada: warning: could not store {cache.failed_stores} "
+            f"verdict(s) in the proof cache {cache.directory}; a re-run "
+            "executes them again",
+            file=sys.stderr,
+        )
     if farm.shutdown_requested:
         print(
-            "armada: drained after signal; re-run with the same "
-            "--journal to resume", file=sys.stderr,
+            "armada: drained after signal; "
+            + ("re-run with the same --cache to resume"
+               if cache is not None
+               else "nothing was cached (--no-cache)"),
+            file=sys.stderr,
         )
         return 130
     return 0 if outcome.success else 1
@@ -496,8 +531,6 @@ def _serve_client(args: argparse.Namespace):
 
 def _render_verify_result(result: dict) -> None:
     """Print a serve verify result in ``armada verify``'s format."""
-    for note in result.get("analysis_notes") or []:
-        print(note)
     for o in result.get("outcomes") or []:
         status = {
             "verified": "verified",
@@ -562,7 +595,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     }
     if args.kind == "verify":
         options["validate"] = args.validate
-        options["analyze"] = args.analyze
     elif args.level is not None:
         options["level"] = args.level
     job_id = client.submit(
@@ -723,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every proof recipe in a file")
     p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=_positive_int, default=200_000)
     _add_memory_model_flag(p)
     p.add_argument(
         "--validate", choices=("auto", "always", "never"), default="auto",
@@ -739,7 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the proof cache for this run",
     )
     p.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="N",
+        "--cache-max-bytes", type=_positive_int, default=None,
+        metavar="N",
         help="byte budget for the proof cache; exceeding it evicts "
              "least-recently-used entries (default: unbounded)",
     )
@@ -747,14 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--farm-report", action="store_true",
         help="print the detailed farm report (cache hits, worker "
              "time, slowest obligations)",
-    )
-    p.add_argument(
-        "--analyze", action="store_true",
-        help="run the static race/TSO-robustness analyzer on each "
-             "proof's low level: warns about tso_elim recipes naming "
-             "racy locations, suggests validated ownership "
-             "predicates, and fast-paths provably thread-local "
-             "eliminations",
     )
     p.add_argument(
         "--compiled", action=argparse.BooleanOptionalAction, default=True,
@@ -769,20 +794,16 @@ def build_parser() -> argparse.ArgumentParser:
              "(inspect with 'armada stats FILE')",
     )
     p.add_argument(
-        "--obligation-timeout", type=float, default=None,
+        "--obligation-timeout", type=_seconds, default=None,
         metavar="SECONDS",
         help="wall-clock deadline per obligation; expiry yields a "
              "TIMEOUT verdict (inconclusive, not refuted)",
     )
     p.add_argument(
-        "--chain-deadline", type=float, default=None, metavar="SECONDS",
+        "--chain-deadline", type=_seconds, default=None,
+        metavar="SECONDS",
         help="wall-clock budget for the whole chain; on expiry the "
              "remaining obligations go TIMEOUT instead of hanging",
-    )
-    p.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="append settled verdicts to FILE as they land; re-running "
-             "with the same journal resumes an interrupted run",
     )
     p.set_defaults(func=_cmd_verify)
 
@@ -794,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--level", default=None,
                    help="level to explore (default: first)")
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=_positive_int, default=200_000)
     _add_memory_model_flag(p)
     p.add_argument(
         "--compiled", action=argparse.BooleanOptionalAction, default=True,
@@ -823,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "file")
     p.add_argument("--level", default=None,
                    help="level to analyze (default: first)")
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=_positive_int, default=200_000)
     _add_memory_model_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
@@ -883,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="random scheduler seed (default: round-robin)")
-    p.add_argument("--max-steps", type=int, default=1_000_000)
+    p.add_argument("--max-steps", type=_positive_int, default=1_000_000)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("casestudy", help="verify a paper case study")
@@ -921,16 +942,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--state-dir", default=_default_serve_dir(), metavar="DIR",
-        help="daemon state: shared proof cache, per-program journals, "
-             "fingerprint index, pending-job log (default: "
+        help="daemon state: shared proof cache, fingerprint index, "
+             "pending-job log (default: "
              "%(default)s, or $ARMADA_SERVE_DIR)",
     )
     p.add_argument(
-        "--slots", type=int, default=2, metavar="N",
+        "--slots", type=_positive_int, default=2, metavar="N",
         help="jobs run concurrently (default: %(default)s)",
     )
     p.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="N",
+        "--cache-max-bytes", type=_positive_int, default=None,
+        metavar="N",
         help="byte budget for the shared proof cache (LRU eviction; "
              "default: unbounded)",
     )
@@ -951,15 +973,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="tenant-visible program identity for incremental "
              "fingerprint diffing (default: the file path)",
     )
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=_positive_int, default=200_000)
     _add_memory_model_flag(p)
     p.add_argument(
         "--validate", choices=("auto", "always", "never"),
         default="auto",
         help="whole-program refinement validation policy (verify)",
     )
-    p.add_argument("--analyze", action="store_true",
-                   help="run the static analyzer alongside (verify)")
     p.add_argument("--level", default=None,
                    help="level to analyze/explore (default: first)")
     p.add_argument(

@@ -24,11 +24,15 @@ Layers (bottom-up):
   explore``) is not a farm job: it builds an
   :class:`~repro.explore.Explorer` directly.
 * :mod:`repro.farm.resilience` — deadline and drain policy.
-* :mod:`repro.farm.journal` — append-only settled-verdict log for
-  crash-safe resume (``armada verify --journal``).
 * :mod:`repro.farm.workers` — runs the queue in order on the calling
-  thread, under deadlines, and applies verdicts back in queue order.
-* :mod:`repro.farm.events` — structured event stream + summary report.
+  thread, under deadlines, stores each settled verdict as it returns,
+  and applies verdicts back in queue order.
+* :mod:`repro.farm.summary` — the counts behind the one-line summary
+  and ``--farm-report``.
+
+The proof cache is also the resume path: a run that dies or is drained
+has stored every verdict it settled, so the same command run again
+against the same cache executes only the obligations left over.
 
 :class:`VerificationFarm` is the facade the proof engine and the CLI
 use; a default-constructed farm (no cache, no deadlines) behaves
@@ -37,27 +41,10 @@ exactly like the historical sequential checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.farm.cache import ProofCache  # noqa: F401
-from repro.farm.events import (  # noqa: F401
-    CACHE_EVICT,
-    CACHE_HIT,
-    CACHE_QUARANTINE,
-    CACHE_STORE,
-    DEADLINE_EXPIRED,
-    JOB_CANCELLED,
-    JOB_FINISHED,
-    JOB_QUEUED,
-    JOB_STARTED,
-    JOB_TIMEOUT,
-    JOURNAL_HIT,
-    EventLog,
-    FarmEvent,
-    FarmSummary,
-)
-from repro.farm.journal import Journal  # noqa: F401
 from repro.farm.resilience import (  # noqa: F401
     ResilienceConfig,
     ShutdownToken,
@@ -68,13 +55,14 @@ from repro.farm.scheduler import (  # noqa: F401
     lemma_job_key,
     lemma_jobs,
 )
+from repro.farm.summary import FarmSummary  # noqa: F401
 from repro.farm.workers import run_jobs  # noqa: F401
 from repro.hashing import code_version, structural_hash  # noqa: F401
 
 
 @dataclass
 class FarmConfig:
-    """How a :class:`VerificationFarm` caches, bounds and journals."""
+    """How a :class:`VerificationFarm` caches and bounds its work."""
 
     #: Proof-cache directory; None disables caching.
     cache_dir: str | Path | None = None
@@ -85,17 +73,15 @@ class FarmConfig:
     obligation_timeout: float | None = None
     #: Whole-chain wall-clock budget (seconds); None = unbounded.
     chain_deadline: float | None = None
-    #: Resume-journal path; None disables journaling.
-    journal_path: str | Path | None = None
 
 
 class VerificationFarm:
     """Facade: one farm per verification run.
 
     The engine hands it job batches via :meth:`discharge`; the farm
-    routes them through the cache, the journal, and the workers under
-    one resilience policy, and accumulates the event stream
-    across batches so one summary covers the whole chain.
+    routes them through the cache and the workers under one resilience
+    policy, and counts across batches so one summary covers the whole
+    chain.
     """
 
     def __init__(
@@ -107,9 +93,9 @@ class VerificationFarm:
         instead of constructing one from ``config.cache_dir`` — the
         ``armada serve`` daemon shares one capped, multi-tenant cache
         instance across every job's farm this way.  A shared cache's
-        quarantine/eviction callbacks stay with its owner."""
+        quarantine and eviction counts stay with its owner."""
         self.config = config or FarmConfig()
-        self.events = EventLog()
+        self._summary = FarmSummary()
         self.shutdown = ShutdownToken()
         #: True when this farm's cache is owned by someone else.
         self.cache_shared = cache is not None
@@ -119,29 +105,16 @@ class VerificationFarm:
             self.cache = (
                 ProofCache(
                     self.config.cache_dir,
-                    on_quarantine=self._on_quarantine,
                     max_bytes=self.config.cache_max_bytes,
-                    on_evict=self._on_evict,
                 )
                 if self.config.cache_dir is not None
                 else None
             )
-        self.journal: Journal | None = (
-            Journal(self.config.journal_path)
-            if self.config.journal_path is not None
-            else None
-        )
         self.resilience = ResilienceConfig(
             obligation_timeout=self.config.obligation_timeout,
             chain_deadline=self.config.chain_deadline,
             shutdown=self.shutdown,
         )
-
-    def _on_quarantine(self, key: str, reason: str) -> None:
-        self.events.emit(CACHE_QUARANTINE, key, "", detail=reason)
-
-    def _on_evict(self, key: str, size: int) -> None:
-        self.events.emit(CACHE_EVICT, key, "", detail=f"{size} bytes")
 
     def request_shutdown(self) -> None:
         """Ask the farm to drain: the in-flight obligation finishes,
@@ -159,20 +132,22 @@ class VerificationFarm:
         return run_jobs(
             jobs,
             cache=self.cache,
-            events=self.events,
+            summary=self._summary,
             resilience=self.resilience,
-            journal=self.journal,
         )
-
-    def close(self) -> None:
-        """Flush and release the journal (idempotent)."""
-        if self.journal is not None:
-            self.journal.close()
 
     # ------------------------------------------------------------------
 
     def summary(self) -> FarmSummary:
-        return self.events.summary()
+        """The counts of every discharge so far; an owned cache adds
+        the entries it quarantined and evicted."""
+        if self.cache is None or self.cache_shared:
+            return self._summary
+        return replace(
+            self._summary,
+            cache_quarantined=self.cache.quarantined,
+            cache_evictions=self.cache.evictions,
+        )
 
     def summary_line(self) -> str:
         return self.summary().one_line()
@@ -186,6 +161,7 @@ class VerificationFarm:
                 f"cache: {self.cache.directory} "
                 f"({self.cache.hits} hits, {self.cache.misses} misses, "
                 f"{self.cache.stores} stores, "
+                f"{self.cache.failed_stores} failed stores, "
                 f"{self.cache.quarantined} quarantined, "
                 f"{self.cache.evictions} evicted)"
             )
@@ -197,11 +173,4 @@ class VerificationFarm:
             if self.cache_shared:
                 line += " [shared]"
             lines.append(line)
-        if self.journal is not None:
-            lines.append(
-                f"journal: {self.journal.path} "
-                f"({len(self.journal)} entries, "
-                f"{self.journal.replayed} replayed, "
-                f"{self.journal.corrupt_lines} corrupt lines skipped)"
-            )
         return lines

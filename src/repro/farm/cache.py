@@ -56,7 +56,6 @@ import pickle
 import struct
 import threading
 from pathlib import Path
-from typing import Callable
 
 from repro.verifier.prover import SETTLED, Verdict
 
@@ -99,41 +98,34 @@ class ProofCache:
     def __init__(
         self,
         directory: str | Path,
-        on_quarantine: Callable[[str, str], None] | None = None,
         max_bytes: int | None = None,
-        on_evict: Callable[[str, int], None] | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: Settled verdicts that could not be written (the directory
+        #: is not writable, or is not a directory at all).
+        self.failed_stores = 0
         #: Corrupt entries detected, moved aside, and recomputed.
         self.quarantined = 0
         #: Entries removed by the LRU policy to respect ``max_bytes``.
         self.evictions = 0
         #: Bytes reclaimed by eviction.
         self.evicted_bytes = 0
-        #: Called as ``on_quarantine(key, reason)`` for each bad entry.
-        self.on_quarantine = on_quarantine
         #: Byte budget for stored entries; None = unbounded.
         self.max_bytes = max_bytes
-        #: Called as ``on_evict(key, size_bytes)`` per evicted entry.
-        self.on_evict = on_evict
         self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key[2:]}.verdict"
-
-    def _key_of(self, path: Path) -> str:
-        """Invert :meth:`_path`: shard dir + stem back to the hex key."""
-        return path.parent.name + path.stem
 
     def entry_path(self, key: str) -> Path:
         """Where *key*'s entry lives on disk (tests corrupt entries
         through this)."""
         return self._path(key)
 
-    def _quarantine(self, key: str, path: Path, reason: str) -> None:
+    def _quarantine(self, path: Path) -> None:
         """Move a bad entry aside so it can neither shadow a future
         store nor traceback a future read, keeping it inspectable."""
         target_dir = self.directory / "quarantine"
@@ -148,8 +140,6 @@ class ProofCache:
                 pass
         with self._lock:
             self.quarantined += 1
-        if self.on_quarantine is not None:
-            self.on_quarantine(key, reason)
 
     def get(self, key: str) -> Verdict | None:
         """Look up a verdict; any failure to read, unframe, or decode
@@ -163,7 +153,7 @@ class ProofCache:
             return None
         payload = unframe_entry(raw)
         if payload is None:
-            self._quarantine(key, path, "bad frame (truncated/garbage)")
+            self._quarantine(path)  # truncated or garbage
             with self._lock:
                 self.misses += 1
             return None
@@ -174,7 +164,7 @@ class ProofCache:
         if not isinstance(verdict, Verdict):
             # The frame checked out but the payload is foreign — a
             # format drift the version bump should have caught.
-            self._quarantine(key, path, "framed payload is not a Verdict")
+            self._quarantine(path)
             with self._lock:
                 self.misses += 1
             return None
@@ -191,7 +181,8 @@ class ProofCache:
     def put(self, key: str, verdict: Verdict) -> bool:
         """Store a settled verdict atomically; returns False if the
         verdict is inconclusive (TIMEOUT/UNKNOWN must never be pinned
-        by a cache) or not serializable (the job stays uncached)."""
+        by a cache), not serializable, or could not be written (counted
+        in ``failed_stores``); the job then stays uncached."""
         if verdict.status not in SETTLED:
             return False
         try:
@@ -211,6 +202,8 @@ class ProofCache:
                 tmp.unlink()
             except OSError:
                 pass
+            with self._lock:
+                self.failed_stores += 1
             return False
         with self._lock:
             self.stores += 1
@@ -261,8 +254,6 @@ class ProofCache:
             with self._lock:
                 self.evictions += 1
                 self.evicted_bytes += size
-            if self.on_evict is not None:
-                self.on_evict(self._key_of(path), size)
 
     def __len__(self) -> int:
         if not self.directory.is_dir():

@@ -30,8 +30,8 @@ class ShutdownToken:
     Once requested (SIGTERM/SIGINT handler, a serve-side cancel), the
     obligation currently executing finishes normally, and every
     *not-yet-started* obligation short-circuits to an UNKNOWN verdict —
-    inconclusive, so it is never cached or journaled and a resumed run
-    re-checks it.  The token is monotonic: there is no way to
+    inconclusive, so it is never cached and a resumed run re-checks
+    it.  The token is monotonic: there is no way to
     un-request a drain, which keeps the worker-side check a single
     lock-free ``Event.is_set``.
     """
@@ -62,8 +62,6 @@ class ResilienceConfig:
     shutdown: ShutdownToken | None = field(default=None, repr=False)
     #: Monotonic timestamp the chain budget expires at; armed lazily.
     deadline_at: float | None = field(default=None, repr=False)
-    #: Whether the one-per-run ``deadline_expired`` event fired yet.
-    _expiry_reported: bool = field(default=False, repr=False)
 
     def arm(self) -> None:
         """Start the chain budget clock (idempotent)."""
@@ -78,15 +76,6 @@ class ResilienceConfig:
 
     def shutdown_requested(self) -> bool:
         return self.shutdown is not None and self.shutdown.requested
-
-    def report_expiry_once(self) -> bool:
-        """True exactly once per run, so the workers emit a single
-        ``deadline_expired`` event no matter how many obligations the
-        expiry short-circuits."""
-        if self._expiry_reported:
-            return False
-        self._expiry_reported = True
-        return True
 
     def attempt_budget(self) -> float | None:
         """Seconds one obligation may run: the tighter of the

@@ -50,7 +50,9 @@ class Job:
     result: Any = None
     finished: bool = False
     from_cache: bool = False
-    #: Served from a ``--journal`` resume file instead of running.
+    #: Always False: nothing but the cache serves a verdict any more.
+    #: Kept because the frozen layer tracer
+    #: (``benchmarks/e2e/trace_layers.py``) still reads it.
     from_journal: bool = False
     wall_seconds: float = 0.0
     metadata: dict[str, Any] = field(default_factory=dict)

@@ -1,20 +1,21 @@
-"""Discharges farm jobs one at a time, with deadlines, the proof cache
-and the resume journal.
+"""Discharges farm jobs one at a time, with deadlines and the proof
+cache.
 
 ``run_jobs`` is the farm's execution core.  It drives the scheduler's
 job queue to completion in three phases:
 
-1. **Cache/journal probe** — cacheable jobs are looked up in the proof
-   cache (``cache_hit``) and then in the resume journal
-   (``journal_hit``); hits skip execution entirely, and cache hits are
-   appended to the journal.
+1. **Cache probe** — cacheable jobs are looked up in the proof cache;
+   hits skip execution entirely.
 2. **Execution** — the remaining jobs run in queue order on the calling
    thread.  Each freshly computed settled verdict is stored to the
-   cache and appended to the journal as soon as its obligation
-   returns, so a run that dies mid-batch keeps every verdict it
-   settled.
+   cache as soon as its obligation returns, so a run that dies
+   mid-batch keeps every verdict it settled, and the same command run
+   again against the same cache executes only what is left.
 3. **Apply** — results are written back via each job's ``apply``
    callback *in queue order*.
+
+Each phase counts what it did into one
+:class:`~repro.farm.summary.FarmSummary`.
 
 Deadline and drain semantics (see :mod:`repro.farm.resilience`):
 
@@ -25,11 +26,11 @@ Deadline and drain semantics (see :mod:`repro.farm.resilience`):
   it returns; obligations are pure functions of their fingerprint, so
   the discarded result is harmless.
 * A **spent chain budget** short-circuits every job that has not
-  started to a TIMEOUT verdict (``job_timeout``).
+  started to a TIMEOUT verdict.
 * A **drain request** short-circuits every job that has not started to
-  an UNKNOWN verdict (``job_cancelled``).
+  an UNKNOWN verdict.
 
-Only a job whose obligation ran emits ``job_finished``, so the summary
+Only a job whose obligation ran counts as executed, so the summary
 counts a short-circuited job as neither executed nor slow.
 
 An ``ArmadaError`` inside a wrapped obligation becomes a refuted verdict
@@ -51,19 +52,8 @@ from repro.errors import (
     ObligationTimeout,
     StateBudgetExceeded,
 )
-from repro.farm.events import (
-    CACHE_HIT,
-    CACHE_STORE,
-    DEADLINE_EXPIRED,
-    JOB_CANCELLED,
-    JOB_FINISHED,
-    JOB_QUEUED,
-    JOB_STARTED,
-    JOB_TIMEOUT,
-    JOURNAL_HIT,
-    EventLog,
-)
 from repro.farm.scheduler import Job
+from repro.farm.summary import FarmSummary
 from repro.obs import OBS
 from repro.verifier.prover import TIMEOUT, UNKNOWN, Verdict
 
@@ -82,8 +72,8 @@ def _timeout_verdict(detail: str) -> Verdict:
 
 def _cancelled_verdict() -> Verdict:
     """UNKNOWN, not TIMEOUT: the obligation never ran.  Inconclusive
-    verdicts are never cached or journaled, so a drained obligation is
-    re-checked by the next (resumed) run."""
+    verdicts are never cached, so a drained obligation is re-checked by
+    the next (resumed) run."""
     return Verdict(
         UNKNOWN,
         {"error": "cancelled: shutdown requested before this "
@@ -135,20 +125,17 @@ def _call_with_deadline(fn, budget: float | None):
     return box["result"]
 
 
-def _short_circuit(job: Job, events: EventLog, kind: str,
-                   verdict: Verdict, detail: str, counter: str) -> None:
+def _short_circuit(job: Job, verdict: Verdict, counter: str) -> None:
     """Settle a job that never started with an inconclusive verdict."""
     job.result = _inconclusive_result(job, verdict)
     job.finished = True
-    events.emit(kind, job.key, job.label, detail=detail)
     if OBS.enabled:
         OBS.count(counter)
 
 
-def _run_one(job: Job, events: EventLog, res=None) -> None:
+def _run_one(job: Job, summary: FarmSummary, res=None) -> None:
     """Execute one job: the drain check, the chain-deadline check, then
     the obligation under its deadline."""
-    events.emit(JOB_STARTED, job.key, job.label)
     traced = OBS.enabled
     if traced:
         queued_at = job.metadata.get("queued_at")
@@ -158,9 +145,8 @@ def _run_one(job: Job, events: EventLog, res=None) -> None:
     budget = None
     if res is not None:
         if res.shutdown_requested():
-            _short_circuit(job, events, JOB_CANCELLED,
-                           _cancelled_verdict(), "shutdown requested",
-                           "farm.cancelled")
+            _short_circuit(job, _cancelled_verdict(), "farm.cancelled")
+            summary.cancelled += 1
             return
         # Read before the expiry check: a budget the chain clock has
         # run down to zero is then always caught by that check.
@@ -170,11 +156,9 @@ def _run_one(job: Job, events: EventLog, res=None) -> None:
                 f"chain deadline budget ({res.chain_deadline:g}s) "
                 "exhausted"
             )
-            if res.report_expiry_once():
-                events.emit(DEADLINE_EXPIRED, "", "", detail=detail)
-            _short_circuit(job, events, JOB_TIMEOUT,
-                           _timeout_verdict(detail), detail,
+            _short_circuit(job, _timeout_verdict(detail),
                            "farm.timeouts")
+            summary.timeouts += 1
             return
     started = time.perf_counter()
     try:
@@ -192,13 +176,11 @@ def _run_one(job: Job, events: EventLog, res=None) -> None:
         job.result = _inconclusive_result(
             job, _timeout_verdict(str(timeout))
         )
-        events.emit(JOB_TIMEOUT, job.key, job.label,
-                    wall_seconds=job.wall_seconds, detail=str(timeout))
+        summary.timeouts += 1
         if traced:
             OBS.count("farm.timeouts")
     job.finished = True
-    events.emit(JOB_FINISHED, job.key, job.label,
-                wall_seconds=job.wall_seconds)
+    summary.record_executed(job.label, job.wall_seconds)
 
 
 class _NullContext:
@@ -217,22 +199,22 @@ _NULL_CONTEXT = _NullContext()
 def run_jobs(
     jobs: list[Job],
     cache=None,
-    events: EventLog | None = None,
+    summary: FarmSummary | None = None,
     resilience=None,
-    journal=None,
 ) -> list[Job]:
-    """Discharge every job; returns the same list with results filled."""
-    if events is None:
-        events = EventLog()
+    """Discharge every job, counting into *summary*; returns the same
+    list with results filled."""
+    if summary is None:
+        summary = FarmSummary()
     res = resilience
     if res is not None:
         res.arm()
 
     traced = OBS.enabled
-    queued_at = time.perf_counter() if traced else 0.0
-    for job in jobs:
-        events.emit(JOB_QUEUED, job.key, job.label)
-        if traced:
+    summary.jobs += len(jobs)
+    if traced:
+        queued_at = time.perf_counter()
+        for job in jobs:
             job.metadata["queued_at"] = queued_at
 
     to_run: list[Job] = []
@@ -243,9 +225,7 @@ def run_jobs(
                 job.result = verdict
                 job.finished = True
                 job.from_cache = True
-                events.emit(CACHE_HIT, job.key, job.label)
-                if journal is not None:
-                    journal.record(job.key, verdict)
+                summary.cache_hits += 1
                 if traced:
                     OBS.count("farm.cache_hits")
                     # A zero-duration span so traces cover *every*
@@ -255,28 +235,17 @@ def run_jobs(
                 continue
             if traced:
                 OBS.count("farm.cache_misses")
-        if journal is not None and job.cacheable:
-            verdict = journal.lookup(job.key)
-            if verdict is not None:
-                job.result = verdict
-                job.finished = True
-                job.from_journal = True
-                events.emit(JOURNAL_HIT, job.key, job.label)
-                if traced:
-                    OBS.count("farm.journal_hits")
-                    with OBS.span(job.label, "obligation",
-                                  cached=True, journal=True):
-                        pass
-                continue
         to_run.append(job)
 
     for job in to_run:
-        _run_one(job, events, res)
-        if job.cacheable and isinstance(job.result, Verdict):
-            if cache is not None and cache.put(job.key, job.result):
-                events.emit(CACHE_STORE, job.key, job.label)
-            if journal is not None:
-                journal.record(job.key, job.result)
+        _run_one(job, summary, res)
+        if (
+            cache is not None
+            and job.cacheable
+            and isinstance(job.result, Verdict)
+            and cache.put(job.key, job.result)
+        ):
+            summary.cache_stores += 1
 
     # Write-back in queue order.
     for job in jobs:

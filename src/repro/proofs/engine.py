@@ -88,11 +88,6 @@ class ChainOutcome:
     #: Why the level chain failed to compose (broken, cyclic, or
     #: disconnected proof graph); None when ``chain`` is valid.
     chain_error: str | None = None
-    #: Static-analyzer observations about the recipes (``--analyze``):
-    #: RACY locations named by tso_elim recipes, validated ownership
-    #: suggestions, and fast-path discharges.  Empty when analysis is
-    #: off.
-    analysis_notes: list[str] = field(default_factory=list)
 
     @property
     def success(self) -> bool:
@@ -157,7 +152,6 @@ class ProofEngine:
         domains: DomainConfig | None = None,
         validate_refinement: str = "auto",
         farm: VerificationFarm | None = None,
-        analyze: bool = False,
         outcome_cache: "object | None" = None,
         memory_model: str | None = None,
         compiled: bool = True,
@@ -169,12 +163,6 @@ class ProofEngine:
 
         ``farm``: the verification farm obligations are discharged
         through; defaults to a sequential, uncached farm.
-
-        ``analyze``: run the static race/TSO-robustness analyzer over
-        each proof's low level, attach the result to the strategy's
-        :class:`ProofRequest` (enabling fast paths such as tso_elim's
-        trivial discharge for provably thread-local locations), and
-        collect recipe advisories into ``ChainOutcome.analysis_notes``.
 
         ``outcome_cache``: an object with ``get(key) -> ProofOutcome |
         None`` and ``put(key, outcome)`` (see
@@ -201,17 +189,13 @@ class ProofEngine:
         self.domains = domains
         self.validate_refinement = validate_refinement
         self.farm = farm or VerificationFarm()
-        self.analyze = analyze
         # Compiled step specialization for every state sweep (bounded
-        # obligations, analyzer cross-checks).  Bit-identical to the
-        # interpreter, so deliberately NOT part of any cache
-        # fingerprint.
+        # obligations).  Bit-identical to the interpreter, so
+        # deliberately NOT part of any cache fingerprint.
         self.compiled = compiled
         self.outcome_cache = outcome_cache
         self._level_fingerprints: dict[str, str] = {}
         self._machines: dict[str, StateMachine] = {}
-        self._analyses: dict[str, "object"] = {}
-        self._analysis_notes: list[str] = []
 
     # ------------------------------------------------------------------
 
@@ -225,69 +209,6 @@ class ProofEngine:
                 machine.domains = self.domains
             self._machines[level_name] = machine
         return self._machines[level_name]
-
-    def analysis(self, level_name: str):
-        """The analyzer's result for one level, cached like machines."""
-        if level_name not in self._analyses:
-            from repro.analysis import analyze_level
-
-            ctx = self.checked.contexts.get(level_name)
-            if ctx is None:
-                raise ProofFailure(f"unknown level {level_name}")
-            self._analyses[level_name] = analyze_level(
-                ctx,
-                machine=self.machine(level_name),
-                max_states=self.max_states,
-                memory_model=self.memory_model,
-                compiled=self.compiled,
-            )
-        return self._analyses[level_name]
-
-    def _recipe_advisories(self, proof: ast.ProofDecl, analysis) -> list[str]:
-        """What the analyzer has to say about one recipe."""
-        notes: list[str] = []
-        if proof.strategy.name != "tso_elim" or not proof.strategy.args:
-            return notes
-        varname = proof.strategy.args[0]
-        verdict = analysis.verdict(varname)
-        if verdict is None:
-            return notes
-        prefix = f"analysis[{proof.name}]"
-        if varname in analysis.racy():
-            note = (
-                f"{prefix}: WARNING — tso_elim targets {varname}, which "
-                f"the analyzer classifies RACY in {proof.low_level}"
-            )
-            if verdict.witness is not None:
-                note += f" (witness: {verdict.witness.describe()})"
-            notes.append(note)
-            return notes
-        if analysis.is_provably_thread_local(varname):
-            notes.append(
-                f"{prefix}: {varname} is provably thread-local; "
-                "ownership obligations discharged without state "
-                "enumeration"
-            )
-            return notes
-        suggestion = analysis.suggestion_for(varname)
-        if suggestion is not None and suggestion.predicate is not None:
-            recipe_predicate = (
-                proof.strategy.args[1]
-                if len(proof.strategy.args) > 1 else None
-            )
-            if recipe_predicate != suggestion.predicate:
-                notes.append(
-                    f"{prefix}: validated ownership predicate "
-                    f'available: tso_elim {varname} '
-                    f'"{suggestion.predicate}"'
-                )
-            else:
-                notes.append(
-                    f"{prefix}: recipe predicate "
-                    f'"{suggestion.predicate}" matches the '
-                    "analyzer's validated suggestion"
-                )
-        return notes
 
     # ------------------------------------------------------------------
 
@@ -329,11 +250,6 @@ class ProofEngine:
                 compiled=self.compiled,
             )
             prep.request = request
-            if self.analyze:
-                request.analysis = self.analysis(proof.low_level)
-                self._analysis_notes.extend(
-                    self._recipe_advisories(proof, request.analysis)
-                )
             with OBS.span(proof.strategy.name, "strategy",
                           proof=proof.name):
                 script = strategy.generate(request)
@@ -469,7 +385,6 @@ class ProofEngine:
             self.level_fingerprint(proof.high_level),
             self._job_fingerprint(),
             self.validate_refinement,
-            "analyze" if self.analyze else "no-analyze",
             code_version(),
         )
 
@@ -696,9 +611,7 @@ class ProofEngine:
                 if prep.outcome is None:
                     batch.extend(self._schedule(prep))
             self.farm.discharge(batch)
-        chain_outcome = ChainOutcome(
-            analysis_notes=list(self._analysis_notes),
-        )
+        chain_outcome = ChainOutcome()
         for prep, reused in entries:
             if reused is not None:
                 chain_outcome.outcomes.append(reused)
@@ -773,7 +686,6 @@ def verify_source(
     max_states: int = 200_000,
     validate_refinement: str = "auto",
     farm: VerificationFarm | None = None,
-    analyze: bool = False,
     memory_model: str | None = None,
 ) -> ChainOutcome:
     """Parse, check, and verify a complete Armada program text."""
@@ -781,7 +693,6 @@ def verify_source(
     engine = ProofEngine(
         checked, max_states=max_states,
         validate_refinement=validate_refinement,
-        farm=farm, analyze=analyze,
-        memory_model=memory_model,
+        farm=farm, memory_model=memory_model,
     )
     return engine.run_all()

@@ -6,8 +6,8 @@ service: editors, CI runners, and humans with ``nc`` submit Armada
 programs over a line-delimited JSON socket protocol, poll status,
 stream lifecycle events, and fetch results — while the daemon
 multiplexes every job onto shared warm state (one byte-capped LRU
-proof cache, one proof-outcome cache, per-program resume journals and
-a level-fingerprint index for incremental re-verification).
+proof cache, one proof-outcome cache and a level-fingerprint index for
+incremental re-verification).
 
 Modules:
 

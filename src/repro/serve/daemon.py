@@ -24,11 +24,12 @@ processes:
 
 Lifecycle: SIGTERM/SIGINT (or the ``shutdown`` op) starts a *drain* —
 new submissions are rejected, running farms finish their in-flight
-obligations and short-circuit the rest as inconclusive, journals are
-flushed, and unfinished jobs stay in ``pending.jsonl`` so the next
-``armada serve`` on the same state directory re-enqueues them.
-Journals and the proof cache are content-addressed, so the resumed run
-re-checks only what the interrupted one had not settled.
+obligation and short-circuit the rest as inconclusive, and unfinished
+jobs stay in ``pending.jsonl`` so the next ``armada serve`` on the same
+state directory re-enqueues them.  Every settled verdict was stored in
+the shared proof cache as its obligation returned, and the cache is
+content-addressed, so the resumed run re-checks only what the
+interrupted one had not settled.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ArmadaError
-from repro.farm import FarmConfig, VerificationFarm
+from repro.farm import VerificationFarm
 from repro.farm.cache import ProofCache
-from repro.hashing import code_version, structural_hash
 from repro.obs import OBS
 from repro.serve import protocol
 from repro.serve.incremental import FingerprintIndex, OutcomeCache
@@ -65,8 +65,9 @@ from repro.serve.protocol import (
 )
 
 #: How long the drain phase waits for in-flight jobs before giving up
-#: and exiting anyway (their journals are flushed per-verdict, so even
-#: a hard exit loses no settled obligation).
+#: and exiting anyway (the proof cache stores each settled verdict as
+#: its obligation returns, so even a hard exit loses no settled
+#: obligation).
 DRAIN_GRACE_SECONDS = 30.0
 
 
@@ -154,11 +155,10 @@ class ArmadaDaemon:
         self.host = host
         self.port = port
         self.state_dir = Path(state_dir)
-        self.slots = max(1, slots)
+        self.slots = slots
         self.started_at = _now()
 
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        (self.state_dir / "journals").mkdir(exist_ok=True)
         self.cache = ProofCache(
             self.state_dir / "cache", max_bytes=cache_max_bytes
         )
@@ -247,15 +247,6 @@ class ArmadaDaemon:
     # ------------------------------------------------------------------
     # job execution (executor threads)
 
-    def _program_key(self, job: ServeJob) -> str:
-        options = sorted(
-            (str(k), repr(v)) for k, v in job.options.items()
-        )
-        return structural_hash(
-            "serve-program", job.kind, job.source, job.filename,
-            options, code_version(),
-        )
-
     def _execute(self, job: ServeJob) -> None:
         """Run one job body to completion on an executor thread."""
         with OBS.span(job.id, "serve.job", job_kind=job.kind):
@@ -283,13 +274,7 @@ class ArmadaDaemon:
 
         options = job.options
         checked = check_program(job.source, job.filename)
-        journal_path = (
-            self.state_dir / "journals"
-            / f"{self._program_key(job)[:32]}.jsonl"
-        )
-        farm = VerificationFarm(
-            FarmConfig(journal_path=journal_path), cache=self.cache
-        )
+        farm = VerificationFarm(cache=self.cache)
         job.farm = farm
         if job.cancel_requested or self.draining:
             # Covers the race where a cancel or drain landed between
@@ -300,10 +285,8 @@ class ArmadaDaemon:
             max_states=int(options.get("max_states", 200_000)),
             validate_refinement=str(options.get("validate", "auto")),
             farm=farm,
-            analyze=bool(options.get("analyze", False)),
             outcome_cache=self.outcomes,
             memory_model=options.get("memory_model"),
-            compiled=bool(options.get("compiled", True)),
         )
         fingerprints = engine.level_fingerprints()
         diff = self.index.diff(job.name, fingerprints)
@@ -312,7 +295,6 @@ class ArmadaDaemon:
         try:
             outcome = engine.run_all()
         finally:
-            farm.close()
             job.farm = None
         if not outcome.inconclusive and not job.cancel_requested:
             # An inconclusive (timed-out / drained) run must not move
@@ -331,7 +313,6 @@ class ArmadaDaemon:
             "end_to_end": outcome.end_to_end,
             "chain": outcome.chain,
             "chain_error": outcome.chain_error,
-            "analysis_notes": outcome.analysis_notes,
             "incremental": job.incremental,
             "outcomes": [
                 {
@@ -369,9 +350,7 @@ class ArmadaDaemon:
         result = analyze_level(
             ctx,
             max_states=int(options.get("max_states", 200_000)),
-            dynamic=not options.get("no_dynamic", False),
             memory_model=options.get("memory_model"),
-            compiled=bool(options.get("compiled", True)),
         )
         return {
             "status": "analyzed",
@@ -401,7 +380,6 @@ class ArmadaDaemon:
         result = Explorer(
             machine,
             max_states=int(options.get("max_states", 200_000)),
-            compiled=bool(options.get("compiled", True)),
         ).explore()
         summary = exploration_summary(machine, level, result)
         summary["status"] = "explored"

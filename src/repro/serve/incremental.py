@@ -18,8 +18,8 @@ granularity — and an explanation layer beside it:
   outcomes are stored; inconclusive ones (timeouts, drains) must be
   retried.  The cache is in-memory: outcomes hold live lemma/script
   objects whose obligation closures do not survive pickling.  Across
-  daemon restarts the persistent lemma cache and per-program journals
-  still make re-verification warm.
+  daemon restarts the persistent lemma cache still makes
+  re-verification warm.
 
 * :class:`FingerprintIndex` remembers, per tenant-visible program
   ``name``, the per-level machine fingerprints of the last submission.

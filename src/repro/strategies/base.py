@@ -17,7 +17,7 @@ ownership/invariant predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.compiler.stepc import successors_for
 from repro.errors import StrategyError
@@ -45,11 +45,6 @@ class ProofRequest:
     high_machine: StateMachine
     prover: Prover = field(default_factory=Prover)
     max_states: int = 200_000
-    #: Optional :class:`repro.analysis.AnalysisResult` for the low level,
-    #: attached by the engine when ``--analyze`` is on.  Strategies may
-    #: consult it for fast paths (e.g. tso_elim discharges ownership
-    #: obligations trivially for provably thread-local locations).
-    analysis: Any = None
     #: Use the compiled step specialization (repro.compiler.stepc) for
     #: state sweeps.  Bit-identical to the interpreter; off only for
     #: debugging or timing comparisons.

@@ -80,14 +80,7 @@ class TsoElimStrategy(Strategy):
                 "the levels; nothing to eliminate"
             )
 
-        analysis = request.analysis
-        if (
-            analysis is not None
-            and analysis.is_provably_thread_local(varname)
-        ):
-            self._thread_local_lemmas(request, varname, script)
-        else:
-            self._ownership_lemmas(request, varname, ownership, script)
+        self._ownership_lemmas(request, varname, ownership, script)
         return script
 
     # ------------------------------------------------------------------
@@ -162,59 +155,6 @@ class TsoElimStrategy(Strategy):
 
     # ------------------------------------------------------------------
 
-    def _thread_local_lemmas(
-        self,
-        request: ProofRequest,
-        varname: str,
-        script: ProofScript,
-    ) -> None:
-        """Analyzer fast path: for a location the analyzer proved
-        thread-local (static lockset + complete bounded dynamic scan),
-        the ownership obligations hold regardless of the predicate — a
-        single accessor always reads its own buffered stores, so TSO
-        and SC executions coincide on the location.  The obligations
-        discharge without enumerating reachable states."""
-        touching = [
-            step
-            for step in request.low_machine.all_steps()
-            if self._accesses(step, varname)
-        ]
-        if not touching:
-            raise StrategyError(
-                f"tso_elim: no statement accesses {varname}"
-            )
-        note = (
-            f"// discharged by repro.analysis: {varname} is "
-            "THREAD_LOCAL (static lockset + complete bounded dynamic "
-            "cross-check); a single accessor reads its own buffered "
-            "stores, so the ownership discipline holds trivially"
-        )
-        for name, statement in (
-            (
-                "OwnershipExclusive",
-                "forall s, t1, t2 :: t1 != t2 ==> "
-                "!(owns(s, t1) && owns(s, t2))",
-            ),
-            (
-                "AccessRequiresOwnership",
-                f"forall s, tid :: accesses(s, tid, {varname}) "
-                "==> owns(s, tid)",
-            ),
-            (
-                "ReleaseImpliesStoreBufferEmpty",
-                "forall s, s', tid :: owns(s, tid) && !owns(s', tid) "
-                "==> s'.threads[tid].storeBuffer == []",
-            ),
-        ):
-            script.add(
-                Lemma(
-                    name=name,
-                    statement=statement,
-                    body=[note],
-                    obligation=lambda: bool_verdict(True),
-                )
-            )
-
     def _ownership_lemmas(
         self,
         request: ProofRequest,
@@ -261,28 +201,28 @@ class TsoElimStrategy(Strategy):
             )
         )
 
-        touching = [
-            step
-            for step in machine.all_steps()
-            if self._accesses(step, varname)
-        ]
-        for step in touching:
+        # One lemma per accessing pc: the obligation checks every
+        # thread at the pc, so the steps sharing it (a branch's two
+        # outcomes) share one lemma.
+        touching: dict[str, list[Step]] = {}
+        for step in machine.all_steps():
+            if self._accesses(step, varname):
+                touching.setdefault(step.pc, []).append(step)
+        for pc, steps in touching.items():
+            enabled = " || ".join(
+                f"enabled(s, tid, [{describe_step_effect(step)}])"
+                for step in steps
+            )
             script.add(
                 Lemma(
-                    name=(
-                        "AccessRequiresOwnership_"
-                        f"{step.pc.replace('#', '_')}"
-                    ),
-                    statement=(
-                        f"forall s, tid :: enabled(s, tid, "
-                        f"[{describe_step_effect(step)}]) ==> owns(s, tid)"
-                    ),
+                    name=f"AccessRequiresOwnership_{pc.replace('#', '_')}",
+                    statement=f"forall s, tid :: {enabled} ==> owns(s, tid)",
                     body=[
                         f"// every access to {varname} is performed by "
                         "the owner",
                     ],
                     obligation=self._access_obligation(
-                        request, ownership, step
+                        request, ownership, pc
                     ),
                 )
             )
@@ -328,7 +268,7 @@ class TsoElimStrategy(Strategy):
             )
         )
 
-    def _access_obligation(self, request, ownership, step):
+    def _access_obligation(self, request, ownership, pc: str):
         machine = request.low_machine
         ctx = request.low_ctx
 
@@ -338,7 +278,7 @@ class TsoElimStrategy(Strategy):
                     continue
                 for tid in state.threads.keys():
                     thread = state.threads[tid]
-                    if thread.terminated or thread.pc != step.pc:
+                    if thread.terminated or thread.pc != pc:
                         continue
                     if (
                         state.atomic_owner is not None
@@ -352,7 +292,7 @@ class TsoElimStrategy(Strategy):
                         return bool_verdict(
                             False,
                             {
-                                "pc": step.pc,
+                                "pc": pc,
                                 "tid": tid,
                                 "reason": "access without ownership",
                             },

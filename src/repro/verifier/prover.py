@@ -38,7 +38,7 @@ UNKNOWN = "unknown"
 #: engine must neither treat it as a refutation nor hang on it.
 TIMEOUT = "timeout"
 
-#: Statuses that settle the obligation (safe to cache/journal).  A
+#: Statuses that settle the obligation (safe to cache).  A
 #: TIMEOUT or UNKNOWN verdict is environment-dependent — a bigger
 #: deadline or a healthier farm may settle it — so it is never cached.
 SETTLED = (PROVED, REFUTED)

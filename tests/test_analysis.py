@@ -1,5 +1,5 @@
 """Tests for ``repro.analysis`` — the static race & TSO-robustness
-analyzer and its wiring into the proof engine.
+analyzer — and for the tso_elim verdicts the analyzer only advises on.
 
 The analyzer's claims are adversarially grounded two ways here: litmus
 tests whose racy/robust status is known from the x86-TSO literature,
@@ -119,27 +119,34 @@ class TestLockDiscipline:
         assert "access" in note or "simultaneously" in note
 
 
-class TestThreadLocalFastPathGate:
+class TestThreadLocal:
     SOURCE = (
         "var x: uint32; "
         "void main() { x := 1; x := x + 1; print_uint32(x); }"
     )
 
-    def test_single_threaded_global_is_provably_thread_local(self):
+    def test_single_threaded_global_is_thread_local(self):
         result = analyze_source(self.SOURCE)
-        assert result.classification("x") is Classification.THREAD_LOCAL
-        assert result.is_provably_thread_local("x")
+        verdict = result.verdict("x")
+        assert verdict.classification is Classification.THREAD_LOCAL
+        assert verdict.dynamic == "confirmed"
 
-    def test_gate_requires_complete_dynamic_corroboration(self):
+    def test_thread_local_gets_no_ownership_advice(self):
+        # A thread-local location still needs a real ownership
+        # predicate: tso_elim proves it like any other, so the analyzer
+        # offers nothing it has not validated.
+        result = analyze_source(self.SOURCE)
+        assert result.suggestion_for("x") is None
+        assert "suggest:" not in result.report().render_text()
+
+    def test_static_only_thread_local_stays_unchecked(self):
         static_only = analyze_level(
             check_level("level L { " + self.SOURCE + " }"),
             dynamic=False,
         )
-        assert (
-            static_only.classification("x")
-            is Classification.THREAD_LOCAL
-        )
-        assert not static_only.is_provably_thread_local("x")
+        verdict = static_only.verdict("x")
+        assert verdict.classification is Classification.THREAD_LOCAL
+        assert verdict.dynamic != "confirmed"
 
 
 class TestStaticOnlyMode:
@@ -181,33 +188,62 @@ FASTPATH_PROGRAM = (
 )
 
 
-class TestEngineWiring:
-    def test_fast_path_discharges_thread_local_elimination(self):
-        outcome = verify_source(FASTPATH_PROGRAM, analyze=True)
-        assert outcome.success
-        assert any(
-            "provably thread-local" in note
-            for note in outcome.analysis_notes
+def two_thread_program(predicate: str) -> str:
+    """Two threads, of which only ``main`` touches ``x``."""
+    def level(name: str, assign: str) -> str:
+        return (
+            f"level {name} {{ var x: uint32 := 0; var y: uint32 := 0; "
+            "void t() { y := 1; } "
+            "void main() { var a: uint64 := 0; a := create_thread t(); "
+            f"x {assign} 1; x {assign} x + 1; join a; print_uint32(x); "
+            "} }\n"
         )
+
+    return (
+        level("Low", ":=") + level("High", "::=")
+        + f"proof P {{ refinement Low High tso_elim x {predicate} }}\n"
+    )
+
+
+class TestTsoElimOwnership:
+    """tso_elim proves its ownership discipline with checked lemmas,
+    whatever the analyzer thinks of the location."""
+
+    def test_thread_local_elimination_checks_the_ownership_lemmas(self):
+        outcome = verify_source(FASTPATH_PROGRAM)
+        assert outcome.success
         script = outcome.outcomes[0].script
-        fast = [
-            lemma for lemma in script.lemmas
-            if "discharged by repro.analysis" in " ".join(lemma.body)
+        checked = [
+            lemma.name for lemma in script.lemmas
+            if lemma.obligation is not None
         ]
-        assert len(fast) == 3
-        assert all(lemma.verdict.ok for lemma in fast)
-
-    def test_without_analyze_no_fast_path(self):
-        outcome = verify_source(FASTPATH_PROGRAM, analyze=False)
-        assert outcome.success
-        assert outcome.analysis_notes == []
-        script = outcome.outcomes[0].script
-        assert not any(
-            "discharged by repro.analysis" in " ".join(lemma.body)
-            for lemma in script.lemmas
+        assert checked == [
+            "OwnershipExclusive",
+            "AccessRequiresOwnership_main_0",
+            "AccessRequiresOwnership_main_1",
+            "AccessRequiresOwnership_main_2",
+            "ReleaseImpliesStoreBufferEmpty",
+        ]
+        assert all(
+            lemma.verdict.ok for lemma in script.lemmas
+            if lemma.obligation is not None
         )
 
-    def test_racy_tso_elim_target_warned(self):
+    def test_predicate_true_fails_when_two_threads_run(self):
+        # ``x`` is thread-local, but "true" makes both threads owners:
+        # exclusivity is false, and the proof says so.
+        outcome = verify_source(two_thread_program('"true"'))
+        assert outcome.status == "failed"
+        assert outcome.outcomes[0].error == (
+            "verification failed: OwnershipExclusive: "
+            "{'witness': ('two owners', [1, 2])}"
+        )
+
+    def test_honest_predicate_verifies(self):
+        outcome = verify_source(two_thread_program('"$me == 1"'))
+        assert outcome.success
+
+    def test_racy_tso_elim_target_fails(self):
         program = (
             "level Low { var x: uint32; var r: uint32; "
             "void t() { x := 1; } "
@@ -219,27 +255,8 @@ class TestEngineWiring:
             "x ::= 2; r := x; join a; fence(); print_uint32(r); } }\n"
             'proof P { refinement Low High tso_elim x "true" }\n'
         )
-        outcome = verify_source(program, analyze=True)
-        assert any(
-            "WARNING" in note and "RACY" in note
-            for note in outcome.analysis_notes
-        )
-        # ... and the ownership obligations (not fast-pathed) fail.
-        assert not outcome.success
-
-    def test_matching_predicate_confirmed(self):
-        from pathlib import Path
-
-        source = (
-            Path(__file__).parent.parent / "examples"
-            / "running_example.arm"
-        ).read_text()
-        outcome = verify_source(source, analyze=True)
-        assert outcome.success
-        assert any(
-            "matches the analyzer's validated suggestion" in note
-            for note in outcome.analysis_notes
-        )
+        outcome = verify_source(program)
+        assert outcome.status == "failed"
 
 
 class TestCaseStudies:

@@ -180,17 +180,14 @@ class TestAnalyzeCommand:
         assert "no level named Nope (levels: " in err
         assert "Traceback" not in err
 
-    def test_verify_analyze_notes(self, capsys):
-        from pathlib import Path
-
-        path = str(
-            Path(__file__).parent.parent / "examples"
-            / "running_example.arm"
+    def test_analyze_suggests_the_running_example_predicate(
+        self, capsys
+    ):
+        assert main(["analyze", EXAMPLE, "--level", "ArbitraryGuard"]) \
+            == 0
+        assert 'suggest: tso_elim best_len "mutex == $me"' in (
+            capsys.readouterr().out
         )
-        assert main(["verify", path, "--analyze"]) == 0
-        out = capsys.readouterr().out
-        assert "analysis[" in out
-        assert "matches the analyzer's validated suggestion" in out
 
 
 class TestFileHandling:
@@ -233,6 +230,18 @@ class TestVerifyFarmFlags:
         for option in ("--jobs", "--farm-mode", "--max-retries",
                        "--inject-faults"):
             assert option not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{file}", "--journal", "run.jsonl"],
+        ["verify", "{file}", "--analyze"],
+        ["submit", "{file}", "--analyze"],
+    ], ids=["verify-journal", "verify-analyze", "submit-analyze"])
+    def test_removed_options_exit_2(self, argv, program_file, capsys):
+        argv = [arg.format(file=program_file) for arg in argv]
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {argv[2]}" in (
+            capsys.readouterr().err
+        )
 
     def test_no_atomic_option(self, program_file, capsys):
         assert main(["verify", program_file, "--atomic"]) == 2
@@ -308,31 +317,15 @@ class TestVerifyFarmFlags:
         assert ("ArbitraryGuardRefinesBestLenSequential [tso_elim]: "
                 "INCONCLUSIVE") in out
         assert "chain INCONCLUSIVE" in out
-        assert "farm: 6 obligations, 0 from cache, 0 executed" in out
+        assert "farm: 5 obligations, 0 from cache, 0 executed" in out
         assert "FAILED" not in out
-        # Without the deadline the same six obligations run and verify.
+        # Without the deadline the same five obligations run and verify.
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "farm: 6 obligations, 0 from cache, 6 executed" in out
+        assert "farm: 5 obligations, 0 from cache, 5 executed" in out
         assert "INCONCLUSIVE" not in out
 
-    def test_journal_resumes_without_rerunning(self, obligation_file,
-                                               tmp_path, capsys):
-        journal = tmp_path / "run.jsonl"
-        argv = ["verify", obligation_file, "--no-cache",
-                "--journal", str(journal), "--farm-report"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "farm: 6 obligations, 0 from cache, 6 executed" in out
-        assert len(journal.read_text().splitlines()) == 6
-        # The same command again replays every settled verdict.
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "farm: 6 obligations, 0 from cache, 0 executed" in out
-        assert "replayed from journal:  6" in out
-        assert "(6 entries, 6 replayed, 0 corrupt lines skipped)" in out
-
-    def test_journal_keeps_the_verdicts_of_a_run_that_dies(
+    def test_cache_keeps_the_verdicts_of_a_run_that_dies(
         self, obligation_file, tmp_path, capsys
     ):
         # The fourth obligation raises a programming error, which no
@@ -356,9 +349,9 @@ class TestVerifyFarmFlags:
             "from repro.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        journal = tmp_path / "run.jsonl"
-        argv = ["verify", obligation_file, "--no-cache",
-                "--journal", str(journal), "--farm-report"]
+        cache = tmp_path / "cache"
+        argv = ["verify", obligation_file, "--cache", str(cache),
+                "--farm-report"]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(
             os.path.dirname(os.path.abspath(repro.__file__))
@@ -369,12 +362,41 @@ class TestVerifyFarmFlags:
         )
         assert done.returncode != 0
         assert "died mid-batch" in done.stderr
-        # The three obligations settled before the crash were kept.
-        assert len(journal.read_text().splitlines()) == 3
+        # The three obligations settled before the crash were kept,
+        # so the same command runs only the other two.
+        assert len(list(cache.glob("??/*.verdict"))) == 3
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "replayed from journal:  3" in out
-        assert "farm: 6 obligations, 0 from cache, 3 executed" in out
+        assert "farm: 5 obligations, 3 from cache, 2 executed" in out
+        assert "3 hits, 2 misses, 2 stores, 0 failed stores" in out
+
+    def test_unwritable_cache_warns_once_and_keeps_the_exit_code(
+        self, obligation_file, tmp_path, capsys
+    ):
+        not_a_directory = tmp_path / "README.md"
+        not_a_directory.write_text("not a cache\n")
+        argv = ["verify", obligation_file, "--cache",
+                str(not_a_directory), "--farm-report"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "farm: 5 obligations, 0 from cache, 5 executed" in (
+            captured.out
+        )
+        assert "0 stores, 5 failed stores," in captured.out
+        warnings = [
+            line for line in captured.err.splitlines()
+            if "warning" in line
+        ]
+        assert warnings == [
+            "armada: warning: could not store 5 verdict(s) in the "
+            f"proof cache {not_a_directory}; a re-run executes them "
+            "again"
+        ]
+        assert not_a_directory.read_text() == "not a cache\n"
+        # A writable cache stores everything and warns about nothing.
+        argv[3] = str(tmp_path / "cache")
+        assert main(argv) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_farm_report_names_the_deadlines(self, obligation_file,
                                              capsys):
@@ -385,7 +407,7 @@ class TestVerifyFarmFlags:
                             "--chain-deadline", "600"]) == 0
         out = capsys.readouterr().out
         assert "policy: obligation<=60s, chain<=600s" in out
-        assert "farm: 6 obligations, 0 from cache, 6 executed" in out
+        assert "farm: 5 obligations, 0 from cache, 5 executed" in out
         assert "timeouts:" not in out
 
     def test_verify_chain_error_surfaced(self, tmp_path, capsys):
@@ -409,6 +431,50 @@ def _cli_subprocess(*argv):
         [sys.executable, "-m", "repro.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+#: A bound, count or deadline that parses as a number but means nothing:
+#: each used to run (or crash with a traceback) instead of being
+#: refused.
+_BAD_VALUES = [
+    ("verify", "--obligation-timeout", "nan"),
+    ("verify", "--obligation-timeout", "inf"),
+    ("verify", "--obligation-timeout", "-1"),
+    ("verify", "--chain-deadline", "nan"),
+    ("verify", "--chain-deadline", "inf"),
+    ("verify", "--chain-deadline", "-0.5"),
+    ("verify", "--max-states", "0"),
+    ("verify", "--max-states", "-5"),
+    ("verify", "--cache-max-bytes", "-1"),
+    ("verify", "--cache-max-bytes", "0"),
+    ("explore", "--max-states", "0"),
+    ("analyze", "--max-states", "0"),
+    ("submit", "--max-states", "-5"),
+    ("run", "--max-steps", "0"),
+    ("serve", "--slots", "0"),
+    ("serve", "--slots", "-1"),
+    ("serve", "--cache-max-bytes", "-1"),
+    ("verify", "--max-states", "many"),
+    ("verify", "--chain-deadline", "soon"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", _BAD_VALUES)
+def test_bad_bound_values_exit_2_with_usage(command, option, value,
+                                            tmp_path):
+    """Checked in a subprocess: a value that slipped through would run
+    the command, crash or, for ``serve``, start a daemon."""
+    argv = [command]
+    if command != "serve":
+        argv.append(EXAMPLE)
+    else:
+        argv += ["--state-dir", str(tmp_path / "state")]
+    done = _cli_subprocess(*argv, f"{option}={value}")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("usage: armada")
+    assert f"argument {option}: expected a" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def _deep_program(shape, n):

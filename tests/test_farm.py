@@ -14,9 +14,6 @@ import pytest
 from repro.casestudies import TABLE1, load, run_case_study
 from repro.errors import ProofFailure, StateBudgetExceeded
 from repro.farm import (
-    CACHE_HIT,
-    JOB_FINISHED,
-    JOB_QUEUED,
     FarmConfig,
     ProofCache,
     VerificationFarm,
@@ -142,7 +139,7 @@ class TestProofCache:
         assert counter == [1]  # obligation never re-ran
         assert repr(script2.lemmas[0].verdict) == \
             repr(script1.lemmas[0].verdict)
-        assert len(farm2.events.events(CACHE_HIT)) == 1
+        assert farm2.summary().cache_hits == 1
 
     def test_invalidated_by_body_change(self, tmp_path):
         counter = []
@@ -155,7 +152,7 @@ class TestProofCache:
         farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
         farm.discharge(lemma_jobs(script2, "pf"))
         assert counter == [1, 1]
-        assert not farm.events.events(CACHE_HIT)
+        assert farm.summary().cache_hits == 0
 
     def test_invalidated_by_customization(self, tmp_path):
         counter = []
@@ -205,17 +202,40 @@ class TestProofCache:
         assert len(cache) == 2
 
 
-class TestEvents:
-    def test_lifecycle_events(self):
+class TestSummary:
+    def test_lifecycle_counts(self):
         farm = VerificationFarm()
         script, _ = make_script()
         farm.discharge(lemma_jobs(script, "pf"))
-        assert len(farm.events.events(JOB_QUEUED)) == 1
-        assert len(farm.events.events(JOB_FINISHED)) == 1
         summary = farm.summary()
         assert summary.jobs == 1
         assert summary.executed == 1
         assert summary.cache_hits == 0
+        assert [label for label, _ in summary.slowest] == [
+            f"{script.proof_name}:{script.lemmas[0].name}"
+        ]
+
+    def test_counts_accumulate_across_discharges(self):
+        farm = VerificationFarm()
+        for _ in range(2):
+            script, _ = make_script()
+            farm.discharge(lemma_jobs(script, "pf"))
+        summary = farm.summary()
+        assert (summary.jobs, summary.executed) == (2, 2)
+        assert len(summary.slowest) == 2
+
+    def test_slowest_keeps_the_five_slowest_first_run_first(self):
+        from repro.farm import FarmSummary
+
+        summary = FarmSummary()
+        for index, seconds in enumerate([1, 3, 2, 3, 1, 5, 0, 2]):
+            summary.record_executed(f"L{index}", float(seconds))
+        assert summary.slowest == [
+            ("L5", 5.0), ("L1", 3.0), ("L3", 3.0), ("L2", 2.0),
+            ("L7", 2.0),
+        ]
+        assert summary.executed == 8
+        assert summary.worker_seconds == 17.0
 
 
 class TestModeEquivalence:
@@ -246,14 +266,16 @@ class TestModeEquivalence:
         # Only the (uncacheable) whole-program checks may re-execute:
         # every lemma obligation must come from the cache — comfortably
         # above the >= 90% incrementality bar.
-        executed = [
-            event.label
-            for event in warm_farm.events.events(JOB_FINISHED)
-        ]
-        assert all(
-            "WholeProgramRefinement" in label for label in executed
+        global_checks = sum(
+            outcome.refinement_checked
+            for outcome in warm.outcome.outcomes
         )
-        lemma_obligations = summary.jobs - len(executed)
+        assert summary.executed == global_checks
+        assert all(
+            label.endswith(":WholeProgramRefinement")
+            for label, _ in summary.slowest
+        )
+        lemma_obligations = summary.jobs - summary.executed
         assert lemma_obligations > 0
         assert summary.cache_hits == lemma_obligations
         assert summary.cache_hits / lemma_obligations >= 0.9
@@ -314,38 +336,36 @@ class TestBudgetCuts:
     refutes its obligation, so the farm must not settle it."""
 
     def _run(self, tmp_path, error):
-        """(verdict, cached verdict, journaled verdict) of one job
-        whose obligation raises *error*."""
-        from repro.farm import Job, Journal, run_jobs
+        """(verdict, summary, verdict a fresh cache reads back) of one
+        job whose obligation raises *error*."""
+        from repro.farm import FarmSummary, Job, run_jobs
 
         def thunk():
             raise error
 
         sink = []
-        cache = ProofCache(tmp_path / "cache")
-        journal = Journal(tmp_path / "journal.jsonl")
-        run_jobs([Job("k", "P:L", thunk, sink.append)], cache=cache,
-                 journal=journal)
-        journal.close()
-        return sink[0], cache.get("k"), \
-            Journal(tmp_path / "journal.jsonl").lookup("k")
+        summary = FarmSummary()
+        run_jobs([Job("k", "P:L", thunk, sink.append)],
+                 cache=ProofCache(tmp_path / "cache"), summary=summary)
+        return sink[0], summary, ProofCache(tmp_path / "cache").get("k")
 
     def test_budget_cut_is_unknown_and_never_stored(self, tmp_path):
-        verdict, cached, journaled = self._run(
+        verdict, summary, cached = self._run(
             tmp_path, StateBudgetExceeded(10)
         )
         assert verdict.status == UNKNOWN and verdict.inconclusive
         assert "state budget" in verdict.counterexample["error"]
-        assert cached is None and journaled is None
+        assert cached is None
+        assert (summary.executed, summary.cache_stores) == (1, 0)
 
     def test_other_armada_errors_still_refute(self, tmp_path):
-        verdict, cached, journaled = self._run(
+        verdict, summary, cached = self._run(
             tmp_path, ProofFailure("no such lemma")
         )
         assert verdict.status == REFUTED
         assert "no such lemma" in verdict.counterexample["error"]
         assert cached.status == REFUTED
-        assert journaled.status == REFUTED
+        assert (summary.executed, summary.cache_stores) == (1, 1)
 
 
 class TestMachineFingerprint:
@@ -610,8 +630,6 @@ class TestGracefulDrain:
         return scripts, jobs
 
     def test_drain_short_circuits_queued_jobs(self):
-        from repro.farm import JOB_CANCELLED
-
         farm = VerificationFarm()
         counter = []
         scripts, jobs = self._scripts(farm, counter)
@@ -626,8 +644,7 @@ class TestGracefulDrain:
             assert verdict.inconclusive
             assert not verdict.ok
             assert "cancelled" in str(verdict.counterexample)
-        cancelled = farm.events.events(JOB_CANCELLED)
-        assert len(cancelled) == 4
+        assert farm.summary().jobs == 6
         assert farm.summary().cancelled == 4
         # Only the two obligations that ran count as executed.
         assert farm.summary().executed == 2
@@ -667,18 +684,12 @@ class TestGracefulDrain:
         for script in scripts3:
             assert script.lemmas[0].verdict.ok
 
-    def test_drain_flushes_journal_with_settled_only(self, tmp_path):
-        from repro.farm import Journal
-
-        farm = VerificationFarm(FarmConfig(
-            journal_path=tmp_path / "j.jsonl",
-        ))
+    def test_drain_stores_only_settled_verdicts(self, tmp_path):
+        farm = VerificationFarm(FarmConfig(cache_dir=tmp_path / "c"))
         counter = []
         scripts, jobs = self._scripts(farm, counter)
         farm.discharge(jobs)
-        farm.close()
-        journal = Journal(tmp_path / "j.jsonl")
-        # Only the two settled verdicts were journaled; cancelled
+        # Only the two settled verdicts were stored; cancelled
         # (inconclusive) obligations must be re-checked on resume.
-        assert len(journal) == 2
-        journal.close()
+        assert farm.summary().cache_stores == 2
+        assert len(ProofCache(tmp_path / "c")) == 2

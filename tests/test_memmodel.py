@@ -237,10 +237,7 @@ class TestCacheKeys:
         def run(model):
             farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
             engine = self._engine(model, farm=farm)
-            outcome = engine.run_all()
-            summary = farm.summary()
-            farm.close()
-            return outcome, summary
+            return engine.run_all(), farm.summary()
 
         first, warm = run("tso")
         assert first.success

@@ -1,12 +1,14 @@
-"""Resilience suite: deadlines, cache healing and the journal.
+"""Resilience suite: deadlines, cache healing and resuming from the
+cache.
 
 The farm runs every obligation on the calling thread, so nothing fails
-transiently; what it must survive is a run that outlives its budget and
-a store that goes bad.  Per-obligation and whole-chain deadlines yield
-inconclusive TIMEOUT verdicts (never refuted, never cached, never
-journaled), corrupt cache entries are quarantined and recomputed, and
-the journal resumes an interrupted run.  Timeout counts reach the
-trace and ``--farm-report``.
+transiently; what it must survive is a run that outlives its budget, a
+run that dies, and a store that goes bad.  Per-obligation and
+whole-chain deadlines yield inconclusive TIMEOUT verdicts (never
+refuted, never cached), corrupt cache entries are quarantined and
+recomputed, and the cache keeps every verdict a dying run settled, so
+the next run resumes from it.  Timeout counts reach the trace and
+``--farm-report``.
 """
 
 import json
@@ -19,15 +21,9 @@ import pytest
 
 from repro.errors import InconclusiveCheck, ObligationTimeout
 from repro.farm import (
-    DEADLINE_EXPIRED,
-    JOB_FINISHED,
-    JOB_STARTED,
-    JOB_TIMEOUT,
-    JOURNAL_HIT,
-    EventLog,
     FarmConfig,
+    FarmSummary,
     Job,
-    Journal,
     ProofCache,
     ResilienceConfig,
     ShutdownToken,
@@ -88,9 +84,8 @@ def _blocking_thunk(entered: threading.Event, release: threading.Event):
 class TestDeadlines:
     @pytest.mark.flaky
     def test_obligation_timeout_yields_timeout_verdict(self, tmp_path):
-        sink, events = {}, EventLog()
+        sink, summary = {}, FarmSummary()
         cache = ProofCache(tmp_path / "cache")
-        journal = Journal(tmp_path / "journal.jsonl")
 
         def slow():
             time.sleep(5.0)
@@ -98,21 +93,20 @@ class TestDeadlines:
 
         jobs = [_job(0, thunk=slow, sink=sink), _job(1, sink=sink)]
         started = time.monotonic()
-        run_jobs(jobs, cache=cache, events=events,
-                 resilience=ResilienceConfig(obligation_timeout=0.05),
-                 journal=journal)
+        run_jobs(jobs, cache=cache, summary=summary,
+                 resilience=ResilienceConfig(obligation_timeout=0.05))
         assert time.monotonic() - started < 4.0  # did not wait out sleep
         assert sink[0].status == TIMEOUT and sink[0].inconclusive
         assert sink[1].status == PROVED
-        assert len(events.events(JOB_TIMEOUT)) == 1
-        # Inconclusive verdicts must be pinned nowhere.
+        assert summary.timeouts == 1
+        # Inconclusive verdicts must never be pinned.
         assert cache.get(jobs[0].key) is None
-        assert journal.lookup(jobs[0].key) is None
+        assert summary.cache_stores == 1
         assert cache.get(jobs[1].key).status == PROVED
 
     @pytest.mark.flaky
     def test_chain_deadline_short_circuits_queue(self):
-        sink, events = {}, EventLog()
+        sink, summary = {}, FarmSummary()
 
         def slow():
             time.sleep(0.2)
@@ -120,7 +114,7 @@ class TestDeadlines:
 
         jobs = [_job(i, thunk=slow, sink=sink) for i in range(4)]
         started = time.monotonic()
-        run_jobs(jobs, events=events,
+        run_jobs(jobs, summary=summary,
                  resilience=ResilienceConfig(chain_deadline=0.25))
         assert time.monotonic() - started < 2.0
         assert sink[0].status == PROVED  # ran within the budget
@@ -128,10 +122,10 @@ class TestDeadlines:
         statuses = [sink[i].status for i in range(4)]
         assert statuses.count(TIMEOUT) >= 2
         assert REFUTED not in statuses  # never misreported as refuted
-        assert len(events.events(DEADLINE_EXPIRED)) == 1
+        assert summary.timeouts == statuses.count(TIMEOUT)
 
     def test_timeouts_are_not_retried(self):
-        calls, sink, events = [], {}, EventLog()
+        calls, sink, summary = [], {}, FarmSummary()
         entered, release = threading.Event(), threading.Event()
         blocking = _blocking_thunk(entered, release)
 
@@ -140,17 +134,17 @@ class TestDeadlines:
             return blocking()
 
         try:
-            run_jobs([_job(0, thunk=thunk, sink=sink)], events=events,
+            run_jobs([_job(0, thunk=thunk, sink=sink)], summary=summary,
                      resilience=ResilienceConfig(obligation_timeout=0.05))
             assert entered.wait(5.0)
         finally:
             release.set()
         assert sink[0].status == TIMEOUT
-        # One start, one call: a timed-out obligation is abandoned,
+        # One run, one call: a timed-out obligation is abandoned,
         # never run again.
         assert calls == [1]
-        assert len(events.events(JOB_STARTED)) == 1
-        assert len(events.events(JOB_TIMEOUT)) == 1
+        assert summary.executed == 1
+        assert summary.timeouts == 1
 
     def test_obligation_past_its_deadline_counts_as_executed(self):
         entered, release = threading.Event(), threading.Event()
@@ -180,10 +174,10 @@ class TestDeadlines:
         assert armed_at is not None
         farm.discharge([_job(1, sink=sink), _job(2, sink=sink)])
         # The clock is armed once, at the first discharge; later
-        # batches inherit the spent budget and report it only once.
+        # batches inherit the spent budget.
         assert farm.resilience.deadline_at == armed_at
         assert [sink[i].status for i in range(3)] == [TIMEOUT] * 3
-        assert len(farm.events.events(DEADLINE_EXPIRED)) == 1
+        assert farm.summary().jobs == 3
         assert farm.summary().timeouts == 3
         assert farm.summary().executed == 0
 
@@ -248,15 +242,12 @@ class TestDeadlinePolicy:
         assert spent.attempt_budget() == 0.0
         assert spent.chain_expired()
 
-    def test_arming_is_idempotent_and_expiry_reported_once(self):
+    def test_arming_is_idempotent(self):
         res = ResilienceConfig(chain_deadline=600.0)
         res.arm()
         armed_at = res.deadline_at
         res.arm()
         assert res.deadline_at == armed_at
-        assert [res.report_expiry_once() for _ in range(3)] == [
-            True, False, False,
-        ]
 
 
 class TestCallWithDeadline:
@@ -285,29 +276,22 @@ class TestCallWithDeadline:
 
 
 class TestCacheSelfHealing:
-    def _cache(self, tmp_path, quarantined=None):
-        return ProofCache(
-            tmp_path / "cache",
-            on_quarantine=(
-                (lambda key, reason: quarantined.append((key, reason)))
-                if quarantined is not None else None
-            ),
-        )
+    def _cache(self, tmp_path):
+        return ProofCache(tmp_path / "cache")
 
     def test_hand_truncated_entry_is_quarantined_and_recomputed(
         self, tmp_path
     ):
         # Regression for the framing fix: pre-framing caches died on
         # truncated pickles; now they must heal.
-        seen = []
-        cache = self._cache(tmp_path, quarantined=seen)
+        cache = self._cache(tmp_path)
         assert cache.put("ab" + "0" * 62, proved())
         key = "ab" + "0" * 62
         path = cache.entry_path(key)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 3])
         assert cache.get(key) is None  # a miss, not a traceback
-        assert cache.quarantined == 1 and len(seen) == 1
+        assert cache.quarantined == 1
         assert not path.exists()
         quarantine = list((tmp_path / "cache" / "quarantine").iterdir())
         assert len(quarantine) == 1
@@ -348,14 +332,13 @@ class TestCacheSelfHealing:
     def test_framed_foreign_payload_is_quarantined(self, tmp_path):
         # A frame that checks out around a payload that is not a
         # verdict (format drift) is quarantined, never served.
-        seen = []
-        cache = self._cache(tmp_path, quarantined=seen)
+        cache = self._cache(tmp_path)
         key = "0a" + "3" * 62
         path = cache.entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(frame_entry(pickle.dumps({"status": PROVED})))
         assert cache.get(key) is None
-        assert seen == [(key, "framed payload is not a Verdict")]
+        assert cache.quarantined == 1
         assert not path.exists()
         assert cache.put(key, proved())
         assert cache.get(key).status == PROVED
@@ -387,111 +370,79 @@ class TestCacheSelfHealing:
 
 
 # ----------------------------------------------------------------------
-# journal resume
+# resuming from the cache
 
 
-class TestJournal:
-    def test_resume_replays_settled_verdicts(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+class TestResumeFromCache:
+    def test_rerun_serves_settled_verdicts_from_the_cache(self, tmp_path):
         calls = []
 
         def thunk():
             calls.append(1)
             return proved()
 
-        events = EventLog()
-        journal = Journal(path)
-        sink = {}
-        run_jobs([_job(0, thunk=thunk, sink=sink)], events=events,
-                 journal=journal)
-        journal.close()
-        assert calls == [1] and sink[0].status == PROVED
+        def run():
+            summary, sink = FarmSummary(), {}
+            run_jobs([_job(0, thunk=thunk, sink=sink)],
+                     cache=ProofCache(tmp_path / "cache"),
+                     summary=summary)
+            return summary, sink
 
-        resumed = Journal(path)
-        events2, sink2 = EventLog(), {}
-        run_jobs([_job(0, thunk=thunk, sink=sink2)], events=events2,
-                 journal=resumed)
-        resumed.close()
+        first, _ = run()
+        assert calls == [1] and first.cache_stores == 1
+        second, sink = run()
         assert calls == [1]  # not re-executed
-        assert sink2[0].status == PROVED
-        assert len(events2.events(JOURNAL_HIT)) == 1
-        assert events2.summary().journal_hits == 1
-
-    def test_torn_lines_self_heal(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = Journal(path)
-        journal.record("k1", Verdict(PROVED))
-        journal.record(
-            "k2", Verdict(REFUTED, {"witness": "x=1"})
-        )
-        journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "k3", "status": "pro')  # torn write
-        resumed = Journal(path)
-        assert resumed.corrupt_lines == 1
-        assert resumed.lookup("k1").status == PROVED
-        assert resumed.lookup("k2").status == REFUTED
-        assert resumed.lookup("k3") is None
-        resumed.close()
-
-    def test_only_settled_verdicts_are_journaled(self, tmp_path):
-        journal = Journal(tmp_path / "run.jsonl")
-        journal.record("t", Verdict(TIMEOUT))
-        journal.record("u", Verdict(UNKNOWN))
-        journal.record("p", Verdict(PROVED))
-        journal.close()
-        assert len(Journal(tmp_path / "run.jsonl")) == 1
-
-    def test_refuted_verdicts_round_trip_once(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = Journal(path)
-        refuted = Verdict(REFUTED, {"witness": "x=1"})
-        journal.record("r", refuted)
-        journal.record("r", refuted)  # already settled: not re-appended
-        journal.close()
-        assert len(path.read_text().splitlines()) == 1
-        resumed = Journal(path)
-        replayed = resumed.lookup("r")
-        resumed.close()
-        # The counterexample survives as text.
-        assert replayed.status == REFUTED and not replayed.ok
-        assert replayed.counterexample == {
-            "journal": json.dumps({"witness": "x=1"}),
-        }
-        assert resumed.replayed == 1
+        assert sink[0].status == PROVED
+        assert (second.cache_hits, second.executed) == (1, 0)
 
     def test_settled_verdicts_survive_a_batch_that_dies(self, tmp_path):
-        """Each verdict is cached and journaled as its obligation
-        returns, not after the batch: a crash keeps what was settled."""
+        """Each verdict is cached as its obligation returns, not after
+        the batch: a crash keeps what was settled."""
         def broken():
             raise RuntimeError("run died mid-batch")
 
         cache = ProofCache(tmp_path / "cache")
-        path = tmp_path / "run.jsonl"
-        journal = Journal(path)
+        summary = FarmSummary()
         jobs = [_job(0), _job(1), _job(2, thunk=broken)]
         with pytest.raises(RuntimeError, match="mid-batch"):
-            run_jobs(jobs, cache=cache, journal=journal)
-        journal.close()
+            run_jobs(jobs, cache=cache, summary=summary)
         assert len(cache) == 2
-        assert len(path.read_text().splitlines()) == 2
+        assert summary.cache_stores == 2
 
-    def test_malformed_records_are_skipped(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        path.write_text("\n".join([
-            json.dumps({"format": "armada-journal/1"}),  # header
-            json.dumps(["not", "a", "record"]),
-            json.dumps({"key": 7, "status": PROVED}),
-            json.dumps({"key": "t", "status": TIMEOUT}),
-            json.dumps({"key": "p", "status": PROVED}),
-            "",
-        ]))
-        journal = Journal(path)
-        journal.close()
-        assert journal.corrupt_lines == 3
-        assert len(journal) == 1
-        assert journal.lookup("t") is None
-        assert journal.lookup("p").status == PROVED
+    def test_refuted_verdicts_resume_with_their_counterexample(
+        self, tmp_path
+    ):
+        refuted = Verdict(REFUTED, {"witness": "x=1"})
+        cache = ProofCache(tmp_path / "cache")
+        assert cache.put("r", refuted)
+        replayed = ProofCache(tmp_path / "cache").get("r")
+        assert replayed.status == REFUTED and not replayed.ok
+        assert replayed.counterexample == {"witness": "x=1"}
+
+
+class TestFailedStores:
+    def test_unwritable_cache_counts_failed_stores(self, tmp_path):
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("a regular file\n")
+        farm = VerificationFarm(FarmConfig(cache_dir=not_a_directory))
+        sink = {}
+        farm.discharge([_job(0, sink=sink), _job(1, sink=sink)])
+        # The verdicts still settle; only the store fails.
+        assert [sink[0].status, sink[1].status] == [PROVED, PROVED]
+        assert farm.cache.failed_stores == 2
+        assert farm.cache.stores == 0
+        assert farm.summary().cache_stores == 0
+        assert not_a_directory.read_text() == "a regular file\n"
+        report = "\n".join(farm.report_lines())
+        assert "0 stores, 2 failed stores," in report
+
+    def test_inconclusive_and_written_verdicts_are_not_failures(
+        self, tmp_path
+    ):
+        cache = ProofCache(tmp_path / "cache")
+        assert not cache.put("t", Verdict(TIMEOUT))
+        assert cache.put("p", Verdict(PROVED))
+        assert (cache.stores, cache.failed_stores) == (1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -566,4 +517,4 @@ class TestEndToEndInconclusive:
         assert summary.jobs > 0
         assert summary.timeouts == summary.jobs
         assert summary.executed == 0
-        assert farm.events.events(JOB_FINISHED) == []
+        assert summary.slowest == []

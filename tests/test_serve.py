@@ -184,6 +184,16 @@ class TestDaemonBasics:
             for o in batch.outcomes
         ]
         assert served_verdicts == batch_verdicts
+        # The farm summary travels as JSON, counts only.
+        assert sorted(result["farm"]) == [
+            "cache_evictions", "cache_hits", "cache_quarantined",
+            "cache_stores", "cancelled", "executed", "jobs", "slowest",
+            "timeouts", "worker_seconds",
+        ]
+        assert result["farm"]["jobs"] == (
+            result["farm"]["cache_hits"] + result["farm"]["executed"]
+        )
+        assert "analysis_notes" not in result
 
     def test_lifecycle_events(self, served):
         _, client = served
@@ -585,12 +595,12 @@ class TestRealSignals:
             "from repro.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        journal = tmp_path / "journal.jsonl"
+        cache = tmp_path / "cache"
         proc = subprocess.Popen(
             [
                 sys.executable, "-c", launcher, "verify",
-                str(program), "--validate", "always", "--no-cache",
-                "--journal", str(journal),
+                str(program), "--validate", "always",
+                "--cache", str(cache), "--farm-report",
             ],
             env=self._env(), cwd=tmp_path,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -607,8 +617,13 @@ class TestRealSignals:
         assert proc.returncode == 130
         assert "Traceback" not in stderr
         assert "drain requested" in stderr
-        assert "drained after signal" in stderr
+        assert "drained after signal; re-run with the same --cache to " \
+            "resume" in stderr
         # The run reported inconclusive — nothing was refuted.
         assert "INCONCLUSIVE" in stdout
-        # The journal was flushed (created; settled verdicts only).
-        assert journal.exists()
+        assert "FAILED" not in stdout
+        # The drained checks were cut short, not run; whole-program
+        # checks are never cached, so the cache holds nothing.
+        assert "cancelled by drain request:" in stdout
+        assert "cache stores:         0" in stdout
+        assert not list(cache.glob("??/*.verdict"))
