@@ -14,7 +14,6 @@ Entry point: :func:`analyze_level`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.lang.resolver import LevelContext
 from repro.machine.program import StateMachine
@@ -36,6 +35,7 @@ from repro.analysis.robustness import (
     classify,
     run_dynamic_scan,
 )
+from repro.record import Fresh, Record
 
 __all__ = [
     "AccessMap",
@@ -60,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(Record):
     """Everything the analyzer learned about one level."""
 
     level_name: str
@@ -71,7 +70,7 @@ class AnalysisResult:
     locksets: LocksetResult
     dynamic: DynamicScan | None
     verdicts: dict[str, LocationVerdict]
-    suggestions: list[OwnershipSuggestion] = field(default_factory=list)
+    suggestions: list[OwnershipSuggestion] = Fresh(list)
     #: Name of the memory model the verdicts were computed under.
     memory_model: str = "tso"
 

@@ -21,7 +21,6 @@ the proof engine uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.lang import asts as ast
@@ -42,6 +41,7 @@ from repro.machine.steps import (
     Step,
 )
 from repro.machine.values import Location, Pointer
+from repro.record import Fresh, FrozenRecord, Record
 from repro.strategies.regions import RegionAnalysis, analyze_regions
 
 #: Extern methods that target memory through their first pointer
@@ -58,8 +58,7 @@ DRAINING_EXTERNS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(FrozenRecord):
     """One static shared-memory access of one step.
 
     ``location`` is an abstract location name: a global variable name,
@@ -88,15 +87,14 @@ class Access:
                 f"({self.step_desc}){suffix}")
 
 
-@dataclass
-class AccessMap:
+class AccessMap(Record):
     """All static accesses of a level, indexed for the later passes."""
 
-    all: list[Access] = field(default_factory=list)
-    by_step: dict[int, list[Access]] = field(default_factory=dict)
-    by_location: dict[str, list[Access]] = field(default_factory=dict)
+    all: list[Access] = Fresh(list)
+    by_step: dict[int, list[Access]] = Fresh(dict)
+    by_location: dict[str, list[Access]] = Fresh(dict)
     #: Globals used as lock words by the mutex externs.
-    mutex_words: set[str] = field(default_factory=set)
+    mutex_words: set[str] = Fresh(set)
     regions: RegionAnalysis | None = None
 
     def add(self, step: Step, access: Access) -> None:
@@ -346,8 +344,7 @@ def extract_accesses(ctx: LevelContext, machine: StateMachine) -> AccessMap:
 # Dynamic (concrete) footprints
 
 
-@dataclass(frozen=True, slots=True)
-class ConcreteAccess:
+class ConcreteAccess(FrozenRecord):
     """One leaf-cell access an enabled step would perform.
 
     ``buffered`` marks writes that go through the firing thread's x86-TSO

@@ -21,7 +21,6 @@ whether it is even potentially multi-threaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.machine.program import StateMachine
 from repro.machine.steps import (
@@ -33,6 +32,7 @@ from repro.machine.steps import (
 )
 
 from repro.analysis.accesses import AccessMap
+from repro.record import Fresh, Record
 
 MAIN_CONTEXT = "main"
 
@@ -45,23 +45,20 @@ def _lock_targets(access_map: AccessMap, step: ExternStep) -> list[str]:
     })
 
 
-@dataclass
-class LocksetResult:
+class LocksetResult(Record):
     """Output of the lockset pass, consumed by the classifier."""
 
     #: PC -> locks definitely held (None = statically unreachable).
-    held_at: dict[str, frozenset[str] | None] = field(default_factory=dict)
+    held_at: dict[str, frozenset[str] | None] = Fresh(dict)
     #: Spawn context tag -> how many such threads may exist (2 = "many").
-    multiplicity: dict[str, int] = field(default_factory=dict)
+    multiplicity: dict[str, int] = Fresh(dict)
     #: Method -> context tags that may execute it.
-    contexts_of_method: dict[str, set[str]] = field(default_factory=dict)
+    contexts_of_method: dict[str, set[str]] = Fresh(dict)
     #: Location -> context tags of its accessors.
-    location_contexts: dict[str, set[str]] = field(default_factory=dict)
+    location_contexts: dict[str, set[str]] = Fresh(dict)
     #: Location -> candidate lockset (∩ held over reachable accesses);
     #: None when the location has no reachable accesses.
-    location_locks: dict[str, frozenset[str] | None] = field(
-        default_factory=dict
-    )
+    location_locks: dict[str, frozenset[str] | None] = Fresh(dict)
 
     def held(self, pc: str) -> frozenset[str]:
         locks = self.held_at.get(pc)

@@ -17,7 +17,6 @@ plausible but wrong candidate is never suggested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.lang import asts as ast
 from repro.lang import types as ty
@@ -30,10 +29,10 @@ from repro.machine.state import ProgramState, UBSignal
 
 from repro.analysis.accesses import AccessMap
 from repro.analysis.robustness import Classification, LocationVerdict
+from repro.record import Record
 
 
-@dataclass
-class OwnershipSuggestion:
+class OwnershipSuggestion(Record):
     """A candidate recipe line for one location."""
 
     location: str

@@ -14,17 +14,16 @@ is ordinal:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.ownership import OwnershipSuggestion
 from repro.analysis.robustness import Classification, LocationVerdict
+from repro.record import Fresh, Record
 
 _SEVERITY_ORDER = {"high": 0, "medium": 1, "low": 2, "info": 3}
 
 
-@dataclass
-class Finding:
+class Finding(Record):
     severity: str
     location: str
     classification: str
@@ -49,11 +48,10 @@ class Finding:
         return data
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Record):
     level: str
-    findings: list[Finding] = field(default_factory=list)
-    stats: dict[str, Any] = field(default_factory=dict)
+    findings: list[Finding] = Fresh(list)
+    stats: dict[str, Any] = Fresh(dict)
 
     # ------------------------------------------------------------------
 

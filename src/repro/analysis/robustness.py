@@ -36,7 +36,6 @@ and SC forbids (the SB litmus shape).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.lang.resolver import LevelContext
@@ -51,6 +50,7 @@ from repro.analysis.accesses import (
     concrete_footprint,
 )
 from repro.analysis.lockset import LocksetResult
+from repro.record import Fresh, FrozenRecord, Record
 
 
 class Classification(Enum):
@@ -66,8 +66,7 @@ class Classification(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class RaceWitness:
+class RaceWitness(FrozenRecord):
     """Two simultaneously enabled conflicting accesses to one cell."""
 
     location: str  # abstract name
@@ -87,8 +86,7 @@ class RaceWitness:
         )
 
 
-@dataclass(frozen=True)
-class TsoWitness:
+class TsoWitness(FrozenRecord):
     """A buffered racy store followed fence-free by a racy load."""
 
     store: Access
@@ -102,16 +100,15 @@ class TsoWitness:
         )
 
 
-@dataclass
-class DynamicScan:
+class DynamicScan(Record):
     """Result of the bounded simultaneous-enabledness race scan."""
 
     ran: bool = False
     complete: bool = False
     states_visited: int = 0
-    witnesses: dict[str, RaceWitness] = field(default_factory=dict)
+    witnesses: dict[str, RaceWitness] = Fresh(dict)
     #: abstract name -> tids observed accessing it (enabled steps).
-    accessor_tids: dict[str, set[int]] = field(default_factory=dict)
+    accessor_tids: dict[str, set[int]] = Fresh(dict)
 
     def refutes(self, location: str) -> bool:
         """A complete scan with no witness refutes a static race."""
@@ -124,8 +121,7 @@ class DynamicScan:
         )
 
 
-@dataclass
-class LocationVerdict:
+class LocationVerdict(Record):
     """Final verdict for one shared location."""
 
     name: str

@@ -9,12 +9,12 @@ SLOC, recipe SLOC, and generated-proof SLOC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.farm import VerificationFarm
 from repro.lang.frontend import check_program
 from repro.machine.program import DomainConfig
 from repro.proofs.engine import ChainOutcome, ProofEngine
+from repro.record import Fresh, Record
 
 
 def sloc(text: str) -> int:
@@ -28,8 +28,7 @@ def sloc(text: str) -> int:
     return count
 
 
-@dataclass
-class CaseStudy:
+class CaseStudy(Record):
     """One evaluation case study: levels, recipes, and paper numbers."""
 
     name: str
@@ -39,7 +38,7 @@ class CaseStudy:
     #: (proof name, recipe source) in chain order.
     recipes: list[tuple[str, str]]
     #: Numbers the paper reports, keyed by a short label.
-    paper_numbers: dict[str, int] = field(default_factory=dict)
+    paper_numbers: dict[str, int] = Fresh(dict)
     #: Exploration budget needed by the proofs of this study.
     max_states: int = 200_000
 
@@ -60,8 +59,7 @@ class CaseStudy:
         return {name: sloc(text) for name, text in self.recipes}
 
 
-@dataclass
-class CaseStudyReport:
+class CaseStudyReport(Record):
     """Measured results for one case study run."""
 
     study: CaseStudy

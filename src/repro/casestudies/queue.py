@@ -28,13 +28,12 @@ Paper numbers: implementation 70 SLOC; recipes totalling ~120 SLOC;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.casestudies.common import CaseStudy
+from repro.record import Record
 
 
-@dataclass
-class _Shape:
+class _Shape(Record):
     """Which concrete/ghost pieces are present at one level."""
 
     ghost_decl: bool = False

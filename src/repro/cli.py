@@ -987,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="block until the job settles and print its result "
              "(exit code mirrors batch 'armada verify')",
     )
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    metavar="SECONDS",
                    help="bound --wait")
     p.add_argument("--json", action="store_true",
@@ -1009,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wait", action=argparse.BooleanOptionalAction, default=True,
         help="block until the job settles (default: wait)",
     )
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    metavar="SECONDS")
     p.add_argument("--json", action="store_true",
                    help="print the raw result JSON")

@@ -27,7 +27,6 @@ scalar globals for the mutex/atomic externs, threads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import CompileError
@@ -35,6 +34,7 @@ from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.lang.core_check import check_core
 from repro.lang.resolver import LevelContext
+from repro.record import Record
 
 _RUNTIME = '''\
 import threading
@@ -173,8 +173,7 @@ _MODE_RUNTIMES = {
 _MASKS = {8: 0xFF, 16: 0xFFFF, 32: 0xFFFFFFFF, 64: 0xFFFFFFFFFFFFFFFF}
 
 
-@dataclass
-class CompiledProgram:
+class CompiledProgram(Record):
     """A compiled Armada program ready to execute."""
 
     source: str

@@ -53,7 +53,6 @@ load time, not the generated code.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import marshal
 import os
 from importlib.util import MAGIC_NUMBER
@@ -64,7 +63,6 @@ from typing import Any
 from repro.hashing import code_version, structural_hash
 from repro.lang import asts as ast
 from repro.lang import types as ty
-from repro.lang.record import Record
 from repro.machine.pmap import PMap
 from repro.machine.program import StateMachine, Transition
 from repro.machine.state import (
@@ -98,6 +96,7 @@ from repro.machine.values import (
     some,
 )
 from repro.obs import OBS
+from repro.record import Record
 
 #: Bump to invalidate every cached source when codegen output changes in
 #: a way ``code_version`` alone would not capture (it normally does).
@@ -237,9 +236,9 @@ def _adv(
 ) -> ProgramState:
     """Step._advance + update_atomic_owner with the pc-yieldability
     lookup folded to a compile-time constant, built by direct
-    construction instead of a chain of ``dataclasses.replace`` calls
-    (equality and hashing are structural, so the states are
-    bit-identical to the interpreter's)."""
+    construction instead of a chain of copies (equality and hashing
+    are structural, so the states are bit-identical to the
+    interpreter's)."""
     t = state.threads[tid]
     nt = ThreadState(t.tid, target, t.frames, t.store_buffer, t.view)
     if inside:
@@ -295,7 +294,6 @@ _NAMESPACE_BASE = {
     "NULL": NULL,
     "NONE_OPTION": NONE_OPTION,
     "TERM_UB": TERM_UB,
-    "replace": dataclasses.replace,
     "_some": some,
     "_local": _local_read,
     "_ghost": _ghost_read,
@@ -1017,9 +1015,9 @@ class _Gen:
         """Emit the *fused* successor construction: every write of the
         step plus the pc advance collapse into one ``ThreadState`` and
         one ``ProgramState`` built positionally, with no intermediate
-        ``dataclasses.replace`` states.  Sound because (a) the writes
-        themselves cannot raise — every UB check is emitted before this
-        point, in interpreter order — and (b) a stepping thread always
+        copied states.  Sound because (a) the writes themselves cannot
+        raise — every UB check is emitted before this point, in
+        interpreter order — and (b) a stepping thread always
         satisfies ``atomic_owner in (None, tid)``, so the post-step
         owner is the compile-time constant ``tid``/``None``.
         Expects ``state``/``thread``/``threads`` in scope."""
@@ -2067,14 +2065,10 @@ def _ast_sig(node: Any) -> Any:
         return str(node)
     if node is None or isinstance(node, (str, int, bool)):
         return node
-    if isinstance(node, Record):
-        names = node._fields
-    elif dataclasses.is_dataclass(node):  # a machine Step
-        names = [f.name for f in dataclasses.fields(node)]
-    else:
+    if not isinstance(node, Record):  # records include machine Steps
         return repr(node)
     sig = [type(node).__name__]
-    for name in names:
+    for name in node._fields:
         if name != "loc":
             sig.append(_ast_sig(getattr(node, name)))
     return sig

@@ -9,16 +9,23 @@ offending program position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.record import Slotted
 
 
-@dataclass(frozen=True, slots=True)
-class SourceLoc:
-    """A position in an Armada source text (1-based line and column)."""
+class SourceLoc(Slotted):
+    """A position in an Armada source text (1-based line and column).
 
-    line: int
-    column: int
-    filename: str = "<armada>"
+    Built once per token, so it writes out its ``__init__``; immutable
+    by convention.
+    """
+
+    __slots__ = ("line", "column", "filename")
+
+    def __init__(self, line: int, column: int,
+                 filename: str = "<armada>") -> None:
+        self.line = line
+        self.column = column
+        self.filename = filename
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"

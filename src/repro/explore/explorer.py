@@ -37,7 +37,6 @@ Three contracts this module is careful about:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.compiler.stepc import stepper_for, successors_for
@@ -45,10 +44,10 @@ from repro.errors import StateBudgetExceeded
 from repro.machine.program import StateMachine, Transition
 from repro.machine.state import ProgramState, TERM_UB
 from repro.obs import OBS
+from repro.record import Fresh, Record
 
 
-@dataclass
-class InvariantViolation:
+class InvariantViolation(Record):
     """A reachable state where a checked invariant failed.
 
     ``trace`` is the shortest transition sequence from the initial
@@ -63,18 +62,17 @@ class InvariantViolation:
         return " ; ".join(t.describe() for t in self.trace) or "<initial>"
 
 
-@dataclass
-class ExplorationResult:
+class ExplorationResult(Record):
     """Summary of a full (or budget-capped) exploration."""
 
     states_visited: int = 0
     transitions_taken: int = 0
-    final_outcomes: set = field(default_factory=set)
-    ub_reasons: list[str] = field(default_factory=list)
+    final_outcomes: set = Fresh(set)
+    ub_reasons: list[str] = Fresh(list)
     #: Shortest trace to each UB outcome, aligned with ``ub_reasons``.
-    ub_traces: list[tuple[Transition, ...]] = field(default_factory=list)
+    ub_traces: list[tuple[Transition, ...]] = Fresh(list)
     assert_failures: int = 0
-    violations: list[InvariantViolation] = field(default_factory=list)
+    violations: list[InvariantViolation] = Fresh(list)
     hit_state_budget: bool = False
     #: Always None: the search has no reduction to count.  Kept because
     #: the end-to-end benchmark's layer tracer
@@ -123,13 +121,12 @@ def exploration_summary(
     }
 
 
-@dataclass
-class _Sweep:
+class _Sweep(Record):
     """What one run of :meth:`Explorer._search` leaves its consumer."""
 
     #: state -> (parent, transition), None for the initial state: the
     #: seen table and the trace pointers in one.
-    parents: dict = field(default_factory=dict)
+    parents: dict = Fresh(dict)
     #: Transitions taken, one per (state, successor) pair expanded.
     transitions: int = 0
     #: A successor was refused because the state budget was full.

@@ -21,12 +21,12 @@ high-level program does."
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.compiler.stepc import successors_for
 from repro.machine.program import StateMachine
 from repro.machine.state import ProgramState, TERM_UB
+from repro.record import Record
 
 #: A refinement relation: R(low_state, high_state) -> bool.
 RefinementRelation = Callable[[ProgramState, ProgramState], bool]
@@ -70,8 +70,7 @@ def with_ub_conjunct(relation: RefinementRelation) -> RefinementRelation:
     return strengthened
 
 
-@dataclass
-class RefinementCounterexample:
+class RefinementCounterexample(Record):
     low_state: ProgramState
     description: str
     #: The low-level transition sequence from the initial state to the
@@ -84,8 +83,7 @@ class RefinementCounterexample:
         return " ; ".join(t.describe() for t in self.trace)
 
 
-@dataclass
-class RefinementResult:
+class RefinementResult(Record):
     holds: bool
     product_states: int = 0
     counterexample: RefinementCounterexample | None = None

@@ -41,7 +41,6 @@ exactly like the historical sequential checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.farm.cache import ProofCache  # noqa: F401
@@ -58,10 +57,10 @@ from repro.farm.scheduler import (  # noqa: F401
 from repro.farm.summary import FarmSummary  # noqa: F401
 from repro.farm.workers import run_jobs  # noqa: F401
 from repro.hashing import code_version, structural_hash  # noqa: F401
+from repro.record import Record
 
 
-@dataclass
-class FarmConfig:
+class FarmConfig(Record):
     """How a :class:`VerificationFarm` caches and bounds its work."""
 
     #: Proof-cache directory; None disables caching.
@@ -143,11 +142,10 @@ class VerificationFarm:
         the entries it quarantined and evicted."""
         if self.cache is None or self.cache_shared:
             return self._summary
-        return replace(
-            self._summary,
-            cache_quarantined=self.cache.quarantined,
-            cache_evictions=self.cache.evictions,
-        )
+        summary = self._summary.copy()
+        summary.cache_quarantined = self.cache.quarantined
+        summary.cache_evictions = self.cache.evictions
+        return summary
 
     def summary_line(self) -> str:
         return self.summary().one_line()

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+
+from repro.record import Record
 
 
 class ShutdownToken:
@@ -49,8 +50,7 @@ class ShutdownToken:
         return self._event.is_set()
 
 
-@dataclass
-class ResilienceConfig:
+class ResilienceConfig(Record):
     """Deadline and drain policy for one farm."""
 
     #: Per-obligation wall-clock deadline in seconds; None = unbounded.
@@ -59,9 +59,9 @@ class ResilienceConfig:
     #: farm's first discharge; None = unbounded.
     chain_deadline: float | None = None
     #: Cooperative drain signal; None = this farm cannot be drained.
-    shutdown: ShutdownToken | None = field(default=None, repr=False)
+    shutdown: ShutdownToken | None = None
     #: Monotonic timestamp the chain budget expires at; armed lazily.
-    deadline_at: float | None = field(default=None, repr=False)
+    deadline_at: float | None = None
 
     def arm(self) -> None:
         """Start the chain budget clock (idempotent)."""

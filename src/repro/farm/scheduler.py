@@ -20,15 +20,14 @@ run them and apply results back in exactly this order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.hashing import code_version, structural_hash
 from repro.obs import OBS
+from repro.record import Fresh, Record
 
 
-@dataclass
-class Job:
+class Job(Record):
     """One schedulable checkable unit."""
 
     #: Stable content-addressed identity (cache key for cacheable jobs).
@@ -55,7 +54,7 @@ class Job:
     #: (``benchmarks/e2e/trace_layers.py``) still reads it.
     from_journal: bool = False
     wall_seconds: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
+    metadata: dict[str, Any] = Fresh(dict)
 
 
 def lemma_job_key(

@@ -10,14 +10,14 @@ backs the one-line summary and ``armada verify --farm-report``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.record import Fresh, Record
+
 
 #: How many of the slowest executed obligations a summary keeps.
 SLOWEST_KEPT = 5
 
 
-@dataclass
-class FarmSummary:
+class FarmSummary(Record):
     """Aggregate view of one or more discharge rounds."""
 
     jobs: int = 0
@@ -36,16 +36,30 @@ class FarmSummary:
     cancelled: int = 0
     worker_seconds: float = 0.0
     #: The slowest executed jobs, as (label, wall seconds), slowest
-    #: first; of equally slow jobs, the one that ran first.
-    slowest: list[tuple[str, float]] = field(default_factory=list)
+    #: first by the printed millisecond, then by label.
+    slowest: list[tuple[str, float]] = Fresh(list)
 
     def record_executed(self, label: str, seconds: float) -> None:
-        """Count one obligation that ran, keeping the slowest few."""
+        """Count one obligation that ran, keeping the slowest few.
+
+        Times are ranked as they print, to the millisecond, and equal
+        ones by label: sub-millisecond differences are timer noise, and
+        must not decide which obligations are kept.
+        """
         self.executed += 1
         self.worker_seconds += seconds
         self.slowest.append((label, seconds))
-        self.slowest.sort(key=lambda pair: -pair[1])
+        self.slowest.sort(key=lambda pair: (-round(pair[1], 3), pair[0]))
         del self.slowest[SLOWEST_KEPT:]
+
+    def copy(self) -> "FarmSummary":
+        return self.replace(slowest=list(self.slowest))
+
+    def to_dict(self) -> dict:
+        """Every field of a copy by name: the serve result's ``farm``
+        object."""
+        copy = self.copy()
+        return {name: getattr(copy, name) for name in self._fields}
 
     @property
     def hit_rate(self) -> float:
@@ -82,8 +96,11 @@ class FarmSummary:
                 f"timeouts: {self.timeouts}  "
                 f"cache entries quarantined: {self.cache_quarantined}"
             )
-        if self.slowest:
+        # Times that print as 0.000s are timer noise, left out.
+        shown = [(label, seconds) for label, seconds in self.slowest
+                 if round(seconds, 3) > 0]
+        if shown:
             lines.append("slowest obligations:")
-            for label, seconds in self.slowest:
+            for label, seconds in shown:
                 lines.append(f"  {seconds:8.3f}s  {label}")
         return lines

@@ -7,7 +7,7 @@ nondeterministic ``*``), statements (including ``somehow``,
 TSO-bypassing assignment ``::=``), and declarations (levels, methods,
 structs, global variables, and proof recipes).
 
-All nodes are mutable records (:class:`repro.lang.record.Record`): one
+All nodes are mutable records (:class:`repro.record.Record`): one
 generic constructor, structural ``==`` and a dataclass-style ``repr``,
 with no code compiled at import.  Resolution and type checking annotate
 nodes in-place via the ``type`` attribute on expressions (filled by
@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.errors import NOWHERE, SourceLoc
 from repro.lang import types as ty
-from repro.lang.record import Fresh, Record
+from repro.record import Fresh, Record
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.lang import asts as ast
 from repro.lang.core_check import check_core
@@ -10,14 +9,14 @@ from repro.lang.parser import parse_program
 from repro.lang.resolver import LevelContext, resolve_level
 from repro.lang.typechecker import typecheck_level
 from repro.obs import OBS
+from repro.record import Fresh, Record
 
 
-@dataclass
-class CheckedProgram:
+class CheckedProgram(Record):
     """A parsed program with every level resolved and type-checked."""
 
     program: ast.Program
-    contexts: dict[str, LevelContext] = field(default_factory=dict)
+    contexts: dict[str, LevelContext] = Fresh(dict)
 
     def context(self, level_name: str) -> LevelContext:
         return self.contexts[level_name]

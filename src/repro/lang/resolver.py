@@ -17,16 +17,15 @@ into their full definitions, everywhere a type can occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.errors import ResolveError
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.lang.prelude import prelude_methods
+from repro.record import Fresh, Record
 
 
-@dataclass
-class LocalInfo:
+class LocalInfo(Record):
     """A method-local variable (parameter or ``var`` declaration)."""
 
     name: str
@@ -36,25 +35,23 @@ class LocalInfo:
     address_taken: bool = False
 
 
-@dataclass
-class MethodContext:
+class MethodContext(Record):
     decl: ast.MethodDecl
-    locals: dict[str, LocalInfo] = field(default_factory=dict)
+    locals: dict[str, LocalInfo] = Fresh(dict)
 
 
-@dataclass
-class LevelContext:
+class LevelContext(Record):
     """Resolved symbol information for one level."""
 
     level: ast.LevelDecl
-    structs: dict[str, ty.StructType] = field(default_factory=dict)
-    globals: dict[str, ast.GlobalVarDecl] = field(default_factory=dict)
-    methods: dict[str, ast.MethodDecl] = field(default_factory=dict)
-    method_contexts: dict[str, MethodContext] = field(default_factory=dict)
-    uninterpreted: set[str] = field(default_factory=set)
+    structs: dict[str, ty.StructType] = Fresh(dict)
+    globals: dict[str, ast.GlobalVarDecl] = Fresh(dict)
+    methods: dict[str, ast.MethodDecl] = Fresh(dict)
+    method_contexts: dict[str, MethodContext] = Fresh(dict)
+    uninterpreted: set[str] = Fresh(set)
     #: Globals whose address is taken somewhere in the program (these are
     #: heap roots in the forest model, §3.2.4).
-    addressed_globals: set[str] = field(default_factory=set)
+    addressed_globals: set[str] = Fresh(set)
 
     def local(self, method: str, name: str) -> LocalInfo | None:
         ctx = self.method_contexts.get(method)

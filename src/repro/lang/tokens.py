@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.errors import SourceLoc
+from repro.record import Slotted
 
 
 class TokenKind(enum.Enum):
@@ -53,13 +53,15 @@ PUNCTUATIONS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """A single lexed token."""
+class Token(Slotted):
+    """A single lexed token.  Immutable by convention."""
 
-    kind: TokenKind
-    text: str
-    loc: SourceLoc
+    __slots__ = ("kind", "text", "loc")
+
+    def __init__(self, kind: TokenKind, text: str, loc: SourceLoc) -> None:
+        self.kind = kind
+        self.text = text
+        self.loc = loc
 
     def is_keyword(self, word: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text == word

@@ -7,13 +7,13 @@ supported by the theorem prover" (§3.1.2).
 
 Types are immutable and compared structurally, except for structs, which
 are nominal (two structs are the same type iff they have the same name).
-They are frozen records (:class:`repro.lang.record.FrozenRecord`), which
+They are frozen records (:class:`repro.record.FrozenRecord`), which
 hash by value and compile no code at import.
 """
 
 from __future__ import annotations
 
-from repro.lang.record import FrozenRecord
+from repro.record import FrozenRecord
 
 
 class Type(FrozenRecord):

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
+from repro.record import Record
 
-@dataclass
-class ThroughputResult:
+
+class ThroughputResult(Record):
     operations: int
     seconds: float
 

@@ -16,7 +16,6 @@ Assignment targets are *places* (:class:`MemoryPlace`, :class:`LocalPlace`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.lang import asts as ast
@@ -37,6 +36,7 @@ from repro.machine.values import (
     some,
     type_at_path,
 )
+from repro.record import Slotted
 
 STATUS_VALID = "valid"
 STATUS_FREED = "freed"
@@ -46,29 +46,40 @@ STATUS_FREED = "freed"
 # Places
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryPlace:
+# Built by the interpreter on every write, so each writes out its
+# ``__init__``; immutable by convention.
+
+
+class MemoryPlace(Slotted):
     """A shared-memory target: a location (possibly of composite type)."""
 
-    location: Location
-    type: ty.Type
+    __slots__ = ("location", "type")
+
+    def __init__(self, location: Location, type: ty.Type) -> None:
+        self.location = location
+        self.type = type
 
 
-@dataclass(frozen=True, slots=True)
-class LocalPlace:
+class LocalPlace(Slotted):
     """A stack-frame target: local name plus a path into its composite."""
 
-    name: str
-    path: tuple[int, ...]
-    type: ty.Type
+    __slots__ = ("name", "path", "type")
+
+    def __init__(self, name: str, path: tuple[int, ...],
+                 type: ty.Type) -> None:
+        self.name = name
+        self.path = path
+        self.type = type
 
 
-@dataclass(frozen=True, slots=True)
-class GhostPlace:
+class GhostPlace(Slotted):
     """A ghost-variable target (sequentially consistent)."""
 
-    name: str
-    type: ty.Type
+    __slots__ = ("name", "type")
+
+    def __init__(self, name: str, type: ty.Type) -> None:
+        self.name = name
+        self.type = type
 
 
 Place = MemoryPlace | LocalPlace | GhostPlace

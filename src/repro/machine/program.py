@@ -10,7 +10,6 @@ constraint of ``explicit_yield`` blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, TYPE_CHECKING
 
 from repro.errors import TranslationError
@@ -33,13 +32,13 @@ from repro.machine.values import (
     default_value,
     leaf_locations,
 )
+from repro.record import Fresh, Record, Slotted
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memmodel import MemoryModel
 
 
-@dataclass
-class PcInfo:
+class PcInfo(Record):
     """Metadata for one program counter value."""
 
     pc: str
@@ -51,15 +50,26 @@ class PcInfo:
     kind: str = ""  # statement kind for strategy matching
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Slotted):
     """One schedulable transition: a thread step (with its encapsulated
     nondeterminism resolved) or a memory-model environment move (a TSO
-    store-buffer drain, an RA view advance)."""
+    store-buffer drain, an RA view advance).
 
-    tid: int
-    step: Step | None  # None = environment move
-    params: tuple[tuple[Any, Any], ...] = ()
+    Built once per successor, so it writes out its ``__init__``;
+    immutable by convention.
+    """
+
+    __slots__ = ("tid", "step", "params")
+
+    def __init__(
+        self,
+        tid: int,
+        step: Step | None,  # None = environment move
+        params: tuple[tuple[Any, Any], ...] = (),
+    ) -> None:
+        self.tid = tid
+        self.step = step
+        self.params = params
 
     @property
     def is_drain(self) -> bool:
@@ -79,8 +89,7 @@ class Transition:
         return f"t{self.tid}:{self.step.pc}:{type(self.step).__name__}"
 
 
-@dataclass
-class DomainConfig:
+class DomainConfig(Record):
     """Finite value domains for encapsulated nondeterminism.
 
     This is where the reproduction's *bounded* checking substitutes for
@@ -91,7 +100,7 @@ class DomainConfig:
     bool_values: tuple = (False, True)
     int_values: tuple = (0, 1)
     newframe_int_values: tuple = (0,)
-    overrides: dict[Any, tuple] = field(default_factory=dict)
+    overrides: dict[Any, tuple] = Fresh(dict)
 
     def values(self, var: NondetVar) -> tuple:
         if var.key in self.overrides:
@@ -198,7 +207,7 @@ class StateMachine:
         if decl is None:
             raise TranslationError(f"no such method {method}")
         serial = state.next_serial
-        state = replace(state, next_serial=serial + 1)
+        state = state.replace(next_serial=serial + 1)
         locals_map: dict[str, Any] = {}
         for param, value in zip(decl.params, args):
             locals_map[param.name] = value
@@ -220,8 +229,7 @@ class StateMachine:
                         key, default_value(info.type)
                     )
             if memory_updates:
-                state = replace(
-                    state,
+                state = state.replace(
                     memory=state.memory.set_many(memory_updates),
                     allocation=state.allocation.set_many(allocation_updates),
                 )
@@ -243,8 +251,7 @@ class StateMachine:
             state, method, args, params, return_pc, result_local
         )
         thread = state.thread(tid)
-        thread = replace(
-            thread,
+        thread = thread.replace(
             pc=self.method_entry[method],
             frames=(frame,) + thread.frames,
         )
@@ -266,12 +273,12 @@ class StateMachine:
                     if state.allocation.get(root) == "valid":
                         freed[root] = "freed"
             if freed:
-                state = replace(
-                    state, allocation=state.allocation.set_many(freed)
+                state = state.replace(
+                    allocation=state.allocation.set_many(freed)
                 )
         rest = thread.frames[1:]
         if not rest:
-            thread = replace(thread, pc=None, frames=())
+            thread = thread.replace(pc=None, frames=())
             state = state.with_thread(thread)
             state = self.update_atomic_owner(state, tid)
             if tid == 1:
@@ -280,11 +287,9 @@ class StateMachine:
             return state
         caller = rest[0]
         if frame.return_lhs_key is not None and value is not None:
-            caller = replace(
-                caller, locals=caller.locals.set(frame.return_lhs_key, value)
-            )
-        thread = replace(
-            thread, pc=frame.return_pc, frames=(caller,) + rest[1:]
+            caller = caller.with_local(frame.return_lhs_key, value)
+        thread = thread.replace(
+            pc=frame.return_pc, frames=(caller,) + rest[1:]
         )
         state = state.with_thread(thread)
         return self.update_atomic_owner(state, tid)
@@ -298,7 +303,7 @@ class StateMachine:
         parent_tid: int | None = None,
     ) -> tuple[ProgramState, int]:
         tid = state.next_tid
-        state = replace(state, next_tid=tid + 1)
+        state = state.replace(next_tid=tid + 1)
         state, frame = self._make_frame(state, method, args, params, None,
                                         None)
         thread = ThreadState(
@@ -323,9 +328,9 @@ class StateMachine:
             thread.pc is not None and not self.pcs[thread.pc].yieldable
         )
         if inside:
-            return replace(state, atomic_owner=tid)
+            return state.replace(atomic_owner=tid)
         if state.atomic_owner == tid:
-            return replace(state, atomic_owner=None)
+            return state.replace(atomic_owner=None)
         return state
 
     # ------------------------------------------------------------------

@@ -6,15 +6,23 @@ and whether and how the program terminated.  Thread state includes the
 program counter, the stack, and the x86-TSO store buffer (§3.2.1).
 
 States are immutable and hashable so the explorer can deduplicate them.
+They are built on every step, so the classes derive from
+:class:`~repro.record.Slotted`: a written-out ``__init__``, immutable by
+convention, with ``==``, ``hash`` and ``repr`` over the field tuple, as
+a dataclass's would be.  Frames, threads and states, compared and hashed
+once per explored state, write out ``==`` and a hash cached in a
+``_hash`` slot; the PMap components hash incrementally, so a successor
+re-hashes only what changed, and a copy made by ``replace`` computes its
+own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.machine.pmap import EMPTY_PMAP, PMap
 from repro.machine.values import Location, Root
+from repro.record import Slotted
 
 
 # ---------------------------------------------------------------------------
@@ -25,10 +33,12 @@ TERM_ASSERT = "assert_failure"
 TERM_UB = "undefined_behavior"
 
 
-@dataclass(frozen=True, slots=True)
-class Termination:
-    kind: str
-    detail: str = ""
+class Termination(Slotted):
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str = "") -> None:
+        self.kind = kind
+        self.detail = detail
 
     def __str__(self) -> str:
         return f"{self.kind}({self.detail})" if self.detail else self.kind
@@ -48,23 +58,49 @@ class UBSignal(Exception):
 # Threads
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(Slotted):
     """One stack frame: the method, a serial (for address-taken local
     roots), the local variable store, and where to resume on return."""
 
-    method: str
-    serial: int
-    locals: PMap
-    return_pc: str | None = None
-    return_lhs_key: Any = None  # local name to receive the return value
-    _hash: int | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("method", "serial", "locals", "return_pc",
+                 "return_lhs_key", "_hash")
+
+    def __init__(self, method: str, serial: int, locals: PMap,
+                 return_pc: str | None = None,
+                 return_lhs_key: Any = None) -> None:
+        self.method = method
+        self.serial = serial
+        self.locals = locals
+        self.return_pc = return_pc
+        #: The local name that receives the return value.
+        self.return_lhs_key = return_lhs_key
+        self._hash: int | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.method, self.serial, self.locals, self.return_pc,
+             self.return_lhs_key)
+            == (other.method, other.serial, other.locals, other.return_pc,
+                other.return_lhs_key)
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((
+                self.method, self.serial, self.locals, self.return_pc,
+                self.return_lhs_key,
+            ))
+        return h
+
+    def with_local(self, name: str, value: Any) -> "Frame":
+        return Frame(self.method, self.serial, self.locals.set(name, value),
+                     self.return_pc, self.return_lhs_key)
 
 
-@dataclass(frozen=True, slots=True)
-class ThreadState:
+class ThreadState(Slotted):
     """A thread: program counter, stack (top frame first), and its FIFO
     store buffer of pending (location, value) writes.
 
@@ -73,14 +109,40 @@ class ThreadState:
     SC/TSO, keeping those models' state equality untouched.
     """
 
-    tid: int
-    pc: str | None  # None once the thread has terminated (returned)
-    frames: tuple[Frame, ...] = ()
-    store_buffer: tuple[tuple[Location, Any], ...] = ()
-    view: PMap | None = None
-    _hash: int | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("tid", "pc", "frames", "store_buffer", "view", "_hash")
+
+    def __init__(
+        self,
+        tid: int,
+        pc: str | None,  # None once the thread has terminated (returned)
+        frames: tuple[Frame, ...] = (),
+        store_buffer: tuple[tuple[Location, Any], ...] = (),
+        view: PMap | None = None,
+    ) -> None:
+        self.tid = tid
+        self.pc = pc
+        self.frames = frames
+        self.store_buffer = store_buffer
+        self.view = view
+        self._hash: int | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.tid, self.pc, self.frames, self.store_buffer, self.view)
+            == (other.tid, other.pc, other.frames, other.store_buffer,
+                other.view)
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((
+                self.tid, self.pc, self.frames, self.store_buffer,
+                self.view,
+            ))
+        return h
 
     @property
     def terminated(self) -> bool:
@@ -91,25 +153,25 @@ class ThreadState:
         return self.frames[0]
 
     def with_pc(self, pc: str | None) -> "ThreadState":
-        return replace(self, pc=pc)
+        return ThreadState(self.tid, pc, self.frames, self.store_buffer,
+                           self.view)
 
     def with_top_frame(self, frame: Frame) -> "ThreadState":
-        return replace(self, frames=(frame,) + self.frames[1:])
+        return ThreadState(self.tid, self.pc, (frame,) + self.frames[1:],
+                           self.store_buffer, self.view)
 
     def set_local(self, name: str, value: Any) -> "ThreadState":
-        top = self.frames[0]
-        return self.with_top_frame(
-            replace(top, locals=top.locals.set(name, value))
-        )
+        return self.with_top_frame(self.frames[0].with_local(name, value))
 
     def push_buffer(self, location: Location, value: Any) -> "ThreadState":
-        return replace(
-            self, store_buffer=self.store_buffer + ((location, value),)
-        )
+        return ThreadState(self.tid, self.pc, self.frames,
+                           self.store_buffer + ((location, value),),
+                           self.view)
 
     def pop_buffer(self) -> tuple["ThreadState", Location, Any]:
         (location, value), rest = self.store_buffer[0], self.store_buffer[1:]
-        return replace(self, store_buffer=rest), location, value
+        thread = ThreadState(self.tid, self.pc, self.frames, rest, self.view)
+        return thread, location, value
 
     @property
     def sb_empty(self) -> bool:
@@ -120,33 +182,70 @@ class ThreadState:
 # Whole-program state
 
 
-# Not ``frozen=True`` like the node classes above: successor states are
-# the explorer's hottest allocation, and the frozen-dataclass ``__init__``
-# (one ``object.__setattr__`` call per field) costs ~5x a plain slotted
-# store.  States are still immutable by convention — nothing in the
-# codebase mutates one after construction, and the memoized ``_hash``
-# relies on that.
-@dataclass(slots=True)
-class ProgramState:
-    """The complete state of an Armada program (one level)."""
+class ProgramState(Slotted):
+    """The complete state of an Armada program (one level).
 
-    threads: PMap  # tid -> ThreadState
-    memory: PMap  # Location -> value (global shared memory)
-    allocation: PMap  # Root -> "valid" | "freed"
-    ghosts: PMap  # name -> ghost value (sequentially consistent, §3.1.2)
-    log: tuple = ()  # externally visible output (print_* externs)
-    termination: Termination | None = None
-    next_tid: int = 1
-    next_serial: int = 1
-    #: The thread currently inside an uninterruptible (atomic /
-    #: explicit_yield) region, if any.  Other threads may not step.
-    atomic_owner: int | None = None
-    #: Release/acquire write histories (Location -> tuple of
-    #: (value, message-view) records); ``None`` under SC/TSO.
-    histories: PMap | None = None
-    _hash: int | None = field(
-        default=None, init=False, repr=False, compare=False
+    Successor states are the explorer's hottest allocation, so the
+    constructor is a plain slotted store.  States are immutable by
+    convention: nothing mutates one after construction, and the
+    memoized hash relies on that.
+    """
+
+    __slots__ = (
+        "threads", "memory", "allocation", "ghosts", "log", "termination",
+        "next_tid", "next_serial", "atomic_owner", "histories", "_hash",
     )
+
+    def __init__(
+        self,
+        threads: PMap,  # tid -> ThreadState
+        memory: PMap,  # Location -> value (global shared memory)
+        allocation: PMap,  # Root -> "valid" | "freed"
+        ghosts: PMap,  # name -> ghost value (sequentially consistent)
+        log: tuple = (),  # externally visible output (print_* externs)
+        termination: Termination | None = None,
+        next_tid: int = 1,
+        next_serial: int = 1,
+        atomic_owner: int | None = None,
+        histories: PMap | None = None,
+    ) -> None:
+        self.threads = threads
+        self.memory = memory
+        self.allocation = allocation
+        self.ghosts = ghosts
+        self.log = log
+        self.termination = termination
+        self.next_tid = next_tid
+        self.next_serial = next_serial
+        #: The thread currently inside an uninterruptible (atomic /
+        #: explicit_yield) region, if any.  Other threads may not step.
+        self.atomic_owner = atomic_owner
+        #: Release/acquire write histories (Location -> tuple of
+        #: (value, message-view) records); ``None`` under SC/TSO.
+        self.histories = histories
+        self._hash: int | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.threads, self.memory, self.allocation, self.ghosts,
+             self.log, self.termination, self.next_tid, self.next_serial,
+             self.atomic_owner, self.histories)
+            == (other.threads, other.memory, other.allocation, other.ghosts,
+                other.log, other.termination, other.next_tid,
+                other.next_serial, other.atomic_owner, other.histories)
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((
+                self.threads, self.memory, self.allocation, self.ghosts,
+                self.log, self.termination, self.next_tid,
+                self.next_serial, self.atomic_owner, self.histories,
+            ))
+        return h
 
     # -- convenience ----------------------------------------------------
 
@@ -158,19 +257,33 @@ class ProgramState:
         return self.threads[tid]
 
     def with_thread(self, thread: ThreadState) -> "ProgramState":
-        return replace(self, threads=self.threads.set(thread.tid, thread))
+        return ProgramState(
+            self.threads.set(thread.tid, thread), self.memory,
+            self.allocation, self.ghosts, self.log, self.termination,
+            self.next_tid, self.next_serial, self.atomic_owner,
+            self.histories,
+        )
 
     def with_memory(self, location: Location, value: Any) -> "ProgramState":
-        return replace(self, memory=self.memory.set(location, value))
+        return ProgramState(
+            self.threads, self.memory.set(location, value), self.allocation,
+            self.ghosts, self.log, self.termination, self.next_tid,
+            self.next_serial, self.atomic_owner, self.histories,
+        )
 
     def with_ghost(self, name: str, value: Any) -> "ProgramState":
-        return replace(self, ghosts=self.ghosts.set(name, value))
+        return ProgramState(
+            self.threads, self.memory, self.allocation,
+            self.ghosts.set(name, value), self.log, self.termination,
+            self.next_tid, self.next_serial, self.atomic_owner,
+            self.histories,
+        )
 
     def terminate(self, kind: str, detail: str = "") -> "ProgramState":
-        return replace(self, termination=Termination(kind, detail))
+        return self.replace(termination=Termination(kind, detail))
 
     def append_log(self, entry: Any) -> "ProgramState":
-        return replace(self, log=self.log + (entry,))
+        return self.replace(log=self.log + (entry,))
 
     # -- memory-model reads ----------------------------------------------
 
@@ -205,10 +318,11 @@ class ProgramState:
         """Asynchronously drain the oldest store-buffer entry of *tid*
         into global memory (the hardware's FIFO write-back)."""
         thread, location, value = self.threads[tid].pop_buffer()
-        return replace(
-            self,
-            threads=self.threads.set(tid, thread),
-            memory=self.memory.set(location, value),
+        return ProgramState(
+            self.threads.set(tid, thread), self.memory.set(location, value),
+            self.allocation, self.ghosts, self.log, self.termination,
+            self.next_tid, self.next_serial, self.atomic_owner,
+            self.histories,
         )
 
     def root_status(self, root: Root) -> str | None:
@@ -229,55 +343,6 @@ class ProgramState:
             allocation=PMap(allocation),
             ghosts=PMap(ghosts),
         )
-
-
-# ---------------------------------------------------------------------------
-# Cached hashing.  The explorer hashes every state it admits to the seen
-# set; hashing whole states is the explorer's hottest operation.  Each
-# node caches its hash in a ``_hash`` slot (init=False, so
-# ``dataclasses.replace`` resets it on derived objects), and the PMap
-# components hash incrementally, so a successor state re-hashes only the
-# thread/cell that actually changed.  The ``__hash__`` assignments must
-# come *after* the class definitions: ``@dataclass(frozen=True)``
-# installs its own generated ``__hash__`` on the class.
-
-
-def _frame_hash(self: Frame) -> int:
-    h = self._hash
-    if h is None:
-        h = hash((
-            self.method, self.serial, self.locals,
-            self.return_pc, self.return_lhs_key,
-        ))
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
-def _thread_hash(self: ThreadState) -> int:
-    h = self._hash
-    if h is None:
-        h = hash((
-            self.tid, self.pc, self.frames, self.store_buffer, self.view,
-        ))
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
-def _program_hash(self: ProgramState) -> int:
-    h = self._hash
-    if h is None:
-        h = hash((
-            self.threads, self.memory, self.allocation, self.ghosts,
-            self.log, self.termination, self.next_tid,
-            self.next_serial, self.atomic_owner, self.histories,
-        ))
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
-Frame.__hash__ = _frame_hash  # type: ignore[method-assign]
-ThreadState.__hash__ = _thread_hash  # type: ignore[method-assign]
-ProgramState.__hash__ = _program_hash  # type: ignore[method-assign]
 
 
 EMPTY_STATE = ProgramState(

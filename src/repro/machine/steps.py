@@ -15,8 +15,6 @@ lemmas mechanical.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field, replace
 from typing import Any, TYPE_CHECKING
 
 from repro.lang import asts as ast
@@ -45,6 +43,8 @@ from repro.machine.values import (
     default_value,
     leaf_locations,
 )
+from repro.record import Fresh, FrozenRecord, Record
+
 #: Fallback for contexts without an attached model (legacy callers);
 #: resolved lazily because repro.memmodel imports repro.machine.state.
 _TSO = None
@@ -62,8 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.program import StateMachine
 
 
-@dataclass(frozen=True, slots=True)
-class NondetVar:
+class NondetVar(FrozenRecord):
     """One encapsulated source of nondeterminism in a step.
 
     ``kind`` distinguishes guard/expression nondet (``expr``), havoc
@@ -126,7 +125,7 @@ def write_place(
         new_memory = state.memory
         for loc, leaf in leaves:
             new_memory = new_memory.set(loc, leaf)
-        return replace(state, memory=new_memory)
+        return state.replace(memory=new_memory)
     if isinstance(place, LocalPlace):
         thread = state.thread(tid)
         frame = thread.top
@@ -179,16 +178,18 @@ def _update_composite(
 # Step base
 
 
-@dataclass(eq=False)
-class Step:
+class Step(Record, keyword_only=("loc", "label")):
     """Base class for steps.  Identity-based equality: each step object
     is a unique transition type of one program."""
 
     pc: str
     target: str | None
-    loc: Any = field(default=None, kw_only=True)
+    loc: Any = None
     #: Label of the originating statement (for cross-level matching).
-    label: str | None = field(default=None, kw_only=True)
+    label: str | None = None
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def nondet_vars(self) -> list[NondetVar]:
         """The encapsulated nondeterminism parameters of this step."""
@@ -232,15 +233,11 @@ class Step:
     def describe(self) -> str:
         return type(self).__name__
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.pc}->{self.target}>"
-
 
 # ---------------------------------------------------------------------------
 # Concrete steps
 
 
-@dataclass(eq=False)
 class AssignStep(Step):
     """Simultaneous assignment ``lhs, ... := rhs, ...`` (§3.1.1).
 
@@ -248,8 +245,8 @@ class AssignStep(Step):
     the default x86-TSO buffered write.
     """
 
-    lhss: list[ast.Expr] = field(default_factory=list)
-    rhss: list[ast.Expr] = field(default_factory=list)
+    lhss: list[ast.Expr] = Fresh(list)
+    rhss: list[ast.Expr] = Fresh(list)
     tso_bypass: bool = False
     ghost_only: bool = False
 
@@ -292,7 +289,6 @@ def _fit(t: ty.Type | None, value: Any) -> Any:
     return value
 
 
-@dataclass(eq=False)
 class BranchStep(Step):
     """One direction of an ``if``/``while`` guard evaluation.
 
@@ -332,7 +328,6 @@ class BranchStep(Step):
         return self._advance(state, tid, machine)
 
 
-@dataclass(eq=False)
 class AssumeStep(Step):
     """An enablement condition (§3.1.2): blocks until the predicate holds."""
 
@@ -352,7 +347,6 @@ class AssumeStep(Step):
         return self._advance(state, tid, machine)
 
 
-@dataclass(eq=False)
 class AssertStep(Step):
     """``assert e;`` — crashes (assert-failure termination) if false."""
 
@@ -368,7 +362,6 @@ class AssertStep(Step):
         return self._advance(state, tid, machine)
 
 
-@dataclass(eq=False)
 class SomehowStep(Step):
     """A declarative atomic action (§3.1.2).
 
@@ -377,7 +370,7 @@ class SomehowStep(Step):
     ensures predicate holds between old and new state.
     """
 
-    spec: ast.SomehowSpec = field(default_factory=ast.SomehowSpec)
+    spec: ast.SomehowSpec = Fresh(ast.SomehowSpec)
 
     def nondet_vars(self) -> list[NondetVar]:
         result = []
@@ -482,13 +475,12 @@ def _is_target(expr: ast.Expr, target: ast.Expr) -> bool:
     return expr_equal(expr, target)
 
 
-@dataclass(eq=False)
 class CallStep(Step):
     """A method call: push a frame; uninitialized stack variables take
     arbitrary (parameter-encapsulated ``newframe_x``) values."""
 
     method: str = ""
-    args: list[ast.Expr] = field(default_factory=list)
+    args: list[ast.Expr] = Fresh(list)
     result_local: str | None = None
 
     def nondet_vars(self) -> list[NondetVar]:
@@ -508,7 +500,6 @@ class CallStep(Step):
         )
 
 
-@dataclass(eq=False)
 class ReturnStep(Step):
     """Method return: pop the frame, deliver the return value, free
     address-taken local roots, terminate the thread on its last frame."""
@@ -526,12 +517,11 @@ class ReturnStep(Step):
         return machine.pop_frame(state, tid, value)
 
 
-@dataclass(eq=False)
 class CreateThreadStep(Step):
     """``create_thread m(args)`` — spawn a thread running *m*."""
 
     method: str = ""
-    args: list[ast.Expr] = field(default_factory=list)
+    args: list[ast.Expr] = Fresh(list)
     lhs: ast.Expr | None = None
 
     def reads_exprs(self) -> list[ast.Expr]:
@@ -553,7 +543,6 @@ class CreateThreadStep(Step):
         return self._advance(state, tid, machine)
 
 
-@dataclass(eq=False)
 class JoinStep(Step):
     """``join e`` — blocks until thread *e* has terminated."""
 
@@ -579,7 +568,6 @@ class JoinStep(Step):
         return self._advance(state, tid, machine)
 
 
-@dataclass(eq=False)
 class MallocStep(Step):
     """``lhs := malloc(T)`` / ``calloc(T, n)``.
 
@@ -616,8 +604,7 @@ class MallocStep(Step):
                 loc: default_value(leaf_t)
                 for loc, leaf_t in leaf_locations(root, object_type)
             }
-            state = replace(
-                state,
+            state = state.replace(
                 memory=state.memory.set_many(updates),
                 allocation=state.allocation.set(root, "valid"),
                 ghosts=state.ghosts.set(("alloc_type", serial), object_type),
@@ -636,7 +623,6 @@ class MallocStep(Step):
         return self._advance(state, tid, machine)
 
 
-@dataclass(eq=False)
 class DeallocStep(Step):
     """``dealloc e`` — marks the whole allocation freed; subsequent
     access through any pointer into it is UB."""
@@ -654,11 +640,12 @@ class DeallocStep(Step):
         root = pointer.location.root
         if state.allocation.get(root) != "valid":
             raise UBSignal(f"dealloc of non-allocated object {root}")
-        state = replace(state, allocation=state.allocation.set(root, "freed"))
+        state = state.replace(
+            allocation=state.allocation.set(root, "freed")
+        )
         return self._advance(state, tid, machine)
 
 
-@dataclass(eq=False)
 class ExternStep(Step):
     """A call to a prelude external method with built-in concurrency-
     aware semantics (§3.1.4): mutexes, hardware atomics, fences, output.
@@ -668,7 +655,7 @@ class ExternStep(Step):
     """
 
     name: str = ""
-    args: list[ast.Expr] = field(default_factory=list)
+    args: list[ast.Expr] = Fresh(list)
     lhs: ast.Expr | None = None
 
     def reads_exprs(self) -> list[ast.Expr]:
@@ -760,7 +747,6 @@ class ExternStep(Step):
         return self._advance(state, tid, machine)
 
 
-@dataclass(eq=False)
 class ExternSpecStep(Step):
     """A call to a *declared* extern method without a body: the default
     model of Figure 8, collapsed to a single atomic havoc of the write
@@ -773,10 +759,10 @@ class ExternSpecStep(Step):
     """
 
     method_name: str = ""
-    args: list[ast.Expr] = field(default_factory=list)
+    args: list[ast.Expr] = Fresh(list)
     result_local: str | None = None
-    params_decl: list = field(default_factory=list)
-    spec: ast.MethodSpec = field(default_factory=ast.MethodSpec)
+    params_decl: list = Fresh(list)
+    spec: ast.MethodSpec = Fresh(ast.MethodSpec)
 
     def nondet_vars(self) -> list[NondetVar]:
         result = []

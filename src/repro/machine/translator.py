@@ -13,8 +13,6 @@ non-yieldable, except PCs marked by a ``yield`` statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import TranslationError
 from repro.lang import asts as ast
 from repro.lang import types as ty
@@ -37,10 +35,10 @@ from repro.machine.steps import (
     SomehowStep,
     Step,
 )
+from repro.record import Record
 
 
-@dataclass
-class _LoopTargets:
+class _LoopTargets(Record):
     break_pc: str
     continue_pc: str
 

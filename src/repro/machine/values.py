@@ -14,22 +14,26 @@ Values are plain immutable Python data:
 A *location* names one primitive cell of shared memory: a root plus a
 path of child indices (struct field indices or array element indices).
 Roots are global variables, allocations, or address-taken locals.
+
+The classes here are built on every step and hashed with every state,
+so they derive from :class:`~repro.record.Slotted`: a written-out
+``__init__``, with ``==``, ``hash`` and ``repr`` over the field tuple,
+as a frozen dataclass's would be.  Each is immutable by convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.lang import types as ty
+from repro.record import Slotted
 
 
 # ---------------------------------------------------------------------------
 # Roots and locations
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
+class Root(Slotted):
     """The root of one tree in the forest heap.
 
     ``kind`` is ``"global"`` (a global variable whose address is taken or
@@ -37,9 +41,22 @@ class Root:
     (an address-taken stack variable of one method invocation).
     """
 
-    kind: str
-    name: str = ""
-    serial: int = 0
+    __slots__ = ("kind", "name", "serial")
+
+    def __init__(self, kind: str, name: str = "", serial: int = 0) -> None:
+        self.kind = kind
+        self.name = name
+        self.serial = serial
+
+    # Hashed and compared with every memory access.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.name, self.serial)
+                == (other.kind, other.name, other.serial))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.name, self.serial))
 
     def __str__(self) -> str:
         if self.kind == "global":
@@ -49,12 +66,23 @@ class Root:
         return f"&{self.name}@frame{self.serial}"
 
 
-@dataclass(frozen=True, slots=True)
-class Location:
+class Location(Slotted):
     """One primitive memory cell: a root and a path of child indices."""
 
-    root: Root
-    path: tuple[int, ...] = ()
+    __slots__ = ("root", "path")
+
+    def __init__(self, root: Root, path: tuple[int, ...] = ()) -> None:
+        self.root = root
+        self.path = path
+
+    # Hashed and compared with every memory access.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.root, self.path) == (other.root, other.path)
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.path))
 
     def child(self, index: int) -> "Location":
         return Location(self.root, self.path + (index,))
@@ -68,24 +96,27 @@ class Location:
 # Pointers
 
 
-@dataclass(frozen=True, slots=True)
-class Pointer:
+class Pointer(Slotted):
     """A pointer value: a location plus the pointee type.
 
     Armada pointers may point to whole objects, struct fields, or array
     elements (§3.1.1); all are just locations in the forest.
     """
 
-    location: Location
-    target_type: ty.Type
+    __slots__ = ("location", "target_type")
+
+    def __init__(self, location: Location, target_type: ty.Type) -> None:
+        self.location = location
+        self.target_type = target_type
 
     def __str__(self) -> str:
         return f"ptr({self.location})"
 
 
-@dataclass(frozen=True, slots=True)
-class NullPointer:
-    """The null pointer."""
+class NullPointer(Slotted):
+    """The null pointer.  Every instance equals :data:`NULL`."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "null"
@@ -98,12 +129,14 @@ NULL = NullPointer()
 # Ghost values
 
 
-@dataclass(frozen=True, slots=True)
-class OptionValue:
+class OptionValue(Slotted):
     """``Some(v)`` or ``None`` for ghost ``option<T>`` values."""
 
-    value: Any = None
-    is_some: bool = False
+    __slots__ = ("value", "is_some")
+
+    def __init__(self, value: Any = None, is_some: bool = False) -> None:
+        self.value = value
+        self.is_some = is_some
 
     def __str__(self) -> str:
         return f"Some({self.value})" if self.is_some else "None"
@@ -173,15 +206,17 @@ class GhostMap:
 # Composite (struct / array) values for non-shared locals
 
 
-@dataclass(frozen=True, slots=True)
-class CompositeValue:
+class CompositeValue(Slotted):
     """A struct or array value held by-value in a stack frame.
 
     Shared (addressed) composites live as individual leaf cells in memory;
     this class is only used for locals whose address is never taken.
     """
 
-    children: tuple[Any, ...]
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[Any, ...]) -> None:
+        self.children = children
 
     def with_child(self, index: int, value: Any) -> "CompositeValue":
         children = list(self.children)

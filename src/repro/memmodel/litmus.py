@@ -29,13 +29,12 @@ LB shapes.  CoRR (read coherence) holds everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.memmodel.models import MODELS
+from repro.record import Fresh, FrozenRecord
 
 
-@dataclass(frozen=True)
-class LitmusTest:
+class LitmusTest(FrozenRecord):
     """One litmus shape with its per-model expectation."""
 
     name: str
@@ -44,7 +43,7 @@ class LitmusTest:
     #: The characteristic weak print log.
     weak_outcome: tuple
     #: model name -> whether ``weak_outcome`` must be observable.
-    allowed: dict[str, bool] = field(default_factory=dict)
+    allowed: dict[str, bool] = Fresh(dict)
     #: A control log that must be reachable under every model.
     strong_outcome: tuple | None = None
     max_states: int = 2_000_000

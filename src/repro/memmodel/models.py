@@ -38,7 +38,6 @@ unchanged.  The existing differential suites enforce this.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.machine.pmap import EMPTY_PMAP, PMap
@@ -96,7 +95,7 @@ class MemoryModel:
         new_memory = state.memory
         for loc, leaf in leaves:
             new_memory = new_memory.set(loc, leaf)
-        return replace(state, memory=new_memory)
+        return state.replace(memory=new_memory)
 
     # -- environment (asynchronous hardware) moves ----------------------
 
@@ -176,7 +175,7 @@ class TSOModel(MemoryModel):
         new_memory = state.memory
         for loc, leaf in leaves:
             new_memory = new_memory.set(loc, leaf)
-        return replace(state, memory=new_memory)
+        return state.replace(memory=new_memory)
 
     def env_moves(self, state, thread, machine=None):
         # Drains stay enabled even for terminated threads: a thread may
@@ -220,7 +219,7 @@ class RAModel(MemoryModel):
     # -- initialisation -------------------------------------------------
 
     def init_state(self, state):
-        return replace(state, histories=EMPTY_PMAP)
+        return state.replace(histories=EMPTY_PMAP)
 
     def init_thread(self, thread, parent):
         view = (
@@ -228,7 +227,7 @@ class RAModel(MemoryModel):
             if parent is not None and parent.view is not None
             else EMPTY_PMAP
         )
-        return replace(thread, view=view)
+        return thread.replace(view=view)
 
     # -- writes ---------------------------------------------------------
 
@@ -251,9 +250,8 @@ class RAModel(MemoryModel):
             hist = hist + ((leaf, view),)
             histories = histories.set(loc, hist)
             memory = memory.set(loc, leaf)
-        thread = replace(thread, view=view)
-        return replace(
-            state,
+        thread = thread.replace(view=view)
+        return state.replace(
             threads=state.threads.set(tid, thread),
             memory=memory,
             histories=histories,
@@ -303,7 +301,7 @@ class RAModel(MemoryModel):
         view = _join(thread.view, message_view)
         if view.get(loc, 0) < pos:
             view = view.set(loc, pos)
-        return state.with_thread(replace(thread, view=view))
+        return state.with_thread(thread.replace(view=view))
 
     def env_enabled(self, state, tid, params, machine=None):
         thread = state.threads.get(tid)
@@ -351,7 +349,7 @@ class RAModel(MemoryModel):
             view = view.set(loc, pos)
         if view is thread.view:
             return state
-        return state.with_thread(replace(thread, view=view))
+        return state.with_thread(thread.replace(view=view))
 
     def atomic_update(self, state, tid, loc, value):
         # RMW atomicity: acquire the newest record, then release-write.
@@ -367,8 +365,8 @@ class RAModel(MemoryModel):
         sc_view = histories.get(SC_FENCE_KEY, EMPTY_PMAP)
         thread = state.threads[tid]
         view = _join(thread.view, sc_view)
-        state = state.with_thread(replace(thread, view=view))
-        return replace(state, histories=histories.set(SC_FENCE_KEY, view))
+        state = state.with_thread(thread.replace(view=view))
+        return state.replace(histories=histories.set(SC_FENCE_KEY, view))
 
     def on_join(self, state, tid, target_tid):
         target = state.threads.get(target_tid)
@@ -378,7 +376,7 @@ class RAModel(MemoryModel):
         view = _join(thread.view, target.view)
         if view is thread.view:
             return state
-        return state.with_thread(replace(thread, view=view))
+        return state.with_thread(thread.replace(view=view))
 
 
 def _pc_read_footprint(machine: Any, pc: str) -> tuple[frozenset, bool]:

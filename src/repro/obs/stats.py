@@ -12,7 +12,6 @@ the aggregate doubles as a regression fixture.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from repro.obs.core import (
     KIND_CHAIN,
@@ -21,6 +20,7 @@ from repro.obs.core import (
     KIND_PROOF,
     KIND_STRATEGY,
 )
+from repro.record import Fresh, Record
 
 #: Fixed rendering order for the span-kind rows of the phase table.
 _KIND_ORDER = (KIND_CHAIN, KIND_PROOF, KIND_STRATEGY, KIND_OBLIGATION)
@@ -59,20 +59,19 @@ def load_trace(path: str) -> list[dict]:
     return records
 
 
-@dataclass
-class TraceStats:
+class TraceStats(Record):
     """The aggregate of one trace (the ``armada stats`` payload)."""
 
     events: int = 0
     format: str | None = None
     chain: dict | None = None
-    proofs: list[dict] = field(default_factory=list)
-    obligations: list[dict] = field(default_factory=list)
-    phases: list[dict] = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    histograms: dict = field(default_factory=dict)
+    proofs: list[dict] = Fresh(list)
+    obligations: list[dict] = Fresh(list)
+    phases: list[dict] = Fresh(list)
+    counters: dict = Fresh(dict)
+    histograms: dict = Fresh(dict)
     #: Distinct memory-model names tagged on the trace's spans.
-    memory_models: list[str] = field(default_factory=list)
+    memory_models: list[str] = Fresh(list)
 
     # ------------------------------------------------------------------
 

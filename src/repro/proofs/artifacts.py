@@ -18,15 +18,14 @@ as a Dafny verification error would (§2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.hashing import structural_hash
+from repro.record import Fresh, FrozenRecord, Record
 from repro.verifier.prover import PROVED, REFUTED, Verdict
 
 
-@dataclass(frozen=True)
-class ObligationDescriptor:
+class ObligationDescriptor(FrozenRecord):
     """The picklable, hashable identity of one lemma obligation.
 
     The obligation callable itself is a closure over machines and
@@ -57,17 +56,16 @@ class ObligationDescriptor:
         )
 
 
-@dataclass
-class Lemma:
+class Lemma(Record):
     """One generated lemma."""
 
     name: str
     statement: str
-    body: list[str] = field(default_factory=list)
+    body: list[str] = Fresh(list)
     obligation: Callable[[], Verdict] | None = None
     #: Filled in by the engine after checking.
     verdict: Verdict | None = None
-    customization: list[str] = field(default_factory=list)
+    customization: list[str] = Fresh(list)
 
     @property
     def checked_ok(self) -> bool:
@@ -96,19 +94,18 @@ class Lemma:
         )
 
 
-@dataclass
-class ProofScript:
+class ProofScript(Record):
     """The complete generated proof for one refinement pair."""
 
     proof_name: str
     strategy: str
     low_level: str
     high_level: str
-    preamble: list[str] = field(default_factory=list)
-    lemmas: list[Lemma] = field(default_factory=list)
+    preamble: list[str] = Fresh(list)
+    lemmas: list[Lemma] = Fresh(list)
     #: Obligations beyond local lemma reasoning: the engine discharges
     #: each by a whole-program bounded refinement check.
-    global_checks: list[str] = field(default_factory=list)
+    global_checks: list[str] = Fresh(list)
 
     def add(self, lemma: Lemma) -> Lemma:
         self.lemmas.append(lemma)

@@ -21,7 +21,6 @@ an obligation served from the cache costs no sweep.  A default farm
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from repro.errors import (
     ArmadaError,
@@ -39,6 +38,7 @@ from repro.machine.program import DomainConfig, StateMachine
 from repro.machine.translator import translate_level
 from repro.obs import OBS
 from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict
+from repro.record import Fresh, Record
 from repro.strategies.base import ProofRequest
 from repro.strategies.registry import lookup
 from repro.strategies.regions import (
@@ -48,8 +48,7 @@ from repro.strategies.regions import (
 from repro.verifier.prover import Prover
 
 
-@dataclass
-class ProofOutcome:
+class ProofOutcome(Record):
     """Result of running one refinement recipe."""
 
     proof_name: str
@@ -77,13 +76,17 @@ class ProofOutcome:
     def lemma_count(self) -> int:
         return len(self.script.lemmas) if self.script is not None else 0
 
+    def reused(self) -> "ProofOutcome":
+        """This outcome served again from an outcome cache: marked
+        ``from_cache``, with no time spent."""
+        return self.replace(elapsed_seconds=0.0, from_cache=True)
 
-@dataclass
-class ChainOutcome:
+
+class ChainOutcome(Record):
     """Result of running every recipe of a program and composing them."""
 
-    outcomes: list[ProofOutcome] = field(default_factory=list)
-    chain: list[str] = field(default_factory=list)
+    outcomes: list[ProofOutcome] = Fresh(list)
+    chain: list[str] = Fresh(list)
     end_to_end: bool = False
     #: Why the level chain failed to compose (broken, cyclic, or
     #: disconnected proof graph); None when ``chain`` is valid.
@@ -120,8 +123,7 @@ class ChainOutcome:
         return sum(o.generated_sloc for o in self.outcomes)
 
 
-@dataclass
-class _PreparedProof:
+class _PreparedProof(Record):
     """One proof between script generation and outcome finalization."""
 
     proof: ast.ProofDecl
@@ -135,7 +137,7 @@ class _PreparedProof:
     #: proof is inconclusive, not failed.
     validation_inconclusive: bool = False
     prepare_seconds: float = 0.0
-    jobs: list[Job] = field(default_factory=list)
+    jobs: list[Job] = Fresh(list)
     #: The strategy's request, whose sweep cache is dropped once the
     #: proof is finalized.
     request: ProofRequest | None = None
@@ -580,8 +582,6 @@ class ProofEngine:
         Script generation stays per-proof, but the obligations of *all*
         proofs are collected into one farm batch, discharged in order.
         """
-        import dataclasses
-
         levels = self.checked.program.levels
         chain_name = levels[0].name if levels else "chain"
         with OBS.span(chain_name, "chain",
@@ -600,9 +600,7 @@ class ProofEngine:
                 if self.outcome_cache is not None:
                     reused = self.outcome_cache.get(self.proof_key(proof))
                 if reused is not None:
-                    entries.append((None, dataclasses.replace(
-                        reused, from_cache=True, elapsed_seconds=0.0,
-                    )))
+                    entries.append((None, reused.reused()))
                     if OBS.enabled:
                         OBS.count("engine.proofs_reused")
                     continue

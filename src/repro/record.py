@@ -1,13 +1,13 @@
-"""A small record base for the syntax-tree and type classes.
+"""A small record base for the classes of ``repro`` that hold data.
 
 ``@dataclass`` generates three to six methods per class and compiles
-each with ``exec`` when the module is imported, which made the 67
-classes of :mod:`repro.lang.asts` and :mod:`repro.lang.types` the
-largest part of the front end's import time.  This base compiles
+each with ``exec`` when the module is imported, and importing
+:mod:`dataclasses` loads :mod:`inspect` and, through it, :mod:`ast`,
+:mod:`dis` and :mod:`tokenize`.  This base compiles nothing and imports
 nothing: it reads each class's fields from its annotations once, at
-class creation, and supplies one generic constructor, ``==`` and
-``repr`` for every class, in the manner of the stdlib :mod:`ast` nodes.
-:class:`FrozenRecord` adds hashing by value and immutability.
+class creation, and supplies one generic constructor, ``==``, ``repr``
+and ``replace`` for every class, in the manner of the stdlib :mod:`ast`
+nodes.  :class:`FrozenRecord` adds hashing by value and immutability.
 
 A field's default is the class attribute of the same name; wrap a
 mutable default in :class:`Fresh` to build it anew for each record::
@@ -17,10 +17,17 @@ mutable default in :class:`Fresh` to build it anew for each record::
 
 Class keywords name the fields that the constructor accepts by keyword
 only (``keyword_only=``) and that ``==`` ignores (``uncompared=``).
+
+The classes built once per state, token or step (the values, states and
+transitions of :mod:`repro.machine`, :class:`repro.errors.SourceLoc`,
+:class:`repro.lang.tokens.Token`) derive from :class:`Slotted` instead:
+the generic constructor reads its fields from class tables, which a hot
+path cannot afford, so each of them writes out a plain ``__init__``.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable
 
 
@@ -140,6 +147,12 @@ class Record:
         )
         return f"{type(self).__qualname__}({inner})"
 
+    def replace(self, **changes: Any) -> Any:
+        """A copy of this record with *changes* applied."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)
+
 
 class FrozenRecord(Record):
     """An immutable record that hashes by value."""
@@ -153,3 +166,62 @@ class FrozenRecord(Record):
     def __hash__(self) -> int:
         values = self.__dict__
         return hash(tuple([values[name] for name in self._compared]))
+
+
+class Slotted:
+    """A base for the classes built once per state, token or step.
+
+    A subclass names its fields in ``__slots__``, in constructor order,
+    and writes out a plain positional ``__init__``.  The base supplies
+    ``==`` (same class only), ``hash`` and a ``Name(field=value, ...)``
+    ``repr``, all over the field tuple, as a frozen dataclass's would;
+    it reads the fields with one :func:`operator.attrgetter` per class.
+    A ``_hash`` slot is not a field: a class may cache its hash there.
+
+    The few classes whose ``==`` and ``hash`` run once per state or
+    memory access write those two out over the same tuple: reading the
+    fields in written-out code takes half the time ``attrgetter`` does.
+    """
+
+    __slots__ = ()
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        slots = cls.__dict__["__slots__"]
+        cls._fields = fields = tuple(name for name in slots
+                                     if name != "_hash")
+        # The field tuple of an instance; ``attrgetter`` returns a bare
+        # value for one name and needs at least one.
+        key: Callable[[Any], tuple]
+        if len(fields) > 1:
+            key = attrgetter(*fields)
+        elif fields:
+            get = attrgetter(fields[0])
+            key = lambda obj: (get(obj),)  # noqa: E731
+        else:
+            key = lambda obj: ()  # noqa: E731
+        cls._key = staticmethod(key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._key(self))
+        )
+        return f"{type(self).__qualname__}({inner})"
+
+    def replace(self, **changes: Any) -> Any:
+        """A copy with *changes* applied; it computes its own hash."""
+        values = dict(zip(self._fields, self._key(self)))
+        values.update(changes)
+        return type(self)(**values)

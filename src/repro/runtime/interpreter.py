@@ -10,11 +10,11 @@ oracle for the compiled back ends.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.errors import ExecutionError
 from repro.machine.program import StateMachine, Transition
 from repro.machine.state import ProgramState
+from repro.record import Record
 
 
 class Scheduler:
@@ -58,8 +58,7 @@ class RandomScheduler(Scheduler):
         return self._rng.choice(transitions)
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     state: ProgramState
     steps_taken: int
 

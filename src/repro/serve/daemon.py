@@ -41,7 +41,6 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -49,6 +48,7 @@ from repro.errors import ArmadaError
 from repro.farm import VerificationFarm
 from repro.farm.cache import ProofCache
 from repro.obs import OBS
+from repro.record import Fresh, Record
 from repro.serve import protocol
 from repro.serve.incremental import FingerprintIndex, OutcomeCache
 from repro.serve.protocol import (
@@ -75,8 +75,7 @@ def _now() -> float:
     return time.time()
 
 
-@dataclass
-class ServeJob:
+class ServeJob(Record):
     """One submitted job, from queue to terminal state."""
 
     id: str
@@ -86,7 +85,7 @@ class ServeJob:
     filename: str
     options: dict[str, Any]
     state: str = QUEUED
-    submitted_at: float = field(default_factory=_now)
+    submitted_at: float = Fresh(_now)
     started_at: float | None = None
     finished_at: float | None = None
     result: dict[str, Any] | None = None
@@ -99,8 +98,8 @@ class ServeJob:
     #: The farm currently discharging this job (verify only) — the
     #: handle ``cancel`` uses to drain a running job.
     farm: VerificationFarm | None = None
-    events: list[dict[str, Any]] = field(default_factory=list)
-    done: asyncio.Event = field(default_factory=asyncio.Event)
+    events: list[dict[str, Any]] = Fresh(list)
+    done: asyncio.Event = Fresh(asyncio.Event)
 
     def event(self, kind: str, **detail: Any) -> None:
         self.events.append({
@@ -331,7 +330,7 @@ class ArmadaDaemon:
                 }
                 for o in outcome.outcomes
             ],
-            "farm": asdict(summary),
+            "farm": summary.to_dict(),
         }
 
     def _run_analyze(self, job: ServeJob) -> dict[str, Any]:

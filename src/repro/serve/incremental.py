@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from repro.record import Fresh, Record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.proofs.engine import ProofOutcome
@@ -93,15 +94,14 @@ class OutcomeCache:
             }
 
 
-@dataclass
-class LevelDiff:
+class LevelDiff(Record):
     """What one resubmission changed, in machine-semantics terms."""
 
     #: Levels whose machine fingerprint differs from the index (or are
     #: new); their proofs must re-verify.
-    changed: list[str] = field(default_factory=list)
+    changed: list[str] = Fresh(list)
     #: Levels whose fingerprint matches the previous submission.
-    unchanged: list[str] = field(default_factory=list)
+    unchanged: list[str] = Fresh(list)
     #: True when the index had no entry for this program name yet.
     first_submission: bool = False
 

@@ -16,7 +16,6 @@ ownership/invariant predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.compiler.stepc import successors_for
@@ -31,11 +30,11 @@ from repro.machine.program import StateMachine, Transition
 from repro.machine.state import ProgramState, UBSignal
 from repro.machine.steps import BranchStep, Step
 from repro.proofs.artifacts import ProofScript
+from repro.record import Fresh, Record
 from repro.verifier.prover import Prover
 
 
-@dataclass
-class ProofRequest:
+class ProofRequest(Record):
     """Everything a strategy needs to generate one refinement proof."""
 
     proof: ast.ProofDecl
@@ -43,13 +42,13 @@ class ProofRequest:
     high_ctx: LevelContext
     low_machine: StateMachine
     high_machine: StateMachine
-    prover: Prover = field(default_factory=Prover)
+    prover: Prover = Fresh(Prover)
     max_states: int = 200_000
     #: Use the compiled step specialization (repro.compiler.stepc) for
     #: state sweeps.  Bit-identical to the interpreter; off only for
     #: debugging or timing comparisons.
     compiled: bool = True
-    _reachable_cache: dict = field(default_factory=dict)
+    _reachable_cache: dict = Fresh(dict)
 
     # ------------------------------------------------------------------
 

@@ -36,7 +36,6 @@ machine-pair fingerprint, so a warm run never sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import StateBudgetExceeded, StrategyError
@@ -50,6 +49,7 @@ from repro.proofs.render import (
     render_machine_definitions,
     step_constructor_name,
 )
+from repro.record import Record
 from repro.strategies.base import ProofRequest, Strategy
 from repro.strategies.subsumption import steps_identical
 
@@ -58,8 +58,7 @@ from repro.strategies.subsumption import steps_identical
 MAX_REGION_PATHS = 2_000
 
 
-@dataclass
-class MoverClassification:
+class MoverClassification(Record):
     """Which way each reduced step commutes (over reachable states)."""
 
     right_movers: set[str]

@@ -17,12 +17,12 @@ directive (or the simpler ``use_address_invariant``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.lang.resolver import LevelContext
 from repro.proofs.artifacts import Lemma, bool_verdict
+from repro.record import Fresh, Record
 
 
 class UnionFind:
@@ -56,13 +56,12 @@ class UnionFind:
 AbstractLoc = str
 
 
-@dataclass
-class RegionAnalysis:
+class RegionAnalysis(Record):
     """Result of running Steensgaard's algorithm on a level."""
 
     ctx: LevelContext
-    unify: UnionFind = field(default_factory=UnionFind)
-    locations: set[AbstractLoc] = field(default_factory=set)
+    unify: UnionFind = Fresh(UnionFind)
+    locations: set[AbstractLoc] = Fresh(set)
 
     # -- queries --------------------------------------------------------
 

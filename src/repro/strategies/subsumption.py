@@ -22,7 +22,6 @@ exhibit the weakening correspondence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import StrategyError
@@ -38,16 +37,16 @@ from repro.machine.steps import (
     SomehowStep,
     Step,
 )
+from repro.record import Fresh, Record
 from repro.strategies.base import ProofRequest
 from repro.verifier.prover import Verdict
 
 
-@dataclass
-class SubsumptionPlan:
+class SubsumptionPlan(Record):
     kind: str  # trivial | nondet | prover | somehow | global
     description: str
     obligation: Callable[[], Verdict] | None = None
-    witnesses: list[str] = field(default_factory=list)
+    witnesses: list[str] = Fresh(list)
 
 
 def steps_identical(low: Step, high: Step) -> bool:

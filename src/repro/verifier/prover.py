@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.obs import OBS
+from repro.record import Record
 from repro.verifier.interp import UNDEF, interpret, is_undef
 
 PROVED = "proved"
@@ -44,8 +44,7 @@ TIMEOUT = "timeout"
 SETTLED = (PROVED, REFUTED)
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Outcome of a proof attempt."""
 
     status: str
@@ -67,8 +66,7 @@ class Verdict:
         return self.ok
 
 
-@dataclass
-class ProverConfig:
+class ProverConfig(Record):
     """Sampling budget of the bounded prover."""
 
     exhaustive_bits: int = 4

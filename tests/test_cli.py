@@ -450,6 +450,12 @@ _BAD_VALUES = [
     ("explore", "--max-states", "0"),
     ("analyze", "--max-states", "0"),
     ("submit", "--max-states", "-5"),
+    ("submit", "--timeout", "nan"),
+    ("submit", "--timeout", "inf"),
+    ("submit", "--timeout", "-1"),
+    ("result", "--timeout", "nan"),
+    ("result", "--timeout", "inf"),
+    ("result", "--timeout", "-1"),
     ("run", "--max-steps", "0"),
     ("serve", "--slots", "0"),
     ("serve", "--slots", "-1"),
@@ -465,10 +471,12 @@ def test_bad_bound_values_exit_2_with_usage(command, option, value,
     """Checked in a subprocess: a value that slipped through would run
     the command, crash or, for ``serve``, start a daemon."""
     argv = [command]
-    if command != "serve":
-        argv.append(EXAMPLE)
-    else:
+    if command == "serve":
         argv += ["--state-dir", str(tmp_path / "state")]
+    elif command == "result":
+        argv.append("job-1")
+    else:
+        argv.append(EXAMPLE)
     done = _cli_subprocess(*argv, f"{option}={value}")
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("usage: armada")
@@ -624,3 +632,21 @@ class TestImportFootprint:
     ):
         modules = self._modules(tmp_path, "check", program_file)
         assert "importlib.metadata" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "PROGRAM"),
+        ("explore", "PROGRAM"),
+        ("verify", "PROGRAM", "--no-cache"),
+        ("casestudy", "pointers"),
+    ], ids=lambda argv: argv[0])
+    def test_command_loads_no_dataclasses_or_inspect(
+        self, argv, program_file, tmp_path
+    ):
+        """``dataclasses`` compiles methods at import and loads
+        ``inspect``, which loads ``ast``, ``dis`` and ``tokenize``;
+        no command needs any of them."""
+        argv = [program_file if arg == "PROGRAM" else arg for arg in argv]
+        modules = self._modules(tmp_path, *argv)
+        loaded = modules & {"dataclasses", "inspect", "ast", "dis",
+                            "tokenize"}
+        assert not loaded, sorted(loaded)

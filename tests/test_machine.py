@@ -96,11 +96,9 @@ class TestStateHashing:
         assert hash(a) == hash(b)
 
     def test_replace_recomputes_cached_hash(self):
-        import dataclasses
-
         state = self._state()
         hash(state)  # populate the cache
-        replaced = dataclasses.replace(state, log=(1,))
+        replaced = state.replace(log=(1,))
         assert hash(replaced) == hash(self._state(log=(1,)))
         assert replaced != state
 
