@@ -1,8 +1,5 @@
-"""Compiler back ends: ClightTSO-flavoured C (§5) and executable
-Python (SC / TSO-faithful modes, the Figure 12 compilation paths)."""
-
-from repro.compiler.cbackend import compile_to_c  # noqa: F401
-from repro.compiler.pybackend import (  # noqa: F401
-    CompiledProgram,
-    compile_to_python,
-)
+"""Compiler back ends: ClightTSO-flavoured C (§5, :mod:`.cbackend`) and
+executable Python (SC / TSO-faithful modes, the Figure 12 compilation
+paths, :mod:`.pybackend`), plus the compiled step relation the explorer
+runs (:mod:`.stepc`).  Import the submodule you need: the package
+imports none, so loading the stepper loads neither back end."""

@@ -232,15 +232,18 @@ def _ufn(name: str, args: tuple, result_type: ty.Type) -> Any:
 
 
 def _adv(
-    state: ProgramState, tid: int, target: str | None, inside: bool
+    state: ProgramState, tid: int, target: str | None, inside: bool,
+    intern: Any,
 ) -> ProgramState:
     """Step._advance + update_atomic_owner with the pc-yieldability
     lookup folded to a compile-time constant, built by direct
     construction instead of a chain of copies (equality and hashing
     are structural, so the states are bit-identical to the
-    interpreter's)."""
+    interpreter's).  The advanced thread is interned by *intern*, the
+    stepper's thread table."""
     t = state.threads[tid]
     nt = ThreadState(t.tid, target, t.frames, t.store_buffer, t.view)
+    nt = intern(nt, nt)
     if inside:
         ao = tid
     else:
@@ -251,6 +254,24 @@ def _adv(
         state.threads.set(tid, nt), state.memory, state.allocation,
         state.ghosts, state.log, state.termination, state.next_tid,
         state.next_serial, ao, state.histories,
+    )
+
+
+def _canon(state: ProgramState, tid: int, intern: Any) -> ProgramState:
+    """*state* with thread *tid*, which ``spawn_thread`` built, swapped
+    for its twin in the stepper's thread table *intern*.  The twin is
+    equal and hashes equal, so the thread map keeps its accumulator."""
+    threads = state.threads
+    thread = threads._items[tid]
+    twin = intern(thread, thread)
+    if twin is thread:
+        return state
+    items = dict(threads._items)
+    items[tid] = twin
+    return ProgramState(
+        PMap._wrap(items, threads._acc), state.memory, state.allocation,
+        state.ghosts, state.log, state.termination, state.next_tid,
+        state.next_serial, state.atomic_owner, state.histories,
     )
 
 
@@ -311,6 +332,7 @@ _NAMESPACE_BASE = {
     "_take": _take,
     "_ufn": _ufn,
     "_adv": _adv,
+    "_canon": _canon,
     "_term": _term,
     "_MS": _MISS,
     "_PW": PMap._wrap,
@@ -774,6 +796,10 @@ class _Gen:
             f"{pc!r}: {fn}" for pc, fn in pc_funcs
         )
         out.append(f"    _DISPATCH = {{{dispatch}}}")
+        # The stepper's intern tables: every thread and frame the
+        # generated code builds is swapped for its first-built twin.
+        out.append("    _TI = {}.setdefault")
+        out.append("    _FI = {}.setdefault")
         if self.model == "tso":
             out.append("    _DC = {}")
         out.append("    def enabled_and_next(state):")
@@ -797,10 +823,11 @@ class _Gen:
         if self.model == "tso":
             # state.drain_one(tid) by direct construction; the popped
             # entry, the drained ThreadState, the drain Transition and
-            # their entry hashes are a pure function of the thread, so
-            # they are hash-consed per thread configuration.  The
-            # memory write replicates ``PMap.set`` inline, including
-            # its same-value short-circuit.
+            # the hashes of the new thread-map and memory entries are a
+            # pure function of the thread, so they are hash-consed per
+            # thread configuration.  The memory write replicates
+            # ``PMap.set`` inline, including its same-value
+            # short-circuit.
             out.append("            _sb = thread.store_buffer")
             out.append("            if _sb:")
             out.append("                _de = _DC.get(thread)")
@@ -808,12 +835,13 @@ class _Gen:
             out.append("                    _e = _sb[0]")
             out.append("                    _dn = ThreadState(tid, "
                        "thread.pc, thread.frames, _sb[1:], thread.view)")
+            out.append("                    _dn = _TI(_dn, _dn)")
             out.append("                    _de = (Transition(tid, None, "
-                       "()), _dn, _e[0], _e[1], hash((tid, _dn)))")
+                       "()), _dn, _e[0], _e[1], hash((tid, _dn)), "
+                       "hash(_e))")
             out.append("                    _DC[thread] = _de")
             out.append("                _dT = dict(threads._items)")
             out.append("                _dT[tid] = _de[1]")
-            out.append("                _aT = threads._acc")
             out.append("                _mem = state.memory")
             out.append("                _loc = _de[2]")
             out.append("                _val = _de[3]")
@@ -821,16 +849,13 @@ class _Gen:
             out.append("                if _old is _MS or _old != _val:")
             out.append("                    _dM = dict(_mem._items)")
             out.append("                    _dM[_loc] = _val")
-            out.append("                    _aM = _mem._acc")
-            out.append("                    if _aM is not None:")
-            out.append("                        if _old is not _MS:")
-            out.append("                            _aM ^= hash((_loc, "
-                       "_old))")
-            out.append("                        _aM ^= hash((_loc, _val))")
+            out.append("                    _aM = _mem._acc ^ _de[5]")
+            out.append("                    if _old is not _MS:")
+            out.append("                        _aM ^= hash((_loc, _old))")
             out.append("                    _mem = _PW(_dM, _aM)")
             out.append("                _ap((_de[0], ProgramState(")
-            out.append("                    _PW(_dT, (_aT ^ _hT ^ _de[4]) "
-                       "if _aT is not None else None), _mem,")
+            out.append("                    _PW(_dT, threads._acc ^ _hT ^ "
+                       "_de[4]), _mem,")
             out.append("                    state.allocation, state.ghosts, "
                        "state.log, None,")
             out.append("                    state.next_tid, "
@@ -946,7 +971,7 @@ class _Gen:
 
     def _adv_src(self, step: Step, state_src: str) -> str:
         inside = self.inside(step.target)
-        return f"_adv({state_src}, tid, {step.target!r}, {inside})"
+        return f"_adv({state_src}, tid, {step.target!r}, {inside}, _TI)"
 
     def _emit_thread_build(
         self,
@@ -959,7 +984,8 @@ class _Gen:
         """Emit the stepped thread's successor ``ThreadState`` — local
         writes fold into one rebuilt top frame, TSO-buffered stores
         append to the store buffer, and the pc advances, all in a
-        single positional construction."""
+        single positional construction.  The frame and the thread are
+        interned."""
         if local_writes:
             w.emit("_f0 = thread.frames[0]")
             locals_src = "_f0.locals" + "".join(
@@ -969,6 +995,7 @@ class _Gen:
                 f"_nf = Frame(_f0.method, _f0.serial, {locals_src}, "
                 f"_f0.return_pc, _f0.return_lhs_key)"
             )
+            w.emit("_nf = _FI(_nf, _nf)")
             frames_src = "(_nf,) + thread.frames[1:]"
         else:
             frames_src = "thread.frames"
@@ -983,6 +1010,7 @@ class _Gen:
             f"{out_var} = ThreadState(tid, {step.target!r}, "
             f"{frames_src}, {sb_src}, thread.view)"
         )
+        w.emit(f"{out_var} = _TI({out_var}, {out_var})")
 
     def _threads_src(
         self, new_thread: str, new_hash: str | None = None
@@ -997,9 +1025,7 @@ class _Gen:
         return [
             "_dT = dict(threads._items)",
             f"_dT[tid] = {new_thread}",
-            "_aT = threads._acc",
-            f"_nT = _PW(_dT, (_aT ^ _hT ^ {nh}) "
-            f"if _aT is not None else None)",
+            f"_nT = _PW(_dT, threads._acc ^ _hT ^ {nh})",
         ]
 
     def _emit_build(
@@ -1637,10 +1663,12 @@ class _Gen:
             f"[{args}], {pd_src}, {step.target!r}, "
             f"{step.result_local!r})[1]"
         )
+        w.emit("_nf = _FI(_nf, _nf)")
         w.emit(
             f"_nt = ThreadState(tid, {entry!r}, "
             f"(_nf,) + thread.frames, thread.store_buffer, thread.view)"
         )
+        w.emit("_nt = _TI(_nt, _nt)")
         w.emit(
             f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
             f"hash((tid, _nt)))"
@@ -1725,6 +1753,7 @@ class _Gen:
             "_nt = ThreadState(tid, None, (), thread.store_buffer, "
             "thread.view)"
         )
+        w.emit("_nt = _TI(_nt, _nt)")
         w.emit(
             f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
             f"hash((tid, _nt)), False, tid == 1)"
@@ -1741,11 +1770,13 @@ class _Gen:
                 "_c0.locals.set(_f0.return_lhs_key, _v), "
                 "_c0.return_pc, _c0.return_lhs_key)"
             )
+            w.emit("_c0 = _FI(_c0, _c0)")
             w.pop()
         w.emit(
             "_nt = ThreadState(tid, _f0.return_pc, (_c0,) + _rest[1:], "
             "thread.store_buffer, thread.view)"
         )
+        w.emit("_nt = _TI(_nt, _nt)")
         w.emit(
             f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
             f"hash((tid, _nt)), "
@@ -1794,6 +1825,7 @@ class _Gen:
             f"_ns, _nt = machine.spawn_thread(state, {step.method!r}, "
             f"[{args}], {pd_src}, tid)"
         )
+        w.emit("_ns = _canon(_ns, _nt, _TI)")
         if spec is not None:
             buffered = spec[0] in ("global", "gelem", "memlocal")
             self._emit_write(w, spec, "_nt", buffered)

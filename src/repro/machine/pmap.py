@@ -7,12 +7,13 @@ are small (a handful of threads and a few dozen memory cells), so a
 copy-on-write dict is the right tradeoff — no need for a HAMT.
 
 Hashing is **incremental**: the hash accumulator is a commutative XOR
-of per-entry hashes, so a single-key update derives the child's
-accumulator from the parent's in O(1) instead of re-hashing every
-entry.  This is what makes the explorer's ``seen``-set membership cheap
-— a successor state differs from its parent in one or two components
-(one thread moved, one memory cell changed), and only the changed
-entries are re-hashed.
+of per-entry hashes, computed when a map is built from a dict and
+derived by every update from its parent's in O(1) per changed entry, so
+a successor state, which differs from its parent in one or two
+components (one thread moved, one memory cell changed), re-hashes only
+the changed entries.  Every map carries its accumulator from the start,
+so :class:`~repro.machine.state.ProgramState` hashes its maps by reading
+their lengths and accumulators, with no call into this class.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 _MISSING = object()
+_new = object.__new__
 
 
 def _entry_hash(key: Any, value: Any) -> int:
@@ -33,13 +35,18 @@ class PMap:
 
     def __init__(self, items: dict | None = None) -> None:
         self._items: dict = dict(items) if items else {}
-        #: Commutative XOR of entry hashes; None until first demanded.
-        #: Derived incrementally by set/set_many/remove once computed.
-        self._acc: int | None = None
+        acc = 0
+        for entry in self._items.items():
+            acc ^= hash(entry)
+        #: Commutative XOR of the entry hashes (``hash((key, value))``),
+        #: derived incrementally by set/set_many/remove.
+        self._acc: int = acc
 
-    @classmethod
-    def _wrap(cls, items: dict, acc: int | None = None) -> "PMap":
-        pm = cls.__new__(cls)
+    @staticmethod
+    def _wrap(items: dict, acc: int) -> "PMap":
+        """A map over *items*, which the caller gives up, whose entry
+        hashes XOR to *acc*."""
+        pm = _new(PMap)
         pm._items = items
         pm._acc = acc
         return pm
@@ -55,28 +62,25 @@ class PMap:
 
     def set(self, key: Any, value: Any) -> "PMap":
         old = self._items.get(key, _MISSING)
-        if old is not _MISSING and old == value:
-            return self
+        acc = self._acc
+        if old is not _MISSING:
+            if old == value:
+                return self
+            acc ^= _entry_hash(key, old)
         items = dict(self._items)
         items[key] = value
-        acc = self._acc
-        if acc is not None:
-            if old is not _MISSING:
-                acc ^= _entry_hash(key, old)
-            acc ^= _entry_hash(key, value)
-        return PMap._wrap(items, acc)
+        return PMap._wrap(items, acc ^ _entry_hash(key, value))
 
     def set_many(self, updates: dict) -> "PMap":
         if not updates:
             return self
         items = dict(self._items)
         acc = self._acc
-        if acc is not None:
-            for key, value in updates.items():
-                old = items.get(key, _MISSING)
-                if old is not _MISSING:
-                    acc ^= _entry_hash(key, old)
-                acc ^= _entry_hash(key, value)
+        for key, value in updates.items():
+            old = items.get(key, _MISSING)
+            if old is not _MISSING:
+                acc ^= _entry_hash(key, old)
+            acc ^= _entry_hash(key, value)
         items.update(updates)
         return PMap._wrap(items, acc)
 
@@ -85,10 +89,7 @@ class PMap:
             return self
         items = dict(self._items)
         old = items.pop(key)
-        acc = self._acc
-        if acc is not None:
-            acc ^= _entry_hash(key, old)
-        return PMap._wrap(items, acc)
+        return PMap._wrap(items, self._acc ^ _entry_hash(key, old))
 
     def keys(self):
         return self._items.keys()
@@ -113,15 +114,9 @@ class PMap:
         return NotImplemented
 
     def __hash__(self) -> int:
-        acc = self._acc
-        if acc is None:
-            acc = 0
-            for entry in self._items.items():
-                acc ^= hash(entry)
-            self._acc = acc
         # Mix in the length so maps whose entry hashes XOR-cancel to the
         # same accumulator but differ in size still separate.
-        return hash((len(self._items), acc))
+        return hash((len(self._items), self._acc))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self._items.items())

@@ -39,7 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class PcInfo(Record):
-    """Metadata for one program counter value."""
+    """Metadata for one program counter value.  Built once per pc, the
+    commonest record the translator builds, so it writes out its
+    constructor."""
 
     pc: str
     method: str
@@ -48,6 +50,16 @@ class PcInfo(Record):
     label: str | None = None
     loc: Any = None
     kind: str = ""  # statement kind for strategy matching
+
+    def __init__(self, pc, method, index, yieldable=True, label=None,
+                 loc=None, kind=""):
+        self.pc = pc
+        self.method = method
+        self.index = index
+        self.yieldable = yieldable
+        self.label = label
+        self.loc = loc
+        self.kind = kind
 
 
 class Transition(Slotted):

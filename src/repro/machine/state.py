@@ -11,9 +11,16 @@ They are built on every step, so the classes derive from
 convention, with ``==``, ``hash`` and ``repr`` over the field tuple, as
 a dataclass's would be.  Frames, threads and states, compared and hashed
 once per explored state, write out ``==`` and a hash cached in a
-``_hash`` slot; the PMap components hash incrementally, so a successor
-re-hashes only what changed, and a copy made by ``replace`` computes its
-own.
+``_hash`` slot, and a copy made by ``replace`` computes its own.
+
+A state hashes and compares its four maps without calling into them: a
+:class:`~repro.machine.pmap.PMap` carries its hash accumulator from the
+start, so the state's hash reads each map's length and accumulator
+(the hash is not the hash of the field tuple), and ``==`` compares the
+maps' dicts.  The compiled stepper (:mod:`repro.compiler.stepc`) interns
+the threads and frames it builds, so the dict comparison usually finds
+the threads of two equal states identical; states built elsewhere
+compare structurally, as equal as before, only more slowly.
 """
 
 from __future__ import annotations
@@ -228,20 +235,31 @@ class ProgramState(Slotted):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            (self.threads, self.memory, self.allocation, self.ghosts,
-             self.log, self.termination, self.next_tid, self.next_serial,
-             self.atomic_owner, self.histories)
-            == (other.threads, other.memory, other.allocation, other.ghosts,
-                other.log, other.termination, other.next_tid,
-                other.next_serial, other.atomic_owner, other.histories)
-        )
+        try:
+            # Two PMaps are equal when their dicts are.
+            return (
+                (self.threads._items, self.memory._items,
+                 self.allocation._items, self.ghosts._items, self.log,
+                 self.termination, self.next_tid, self.next_serial,
+                 self.atomic_owner, self.histories)
+                == (other.threads._items, other.memory._items,
+                    other.allocation._items, other.ghosts._items, other.log,
+                    other.termination, other.next_tid, other.next_serial,
+                    other.atomic_owner, other.histories)
+            )
+        except AttributeError:  # a map field holds something else
+            return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
+            threads, memory = self.threads, self.memory
+            allocation, ghosts = self.allocation, self.ghosts
             h = self._hash = hash((
-                self.threads, self.memory, self.allocation, self.ghosts,
+                len(threads._items), threads._acc,
+                len(memory._items), memory._acc,
+                len(allocation._items), allocation._acc,
+                len(ghosts._items), ghosts._acc,
                 self.log, self.termination, self.next_tid,
                 self.next_serial, self.atomic_owner, self.histories,
             ))

@@ -19,6 +19,14 @@ The classes here are built on every step and hashed with every state,
 so they derive from :class:`~repro.record.Slotted`: a written-out
 ``__init__``, with ``==``, ``hash`` and ``repr`` over the field tuple,
 as a frozen dataclass's would be.  Each is immutable by convention.
+
+Roots and locations are *canonical*: ``__new__`` looks the fields up in
+a process-wide intern table, so equal ones are one object, however they
+were built (directly, by ``replace``, or by ``copy``, ``deepcopy`` and
+``pickle``, whose ``__reduce__`` calls the class).  Each stores its hash,
+the hash of its field tuple, when it is first built.  ``==`` stays
+structural; but a dict lookup or tuple comparison tries identity first,
+so memory keys and store-buffer entries match without calling it.
 """
 
 from __future__ import annotations
@@ -39,14 +47,26 @@ class Root(Slotted):
     ``kind`` is ``"global"`` (a global variable whose address is taken or
     which is shared), ``"alloc"`` (malloc/calloc result), or ``"local"``
     (an address-taken stack variable of one method invocation).
+
+    Canonical: building a root returns the one object for its fields.
     """
 
-    __slots__ = ("kind", "name", "serial")
+    __slots__ = ("kind", "name", "serial", "_hash")
 
-    def __init__(self, kind: str, name: str = "", serial: int = 0) -> None:
-        self.kind = kind
-        self.name = name
-        self.serial = serial
+    def __new__(cls, kind: str, name: str = "", serial: int = 0) -> "Root":
+        key = (kind, name, serial)
+        root = _ROOTS.get(key)
+        if root is None:
+            root = object.__new__(cls)
+            root.kind = kind
+            root.name = name
+            root.serial = serial
+            root._hash = hash(key)
+            _ROOTS[key] = root
+        return root
+
+    def __reduce__(self) -> tuple:
+        return Root, (self.kind, self.name, self.serial)
 
     # Hashed and compared with every memory access.
     def __eq__(self, other: object) -> bool:
@@ -56,7 +76,7 @@ class Root(Slotted):
                 == (other.kind, other.name, other.serial))
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.name, self.serial))
+        return self._hash
 
     def __str__(self) -> str:
         if self.kind == "global":
@@ -67,13 +87,27 @@ class Root(Slotted):
 
 
 class Location(Slotted):
-    """One primitive memory cell: a root and a path of child indices."""
+    """One primitive memory cell: a root and a path of child indices.
 
-    __slots__ = ("root", "path")
+    Canonical, like :class:`Root`, so memory keys and store-buffer
+    entries match by identity.
+    """
 
-    def __init__(self, root: Root, path: tuple[int, ...] = ()) -> None:
-        self.root = root
-        self.path = path
+    __slots__ = ("root", "path", "_hash")
+
+    def __new__(cls, root: Root, path: tuple[int, ...] = ()) -> "Location":
+        key = (root, path)
+        location = _LOCATIONS.get(key)
+        if location is None:
+            location = object.__new__(cls)
+            location.root = root
+            location.path = path
+            location._hash = hash(key)
+            _LOCATIONS[key] = location
+        return location
+
+    def __reduce__(self) -> tuple:
+        return Location, (self.root, self.path)
 
     # Hashed and compared with every memory access.
     def __eq__(self, other: object) -> bool:
@@ -82,7 +116,7 @@ class Location(Slotted):
         return (self.root, self.path) == (other.root, other.path)
 
     def __hash__(self) -> int:
-        return hash((self.root, self.path))
+        return self._hash
 
     def child(self, index: int) -> "Location":
         return Location(self.root, self.path + (index,))
@@ -90,6 +124,13 @@ class Location(Slotted):
     def __str__(self) -> str:
         suffix = "".join(f".{i}" for i in self.path)
         return f"{self.root}{suffix}"
+
+
+#: The intern tables behind the canonical roots and locations, keyed by
+#: field tuple.  Process-wide and never pruned: they hold one entry per
+#: distinct cell any level has named.
+_ROOTS: dict[tuple[str, str, int], Root] = {}
+_LOCATIONS: dict[tuple[Root, tuple[int, ...]], Location] = {}
 
 
 # ---------------------------------------------------------------------------

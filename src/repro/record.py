@@ -23,6 +23,11 @@ transitions of :mod:`repro.machine`, :class:`repro.errors.SourceLoc`,
 :class:`repro.lang.tokens.Token`) derive from :class:`Slotted` instead:
 the generic constructor reads its fields from class tables, which a hot
 path cannot afford, so each of them writes out a plain ``__init__``.
+A record class built often enough for that to show writes out its
+``__init__`` too, with the declared fields' order and defaults, and
+keeps the rest of the base: :class:`~repro.machine.program.PcInfo` and
+the four commonest steps, 1,164 of the 1,503 records that translating
+the case studies' 20 levels builds.
 """
 
 from __future__ import annotations

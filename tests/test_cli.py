@@ -650,3 +650,21 @@ class TestImportFootprint:
         loaded = modules & {"dataclasses", "inspect", "ast", "dis",
                             "tokenize"}
         assert not loaded, sorted(loaded)
+
+    @pytest.mark.parametrize("argv", [
+        ("explore", "PROGRAM"),
+        ("verify", "PROGRAM", "--no-cache"),
+        ("casestudy", "pointers"),
+    ], ids=lambda argv: argv[0])
+    def test_stepping_loads_no_program_back_end(
+        self, argv, program_file, tmp_path
+    ):
+        """The compiled stepper shares ``repro.compiler`` with the C and
+        Python back ends of ``armada compile``, which no other command
+        runs."""
+        argv = [program_file if arg == "PROGRAM" else arg for arg in argv]
+        modules = self._modules(tmp_path, *argv)
+        assert "repro.compiler.stepc" in modules
+        loaded = modules & {"repro.compiler.cbackend",
+                            "repro.compiler.pybackend"}
+        assert not loaded, sorted(loaded)
