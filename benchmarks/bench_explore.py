@@ -5,17 +5,18 @@ Two experiments land in ``benchmarks/results/explore.{md,json}`` and
 
 1. **Exploration sweep** — for every case-study level and a set of TSO
    litmus shapes, the state space is explored twice: with the
-   interpreter and with the compiled stepper
-   (``repro.compiler.stepc``).  The run asserts both are
-   *observationally identical* (same states and transitions, same
-   final outcomes, same UB reasons, same budget status) and records the
-   wall-clock of each.
+   interpreter (``repro.compiler.stepc.interpreted_successors``) and
+   with the compiled stepper (``repro.compiler.stepc``).  The run
+   asserts both are *observationally identical* (same states and
+   transitions, same final outcomes, same UB reasons, same budget
+   status) and records the wall-clock of each.
 
 2. **Step-relation enumeration** — the paper's Figure-12 regime: how
    fast can the successor relation itself be enumerated over the
    reachable set of the largest level (QueueNondet, under TSO and
    under C11 RA)?  The compiled ``enabled_and_next`` is compared
-   against ``enabled_transitions`` + ``next_state`` pair-for-pair
+   against ``interpreted_successors`` (``enabled_transitions`` +
+   ``next_state``) pair-for-pair
    (bit-identical transitions and successor states).  Under TSO it
    must be at least 10x faster (5x in smoke mode, which also shrinks
    the state cap); the RA row is recorded without a floor.
@@ -29,10 +30,11 @@ from __future__ import annotations
 import gc
 import os
 import time
+from functools import partial
 
 from _common import fmt_table, record
 from repro.casestudies import ALL, load
-from repro.compiler.stepc import stepper_for
+from repro.compiler.stepc import interpreted_successors, stepper_for
 from repro.explore import Explorer
 from repro.lang.frontend import check_level, check_program
 from repro.machine.translator import translate_level
@@ -122,15 +124,19 @@ def _workloads():
         yield f"litmus/{name}", machine, LITMUS_BUDGET
 
 
-def _explore(machine, budget: int, *, compiled: bool = True,
+def _explore(machine, budget: int, *, interpreted: bool = False,
              repeats: int = 2):
     """Best-of-*repeats* exploration (min wall time counters noise; the
-    first run also warms the stepper, so no row pays one-time costs)."""
+    stepper is built before the clock starts, so no row pays one-time
+    costs).  *interpreted* steps through the interpreter instead."""
     best = None
     elapsed = float("inf")
     for _ in range(repeats):
+        explorer = Explorer(machine, budget)
+        if interpreted:
+            explorer.successors = partial(interpreted_successors, machine)
         started = time.perf_counter()
-        result = Explorer(machine, budget, compiled=compiled).explore()
+        result = explorer.explore()
         elapsed = min(elapsed, time.perf_counter() - started)
         best = result
     return best, elapsed
@@ -142,7 +148,7 @@ def test_exploration_sweep_equivalence():
 
     for name, machine, budget in _workloads():
         interp, interp_s = _explore(
-            machine, budget, compiled=False, repeats=1,
+            machine, budget, interpreted=True, repeats=1,
         )
         compiled, compiled_s = _explore(machine, budget)
 
@@ -202,7 +208,7 @@ def _relation_row(model: str) -> dict:
     stepper = stepper_for(machine)
     assert stepper is not None and stepper.fallback_steps == 0
 
-    explorer = Explorer(machine, RELATION_CAP, compiled=True)
+    explorer = Explorer(machine, RELATION_CAP)
     states = []
     try:
         for state in explorer.reachable_states():
@@ -215,17 +221,12 @@ def _relation_row(model: str) -> dict:
     # exhaustive check lives in tests/test_stepc.py; here it guards the
     # numbers below against measuring different work).
     for state in states[:500]:
-        pairs = fn(state)
-        transitions = machine.enabled_transitions(state)
-        assert [p[0] for p in pairs] == transitions
-        for (_, nxt), tr in zip(pairs, transitions):
-            assert nxt == machine.next_state(state, tr)
+        assert fn(state) == interpreted_successors(machine, state)
 
     def time_interpreted() -> float:
         started = time.perf_counter()
         for state in states:
-            for tr in machine.enabled_transitions(state):
-                machine.next_state(state, tr)
+            interpreted_successors(machine, state)
         return time.perf_counter() - started
 
     def time_compiled() -> float:

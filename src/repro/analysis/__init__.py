@@ -117,7 +117,6 @@ def analyze_level(
     dynamic: bool = True,
     suggest: bool = True,
     memory_model: str | None = None,
-    compiled: bool = True,
 ) -> AnalysisResult:
     """Run the full analysis pipeline over one level.
 
@@ -141,8 +140,7 @@ def analyze_level(
     access_map = extract_accesses(ctx, machine)
     locksets = compute_locksets(machine, access_map)
     scan = (
-        run_dynamic_scan(ctx, machine, access_map, max_states,
-                         compiled=compiled)
+        run_dynamic_scan(ctx, machine, access_map, max_states)
         if dynamic else None
     )
     verdicts = classify(
@@ -150,8 +148,7 @@ def analyze_level(
         memory_model=model_name,
     )
     suggestions = (
-        suggest_ownership(ctx, machine, access_map, verdicts, max_states,
-                          compiled=compiled)
+        suggest_ownership(ctx, machine, access_map, verdicts, max_states)
         if suggest else []
     )
     return AnalysisResult(

@@ -82,7 +82,6 @@ def validate_predicate(
     varname: str,
     predicate_text: str,
     max_states: int = 200_000,
-    compiled: bool = True,
 ) -> tuple[bool, str]:
     """Replay the tso_elim ownership obligations over the bounded state
     space.  Returns (ok, note); a hit state budget fails validation."""
@@ -127,9 +126,7 @@ def validate_predicate(
             return False
         return True
 
-    complete = Explorer(
-        machine, max_states, compiled=compiled
-    ).walk(visit)
+    complete = Explorer(machine, max_states).walk(visit)
     if failure:
         return False, failure[0]
     if not complete:
@@ -146,7 +143,6 @@ def suggest_ownership(
     access_map: AccessMap,
     verdicts: dict[str, LocationVerdict],
     max_states: int = 200_000,
-    compiled: bool = True,
 ) -> list[OwnershipSuggestion]:
     """Candidate tso_elim predicates for every eliminable location."""
     suggestions: list[OwnershipSuggestion] = []
@@ -156,7 +152,6 @@ def suggest_ownership(
                 text = f"{mutex} == $me"
                 ok, note = validate_predicate(
                     ctx, machine, access_map, name, text, max_states,
-                    compiled=compiled,
                 )
                 suggestions.append(OwnershipSuggestion(
                     location=name,

@@ -164,7 +164,6 @@ def run_dynamic_scan(
     machine: StateMachine,
     access_map: AccessMap,
     max_states: int = 200_000,
-    compiled: bool = True,
 ) -> DynamicScan:
     """Walk the bounded state space hunting for simultaneously enabled
     conflicting accesses.  Store-buffer drain transitions count as
@@ -244,9 +243,7 @@ def run_dynamic_scan(
                             )
         return True
 
-    scan.complete = Explorer(
-        machine, max_states, compiled=compiled
-    ).walk(visit)
+    scan.complete = Explorer(machine, max_states).walk(visit)
     return scan
 
 

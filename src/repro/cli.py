@@ -172,7 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         engine = ProofEngine(
             checked, max_states=args.max_states,
             validate_refinement=args.validate, farm=farm,
-            memory_model=args.memory_model, compiled=args.compiled,
+            memory_model=args.memory_model,
         )
     except BaseException:
         OBS.disable()
@@ -318,9 +318,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         src: _invariant_predicate(ctx, machine, src)
         for src in (args.invariant or [])
     }
-    result = Explorer(
-        machine, max_states=args.max_states, compiled=args.compiled,
-    ).explore(invariants or None)
+    result = Explorer(machine, max_states=args.max_states).explore(
+        invariants or None
+    )
 
     outcomes = sorted(
         result.final_outcomes, key=lambda o: (o[0], tuple(map(str, o[1])))
@@ -384,7 +384,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         max_states=args.max_states,
         dynamic=not args.no_dynamic,
         memory_model=args.memory_model,
-        compiled=args.compiled,
     )
     report = result.report()
     print(report.to_json() if args.json else report.render_text())
@@ -782,13 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
              "time, slowest obligations)",
     )
     p.add_argument(
-        "--compiled", action=argparse.BooleanOptionalAction, default=True,
-        help="compiled step specialization for state sweeps (default: "
-             "on; bit-identical to the interpreter — states, UB "
-             "reasons and verdicts are unchanged; machines the "
-             "specializer does not cover fall back automatically)",
-    )
-    p.add_argument(
         "--trace", default=None, metavar="FILE",
         help="record a JSONL span/metric trace of the run "
              "(inspect with 'armada stats FILE')",
@@ -818,13 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=_positive_int, default=200_000)
     _add_memory_model_flag(p)
     p.add_argument(
-        "--compiled", action=argparse.BooleanOptionalAction, default=True,
-        help="compiled step specialization for state sweeps (default: "
-             "on; bit-identical to the interpreter — states, UB "
-             "reasons and verdicts are unchanged; machines the "
-             "specializer does not cover fall back automatically)",
-    )
-    p.add_argument(
         "--invariant", action="append", default=None, metavar="EXPR",
         help="boolean expression checked at every reachable state "
              "(repeatable); violations print a replayable trace",
@@ -851,13 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-dynamic", action="store_true",
         help="skip the bounded dynamic cross-check (static only)",
-    )
-    p.add_argument(
-        "--compiled", action=argparse.BooleanOptionalAction, default=True,
-        help="compiled step specialization for state sweeps (default: "
-             "on; bit-identical to the interpreter — states, UB "
-             "reasons and verdicts are unchanged; machines the "
-             "specializer does not cover fall back automatically)",
     )
     p.add_argument(
         "--fail-on-race", action="store_true",

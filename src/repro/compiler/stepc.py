@@ -24,15 +24,17 @@ the model's hooks) and in how shared writes commit (TSO buffers, SC
 writes memory, RA release-writes through ``write_leaves``).
 
 **Fallback rules.**  The specializer is conservative: any step it cannot
-prove it compiles faithfully (pointer dereferences, ``somehow``/extern
+prove it compiles faithfully (pointer dereferences, calls into and
+returns from methods with address-taken locals, ``somehow``/extern
 specs with state-dependent witness candidates, struct writes, ``old()``,
 quantifiers, ...) is emitted as a call into the interpreted enumeration
 for that single step (:func:`_interp_step`), preserving order and
-semantics exactly.  A whole machine falls back (``stepper_for`` returns
-``None``) only when codegen fails.  Compiled and interpreted
-exploration are differentially tested for bit-identical state sets, UB
-reasons and verdicts across all three memory models
-(``tests/test_stepc.py``, the fuzz suite).
+semantics exactly.  A whole machine falls back to
+:func:`interpreted_successors` (``stepper_for`` returns ``None``) only
+when codegen fails.  Compiled and interpreted exploration are
+differentially tested for bit-identical state sets, UB reasons and
+verdicts across all three memory models (``tests/test_stepc.py``, the
+fuzz suite), with :func:`interpreted_successors` as the oracle.
 
 **Cache key.**  The on-disk cache holds one ``{key}.marshal`` file per
 machine: the marshalled ``(source, code)`` pair, so a warm process
@@ -64,7 +66,7 @@ from repro.hashing import code_version, structural_hash
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.machine.pmap import PMap
-from repro.machine.program import StateMachine, Transition
+from repro.machine.program import DomainConfig, StateMachine, Transition
 from repro.machine.state import (
     Frame,
     ProgramState,
@@ -1114,13 +1116,27 @@ class _Gen:
         compute,
         check_none: bool,
     ) -> None:
-        """Emit the successor-cache scaffolding around *compute* (which
-        emits code assigning the entry ``_e`` for the bindings in
-        scope).  Without parameter rows the cache maps key → entry;
-        with rows it maps key → tuple of per-row entries, computed in
-        one pass on miss and applied in order on every visit."""
-        cache = mk_cache()
+        """Emit *compute* (which emits code assigning the entry ``_e``
+        for the bindings in scope) and the application of its entries.
+
+        When *ec* read state only through the thread and its hoisted
+        reads, the entries are a pure function of those and are cached:
+        without parameter rows the cache maps key → entry; with rows it
+        maps key → tuple of per-row entries, computed in one pass on
+        miss and applied in order on every visit.  A ghost or
+        memory-resident local read (``ec.state_dep``) makes every visit
+        compute its entries afresh."""
         self._emit_hoisted(w, ec)
+        if ec.state_dep:
+            if rows is not None:
+                w.emit(f"for _pt, _pd in {rows}:")
+                w.push()
+            compute(w)
+            self._emit_apply_entry(w, step, check_none=check_none)
+            if rows is not None:
+                w.pop()
+            return
+        cache = mk_cache()
         key = self._cache_key_src(ec)
         if rows is None:
             w.emit(f"_e = {cache}.get({key}, _MS)")
@@ -1229,25 +1245,29 @@ class _Gen:
                 f"{val}),), {buffered})"
             )
         elif kind == "memlocal":
-            name = spec[1]
-            w.emit(
-                f"_r = Root('local', {name!r}, thread.frames[0].serial)"
-            )
-            w.emit("_rst = _ns.allocation.get(_r)")
-            w.emit("if _rst == 'freed':")
-            w.push()
-            w.emit('raise UBSignal(f"write to freed object {_r}")')
-            w.pop()
-            w.emit("if _rst is None:")
-            w.push()
-            w.emit('raise UBSignal(f"write to invalid object {_r}")')
-            w.pop()
+            self._emit_memlocal_check(w, spec[1], "_r", "_ns")
             w.emit(
                 f"_ns = mm.write_leaves(_ns, tid, ((Location(_r), "
                 f"{val}),), {buffered})"
             )
         else:  # pragma: no cover - spec kinds are closed
             raise _Unsupported(kind)
+
+    def _emit_memlocal_check(self, w: _Writer, name: str, root: str,
+                             state_src: str) -> None:
+        """Emit the write check of memory-resident local *name*: bind
+        *root* to its object and raise the interpreter's UB when
+        *state_src*'s allocation has it freed or unallocated."""
+        w.emit(f"{root} = Root('local', {name!r}, thread.frames[0].serial)")
+        w.emit(f"_rst = {state_src}.allocation.get({root})")
+        w.emit("if _rst == 'freed':")
+        w.push()
+        w.emit(f'raise UBSignal(f"write to freed object {{{root}}}")')
+        w.pop()
+        w.emit("if _rst is None:")
+        w.push()
+        w.emit(f'raise UBSignal(f"write to invalid object {{{root}}}")')
+        w.pop()
 
     # -- step emitters ---------------------------------------------------
 
@@ -1322,25 +1342,7 @@ class _Gen:
                 elif kind == "gelem":
                     shared_writes.append((f"{spec[1]}[{idx}]", val))
                 elif kind == "memlocal":
-                    w.emit(
-                        f"_r{j} = Root('local', {spec[1]!r}, "
-                        f"thread.frames[0].serial)"
-                    )
-                    w.emit(f"_rst = state.allocation.get(_r{j})")
-                    w.emit("if _rst == 'freed':")
-                    w.push()
-                    w.emit(
-                        f'raise UBSignal(f"write to freed object '
-                        f'{{_r{j}}}")'
-                    )
-                    w.pop()
-                    w.emit("if _rst is None:")
-                    w.push()
-                    w.emit(
-                        f'raise UBSignal(f"write to invalid object '
-                        f'{{_r{j}}}")'
-                    )
-                    w.pop()
+                    self._emit_memlocal_check(w, spec[1], f"_r{j}", "state")
                     shared_writes.append((f"Location(_r{j})", val))
                 else:  # pragma: no cover - spec kinds are closed
                     raise _Unsupported(kind)
@@ -1351,11 +1353,8 @@ class _Gen:
                 cw.emit("try:")
                 cw.push()
                 local_writes, sb_writes, _ghosts = emit_checks(cw)
-                self._emit_thread_build(cw, step, local_writes, sb_writes)
-                cw.emit(
-                    f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-                    f"hash((tid, _nt)))"
-                )
+                self._emit_advance_entry(cw, step, step_ref, pt_src,
+                                         local_writes, sb_writes)
                 cw.pop()
                 cw.emit("except UBSignal as _u:")
                 cw.push()
@@ -1398,57 +1397,38 @@ class _Gen:
         if rows is not None:
             w.pop()
 
+    def _compile_guard(self, mk_ec, expr: ast.Expr):
+        """Compile a family step's guard: with hoisted global reads (the
+        successor-cache key) when those and the thread are all it
+        reads, and without hoisting when it also reads a ghost or a
+        memory-resident local, whose family is applied uncached."""
+        ec = mk_ec(True)
+        cond = ec.compile(expr)
+        if ec.state_dep:
+            ec = mk_ec(False)
+            cond = ec.compile(expr)
+        return ec, cond
+
+    def _emit_advance_entry(self, cw: _Writer, step: Step, step_ref,
+                            pt_src, local_writes=(), sb_writes=()) -> None:
+        """Emit the entry ``_e`` of an enabled step that stays in its
+        thread: the transition, the stepped thread and its hash."""
+        self._emit_thread_build(cw, step, local_writes, sb_writes)
+        cw.emit(
+            f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
+            f"hash((tid, _nt)))"
+        )
+
     def _emit_branch(self, w, step: BranchStep, mk_ec, step_ref, pt_src,
                      mk_cache, rows=None):
         if step.cond is None:
             def compute(cw):
-                self._emit_thread_build(cw, step)
-                cw.emit(
-                    f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-                    f"hash((tid, _nt)))"
-                )
+                self._emit_advance_entry(cw, step, step_ref, pt_src)
 
             self._emit_family(w, step, mk_ec(True), mk_cache, rows,
                               compute, check_none=False)
             return
-        ec = mk_ec(True)
-        cond = ec.compile(step.cond)
-        if ec.state_dep:
-            ec = mk_ec(False)
-            cond = ec.compile(step.cond)
-            if rows is not None:
-                w.emit(f"for _pt, _pd in {rows}:")
-                w.push()
-            w.emit("try:")
-            w.push()
-            self._emit_hoisted(w, ec)
-            w.emit(f"_en = bool({cond}) == {step.when}")
-            w.emit("_ub = None")
-            w.pop()
-            w.emit("except UBSignal as _u:")
-            w.push()
-            # A UB guard fires only via the when=True twin (BranchStep).
-            w.emit(f"_en = {step.when}")
-            w.emit("_ub = _u.reason")
-            w.pop()
-            w.emit("if _en:")
-            w.push()
-            w.emit("if _ub is not None:")
-            w.push()
-            w.emit("_ns = _term(state, TERM_UB, _ub)")
-            w.pop()
-            w.emit("else:")
-            w.push()
-            self._emit_build(w, step)
-            w.pop()
-            w.emit(
-                f"_ap((Transition(tid, {step_ref}, {pt_src}), "
-                f"_ns))"
-            )
-            w.pop()
-            if rows is not None:
-                w.pop()
-            return
+        ec, cond = self._compile_guard(mk_ec, step.cond)
 
         def compute(cw):
             cw.emit("try:")
@@ -1475,11 +1455,7 @@ class _Gen:
             cw.pop()
             cw.emit("else:")
             cw.push()
-            self._emit_thread_build(cw, step)
-            cw.emit(
-                f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-                f"hash((tid, _nt)))"
-            )
+            self._emit_advance_entry(cw, step, step_ref, pt_src)
             cw.pop()
 
         self._emit_family(w, step, ec, mk_cache, rows, compute,
@@ -1487,34 +1463,7 @@ class _Gen:
 
     def _emit_assume(self, w, step: AssumeStep, mk_ec, step_ref, pt_src,
                      mk_cache, rows=None):
-        ec = mk_ec(True)
-        cond = ec.compile(step.cond)
-        if ec.state_dep:
-            ec = mk_ec(False)
-            cond = ec.compile(step.cond)
-            if rows is not None:
-                w.emit(f"for _pt, _pd in {rows}:")
-                w.push()
-            w.emit("try:")
-            w.push()
-            self._emit_hoisted(w, ec)
-            w.emit(f"_en = bool({cond})")
-            w.pop()
-            w.emit("except UBSignal:")
-            w.push()
-            w.emit("_en = False")
-            w.pop()
-            w.emit("if _en:")
-            w.push()
-            self._emit_build(w, step)
-            w.emit(
-                f"_ap((Transition(tid, {step_ref}, {pt_src}), "
-                f"_ns))"
-            )
-            w.pop()
-            if rows is not None:
-                w.pop()
-            return
+        ec, cond = self._compile_guard(mk_ec, step.cond)
 
         def compute(cw):
             cw.emit("try:")
@@ -1527,11 +1476,7 @@ class _Gen:
             cw.pop()
             cw.emit("if _en:")
             cw.push()
-            self._emit_thread_build(cw, step)
-            cw.emit(
-                f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-                f"hash((tid, _nt)))"
-            )
+            self._emit_advance_entry(cw, step, step_ref, pt_src)
             cw.pop()
             cw.emit("else:")
             cw.push()
@@ -1543,38 +1488,8 @@ class _Gen:
 
     def _emit_assert(self, w, step: AssertStep, mk_ec, step_ref, pt_src,
                      mk_cache, rows=None):
-        ec = mk_ec(True)
-        cond = ec.compile(step.cond)
+        ec, cond = self._compile_guard(mk_ec, step.cond)
         reason = f"at {step.pc}"
-        if ec.state_dep:
-            ec = mk_ec(False)
-            cond = ec.compile(step.cond)
-            if rows is not None:
-                w.emit(f"for _pt, _pd in {rows}:")
-                w.push()
-            w.emit("try:")
-            w.push()
-            self._emit_hoisted(w, ec)
-            w.emit(f"if not ({cond}):")
-            w.push()
-            w.emit(f"_ns = _term(state, 'assert_failure', {reason!r})")
-            w.pop()
-            w.emit("else:")
-            w.push()
-            self._emit_build(w, step)
-            w.pop()
-            w.pop()
-            w.emit("except UBSignal as _u:")
-            w.push()
-            w.emit("_ns = _term(state, TERM_UB, _u.reason)")
-            w.pop()
-            w.emit(
-                f"_ap((Transition(tid, {step_ref}, {pt_src}), "
-                f"_ns))"
-            )
-            if rows is not None:
-                w.pop()
-            return
 
         def compute(cw):
             cw.emit("try:")
@@ -1588,11 +1503,7 @@ class _Gen:
             cw.pop()
             cw.emit("else:")
             cw.push()
-            self._emit_thread_build(cw, step)
-            cw.emit(
-                f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-                f"hash((tid, _nt)))"
-            )
+            self._emit_advance_entry(cw, step, step_ref, pt_src)
             cw.pop()
             cw.pop()
             cw.emit("except UBSignal as _u:")
@@ -1621,30 +1532,11 @@ class _Gen:
         # a callee without address-taken locals touches neither memory
         # nor allocation.  next_serial is a multiset counter (one bump
         # per call on any thread), so interleavings of the same call
-        # history share cache keys.
-        cacheable = (
-            not ec.state_dep and self._no_address_taken(step.method)
-        )
-        if not cacheable:
-            ec = mk_ec(False)
-            args = ", ".join(ec.compile(a) for a in step.args)
-            w.emit("try:")
-            w.push()
-            w.emit(
-                f"_ns = machine.push_frame(state, tid, {step.method!r}, "
-                f"[{args}], {step.target!r}, {step.result_local!r}, "
-                f"{pd_src})"
-            )
-            w.pop()
-            w.emit("except UBSignal as _u:")
-            w.push()
-            w.emit("_ns = _term(state, TERM_UB, _u.reason)")
-            w.pop()
-            w.emit(
-                f"_ap((Transition(tid, {step_ref}, {pt_src}), "
-                f"_ns))"
-            )
-            return
+        # history share cache keys.  Any other call (a ghost or memory
+        # read among the arguments, a callee with address-taken locals)
+        # falls back to the interpreter for this step.
+        if ec.state_dep or not self._no_address_taken(step.method):
+            raise _Unsupported("state-dependent call")
         entry = self.machine.method_entry[step.method]
         cache = mk_cache()
         self._emit_hoisted(w, ec)
@@ -1712,29 +1604,10 @@ class _Gen:
         # (no roots to free): pop the frame, write the return value
         # into the caller, advance to the runtime return_pc.  The
         # atomic-owner and main-exit-termination decisions ride in the
-        # entry because they depend on the popped frame.
-        cacheable = (
-            not ec.state_dep and self._no_address_taken(ec.method)
-        )
-        if not cacheable:
-            ec = mk_ec(False)
-            value = (
-                ec.compile(step.value)
-                if step.value is not None else "None"
-            )
-            w.emit("try:")
-            w.push()
-            w.emit(f"_ns = machine.pop_frame(state, tid, {value})")
-            w.pop()
-            w.emit("except UBSignal as _u:")
-            w.push()
-            w.emit("_ns = _term(state, TERM_UB, _u.reason)")
-            w.pop()
-            w.emit(
-                f"_ap((Transition(tid, {step_ref}, {pt_src}), "
-                f"_ns))"
-            )
-            return
+        # entry because they depend on the popped frame.  Any other
+        # return falls back to the interpreter for this step.
+        if ec.state_dep or not self._no_address_taken(ec.method):
+            raise _Unsupported("state-dependent return")
         cache = mk_cache()
         self._emit_hoisted(w, ec)
         key = self._cache_key_src(ec)
@@ -2216,13 +2089,6 @@ class CompiledStepper:
         self.compiled_steps = compiled_steps
         self.fallback_steps = fallback_steps
 
-    def enabled_and_next(
-        self, state: ProgramState
-    ) -> list[tuple[Transition, ProgramState]]:
-        return self.fn(state)
-
-    __call__ = enabled_and_next
-
 
 def compile_stepper(machine: StateMachine) -> CompiledStepper:
     """Generate and compile (or load from the bytecode cache), then bind
@@ -2265,16 +2131,13 @@ def _bind(code: CodeType, machine: StateMachine):
     return namespace["build"](machine)
 
 
-def _domains_token(domains) -> tuple:
-    try:
-        return (
-            tuple(domains.bool_values),
-            tuple(domains.int_values),
-            tuple(domains.newframe_int_values),
-            tuple(domains.overrides.items()),
-        )
-    except Exception:
-        return (object(),)  # unknown shape: never matches, always rebuild
+def _domains_token(domains: DomainConfig) -> tuple:
+    return (
+        tuple(domains.bool_values),
+        tuple(domains.int_values),
+        tuple(domains.newframe_int_values),
+        tuple(domains.overrides.items()),
+    )
 
 
 def stepper_for(machine: StateMachine) -> CompiledStepper | None:
@@ -2285,7 +2148,7 @@ def stepper_for(machine: StateMachine) -> CompiledStepper | None:
     engine replaces ``machine.domains`` after translation, and the
     parameter tuples bound into the compiled function depend on them.
     """
-    token = _domains_token(getattr(machine, "domains", None))
+    token = _domains_token(machine.domains)
     cached = machine.__dict__.get("_stepc_cache")
     if cached is not None and cached[0] == token:
         return cached[1]
@@ -2299,23 +2162,27 @@ def stepper_for(machine: StateMachine) -> CompiledStepper | None:
     return stepper
 
 
-def successors_for(machine: StateMachine, compiled: bool = True):
+def interpreted_successors(
+    machine: StateMachine, state: ProgramState
+) -> list[tuple[Transition, ProgramState]]:
+    """The interpreter's ``[(Transition, successor), ...]`` for *state*:
+    ``enabled_transitions`` then ``next_state``.  The reference relation
+    every compiled stepper reproduces, and the whole-machine fallback
+    of :func:`successors_for`."""
+    return [
+        (transition, machine.next_state(state, transition))
+        for transition in machine.enabled_transitions(state)
+    ]
+
+
+def successors_for(machine: StateMachine):
     """The successor function of *machine*: ``state ->
     [(Transition, successor), ...]`` in the interpreter's order.
 
     The one stepping entry point for every state-space search: the
-    compiled stepper's ``fn`` when *compiled* is on and
-    :func:`stepper_for` covers the machine, otherwise the interpreted
-    ``enabled_transitions`` + ``next_state`` enumeration (bit-identical
-    lists either way)."""
-    stepper = stepper_for(machine) if compiled else None
+    compiled stepper's ``fn``, or :func:`interpreted_successors` when
+    codegen fails for the machine (bit-identical lists either way)."""
+    stepper = stepper_for(machine)
     if stepper is not None:
         return stepper.fn
-
-    def interpreted(state: ProgramState) -> list:
-        return [
-            (transition, machine.next_state(state, transition))
-            for transition in machine.enabled_transitions(state)
-        ]
-
-    return interpreted
+    return lambda state: interpreted_successors(machine, state)

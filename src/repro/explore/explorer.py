@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.compiler.stepc import stepper_for, successors_for
+from repro.compiler.stepc import successors_for
 from repro.errors import StateBudgetExceeded
 from repro.machine.program import StateMachine, Transition
 from repro.machine.state import ProgramState, TERM_UB
@@ -134,23 +134,15 @@ class _Sweep(Record):
 
 
 class Explorer:
-    """Breadth-first enumeration of the reachable state space.
-
-    ``compiled`` selects the compiled stepper
-    (:func:`repro.compiler.stepc.stepper_for`); the interpreter steps
-    the machine when it is off or when codegen fails.
-    """
+    """Breadth-first enumeration of the reachable state space, stepping
+    through :func:`repro.compiler.stepc.successors_for`."""
 
     def __init__(
-        self,
-        machine: StateMachine,
-        max_states: int = 2_000_000,
-        compiled: bool = True,
+        self, machine: StateMachine, max_states: int = 2_000_000
     ) -> None:
         self.machine = machine
         self.max_states = max_states
-        self.stepper = stepper_for(machine) if compiled else None
-        self.successors = successors_for(machine, compiled)
+        self.successors = successors_for(machine)
 
     # ------------------------------------------------------------------
 
@@ -263,7 +255,6 @@ class Explorer:
         traces, reconstructed from per-state parent pointers."""
         memmodel = getattr(self.machine, "memmodel", None)
         with OBS.span("explore", "phase", level=self.machine.level_name,
-                      compiled=self.stepper is not None,
                       memory_model=memmodel.name if memmodel else "tso"):
             result = ExplorationResult()
             sweep = _Sweep()

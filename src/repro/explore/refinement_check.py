@@ -163,22 +163,21 @@ def check_refinement(
     relation: RefinementRelation | None = None,
     max_stutter: int = 8,
     max_product_states: int = 1_000_000,
-    compiled: bool = True,
 ) -> RefinementResult:
     """Check that *low* refines *high* under *relation* (default: the
     log-prefix relation), with the UB conjunct added automatically.
 
-    Both machines step through :func:`successors_for` (the compiled
-    stepper unless *compiled* is off).  Each high-level state is
-    expanded at most once per call, and each product state's stutter
-    closure is computed once, whatever its number of low-level
-    transitions.  A missing match is a refutation only if no stutter
-    closure on its path was cut by *max_stutter*; otherwise, like a
-    product-budget cut, the result is inconclusive."""
+    Both machines step through :func:`successors_for`.  Each
+    high-level state is expanded at most once per call, and each
+    product state's stutter closure is computed once, whatever its
+    number of low-level transitions.  A missing match is a refutation
+    only if no stutter closure on its path was cut by *max_stutter*;
+    otherwise, like a product-budget cut, the result is
+    inconclusive."""
     base = relation if relation is not None else log_prefix_relation
     R = with_ub_conjunct(base)
-    low_step = successors_for(low, compiled)
-    high_step = _memoized(successors_for(high, compiled))
+    low_step = successors_for(low)
+    high_step = _memoized(successors_for(high))
 
     low_init = low.initial_state()
     high_init = high.initial_state()

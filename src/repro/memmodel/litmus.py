@@ -179,7 +179,6 @@ TESTS: dict[str, LitmusTest] = {t.name: t for t in CORPUS}
 
 def run_litmus(
     test: LitmusTest | str, model: str, max_states: int | None = None,
-    compiled: bool = True,
 ) -> set[tuple]:
     """Explore *test* under *model* and return its normal-termination
     print logs."""
@@ -193,7 +192,6 @@ def run_litmus(
     machine = translate_level(ctx, memory_model=model)
     result = Explorer(
         machine, max_states=max_states or test.max_states,
-        compiled=compiled,
     ).explore()
     if result.hit_state_budget:
         raise RuntimeError(

@@ -156,7 +156,6 @@ class ProofEngine:
         farm: VerificationFarm | None = None,
         outcome_cache: "object | None" = None,
         memory_model: str | None = None,
-        compiled: bool = True,
     ) -> None:
         """``validate_refinement``: ``"always"`` runs the whole-program
         bounded simulation check for every pair, ``"auto"`` only when a
@@ -191,10 +190,6 @@ class ProofEngine:
         self.domains = domains
         self.validate_refinement = validate_refinement
         self.farm = farm or VerificationFarm()
-        # Compiled step specialization for every state sweep (bounded
-        # obligations).  Bit-identical to the interpreter, so
-        # deliberately NOT part of any cache fingerprint.
-        self.compiled = compiled
         self.outcome_cache = outcome_cache
         self._level_fingerprints: dict[str, str] = {}
         self._machines: dict[str, StateMachine] = {}
@@ -249,7 +244,6 @@ class ProofEngine:
                 high_machine=self.machine(proof.high_level),
                 prover=self.prover,
                 max_states=self.max_states,
-                compiled=self.compiled,
             )
             prep.request = request
             with OBS.span(proof.strategy.name, "strategy",
@@ -416,7 +410,6 @@ class ProofEngine:
         low_ctx = self.checked.contexts[proof.low_level]
         high_ctx = self.checked.contexts[proof.high_level]
         max_states = self.max_states
-        compiled = self.compiled
 
         def thunk():
             from repro.explore.refinement_check import check_refinement
@@ -429,7 +422,6 @@ class ProofEngine:
                     high_machine,
                     relation=relation,
                     max_product_states=max_states,
-                    compiled=compiled,
                 )
             except ArmadaError as error:
                 return error

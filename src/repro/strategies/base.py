@@ -44,10 +44,6 @@ class ProofRequest(Record):
     high_machine: StateMachine
     prover: Prover = Fresh(Prover)
     max_states: int = 200_000
-    #: Use the compiled step specialization (repro.compiler.stepc) for
-    #: state sweeps.  Bit-identical to the interpreter; off only for
-    #: debugging or timing comparisons.
-    compiled: bool = True
     _reachable_cache: dict = Fresh(dict)
 
     # ------------------------------------------------------------------
@@ -65,9 +61,7 @@ class ProofRequest(Record):
             from repro.explore.explorer import Explorer
 
             states = list(
-                Explorer(
-                    machine, self.max_states, compiled=self.compiled,
-                ).reachable_states()
+                Explorer(machine, self.max_states).reachable_states()
             )
             self._reachable_cache[key] = states
         return self._reachable_cache[key]
@@ -83,7 +77,7 @@ class ProofRequest(Record):
         self, machine: StateMachine
     ) -> Iterable[tuple[ProgramState, Transition, ProgramState]]:
         """All (state, transition, next state) triples of *machine*."""
-        successors = successors_for(machine, self.compiled)
+        successors = successors_for(machine)
         for state in self.reachable_states(machine):
             for transition, nxt in successors(state):
                 yield state, transition, nxt

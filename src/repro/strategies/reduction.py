@@ -301,7 +301,6 @@ def _memoized_classification(
             try:
                 table = Explorer(
                     request.low_machine, request.max_states,
-                    compiled=request.compiled,
                 ).successor_table()
                 memo.append(classify_movers(table, region_steps))
             except StateBudgetExceeded as cut:

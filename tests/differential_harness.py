@@ -9,10 +9,15 @@ module: the case-study and litmus corpus, the trace-replay check,
 the check that the explorer's three entry points admit the same
 states, and a memo of checked programs and machines so each (program,
 model) machine is translated once per module, not once per
-comparison.
+comparison.  It also holds :func:`interpreted_stepping`, the oracle
+side of every compiled-versus-interpreted comparison that runs a whole
+sweep (an explore, a refinement check, a proof engine).
 """
 
+from contextlib import contextmanager
+
 from repro.casestudies import ALL, load
+from repro.compiler import stepc
 from repro.errors import StateBudgetExceeded
 from repro.explore import Explorer
 from repro.lang.frontend import check_level, check_program
@@ -102,6 +107,20 @@ def sweep_rows():
         (row_id, ("case", study, level))
         for row_id, study, level in case_rows()
     ] + [(name, ("litmus", name)) for name in sorted(LITMUS)]
+
+
+@contextmanager
+def interpreted_stepping():
+    """Every sweep opened inside the block steps through the
+    interpreter: ``successors_for`` takes its whole-machine fallback,
+    as when codegen fails.  The compiled steppers already memoized on
+    a machine are kept for the sweeps after the block."""
+    compiled = stepc.stepper_for
+    stepc.stepper_for = lambda machine: None
+    try:
+        yield
+    finally:
+        stepc.stepper_for = compiled
 
 
 def replay(machine, trace):

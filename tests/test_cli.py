@@ -235,7 +235,12 @@ class TestVerifyFarmFlags:
         ["verify", "{file}", "--journal", "run.jsonl"],
         ["verify", "{file}", "--analyze"],
         ["submit", "{file}", "--analyze"],
-    ], ids=["verify-journal", "verify-analyze", "submit-analyze"])
+        ["explore", "{file}", "--no-compiled"],
+        ["verify", "{file}", "--compiled"],
+        ["analyze", "{file}", "--no-compiled"],
+    ], ids=["verify-journal", "verify-analyze", "submit-analyze",
+            "explore-no-compiled", "verify-compiled",
+            "analyze-no-compiled"])
     def test_removed_options_exit_2(self, argv, program_file, capsys):
         argv = [arg.format(file=program_file) for arg in argv]
         assert main(argv) == 2

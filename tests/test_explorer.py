@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler.stepc import interpreted_successors
 from repro.errors import StateBudgetExceeded
 from repro.explore.explorer import Explorer, final_logs
 from repro.lang.frontend import check_level
@@ -117,10 +118,9 @@ class TestExploration:
         )
         table = Explorer(machine).successor_table()
         assert list(table) == list(Explorer(machine).reachable_states())
-        interpreted = Explorer(machine, compiled=False).successors
         keys = {id(state) for state in table}
         for state, pairs in table.items():
-            assert pairs == interpreted(state)
+            assert pairs == interpreted_successors(machine, state)
             # Interned: every successor is the table's own key object.
             assert all(id(nxt) in keys for _, nxt in pairs)
 

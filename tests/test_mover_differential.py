@@ -25,6 +25,7 @@ from repro.strategies.reduction import (
 )
 
 from tests import test_strategies
+from tests.differential_harness import interpreted_stepping
 
 MODELS = ("sc", "tso", "ra")
 
@@ -81,7 +82,8 @@ def _region(source: str, proof_name: str, model: str):
 def _oracle(machine, region_steps) -> MoverClassification:
     """Interpreted classification: the same scan order, every check
     stepped through ``machine.next_state``."""
-    states = list(Explorer(machine, compiled=False).reachable_states())
+    with interpreted_stepping():
+        states = list(Explorer(machine).reachable_states())
     enabled = {
         state: machine.enabled_transitions(state) for state in states
     }

@@ -19,6 +19,8 @@ from repro.machine.translator import translate_level
 from repro.proofs.engine import ProofEngine
 from repro.proofs.refinement import relation_from_recipe
 
+from tests.differential_harness import interpreted_stepping
+
 
 def machines(source: str, low: str, high: str):
     checked = check_program(source)
@@ -26,6 +28,15 @@ def machines(source: str, low: str, high: str):
         translate_level(checked.contexts[low]),
         translate_level(checked.contexts[high]),
     )
+
+
+def check_both_ways(low, high, **options):
+    """``check_refinement`` stepping through the compiled steppers,
+    then through the interpreter (the whole-machine fallback forced)."""
+    compiled = check_refinement(low, high, **options)
+    with interpreted_stepping():
+        interpreted = check_refinement(low, high, **options)
+    return compiled, interpreted
 
 
 def _state(log=(), termination=None):
@@ -189,20 +200,16 @@ class TestStutterBound:
     def test_eight_high_steps_per_low_step_hold(self):
         # Seven silent steps plus the print: exactly max_stutter = 8.
         low, high = _silent_then_print(7)
-        for compiled in (True, False):
-            result = check_refinement(
-                low, high, relation=_pinned_to_start(high),
-                compiled=compiled,
-            )
+        for result in check_both_ways(
+            low, high, relation=_pinned_to_start(high)
+        ):
             assert result.holds and not result.inconclusive
 
     def test_nine_high_steps_per_low_step_are_inconclusive(self):
         low, high = _silent_then_print(8)
-        for compiled in (True, False):
-            result = check_refinement(
-                low, high, relation=_pinned_to_start(high),
-                compiled=compiled,
-            )
+        for result in check_both_ways(
+            low, high, relation=_pinned_to_start(high)
+        ):
             assert not result.holds
             assert result.hit_stutter_bound and result.inconclusive
             assert not result.hit_budget
@@ -366,10 +373,7 @@ class TestCompiledDifferential:
         self, study, proof_name
     ):
         low, high, options = _engine_pair(study, proof_name)
-        compiled = check_refinement(low, high, compiled=True, **options)
-        interpreted = check_refinement(
-            low, high, compiled=False, **options
-        )
+        compiled, interpreted = check_both_ways(low, high, **options)
         assert _signature(compiled) == _signature(interpreted)
         assert compiled.holds
         assert compiled.product_states == \
@@ -384,10 +388,7 @@ class TestCompiledDifferential:
         low, high, options = _engine_pair(study, proof_name, "ra")
         assert stepper_for(low) is not None
         assert stepper_for(high) is not None
-        compiled = check_refinement(low, high, compiled=True, **options)
-        interpreted = check_refinement(
-            low, high, compiled=False, **options
-        )
+        compiled, interpreted = check_both_ways(low, high, **options)
         assert _signature(compiled) == _signature(interpreted)
         assert compiled.holds
         assert compiled.product_states == \
@@ -403,8 +404,7 @@ class TestCompiledDifferential:
 
         low = ra_machine(LITMUS["SB"])
         high = ra_machine("void main() { " + _print_regs("1", "1") + " }")
-        compiled = check_refinement(low, high, compiled=True)
-        interpreted = check_refinement(low, high, compiled=False)
+        compiled, interpreted = check_both_ways(low, high)
         assert _signature(compiled) == _signature(interpreted)
         assert not compiled.holds and not compiled.inconclusive
         assert compiled.counterexample.trace
@@ -412,8 +412,7 @@ class TestCompiledDifferential:
     @pytest.mark.parametrize("name", sorted(REFUTING_PAIRS))
     def test_refuting_pairs_match(self, name):
         low, high = REFUTING_PAIRS[name]()
-        compiled = check_refinement(low, high, compiled=True)
-        interpreted = check_refinement(low, high, compiled=False)
+        compiled, interpreted = check_both_ways(low, high)
         assert _signature(compiled) == _signature(interpreted)
         assert not compiled.holds and not compiled.inconclusive
         assert compiled.counterexample.trace
@@ -426,11 +425,6 @@ class TestCompiledDifferential:
             "while i < 40 { i := i + 1; } } }",
             "A", "B",
         )
-        results = [
-            check_refinement(
-                low, high, max_product_states=5, compiled=compiled
-            )
-            for compiled in (True, False)
-        ]
+        results = check_both_ways(low, high, max_product_states=5)
         assert _signature(results[0]) == _signature(results[1])
         assert results[0].hit_budget and results[0].inconclusive

@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.casestudies import load
+from repro.compiler.stepc import stepper_for
 from repro.explore.explorer import Explorer
 from repro.lang.frontend import check_program
 from repro.machine.pmap import PMap
 from repro.machine.translator import translate_level
 from repro.machine.values import Location, Root
+
+from tests.differential_harness import interpreted_stepping
 
 RUNNING_EXAMPLE = (
     Path(__file__).resolve().parents[1] / "examples" / "running_example.arm"
@@ -166,9 +169,10 @@ class TestInternedThreads:
     def test_equal_threads_of_admitted_states_are_one_object(
         self, source, level, model
     ):
-        explorer = Explorer(_machine(source(), level, model))
-        assert explorer.stepper is not None
-        assert explorer.stepper.fallback_steps == 0
+        machine = _machine(source(), level, model)
+        explorer = Explorer(machine)
+        assert explorer.successors is stepper_for(machine).fn
+        assert stepper_for(machine).fallback_steps == 0
         first = {}
         threads = 0
         for state in explorer.reachable_states():
@@ -184,9 +188,10 @@ class TestInternedThreads:
             state: state for state in
             Explorer(_machine(source, None, model)).reachable_states()
         }
-        interpreted = list(Explorer(
-            _machine(source, None, model), compiled=False,
-        ).reachable_states())
+        with interpreted_stepping():
+            interpreted = list(Explorer(
+                _machine(source, None, model)
+            ).reachable_states())
         assert len(interpreted) == len(compiled)
         for state in interpreted:
             twin = compiled[state]

@@ -12,18 +12,21 @@ miss and regenerates.
 """
 
 import builtins
+import contextlib
 import json
+import re
 from collections import deque
 from pathlib import Path
 
 import pytest
 
 from repro.casestudies import ALL, load
+from repro.cli import main
 from repro.compiler import stepc
 from repro.compiler.stepc import (
     compile_stepper,
+    interpreted_successors,
     stepper_for,
-    successors_for,
 )
 from repro.errors import StateBudgetExceeded
 from repro.explore.explorer import Explorer
@@ -32,7 +35,11 @@ from repro.machine.translator import translate_level
 from repro.memmodel.litmus import CORPUS, run_litmus
 from repro.obs import OBS
 
-from tests.differential_harness import Sweep, sweep_rows
+from tests.differential_harness import (
+    Sweep,
+    interpreted_stepping,
+    sweep_rows,
+)
 
 #: Budget for the case-study equivalence sweeps — deliberately small
 #: enough that truncation triggers on the big levels, so the compiled
@@ -64,8 +71,9 @@ SMALL = (
 def assert_same_exploration(interp_machine, compiled_machine,
                             max_states=2_000_000):
     """Explore both ways and require bit-identical observations."""
-    ri = Explorer(interp_machine, max_states, compiled=False).explore()
-    rc = Explorer(compiled_machine, max_states, compiled=True).explore()
+    with interpreted_stepping():
+        ri = Explorer(interp_machine, max_states).explore()
+    rc = Explorer(compiled_machine, max_states).explore()
     assert rc.final_outcomes == ri.final_outcomes
     assert sorted(rc.ub_reasons) == sorted(ri.ub_reasons)
     assert rc.states_visited == ri.states_visited
@@ -84,13 +92,12 @@ def assert_exact_over_admitted(machine, fn):
     """*fn* returns the interpreter's pairs, with successors of equal
     hash, at every state an interpreted breadth-first sweep admits
     within LEVEL_CAP."""
-    interpreted = successors_for(machine, compiled=False)
     initial = machine.initial_state()
     seen = {initial}
     frontier = deque((initial,))
     while frontier:
         state = frontier.popleft()
-        expected = interpreted(state)
+        expected = interpreted_successors(machine, state)
         pairs = fn(state)
         assert pairs == expected
         assert [hash(p[1]) for p in pairs] == \
@@ -127,8 +134,9 @@ class TestLitmusEquivalence:
     @pytest.mark.parametrize("model", ["sc", "tso", "ra"])
     @pytest.mark.parametrize("name", LITMUS)
     def test_logs_identical(self, name, model):
-        compiled = run_litmus(name, model, compiled=True)
-        interpreted = run_litmus(name, model, compiled=False)
+        compiled = run_litmus(name, model)
+        with interpreted_stepping():
+            interpreted = run_litmus(name, model)
         assert compiled == interpreted
 
 
@@ -195,9 +203,19 @@ class TestFallback:
         machine = machine_for(SMALL, "ra")
         stepper = stepper_for(machine)
         assert stepper is not None
-        assert Explorer(machine, compiled=True).stepper is stepper
+        assert Explorer(machine).successors is stepper.fn
         _ri, rc = assert_same_exploration(machine_for(SMALL, "ra"), machine)
         assert rc.final_outcomes == {("normal", (2,))}
+
+    def test_forced_fallback_interprets_and_keeps_the_stepper(self):
+        machine = machine_for(SMALL, "tso")
+        stepper = stepper_for(machine)
+        with interpreted_stepping():
+            explorer = Explorer(machine)
+        assert explorer.successors is not stepper.fn
+        state = machine.initial_state()
+        assert explorer.successors(state) == stepper.fn(state)
+        assert Explorer(machine).successors is stepper.fn
 
     def test_per_step_fallback_is_equivalent(self):
         # The pointers study takes addresses of locals, which the
@@ -216,46 +234,126 @@ class TestFallback:
         )
         assert_same_exploration(mi, machine)
 
-    def test_compiled_off_disables_stepper(self):
-        machine = machine_for(SMALL, "tso")
-        assert Explorer(machine, compiled=False).stepper is None
-        assert Explorer(machine, compiled=True).stepper is not None
+
+#: The two ways a sweep steps a state, as context factories: the
+#: whole-machine interpreter fallback forced, and the compiled stepper.
+STEPPINGS = (interpreted_stepping, contextlib.nullcontext)
+STEPPING_IDS = ("interpreted", "compiled")
+
+#: Steps whose outcome depends on more than the thread and hoisted
+#: global reads: a callee with an address-taken local (its call and
+#: return run through the per-step fallback) and a branch guard (with
+#: one parameter row per nondet value), an assume and an assert that
+#: read a ghost (applied uncached).
+STATE_DEPENDENT = (
+    "ghost var g: int := 0; var x: uint32; "
+    "uint32 bump(n: uint32) { var m: uint64 := 0; var v: uint32 := 0; "
+    "initialize_mutex(&m); lock(&m); v := n + 1; unlock(&m); "
+    "return v; } "
+    "void worker() { var r: uint32 := 0; g := g + 1; r := bump(x); "
+    "x := r; } "
+    "void main() { var a: uint64 := 0; var r: uint32 := 0; "
+    "a := create_thread worker(); g := g + 1; "
+    "if (g > 0 && *) { r := bump(1); } assume g > 0; assert g == 1; "
+    "join a; r := x; print_uint32(r); }"
+)
+
+
+def interpreted_steps(stepper) -> list:
+    """The steps *stepper* hands to the per-step interpreter fallback,
+    read off its generated source."""
+    source = stepper.source
+    refs = {
+        name: (pc, int(index)) for name, pc, index in re.findall(
+            r"(S\d+) = _steps\['([^']*)'\]\[(\d+)\]", source
+        )
+    }
+    steps = stepper.machine.steps_by_pc
+    return [
+        steps[pc][index] for pc, index in (
+            refs[name]
+            for name in re.findall(r"_interp\(machine, (S\d+),", source)
+        )
+    ]
+
+
+class TestStateDependentSteps:
+    """Calls into and returns from a method with an address-taken local
+    step through the interpreter, per step; guards that read a ghost
+    are evaluated at every visit.  Both stay exact."""
+
+    @pytest.mark.parametrize("model", ["sc", "tso", "ra"])
+    def test_exact_with_call_and_return_fallbacks(self, model):
+        machine = machine_for(STATE_DEPENDENT, model)
+        stepper = stepper_for(machine)
+        assert stepper is not None
+        # Both calls of bump, and its explicit and implicit returns.
+        assert sorted(
+            type(step).__name__ for step in interpreted_steps(stepper)
+        ) == ["CallStep", "CallStep", "ReturnStep", "ReturnStep"]
+        assert stepper.fallback_steps == 4
+        assert_exact_over_admitted(machine, stepper.fn)
+        _ri, rc = assert_same_exploration(
+            machine_for(STATE_DEPENDENT, model), machine
+        )
+        assert ("normal", (1,)) in rc.final_outcomes
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / \
+    "running_example.arm"
+
+
+def exploration_json(capsys, model: str) -> dict:
+    """``armada explore --json`` of the running example under *model*."""
+    assert main(["explore", str(EXAMPLE), "--memory-model", model,
+                 "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestExploreCommand:
+    @pytest.mark.parametrize("model", ["sc", "tso", "ra"])
+    def test_json_identical_compiled_and_interpreted(self, capsys, model):
+        compiled = exploration_json(capsys, model)
+        with interpreted_stepping():
+            interpreted = exploration_json(capsys, model)
+        assert compiled == interpreted
+        assert compiled["memory_model"] == model
+        assert compiled["states"] > 1
 
 
 class TestBudgetTruncation:
     """A truncated sweep is reported identically by both paths and is
     never silently completed."""
 
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_walk_reports_incomplete(self, compiled):
+    @pytest.mark.parametrize("stepping", STEPPINGS, ids=STEPPING_IDS)
+    def test_walk_reports_incomplete(self, stepping):
         machine = machine_for(SMALL, "tso")
-        complete = Explorer(
-            machine, max_states=5, compiled=compiled
-        ).walk(lambda state, transitions: True)
+        with stepping():
+            complete = Explorer(machine, max_states=5).walk(
+                lambda state, transitions: True
+            )
         assert complete is False
 
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_reachable_states_raises(self, compiled):
+    @pytest.mark.parametrize("stepping", STEPPINGS, ids=STEPPING_IDS)
+    def test_reachable_states_raises(self, stepping):
         machine = machine_for(SMALL, "tso")
-        explorer = Explorer(machine, max_states=5, compiled=compiled)
+        with stepping():
+            explorer = Explorer(machine, max_states=5)
         with pytest.raises(StateBudgetExceeded):
             list(explorer.reachable_states())
 
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_budget_truncated_counter(self, compiled, tmp_path):
+    @pytest.mark.parametrize("stepping", STEPPINGS, ids=STEPPING_IDS)
+    def test_budget_truncated_counter(self, stepping, tmp_path):
         machine = machine_for(SMALL, "tso")
         path = tmp_path / "trace.jsonl"
         OBS.enable(path)
         try:
-            Explorer(machine, max_states=5, compiled=compiled).walk(
-                lambda state, transitions: True
-            )
-            with pytest.raises(StateBudgetExceeded):
-                list(
-                    Explorer(
-                        machine, max_states=5, compiled=compiled
-                    ).reachable_states()
+            with stepping():
+                Explorer(machine, max_states=5).walk(
+                    lambda state, transitions: True
                 )
+                with pytest.raises(StateBudgetExceeded):
+                    list(Explorer(machine, max_states=5).reachable_states())
         finally:
             OBS.disable()
         records = [
@@ -325,11 +423,11 @@ class TestSourceCache:
         machine = machine_for(SMALL, "tso")
         stepper = compile_stepper(machine)
         assert stepper.cache_hit is False
-        interpreted = successors_for(machine, compiled=False)
-        states = list(Explorer(machine, compiled=False).reachable_states())
+        with interpreted_stepping():
+            states = list(Explorer(machine).reachable_states())
         assert len(states) > 1
         for state in states:
-            assert stepper.fn(state) == interpreted(state)
+            assert stepper.fn(state) == interpreted_successors(machine, state)
         assert list(tmp_path.glob("*.tmp")) == []
         assert list(tmp_path.glob(".*.tmp")) == []
         assert list(tmp_path.glob("*.marshal")) == []

@@ -495,11 +495,3 @@ class TestJobFingerprints:
         a = self._engine(max_states=100)._job_fingerprint()
         b = self._engine(max_states=200)._job_fingerprint()
         assert a != b
-
-    def test_compiled_is_deliberately_not_fingerprinted(self):
-        """The compiled stepper is bit-identical to the interpreter, so
-        toggling it must NOT invalidate the cache — a deliberate
-        exception to the matrix above."""
-        a = self._engine(compiled=True)._job_fingerprint()
-        b = self._engine(compiled=False)._job_fingerprint()
-        assert a == b
