@@ -16,9 +16,13 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 def record(name: str, title: str, lines: list[str],
            data: dict | None = None) -> None:
-    """Write a markdown report (and optional JSON) for one experiment."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Write a markdown report (and optional JSON) for one experiment.
+
+    *name* may name a subdirectory: smoke runs record under
+    ``smoke/``, which git ignores, so a smoke run never overwrites the
+    full-mode reports checked in beside it."""
     path = RESULTS_DIR / f"{name}.md"
+    path.parent.mkdir(parents=True, exist_ok=True)
     body = [f"# {title}", ""]
     body.extend(lines)
     body.append("")

@@ -14,7 +14,7 @@ Two experiments land in ``benchmarks/results/explore.{md,json}`` and
 2. **Step-relation enumeration** — the paper's Figure-12 regime: how
    fast can the successor relation itself be enumerated over the
    reachable set of the largest level (QueueNondet, under TSO and
-   under C11 RA)?  The compiled ``enabled_and_next`` is compared
+   under C11 RA)?  The compiled stepper's ``fn`` is compared
    against ``interpreted_successors`` (``enabled_transitions`` +
    ``next_state``) pair-for-pair
    (bit-identical transitions and successor states).  Under TSO it
@@ -22,7 +22,8 @@ Two experiments land in ``benchmarks/results/explore.{md,json}`` and
    the state cap); the RA row is recorded without a floor.
 
 Set ``BENCH_EXPLORE_SMOKE=1`` to restrict the sweep to the smallest
-case study and lower the speedup bar (CI's bench-smoke step).
+case study and lower the speedup bar (CI's bench-smoke step).  A smoke
+run records under ``benchmarks/results/smoke/`` instead.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ STUDY_BUDGETS = {
 LITMUS_BUDGET = 200_000
 
 SMOKE = os.environ.get("BENCH_EXPLORE_SMOKE") == "1"
+#: Where this mode's reports go, under ``benchmarks/results/``.
+RESULTS_PREFIX = "smoke/" if SMOKE else ""
 
 #: Required step-relation speedup on QueueNondet/tso.
 RELATION_SPEEDUP_FLOOR = 5.0 if SMOKE else 10.0
@@ -190,7 +193,7 @@ def test_exploration_sweep_equivalence():
          "compiled (ms)", "speedup"],
         rows,
     )
-    record("explore",
+    record(RESULTS_PREFIX + "explore",
            "Exploration: interpreted and compiled stepping",
            lines, data)
 
@@ -282,7 +285,7 @@ def test_compiled_step_relation_speedup():
             for row in rows
         ],
     )
-    record("explore_relation",
+    record(RESULTS_PREFIX + "explore_relation",
            "Exploration: compiled step-relation enumeration", lines,
            {"smoke": SMOKE, "rows": rows})
     speedup = rows[0]["speedup"]

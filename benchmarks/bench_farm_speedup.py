@@ -45,8 +45,9 @@ def test_farm_speedup(tmp_path):
 
         warm = warm_farm.summary()
         if warm.jobs:
-            # Incrementality: the warm run re-executes at most the
-            # uncacheable whole-program checks.
+            # Incrementality: every job of the warm run is a cache hit
+            # or an execution; only an inconclusive verdict, never
+            # stored, executes again.
             assert warm.cache_hits + warm.executed == warm.jobs
         rows.append(
             [

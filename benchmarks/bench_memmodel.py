@@ -11,7 +11,8 @@ benchmark doubles as a differential check.  Results land in
 ``benchmarks/results/memmodel.{md,json}``.
 
 Set ``BENCH_MEMMODEL_SMOKE=1`` to restrict the sweep to the litmus
-corpus (CI's bench-smoke step).
+corpus (CI's bench-smoke step).  A smoke run records under
+``benchmarks/results/smoke/`` instead.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ STUDIES = {
 }
 
 SMOKE = os.environ.get("BENCH_MEMMODEL_SMOKE") == "1"
+#: Where this mode's reports go, under ``benchmarks/results/``.
+RESULTS_PREFIX = "smoke/" if SMOKE else ""
 
 
 def _explore(source: str, model: str, budget: int):
@@ -145,7 +148,8 @@ def main() -> None:
              "sc s", "tso s", "ra s"],
             study_rows,
         )
-    record("memmodel", "Memory-model state-space cost", lines, data)
+    record(RESULTS_PREFIX + "memmodel", "Memory-model state-space cost",
+           lines, data)
     print("\n".join(lines))
 
 

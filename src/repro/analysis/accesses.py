@@ -521,13 +521,3 @@ def concrete_footprint(
                                    params).collect()
     except (UBSignal, KeyError):  # pragma: no cover - defensive
         return []
-
-
-def abstract_name(location: Location) -> str:
-    """Map a concrete cell to the static pass's abstract location name."""
-    root = location.root
-    if root.kind == "global":
-        return root.name
-    if root.kind == "local":
-        return f"local:{root.name}"
-    return f"alloc#{root.serial}"

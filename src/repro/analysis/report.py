@@ -55,13 +55,6 @@ class AnalysisReport(Record):
 
     # ------------------------------------------------------------------
 
-    @property
-    def racy_locations(self) -> list[str]:
-        return sorted(
-            f.location for f in self.findings
-            if f.classification == Classification.RACY.value
-        )
-
     def sorted_findings(self) -> list[Finding]:
         return sorted(
             self.findings,

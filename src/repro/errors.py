@@ -102,14 +102,6 @@ class StateBudgetExceeded(ArmadaError):
         )
 
 
-class InconclusiveCheck(ArmadaError):
-    """A farm obligation was short-circuited before it settled — by a
-    drain request or a deadline.  Distinct from a plain
-    :class:`ArmadaError` so the proof engine can report the affected
-    proof as *inconclusive* (re-run me) rather than *failed* (the
-    program is wrong)."""
-
-
 class ObligationTimeout(Exception):
     """An obligation exceeded its wall-clock deadline.  Not an
     :class:`ArmadaError`: it becomes a TIMEOUT verdict, which the engine

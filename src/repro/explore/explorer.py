@@ -97,10 +97,9 @@ def exploration_summary(
         result.final_outcomes,
         key=lambda o: (o[0], tuple(map(str, o[1]))),
     )
-    memmodel = getattr(machine, "memmodel", None)
     return {
         "level": level,
-        "memory_model": memmodel.name if memmodel is not None else "tso",
+        "memory_model": machine.memmodel.name,
         "states": result.states_visited,
         "transitions": result.transitions_taken,
         "outcomes": [
@@ -253,9 +252,8 @@ class Explorer:
         """Explore exhaustively (BFS), checking *invariants* at every
         state.  Violations and UB outcomes carry shortest replayable
         traces, reconstructed from per-state parent pointers."""
-        memmodel = getattr(self.machine, "memmodel", None)
         with OBS.span("explore", "phase", level=self.machine.level_name,
-                      memory_model=memmodel.name if memmodel else "tso"):
+                      memory_model=self.machine.memmodel.name):
             result = ExplorationResult()
             sweep = _Sweep()
             parents = sweep.parents

@@ -18,11 +18,11 @@ Layers (bottom-up):
   from :mod:`repro.hashing`, a leaf module, so that code which only
   needs a fingerprint (the stepper's bytecode cache) never loads the
   farm.
-* :mod:`repro.farm.scheduler` — turns lemma obligations and
-  whole-program refinement checks into :class:`~repro.farm.scheduler.Job`
-  records with stable keys.  State-space exploration (``armada
-  explore``) is not a farm job: it builds an
-  :class:`~repro.explore.Explorer` directly.
+* :mod:`repro.farm.scheduler` — turns lemma obligations, the
+  whole-program refinement check among them, into
+  :class:`~repro.farm.scheduler.Job` records with stable keys.
+  State-space exploration (``armada explore``) is not a farm job: it
+  builds an :class:`~repro.explore.Explorer` directly.
 * :mod:`repro.farm.resilience` — deadline and drain policy.
 * :mod:`repro.farm.workers` — runs the queue in order on the calling
   thread, under deadlines, stores each settled verdict as it returns,
@@ -48,12 +48,7 @@ from repro.farm.resilience import (  # noqa: F401
     ResilienceConfig,
     ShutdownToken,
 )
-from repro.farm.scheduler import (  # noqa: F401
-    Job,
-    global_check_job,
-    lemma_job_key,
-    lemma_jobs,
-)
+from repro.farm.scheduler import Job, lemma_job_key, lemma_jobs  # noqa: F401
 from repro.farm.summary import FarmSummary  # noqa: F401
 from repro.farm.workers import run_jobs  # noqa: F401
 from repro.hashing import code_version, structural_hash  # noqa: F401

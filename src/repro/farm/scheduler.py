@@ -1,21 +1,16 @@
-"""Obligation scheduling: checkable units → a deterministic job queue.
+"""Obligation scheduling: lemma obligations → a deterministic job queue.
 
-The scheduler turns the checkable units of a verification run into
-:class:`Job` records with *stable keys*.  Two kinds of unit exist:
-
-* **Lemma obligations** — one per generated lemma with an
-  ``obligation`` callable, across every proof of a chain.  Their keys
-  follow the content-addressing scheme of :mod:`repro.farm.cache`
-  (lemma content + prover fingerprint + code version) and are therefore
-  cacheable across runs.
-* **Whole-program refinement checks** — the bounded simulation checks
-  some strategies request.  They are scheduled through the same queue
-  as lemma jobs but are keyed by proof identity and marked
-  non-cacheable: their input is a pair of state machines, which the
-  structural hash does not cover.
+The scheduler turns every generated lemma with an ``obligation``
+callable, across every proof of a chain, into a :class:`Job` with a
+*stable key*.  Keys follow the content-addressing scheme of
+:mod:`repro.farm.cache` (lemma content + the caller's fingerprint +
+code version), so every job is cacheable across runs.  The
+whole-program bounded refinement check is one more lemma
+(``WholeProgramRefinement``); the proof engine's fingerprint covers
+both machines it compares.
 
 Job order is the order obligations appear in their scripts; the workers
-run them and apply results back in exactly this order.
+run them and apply verdicts back in exactly this order.
 """
 
 from __future__ import annotations
@@ -24,27 +19,21 @@ from typing import Any, Callable
 
 from repro.hashing import code_version, structural_hash
 from repro.obs import OBS
-from repro.record import Fresh, Record
+from repro.record import Record
 
 
 class Job(Record):
     """One schedulable checkable unit."""
 
-    #: Stable content-addressed identity (cache key for cacheable jobs).
+    #: Stable content-addressed identity: the proof-cache key.
     key: str
     #: Human-readable name, ``proof:lemma``-shaped, for events/reports.
     label: str
-    #: The work: returns a Verdict (lemma jobs) or a strategy-specific
-    #: result object (global checks).
+    #: The work: returns a Verdict.
     thunk: Callable[[], Any]
-    #: Writes the result back onto the proof artifacts.  Called by the
+    #: Writes the verdict back onto the proof artifacts.  Called by the
     #: workers in job order, on the scheduling thread.
     apply: Callable[[Any], None]
-    #: Whether the result may be served from / stored to the proof cache.
-    cacheable: bool = True
-    #: Whether an ArmadaError from the thunk becomes a refuted verdict
-    #: (the engine's historical per-obligation behaviour).
-    wrap_errors: bool = True
     # ---- filled in by the workers ----
     result: Any = None
     finished: bool = False
@@ -54,7 +43,6 @@ class Job(Record):
     #: (``benchmarks/e2e/trace_layers.py``) still reads it.
     from_journal: bool = False
     wall_seconds: float = 0.0
-    metadata: dict[str, Any] = Fresh(dict)
 
 
 def lemma_job_key(
@@ -97,20 +85,3 @@ def lemma_jobs(
         OBS.count("farm.lemma_jobs_scheduled", len(jobs))
     return jobs
 
-
-def global_check_job(
-    proof_name: str,
-    thunk: Callable[[], Any],
-    apply: Callable[[Any], None],
-) -> Job:
-    """A whole-program bounded refinement check as a queue citizen."""
-    if OBS.enabled:
-        OBS.count("farm.global_checks_scheduled")
-    return Job(
-        key=structural_hash("global-check", proof_name),
-        label=f"{proof_name}:WholeProgramRefinement",
-        thunk=thunk,
-        apply=apply,
-        cacheable=False,
-        wrap_errors=False,
-    )

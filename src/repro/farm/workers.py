@@ -4,8 +4,8 @@ cache.
 ``run_jobs`` is the farm's execution core.  It drives the scheduler's
 job queue to completion in three phases:
 
-1. **Cache probe** — cacheable jobs are looked up in the proof cache;
-   hits skip execution entirely.
+1. **Cache probe** — every job is looked up in the proof cache; hits
+   skip execution entirely.
 2. **Execution** — the remaining jobs run in queue order on the calling
    thread.  Each freshly computed settled verdict is stored to the
    cache as soon as its obligation returns, so a run that dies
@@ -33,7 +33,7 @@ Deadline and drain semantics (see :mod:`repro.farm.resilience`):
 Only a job whose obligation ran counts as executed, so the summary
 counts a short-circuited job as neither executed nor slow.
 
-An ``ArmadaError`` inside a wrapped obligation becomes a refuted verdict
+An ``ArmadaError`` inside an obligation becomes a refuted verdict
 carrying the error text (the proof engine's historical behaviour),
 except :class:`~repro.errors.StateBudgetExceeded`: a sweep cut short by
 its state budget neither proves nor refutes the obligation, so it
@@ -46,12 +46,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.errors import (
-    ArmadaError,
-    InconclusiveCheck,
-    ObligationTimeout,
-    StateBudgetExceeded,
-)
+from repro.errors import ArmadaError, ObligationTimeout, StateBudgetExceeded
 from repro.farm.scheduler import Job
 from repro.farm.summary import FarmSummary
 from repro.obs import OBS
@@ -79,18 +74,6 @@ def _cancelled_verdict() -> Verdict:
         {"error": "cancelled: shutdown requested before this "
                   "obligation ran"},
     )
-
-
-def _inconclusive_result(job: Job, verdict: Verdict):
-    """Inconclusive outcome in the shape the job's ``apply`` expects.
-
-    Lemma jobs take Verdicts; global-check jobs (``wrap_errors=False``)
-    take strategy results or ArmadaErrors, so their timeout surfaces as
-    a validation error instead."""
-    if job.wrap_errors:
-        return verdict
-    detail = (verdict.counterexample or {}).get("error", verdict.status)
-    return InconclusiveCheck(str(detail))
 
 
 def _call_with_deadline(fn, budget: float | None):
@@ -127,7 +110,7 @@ def _call_with_deadline(fn, budget: float | None):
 
 def _short_circuit(job: Job, verdict: Verdict, counter: str) -> None:
     """Settle a job that never started with an inconclusive verdict."""
-    job.result = _inconclusive_result(job, verdict)
+    job.result = verdict
     job.finished = True
     if OBS.enabled:
         OBS.count(counter)
@@ -136,12 +119,6 @@ def _short_circuit(job: Job, verdict: Verdict, counter: str) -> None:
 def _run_one(job: Job, summary: FarmSummary, res=None) -> None:
     """Execute one job: the drain check, the chain-deadline check, then
     the obligation under its deadline."""
-    traced = OBS.enabled
-    if traced:
-        queued_at = job.metadata.get("queued_at")
-        if queued_at is not None:
-            OBS.observe("farm.queue_wait_seconds",
-                        time.perf_counter() - queued_at)
     budget = None
     if res is not None:
         if res.shutdown_requested():
@@ -162,38 +139,19 @@ def _run_one(job: Job, summary: FarmSummary, res=None) -> None:
             return
     started = time.perf_counter()
     try:
-        with OBS.span(job.label, "obligation", cached=False) \
-                if traced else _NULL_CONTEXT:
+        with OBS.span(job.label, "obligation", cached=False):
             try:
                 job.result = _call_with_deadline(job.thunk, budget)
             except ArmadaError as error:
-                if not job.wrap_errors:
-                    raise
                 job.result = _wrap_armada_error(error)
         job.wall_seconds = time.perf_counter() - started
     except ObligationTimeout as timeout:
         job.wall_seconds = time.perf_counter() - started
-        job.result = _inconclusive_result(
-            job, _timeout_verdict(str(timeout))
-        )
+        job.result = _timeout_verdict(str(timeout))
         summary.timeouts += 1
-        if traced:
-            OBS.count("farm.timeouts")
+        OBS.count("farm.timeouts")
     job.finished = True
     summary.record_executed(job.label, job.wall_seconds)
-
-
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
 
 
 def run_jobs(
@@ -212,14 +170,10 @@ def run_jobs(
 
     traced = OBS.enabled
     summary.jobs += len(jobs)
-    if traced:
-        queued_at = time.perf_counter()
-        for job in jobs:
-            job.metadata["queued_at"] = queued_at
 
     to_run: list[Job] = []
     for job in jobs:
-        if cache is not None and job.cacheable:
+        if cache is not None:
             verdict = cache.get(job.key)
             if verdict is not None:
                 job.result = verdict
@@ -239,12 +193,7 @@ def run_jobs(
 
     for job in to_run:
         _run_one(job, summary, res)
-        if (
-            cache is not None
-            and job.cacheable
-            and isinstance(job.result, Verdict)
-            and cache.put(job.key, job.result)
-        ):
+        if cache is not None and cache.put(job.key, job.result):
             summary.cache_stores += 1
 
     # Write-back in queue order.

@@ -388,12 +388,6 @@ class LevelDecl(Record):
                 return m
         return None
 
-    def global_var(self, name: str) -> GlobalVarDecl | None:
-        for g in self.globals:
-            if g.name == name:
-                return g
-        return None
-
 
 class RecipeItem(Record):
     """One directive inside a ``proof`` block after the refinement line.

@@ -73,26 +73,6 @@ def expr_equal(a: ast.Expr | None, b: ast.Expr | None) -> bool:
     return False
 
 
-def rhs_equal(a: ast.Rhs, b: ast.Rhs) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ast.ExprRhs):
-        return expr_equal(a.expr, b.expr)
-    if isinstance(a, ast.CallRhs):
-        return a.method == b.method and all(
-            expr_equal(x, y) for x, y in zip(a.args, b.args)
-        ) and len(a.args) == len(b.args)
-    if isinstance(a, ast.MallocRhs):
-        return a.alloc_type == b.alloc_type
-    if isinstance(a, ast.CallocRhs):
-        return a.alloc_type == b.alloc_type and expr_equal(a.count, b.count)
-    if isinstance(a, ast.CreateThreadRhs):
-        return a.method == b.method and all(
-            expr_equal(x, y) for x, y in zip(a.args, b.args)
-        ) and len(a.args) == len(b.args)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing
 

@@ -162,9 +162,6 @@ class StateMachine:
     def steps_at(self, pc: str) -> list[Step]:
         return self.steps_by_pc.get(pc, [])
 
-    def pc_info(self, pc: str) -> PcInfo:
-        return self.pcs[pc]
-
     def all_steps(self) -> Iterable[Step]:
         for steps in self.steps_by_pc.values():
             yield from steps

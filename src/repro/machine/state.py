@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.machine.pmap import EMPTY_PMAP, PMap
-from repro.machine.values import Location, Root
+from repro.machine.values import Location
 from repro.record import Slotted
 
 
@@ -342,9 +342,6 @@ class ProgramState(Slotted):
             self.next_tid, self.next_serial, self.atomic_owner,
             self.histories,
         )
-
-    def root_status(self, root: Root) -> str | None:
-        return self.allocation.get(root)
 
     # -- factory ----------------------------------------------------------
 

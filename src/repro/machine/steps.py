@@ -45,19 +45,6 @@ from repro.machine.values import (
 )
 from repro.record import Fresh, FrozenRecord, Record
 
-#: Fallback for contexts without an attached model (legacy callers);
-#: resolved lazily because repro.memmodel imports repro.machine.state.
-_TSO = None
-
-
-def _default_model():
-    global _TSO
-    if _TSO is None:
-        from repro.memmodel import get_model
-
-        _TSO = get_model("tso")
-    return _TSO
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.program import StateMachine
 
@@ -228,7 +215,7 @@ class Step(Record, keyword_only=("loc", "label")):
     ) -> EvalContext:
         method = state.thread(tid).top.method
         return EvalContext(machine.ctx, state, tid, method, params, old_state,
-                           memmodel=getattr(machine, "memmodel", None))
+                           memmodel=machine.memmodel)
 
     def _advance(self, state: ProgramState, tid: int,
                  machine: "StateMachine") -> ProgramState:
@@ -587,8 +574,7 @@ class JoinStep(Step):
     def apply(self, machine, state, tid, params):
         ec = self._ec(machine, state, tid, params)
         target = ev.eval_expr(ec, self.thread)
-        mm = ec.memmodel if ec.memmodel is not None else _default_model()
-        state = mm.on_join(state, tid, target)
+        state = ec.memmodel.on_join(state, tid, target)
         return self._advance(state, tid, machine)
 
 
@@ -718,7 +704,7 @@ class ExternStep(Step):
 
     def apply(self, machine, state, tid, params):
         ec = self._ec(machine, state, tid, params)
-        mm = ec.memmodel if ec.memmodel is not None else _default_model()
+        mm = ec.memmodel
         name = self.name
         result: Any = None
         if name == "initialize_mutex":
@@ -818,8 +804,7 @@ class ExternSpecStep(Step):
         bindings = self._bindings(machine, state, tid, params)
         method = state.thread(tid).top.method
         ec = EvalContext(machine.ctx, state, tid, method, params, None,
-                         bindings,
-                         memmodel=getattr(machine, "memmodel", None))
+                         bindings, memmodel=machine.memmodel)
         for pre in self.spec.requires:
             if not ev.eval_expr(ec, pre):
                 raise UBSignal(

@@ -67,10 +67,6 @@ class Lemma(Record):
     verdict: Verdict | None = None
     customization: list[str] = Fresh(list)
 
-    @property
-    def checked_ok(self) -> bool:
-        return self.verdict is not None and self.verdict.ok
-
     def descriptor(self) -> ObligationDescriptor:
         return ObligationDescriptor.of(self)
 

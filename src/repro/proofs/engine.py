@@ -3,19 +3,20 @@
 For each ``proof`` declaration the engine translates both levels into
 state machines, dispatches to the recipe's strategy to generate a
 :class:`ProofScript`, mechanically checks every lemma obligation (the
-role Dafny plays in the paper), runs any whole-program bounded
-refinement checks the strategy requested, and finally composes the
-per-pair results by refinement transitivity into the end-to-end theorem
-"the implementation refines the specification".
+role Dafny plays in the paper), and finally composes the per-pair
+results by refinement transitivity into the end-to-end theorem "the
+implementation refines the specification".  When the ``validate``
+policy asks for it, the whole-program bounded refinement check is one
+more lemma of the script (``WholeProgramRefinement``).
 
 Obligation checking is delegated to the verification farm
 (:mod:`repro.farm`): every lemma obligation across every proof of a
-chain — plus the whole-program refinement checks — is collected into a
-job queue with stable content-addressed keys, then discharged one at a
-time through the proof cache.  No strategy steps a state while it
-generates its script: the state sweeps run inside the obligations, so
-an obligation served from the cache costs no sweep.  A default farm
-(no cache) checks every obligation.
+chain is collected into a job queue with stable content-addressed
+keys, then discharged one at a time through the proof cache.  No
+strategy steps a state while it generates its script: the state sweeps
+and the refinement check run inside the obligations, so an obligation
+served from the cache costs no sweep.  A default farm (no cache) checks
+every obligation.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import time
 
 from repro.errors import (
     ArmadaError,
-    InconclusiveCheck,
     ProofFailure,
     StateBudgetExceeded,
     StrategyError,
 )
-from repro.farm import VerificationFarm, global_check_job, lemma_jobs
+from repro.farm import VerificationFarm, lemma_jobs
 from repro.farm.scheduler import Job
 from repro.hashing import code_version, structural_hash
 from repro.lang import asts as ast
@@ -37,7 +37,7 @@ from repro.lang.frontend import CheckedProgram, check_program
 from repro.machine.program import DomainConfig, StateMachine
 from repro.machine.translator import translate_level
 from repro.obs import OBS
-from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict
+from repro.proofs.artifacts import Lemma, ProofScript, proved, refuted
 from repro.record import Fresh, Record
 from repro.strategies.base import ProofRequest
 from repro.strategies.registry import lookup
@@ -45,7 +45,7 @@ from repro.strategies.regions import (
     address_invariant_lemmas,
     region_lemmas,
 )
-from repro.verifier.prover import Prover
+from repro.verifier.prover import UNKNOWN, Prover, Verdict
 
 
 class ProofOutcome(Record):
@@ -132,10 +132,6 @@ class _PreparedProof(Record):
     #: this outcome untouched and no jobs are scheduled.
     outcome: ProofOutcome | None = None
     refinement_checked: bool = False
-    validation_error: str | None = None
-    #: The validation obligation never settled (drain/deadline): the
-    #: proof is inconclusive, not failed.
-    validation_inconclusive: bool = False
     prepare_seconds: float = 0.0
     jobs: list[Job] = Fresh(list)
     #: The strategy's request, whose sweep cache is dropped once the
@@ -157,8 +153,9 @@ class ProofEngine:
         outcome_cache: "object | None" = None,
         memory_model: str | None = None,
     ) -> None:
-        """``validate_refinement``: ``"always"`` runs the whole-program
-        bounded simulation check for every pair, ``"auto"`` only when a
+        """``validate_refinement``: ``"always"`` adds the whole-program
+        bounded simulation check to every pair's script as the
+        ``WholeProgramRefinement`` lemma, ``"auto"`` only when a
         strategy requests it (``global_checks``), ``"never"`` trusts the
         per-lemma obligations alone.
 
@@ -168,10 +165,10 @@ class ProofEngine:
         ``outcome_cache``: an object with ``get(key) -> ProofOutcome |
         None`` and ``put(key, outcome)`` (see
         :class:`repro.serve.incremental.OutcomeCache`).  When a proof's
-        :meth:`proof_key` hits, the stored outcome is reused wholesale
-        — no script generation, no obligation discharge, no
-        whole-program check — which is how ``armada serve`` re-verifies
-        only the proofs a resubmission invalidated.  Only *settled*
+        :meth:`proof_key` hits, the stored outcome is reused wholesale:
+        no script is generated and the proof cache is not read.  This
+        is how ``armada serve`` re-verifies only the proofs a
+        resubmission invalidated.  Only *settled*
         outcomes (verified, or failed with a refutation) are stored:
         an inconclusive outcome must be retried, never pinned.
 
@@ -209,14 +206,6 @@ class ProofEngine:
 
     # ------------------------------------------------------------------
 
-    def run_proof(self, proof: ast.ProofDecl) -> ProofOutcome:
-        prep = self._prepare(proof)
-        if prep.outcome is None:
-            self.farm.discharge(self._schedule(prep))
-        return self._finalize(prep)
-
-    # ------------------------------------------------------------------
-
     def _prepare(self, proof: ast.ProofDecl) -> _PreparedProof:
         """Generate the proof script (no obligation is checked yet)."""
         with OBS.span(proof.name, "proof", low=proof.low_level,
@@ -250,6 +239,11 @@ class ProofEngine:
                           proof=proof.name):
                 script = strategy.generate(request)
             self._apply_directives(proof, request, script)
+            if self.validate_refinement == "always" or (
+                self.validate_refinement == "auto" and script.global_checks
+            ):
+                script.add(self._refinement_lemma(request, script))
+                prep.refinement_checked = True
             prep.script = script
             if OBS.enabled:
                 OBS.count("engine.lemmas_generated", len(script.lemmas))
@@ -341,10 +335,10 @@ class ProofEngine:
         """Fingerprint of both levels' semantics.
 
         Reachability-based obligations (rely-guarantee path lemmas,
-        ownership predicates, phase invariants) quantify over the whole
-        machine's reachable states, not only over the text of their
-        lemma, so the cache key must change whenever either machine
-        does.
+        ownership predicates, phase invariants, the whole-program
+        refinement check) quantify over the whole machine's reachable
+        states, not only over the text of their lemma, so the cache key
+        must change whenever either machine does.
         """
         return structural_hash(
             "machine-pair",
@@ -362,11 +356,11 @@ class ProofEngine:
         (:meth:`_job_fingerprint`, which also covers the domains), the
         refinement-validation policy (it decides whether the
         whole-program check runs), and the toolchain version.  Two runs
-        with equal keys perform byte-identical obligation checks, so
-        reusing the stored :class:`ProofOutcome`
-        — the basis of ``armada serve``'s incremental re-verification
-        — is sound even for the whole-program bounded checks the lemma
-        cache cannot cover.
+        with equal keys generate the same script and perform
+        byte-identical obligation checks, so reusing the stored
+        :class:`ProofOutcome` — the basis of ``armada serve``'s
+        incremental re-verification — is sound, and skips script
+        generation as well as the lemma cache's reads.
         """
         recipe = [
             (item.name, list(item.args)) for item in proof.items
@@ -385,97 +379,69 @@ class ProofEngine:
         )
 
     def _schedule(self, prep: _PreparedProof) -> list[Job]:
-        """Collect this proof's checkable units into farm jobs."""
-        script = prep.script
-        assert script is not None
+        """Collect this proof's lemma obligations into farm jobs."""
         fingerprint = (
             f"{self._job_fingerprint()}"
             f"|{self._machine_fingerprint(prep.proof)}"
         )
-        jobs = lemma_jobs(script, fingerprint)
-        should_validate = self.validate_refinement == "always" or (
-            self.validate_refinement == "auto" and script.global_checks
-        )
-        if should_validate:
-            jobs.append(self._global_check_job(prep))
-            prep.refinement_checked = True
-        prep.jobs = jobs
-        return jobs
+        prep.jobs = lemma_jobs(prep.script, fingerprint)
+        return prep.jobs
 
-    def _global_check_job(self, prep: _PreparedProof) -> Job:
-        proof = prep.proof
-        script = prep.script
-        low_machine = self.machine(proof.low_level)
-        high_machine = self.machine(proof.high_level)
-        low_ctx = self.checked.contexts[proof.low_level]
-        high_ctx = self.checked.contexts[proof.high_level]
+    def _refinement_lemma(
+        self, request: ProofRequest, script: ProofScript
+    ) -> Lemma:
+        """The whole-program bounded refinement check as a lemma.
+
+        Its job key covers the lemma content, both machines and their
+        initial values (the machine-pair fingerprint) and the memory
+        model, domains and product-state budget (the job fingerprint).
+        The recipe's ``relation`` text is in the statement, so the key
+        covers R too; it is parsed here, so a bad relation is a proof
+        error, not a verdict.  The body is static: the verdict is not
+        part of the lemma text.
+        """
+        from repro.proofs.refinement import relation_from_recipe
+
+        proof = request.proof
+        relation = relation_from_recipe(
+            proof, request.low_ctx, request.high_ctx
+        )
+        low_machine = request.low_machine
+        high_machine = request.high_machine
         max_states = self.max_states
 
-        def thunk():
+        def obligation() -> Verdict:
             from repro.explore.refinement_check import check_refinement
-            from repro.proofs.refinement import relation_from_recipe
 
-            try:
-                relation = relation_from_recipe(proof, low_ctx, high_ctx)
-                result = check_refinement(
-                    low_machine,
-                    high_machine,
-                    relation=relation,
-                    max_product_states=max_states,
-                )
-            except ArmadaError as error:
-                return error
+            result = check_refinement(
+                low_machine, high_machine, relation=relation,
+                max_product_states=max_states,
+            )
+            if result.holds:
+                return proved()
+            description = result.counterexample.description
             if result.inconclusive:
                 # A bound cut the search: neither verified nor refuted.
-                return InconclusiveCheck(
-                    "whole-program refinement check inconclusive: "
-                    f"{result.counterexample.description}"
-                )
-            return result
+                return Verdict(UNKNOWN, {
+                    "error": "whole-program refinement check "
+                             f"inconclusive: {description}"
+                })
+            return refuted(description)
 
-        def apply(result) -> None:
-            if isinstance(result, ArmadaError):
-                prep.validation_error = str(result)
-                prep.validation_inconclusive = isinstance(
-                    result, InconclusiveCheck
-                )
-                return
-            script.add(
-                Lemma(
-                    name="WholeProgramRefinement",
-                    statement=(
-                        f"every finite behavior of {proof.low_level} "
-                        f"simulates a behavior of {proof.high_level} "
-                        "modulo stuttering (bounded check)"
-                    ),
-                    body=[
-                        "// product states explored: "
-                        f"{result.product_states}"
-                    ]
-                    + [f"// discharges: {reason}"
-                       for reason in script.global_checks]
-                    + (
-                        [
-                            "// counterexample trace: "
-                            + result.counterexample.format_trace()
-                        ]
-                        if result.counterexample is not None
-                        else []
-                    ),
-                    obligation=(
-                        (lambda: bool_verdict(False))
-                        if not result.holds else None
-                    ),
-                    verdict=bool_verdict(
-                        result.holds,
-                        result.counterexample.description
-                        if result.counterexample
-                        else None,
-                    ),
-                )
-            )
-
-        return global_check_job(proof.name, thunk, apply)
+        relations = proof.directives("relation")
+        under = f" under R: {relations[0].args[0]}" if relations else ""
+        return Lemma(
+            name="WholeProgramRefinement",
+            statement=(
+                f"every finite behavior of {proof.low_level} simulates "
+                f"a behavior of {proof.high_level} modulo stuttering"
+                f"{under} (bounded check)"
+            ),
+            body=["// bounded simulation search over product states"]
+            + [f"// discharges: {reason}"
+               for reason in script.global_checks],
+            obligation=obligation,
+        )
 
     def _finalize(self, prep: _PreparedProof) -> ProofOutcome:
         """Fold checked verdicts into this proof's outcome.  Every
@@ -491,12 +457,6 @@ class ProofEngine:
         elapsed = prep.prepare_seconds + sum(
             job.wall_seconds for job in prep.jobs
         )
-        if prep.validation_error is not None:
-            return ProofOutcome(
-                proof.name, proof.strategy.name, False, None,
-                prep.validation_error, False, elapsed,
-                inconclusive=prep.validation_inconclusive,
-            )
         failed = script.failed_lemmas()
         if failed:
             details = "; ".join(
@@ -556,15 +516,6 @@ class ProofEngine:
             )
             if target is not None:
                 target.customization.append(text)
-
-    def _check_lemmas(
-        self, script: ProofScript, proof: ast.ProofDecl | None = None
-    ) -> None:
-        """Discharge one script's lemma obligations through the farm."""
-        fingerprint = self._job_fingerprint()
-        if proof is not None:
-            fingerprint += f"|{self._machine_fingerprint(proof)}"
-        self.farm.discharge(lemma_jobs(script, fingerprint))
 
     # ------------------------------------------------------------------
 

@@ -8,10 +8,11 @@ granularity — and an explanation layer beside it:
 * :class:`OutcomeCache` maps :meth:`ProofEngine.proof_key` — a
   structural hash of both level machines, the full recipe, the prover
   configuration, and the toolchain version — to the finished
-  :class:`~repro.proofs.engine.ProofOutcome`.  A hit skips script
-  generation, every lemma obligation, *and* the whole-program bounded
-  refinement check (which the lemma-level cache cannot cover, because
-  its input is a pair of state machines rather than lemma text).  The
+  :class:`~repro.proofs.engine.ProofOutcome`.  The lemma cache already
+  serves every obligation, the whole-program bounded refinement check
+  included; a hit here also skips script generation and the lemma
+  cache's reads, so a resubmission generates only the scripts of the
+  proofs it invalidated.  The
   soundness argument is the cache's, one level up: equal keys mean the
   re-run would perform byte-identical checks, so replaying the stored
   outcome is indistinguishable from re-computing it.  Only settled

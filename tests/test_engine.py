@@ -1,7 +1,11 @@
 """Tests for the proof engine: chains, directives, customization."""
 
+import pytest
+
+from repro.farm import FarmConfig, VerificationFarm
 from repro.lang.frontend import check_program
 from repro.proofs.engine import ProofEngine, verify_source
+from repro.verifier.prover import REFUTED, TIMEOUT, UNKNOWN
 
 
 TWO_STEP_CHAIN = """
@@ -109,7 +113,7 @@ class TestEngineMechanics:
     def test_validate_always_adds_whole_program_lemma(self):
         checked = check_program(TWO_STEP_CHAIN)
         engine = ProofEngine(checked, validate_refinement="always")
-        outcome = engine.run_proof(checked.program.proofs[0])
+        outcome = engine.run_all().outcomes[0]
         assert outcome.success
         names = [l.name for l in outcome.script.lemmas]
         assert "WholeProgramRefinement" in names
@@ -117,7 +121,7 @@ class TestEngineMechanics:
     def test_validate_never_skips_global_checks(self):
         checked = check_program(TWO_STEP_CHAIN)
         engine = ProofEngine(checked, validate_refinement="never")
-        outcome = engine.run_proof(checked.program.proofs[0])
+        outcome = engine.run_all().outcomes[0]
         names = [l.name for l in (outcome.script.lemmas if outcome.script
                                   else [])]
         assert "WholeProgramRefinement" not in names
@@ -233,6 +237,16 @@ LOOP_PAIR = (
 )
 
 
+#: Three identical levels: both whole-program checks verify when run.
+IDENTICAL_CHAIN = (
+    "level A { var x: uint32; void main() { x := 1; print_uint32(x); } }\n"
+    "level B { var x: uint32; void main() { x := 1; print_uint32(x); } }\n"
+    "level C { var x: uint32; void main() { x := 1; print_uint32(x); } }\n"
+    "proof P { refinement A B weakening }\n"
+    "proof Q { refinement B C weakening }\n"
+)
+
+
 class TestWholeProgramBounds:
     def test_product_budget_cut_is_inconclusive_not_failed(self):
         checked = check_program(LOOP_PAIR)
@@ -251,6 +265,116 @@ class TestWholeProgramBounds:
         engine = ProofEngine(checked, validate_refinement="always")
         outcome = engine.run_all()
         assert outcome.status == "verified"
+
+    def _run_twice(self, source, tmp_path, **options):
+        """Two runs of *source* with every check against one cache:
+        [(chain outcome, farm summary)] of each."""
+        runs = []
+        for _ in range(2):
+            farm = VerificationFarm(
+                FarmConfig(cache_dir=tmp_path / "cache")
+            )
+            outcome = ProofEngine(
+                check_program(source), validate_refinement="always",
+                farm=farm, **options,
+            ).run_all()
+            runs.append((outcome, farm.summary()))
+        return runs
+
+    @pytest.mark.parametrize("relation, max_states, cut", [
+        ("", 5, "product state budget exhausted"),
+        # Unmatched at the start, where the high level's stutter
+        # closure is cut: 41 loop iterations exceed the stutter bound.
+        (' relation "low_i == high_i + 1"', 200_000,
+         "stutter bound of 8 high-level steps cut the search"),
+    ], ids=["product_budget", "stutter_bound"])
+    def test_cut_check_is_executed_again_by_a_second_run(
+        self, relation, max_states, cut, tmp_path
+    ):
+        source = LOOP_PAIR.replace("weakening }", f"weakening{relation} }}")
+        for outcome, summary in self._run_twice(
+            source, tmp_path, max_states=max_states
+        ):
+            (proof,) = outcome.outcomes
+            assert outcome.status == "inconclusive"
+            assert proof.error.startswith(
+                "inconclusive: WholeProgramRefinement: "
+            )
+            assert cut in proof.error
+            # The cut check keeps its script, and is never stored.
+            assert proof.lemma_count > 0
+            assert [label for label, _ in summary.slowest] == [
+                "P:WholeProgramRefinement"
+            ]
+            assert summary.cache_stores == 0
+
+    def test_refutation_is_served_from_the_cache(self, tmp_path):
+        # R cannot hold of the initial states, and the high level's
+        # stutter closure is complete, so the check refutes.
+        source = IDENTICAL_CHAIN.replace(
+            "proof P { refinement A B weakening }",
+            'proof P { refinement A B weakening '
+            'relation "low_x == high_x + 1" }',
+        ).replace("proof Q { refinement B C weakening }\n", "")
+        (cold, cold_summary), (warm, warm_summary) = self._run_twice(
+            source, tmp_path
+        )
+        assert (cold_summary.executed, cold_summary.cache_stores) == (1, 1)
+        assert (warm_summary.executed, warm_summary.cache_hits) == (0, 1)
+        for outcome in (cold, warm):
+            (proof,) = outcome.outcomes
+            assert outcome.status == "failed"
+            check = proof.script.lemmas[-1]
+            assert check.name == "WholeProgramRefinement"
+            assert check.verdict.status == REFUTED
+            assert check.verdict.counterexample == {
+                "witness": "initial states are not related by R"
+            }
+        assert warm.outcomes[0].error == cold.outcomes[0].error
+
+
+class TestUnsettledWholeProgramChecks:
+    """A whole-program check the farm never ran, because the chain
+    budget was spent or a drain was requested, leaves its proof
+    inconclusive, not failed, and nothing reaches the cache."""
+
+    @pytest.mark.parametrize("cut, status", [
+        ("chain_deadline", TIMEOUT), ("drain", UNKNOWN),
+    ])
+    def test_unsettled_check_is_inconclusive_and_unstored(
+        self, cut, status, tmp_path
+    ):
+        # Run in full, the same chain verifies.
+        assert verify_source(
+            IDENTICAL_CHAIN, validate_refinement="always"
+        ).status == "verified"
+        cache_dir = tmp_path / "cache"
+        if cut == "chain_deadline":
+            farm = VerificationFarm(
+                FarmConfig(cache_dir=cache_dir, chain_deadline=0)
+            )
+        else:
+            farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
+            farm.request_shutdown()
+        outcome = ProofEngine(
+            check_program(IDENTICAL_CHAIN), validate_refinement="always",
+            farm=farm,
+        ).run_all()
+        assert outcome.status == "inconclusive"
+        for proof in outcome.outcomes:
+            assert not proof.success and proof.inconclusive
+            assert proof.error.startswith(
+                "inconclusive: WholeProgramRefinement: "
+            )
+            checks = [
+                lemma for lemma in proof.script.lemmas
+                if lemma.name == "WholeProgramRefinement"
+            ]
+            assert [check.verdict.status for check in checks] == [status]
+        summary = farm.summary()
+        assert (summary.jobs, summary.executed) == (2, 0)
+        assert summary.cache_stores == 0
+        assert not list(cache_dir.rglob("*.verdict"))
 
 
 def _requests_reachable_from(root):

@@ -307,22 +307,36 @@ class TestModeEquivalence:
         assert warm.outcome.success == sequential.outcome.success
         assert snapshot(warm.outcome) == snapshot(sequential.outcome)
         summary = warm_farm.summary()
-        # Only the (uncacheable) whole-program checks may re-execute:
-        # every lemma obligation must come from the cache — comfortably
-        # above the >= 90% incrementality bar.
-        global_checks = sum(
-            outcome.refinement_checked
-            for outcome in warm.outcome.outcomes
-        )
-        assert summary.executed == global_checks
+        # Every obligation, whole-program checks included, comes from
+        # the cache.
+        assert summary.jobs > 0
+        assert summary.executed == 0
+        assert summary.cache_hits == summary.jobs
+
+    def test_always_policy_warm_run_executes_nothing(
+        self, study, tmp_path
+    ):
+        """The whole-program checks ``validate always`` adds are lemma
+        obligations, cached like every other."""
+        uncached = run_case_study(study, validate_refinement="always")
+        assert uncached.outcome.success
         assert all(
-            label.endswith(":WholeProgramRefinement")
-            for label, _ in summary.slowest
+            outcome.refinement_checked
+            for outcome in uncached.outcome.outcomes
         )
-        lemma_obligations = summary.jobs - summary.executed
-        assert lemma_obligations > 0
-        assert summary.cache_hits == lemma_obligations
-        assert summary.cache_hits / lemma_obligations >= 0.9
+        cache_dir = tmp_path / "proof-cache"
+        run_case_study(
+            study, validate_refinement="always",
+            farm=VerificationFarm(FarmConfig(cache_dir=cache_dir)),
+        )
+        warm_farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
+        warm = run_case_study(
+            study, validate_refinement="always", farm=warm_farm
+        )
+        assert snapshot(warm.outcome) == snapshot(uncached.outcome)
+        summary = warm_farm.summary()
+        assert summary.executed == 0
+        assert summary.cache_hits == summary.jobs > 0
 
 
 def forbid_stepping(monkeypatch):
@@ -455,6 +469,55 @@ class TestMachineFingerprint:
         commented = "// formatting-only change\n" + source
         summary = self._verify(commented, cache_dir)
         assert summary.cache_hits > 0
+
+
+class TestWholeProgramCheckKey:
+    """The whole-program check's cache key covers what its verdict
+    depends on: both machines with their initial values (the machine
+    fingerprint), the recipe's relation (the lemma statement) and the
+    product-state budget (the job fingerprint).  Each edit below makes
+    the next warm run execute the check again."""
+
+    SOURCE = (
+        "level Low { var count: uint32 := 1; "
+        "void main() { print_uint32(3); } }\n"
+        "level High { var count: uint32 := 1; "
+        "void main() { print_uint32(3); } }\n"
+        "proof P { refinement Low High weakening "
+        'relation "low_count <= high_count && low_log == high_log" }\n'
+    )
+
+    def _executed(self, source, cache_dir, max_states=200_000):
+        """Labels of the obligations one run executed."""
+        from repro.proofs.engine import verify_source
+
+        farm = VerificationFarm(FarmConfig(cache_dir=cache_dir))
+        outcome = verify_source(
+            source, max_states=max_states, validate_refinement="always",
+            farm=farm,
+        )
+        assert outcome.success, outcome.outcomes[0].error
+        return [label for label, _ in farm.summary().slowest]
+
+    @pytest.mark.parametrize("edit", [
+        "initializer", "relation", "max_states",
+    ])
+    def test_edit_executes_the_check_again(self, edit, tmp_path):
+        cache_dir = tmp_path / "proof-cache"
+        check = "P:WholeProgramRefinement"
+        assert check in self._executed(self.SOURCE, cache_dir)
+        assert self._executed(self.SOURCE, cache_dir) == []
+        source, max_states = self.SOURCE, 200_000
+        if edit == "initializer":
+            source = source.replace("count: uint32 := 1",
+                                    "count: uint32 := 0", 1)
+        elif edit == "relation":
+            source = source.replace("low_count <= high_count",
+                                    "low_count == high_count")
+        else:
+            max_states = 100_000
+        assert (source, max_states) != (self.SOURCE, 200_000)
+        assert check in self._executed(source, cache_dir, max_states)
 
 
 class TestCacheEviction:

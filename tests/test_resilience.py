@@ -19,16 +19,14 @@ import time
 
 import pytest
 
-from repro.errors import InconclusiveCheck, ObligationTimeout
+from repro.errors import ObligationTimeout
 from repro.farm import (
     FarmConfig,
     FarmSummary,
     Job,
     ProofCache,
     ResilienceConfig,
-    ShutdownToken,
     VerificationFarm,
-    global_check_job,
     run_jobs,
 )
 from repro.farm.cache import frame_entry
@@ -180,32 +178,6 @@ class TestDeadlines:
         assert farm.summary().jobs == 3
         assert farm.summary().timeouts == 3
         assert farm.summary().executed == 0
-
-    def test_global_check_timeout_is_an_inconclusive_check(self):
-        results = []
-        job = global_check_job("P", _ok_thunk, results.append)
-        run_jobs([job], resilience=ResilienceConfig(chain_deadline=0.0))
-        # Global checks report errors, not verdicts: a spent budget
-        # surfaces as InconclusiveCheck, which the engine reports as
-        # inconclusive rather than failed.
-        assert len(results) == 1
-        assert isinstance(results[0], InconclusiveCheck)
-        assert "chain deadline budget (0s) exhausted" in str(results[0])
-
-    def test_drained_global_check_is_an_inconclusive_check(self):
-        results, calls = [], []
-        token = ShutdownToken()
-        token.request()
-
-        def thunk():
-            calls.append(1)
-            return proved()
-
-        job = global_check_job("P", thunk, results.append)
-        run_jobs([job], resilience=ResilienceConfig(shutdown=token))
-        assert calls == []
-        assert isinstance(results[0], InconclusiveCheck)
-        assert "cancelled" in str(results[0])
 
     def test_non_armada_errors_propagate(self):
         def broken():
