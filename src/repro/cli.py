@@ -125,14 +125,11 @@ def _read_source(path: str) -> str:
 def _level_context(checked, name: str | None):
     """The context of level *name* (default: the program's first
     level), exiting 1 with the valid level names on an unknown one."""
-    level = name or checked.program.levels[0].name
-    ctx = checked.contexts.get(level)
-    if ctx is None:
-        names = ", ".join(l.name for l in checked.program.levels)
-        print(f"no level named {level} (levels: {names})",
-              file=sys.stderr)
+    try:
+        return checked.context(name)
+    except ArmadaError as error:
+        print(error, file=sys.stderr)
         raise SystemExit(1)
-    return ctx
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -530,18 +527,19 @@ def _serve_client(args: argparse.Namespace):
 
 def _render_verify_result(result: dict) -> None:
     """Print a serve verify result in ``armada verify``'s format."""
+    from repro.farm.summary import FarmSummary
+
     for o in result.get("outcomes") or []:
         status = {
             "verified": "verified",
             "inconclusive": "INCONCLUSIVE",
             "failed": "FAILED",
         }.get(o["status"], o["status"])
-        cached = " [cached]" if o.get("from_cache") else ""
         print(
             f"{o['proof']} [{o['strategy']}]: {status} "
             f"({o['lemmas']} lemmas, "
             f"{o['generated_sloc']} generated SLOC, "
-            f"{o['elapsed_seconds']:.2f}s){cached}"
+            f"{o['elapsed_seconds']:.2f}s)"
         )
         if o.get("error"):
             print(f"  {o['error']}")
@@ -549,14 +547,7 @@ def _render_verify_result(result: dict) -> None:
         print("refinement chain:", " -> ".join(result["chain"]))
     elif result.get("chain_error"):
         print(f"chain error: {result['chain_error']}")
-    incremental = result.get("incremental")
-    if incremental and not incremental.get("first_submission"):
-        print(
-            f"incremental: {len(incremental['unchanged_levels'])} "
-            f"level(s) unchanged, "
-            f"{incremental['reused_proofs']} proof(s) reused, "
-            f"{incremental['reverified_proofs']} re-verified"
-        )
+    print(FarmSummary(**result["farm"]).one_line())
 
 
 def _print_terminal_result(response: dict, as_json: bool) -> int:
@@ -600,7 +591,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         source,
         kind=args.kind,
         filename=args.file,
-        name=args.name or args.file,
         options=options,
     )
     if not args.wait:
@@ -670,10 +660,6 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
           f"{cache['hits']} hits, {cache['misses']} misses, "
           f"{cache['evictions']} evicted, "
           f"{cache['quarantined']} quarantined")
-    oc = stats["outcome_cache"]
-    print(f"outcome cache: {oc['entries']} entries; "
-          f"{oc['hits']} hits, {oc['misses']} misses, "
-          f"{oc['evictions']} evicted")
     return 0
 
 
@@ -946,11 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("verify", "analyze", "explore"),
         default="verify",
     )
-    p.add_argument(
-        "--name", default=None, metavar="NAME",
-        help="tenant-visible program identity for incremental "
-             "fingerprint diffing (default: the file path)",
-    )
     p.add_argument("--max-states", type=_positive_int, default=200_000)
     _add_memory_model_flag(p)
     p.add_argument(
@@ -1004,8 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve-stats",
-        help="daemon-wide counters: jobs by state, shared-cache "
-             "hit/miss/eviction numbers, outcome-cache reuse",
+        help="daemon-wide counters: jobs by state and shared-cache "
+             "hit/miss/eviction numbers",
     )
     _add_connection_flags(p)
     p.add_argument("--json", action="store_true")

@@ -11,7 +11,9 @@ with the *set* of high-level states it might correspond to.  On each
 low-level transition, the high-level set is advanced through its
 bounded stutter closure and filtered by R; an empty set is a refinement
 counterexample, unless a closure on its path was cut by the stutter
-bound, which makes the result inconclusive instead.
+bound, or the high level draws a value from a bounded domain that does
+not cover its type: either bound may have hidden the match, so the
+result is inconclusive instead.
 
 R is automatically strengthened with the undefined-behaviour conjunct of
 §3.2.3: "if the low-level program exhibits undefined behavior, then the
@@ -24,6 +26,7 @@ from collections import deque
 from typing import Callable
 
 from repro.compiler.stepc import successors_for
+from repro.lang import types as ty
 from repro.machine.program import StateMachine
 from repro.machine.state import ProgramState, TERM_UB
 from repro.record import Record
@@ -93,11 +96,17 @@ class RefinementResult(Record):
     #: ``max_stutter`` with high-level states still unreached, so the
     #: missing match may be an artefact of the bound.
     hit_stutter_bound: bool = False
+    #: The high level draws a value from a domain that does not cover
+    #: its type, so a high-level state outside the domains may match.
+    hit_domain_bound: bool = False
 
     @property
     def inconclusive(self) -> bool:
         """Neither verified nor refuted: a bound cut the search."""
-        return self.hit_budget or self.hit_stutter_bound
+        return (
+            self.hit_budget or self.hit_stutter_bound
+            or self.hit_domain_bound
+        )
 
     def __bool__(self) -> bool:
         return self.holds
@@ -171,9 +180,9 @@ def check_refinement(
     high-level state is expanded at most once per call, and each
     product state's stutter closure is computed once, whatever its
     number of low-level transitions.  A missing match is a refutation
-    only if no stutter closure on its path was cut by *max_stutter*;
-    otherwise, like a product-budget cut, the result is
-    inconclusive."""
+    only if no stutter closure on its path was cut by *max_stutter* and
+    every value *high* draws ranges over its whole type; otherwise,
+    like a product-budget cut, the result is inconclusive."""
     base = relation if relation is not None else log_prefix_relation
     R = with_ub_conjunct(base)
     low_step = successors_for(low)
@@ -187,7 +196,7 @@ def check_refinement(
     initial_set = frozenset(h for h in high_universe if R(low_init, h))
     if not initial_set:
         return _unmatched(
-            low_init, "initial states are not related by R",
+            high, low_init, "initial states are not related by R",
             "the low-level initial state", (), cut, max_stutter, 0,
         )
 
@@ -221,7 +230,8 @@ def check_refinement(
             if not next_high:
                 target = f"low-level transition {transition.describe()}"
                 return _unmatched(
-                    next_low, f"no high-level state simulates {target}",
+                    high, next_low,
+                    f"no high-level state simulates {target}",
                     target, _product_trace(parents, key) + (transition,),
                     cut, max_stutter, product_states,
                 )
@@ -250,6 +260,7 @@ def check_refinement(
 
 
 def _unmatched(
+    high: StateMachine,
     low_state: ProgramState,
     refutation: str,
     target: str,
@@ -259,20 +270,59 @@ def _unmatched(
     product_states: int,
 ) -> RefinementResult:
     """The result when no high-level state matches *target*: the
-    *refutation*, or inconclusive when a cut closure may have hidden
-    the match."""
-    description = (
-        f"stutter bound of {max_stutter} high-level steps cut the "
-        f"search for a match to {target}" if cut else refutation
-    )
+    *refutation*, or inconclusive when a cut closure or a bounded
+    domain of *high* may have hidden the match."""
+    bound = None
+    if cut:
+        description = (
+            f"stutter bound of {max_stutter} high-level steps cut the "
+            f"search for a match to {target}"
+        )
+    else:
+        bound = _domain_bound(high)
+        description = refutation if bound is None else (
+            f"no match to {target} among the bounded values: {bound}"
+        )
     return RefinementResult(
         holds=False,
         product_states=product_states,
         hit_stutter_bound=cut,
+        hit_domain_bound=bound is not None,
         counterexample=RefinementCounterexample(
             low_state, description, trace
         ),
     )
+
+
+def _domain_bound(machine: StateMachine) -> str | None:
+    """The first value *machine* draws from a domain that does not
+    cover the value's type, described, or None when every draw
+    covers its type: a ``bool`` draws both booleans, a fixed-width
+    integer all its 2^bits values."""
+    domains = machine.domains
+    for pc, steps in machine.steps_by_pc.items():
+        for step in steps:
+            for var in machine.draws(step):
+                values = domains.values(var)
+                if not _covers(var.type, values):
+                    return (
+                        f"step {pc}:{type(step).__name__} of "
+                        f"{machine.level_name} draws {var.type} from "
+                        f"the domain {tuple(values)}"
+                    )
+    return None
+
+
+def _covers(t: ty.Type, values: tuple) -> bool:
+    if isinstance(t, ty.BoolType):
+        return {False, True} <= set(values)
+    if isinstance(t, ty.IntType):
+        inside = {
+            v for v in values
+            if isinstance(v, int) and t.min_value <= v <= t.max_value
+        }
+        return len(inside) == 1 << t.bits
+    return False
 
 
 def _product_trace(parents: dict, key: tuple) -> tuple:

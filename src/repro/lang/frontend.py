@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 
+from repro.errors import ArmadaError
 from repro.lang import asts as ast
 from repro.lang.core_check import check_core
 from repro.lang.parser import parse_program
@@ -18,8 +19,22 @@ class CheckedProgram(Record):
     program: ast.Program
     contexts: dict[str, LevelContext] = Fresh(dict)
 
-    def context(self, level_name: str) -> LevelContext:
-        return self.contexts[level_name]
+    def context(self, level_name: str | None = None) -> LevelContext:
+        """The context of level *level_name*, by default the first
+        level; an unknown name raises :class:`ArmadaError` naming the
+        program's levels."""
+        levels = self.program.levels
+        if level_name is None:
+            if not levels:
+                raise ArmadaError("the program declares no level")
+            level_name = levels[0].name
+        ctx = self.contexts.get(level_name)
+        if ctx is None:
+            names = ", ".join(level.name for level in levels)
+            raise ArmadaError(
+                f"no level named {level_name} (levels: {names})"
+            )
+        return ctx
 
 
 def check_program(source: str, filename: str = "<armada>") -> CheckedProgram:

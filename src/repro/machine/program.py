@@ -25,7 +25,12 @@ from repro.machine.state import (
     ThreadState,
     UBSignal,
 )
-from repro.machine.steps import NondetVar, Step
+from repro.machine.steps import (
+    CallStep,
+    CreateThreadStep,
+    NondetVar,
+    Step,
+)
 from repro.machine.values import (
     Location,
     Root,
@@ -345,6 +350,19 @@ class StateMachine:
     # ------------------------------------------------------------------
     # transition enumeration
 
+    def draws(self, step: Step) -> list[NondetVar]:
+        """The values *step* draws when it fires: its own
+        nondeterminism, plus the callee's uninitialized locals
+        (``newframe``) for a call or a thread creation."""
+        variables = list(step.nondet_vars())
+        if isinstance(step, (CallStep, CreateThreadStep)):
+            callee = step.method
+            variables.extend(
+                NondetVar(("newframe", callee, name), t, "newframe")
+                for name, t in self.newframe_locals.get(callee, ())
+            )
+        return variables
+
     def param_assignments(
         self,
         step: Step,
@@ -360,15 +378,7 @@ class StateMachine:
         ``old(x) + 2`` for the havoc of ``x``) — the witness heuristics
         of §4.2.5 applied to transition enumeration.
         """
-        variables = list(step.nondet_vars())
-        from repro.machine.steps import CallStep, CreateThreadStep
-
-        if isinstance(step, (CallStep, CreateThreadStep)):
-            callee = step.method
-            for name, t in self.newframe_locals.get(callee, []):
-                variables.append(
-                    NondetVar(("newframe", callee, name), t, "newframe")
-                )
+        variables = self.draws(step)
         if not variables:
             return [()]
         candidates: dict[Any, list[Any]] = {}

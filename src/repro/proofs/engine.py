@@ -31,7 +31,7 @@ from repro.errors import (
 )
 from repro.farm import VerificationFarm, lemma_jobs
 from repro.farm.scheduler import Job
-from repro.hashing import code_version, structural_hash
+from repro.hashing import structural_hash
 from repro.lang import asts as ast
 from repro.lang.frontend import CheckedProgram, check_program
 from repro.machine.program import DomainConfig, StateMachine
@@ -62,11 +62,6 @@ class ProofOutcome(Record):
     #: cancelled (TIMEOUT/UNKNOWN): the proof is *inconclusive* — not
     #: refuted — and a re-run with larger bounds may still settle it.
     inconclusive: bool = False
-    #: Reused wholesale from an outcome cache (incremental
-    #: re-verification): neither levels, recipe, prover budget, nor
-    #: toolchain changed since this outcome was computed, so no
-    #: obligation was re-discharged.
-    from_cache: bool = False
 
     @property
     def generated_sloc(self) -> int:
@@ -75,11 +70,6 @@ class ProofOutcome(Record):
     @property
     def lemma_count(self) -> int:
         return len(self.script.lemmas) if self.script is not None else 0
-
-    def reused(self) -> "ProofOutcome":
-        """This outcome served again from an outcome cache: marked
-        ``from_cache``, with no time spent."""
-        return self.replace(elapsed_seconds=0.0, from_cache=True)
 
 
 class ChainOutcome(Record):
@@ -150,7 +140,6 @@ class ProofEngine:
         domains: DomainConfig | None = None,
         validate_refinement: str = "auto",
         farm: VerificationFarm | None = None,
-        outcome_cache: "object | None" = None,
         memory_model: str | None = None,
     ) -> None:
         """``validate_refinement``: ``"always"`` adds the whole-program
@@ -162,20 +151,10 @@ class ProofEngine:
         ``farm``: the verification farm obligations are discharged
         through; defaults to a sequential, uncached farm.
 
-        ``outcome_cache``: an object with ``get(key) -> ProofOutcome |
-        None`` and ``put(key, outcome)`` (see
-        :class:`repro.serve.incremental.OutcomeCache`).  When a proof's
-        :meth:`proof_key` hits, the stored outcome is reused wholesale:
-        no script is generated and the proof cache is not read.  This
-        is how ``armada serve`` re-verifies only the proofs a
-        resubmission invalidated.  Only *settled*
-        outcomes (verified, or failed with a refutation) are stored:
-        an inconclusive outcome must be retried, never pinned.
-
         ``memory_model``: which memory model every level's machine runs
         under (``sc`` / ``tso`` / ``ra``; default ``tso``).  Part of
-        every cache fingerprint — level fingerprints, job fingerprints
-        and proof keys all change with the model, so a verdict obtained
+        every cache fingerprint — level fingerprints and job
+        fingerprints both change with the model, so a verdict obtained
         under one model is never replayed for another.
         """
         from repro.memmodel import get_model
@@ -187,8 +166,7 @@ class ProofEngine:
         self.domains = domains
         self.validate_refinement = validate_refinement
         self.farm = farm or VerificationFarm()
-        self.outcome_cache = outcome_cache
-        self._level_fingerprints: dict[str, str] = {}
+        self._fingerprints: dict[str, str] = {}
         self._machines: dict[str, StateMachine] = {}
 
     # ------------------------------------------------------------------
@@ -293,12 +271,12 @@ class ProofEngine:
 
         The rendered definitions cover PCs, datatypes, and step
         effects; global initial values are appended separately because
-        the renderer omits them.  This is the unit of incremental
-        re-verification: a proof's cache keys change exactly when one
-        of its two levels' fingerprints does, so editing one level of a
-        chain invalidates only the proofs that touch it.
+        the renderer omits them.  Every obligation of a proof is keyed
+        with the machine-pair fingerprint of its two levels, so editing
+        one level of a chain changes the cache keys of exactly the
+        proofs that touch it.
         """
-        cached = self._level_fingerprints.get(level_name)
+        cached = self._fingerprints.get(level_name)
         if cached is not None:
             return cached
         from repro.lang.astutil import expr_to_str
@@ -319,17 +297,8 @@ class ProofEngine:
             "\n".join(render_machine_definitions(self.machine(level_name))),
             inits,
         )
-        self._level_fingerprints[level_name] = fingerprint
+        self._fingerprints[level_name] = fingerprint
         return fingerprint
-
-    def level_fingerprints(self) -> dict[str, str]:
-        """Fingerprints for every level of the program, by name — what
-        the serve daemon diffs against its index to decide which
-        proofs a resubmission invalidated."""
-        return {
-            level.name: self.level_fingerprint(level.name)
-            for level in self.checked.program.levels
-        }
 
     def _machine_fingerprint(self, proof: ast.ProofDecl) -> str:
         """Fingerprint of both levels' semantics.
@@ -344,38 +313,6 @@ class ProofEngine:
             "machine-pair",
             self.level_fingerprint(proof.low_level),
             self.level_fingerprint(proof.high_level),
-        )
-
-    def proof_key(self, proof: ast.ProofDecl) -> str:
-        """Content address of one proof's *entire outcome*.
-
-        Covers everything that can change any verdict the proof
-        produces: both machines' semantics (level fingerprints), the
-        full recipe (strategy, arguments, every directive — lemma
-        customizations included), the prover/exploration configuration
-        (:meth:`_job_fingerprint`, which also covers the domains), the
-        refinement-validation policy (it decides whether the
-        whole-program check runs), and the toolchain version.  Two runs
-        with equal keys generate the same script and perform
-        byte-identical obligation checks, so reusing the stored
-        :class:`ProofOutcome` — the basis of ``armada serve``'s
-        incremental re-verification — is sound, and skips script
-        generation as well as the lemma cache's reads.
-        """
-        recipe = [
-            (item.name, list(item.args)) for item in proof.items
-        ]
-        return structural_hash(
-            "proof-outcome",
-            proof.name,
-            proof.low_level,
-            proof.high_level,
-            recipe,
-            self.level_fingerprint(proof.low_level),
-            self.level_fingerprint(proof.high_level),
-            self._job_fingerprint(),
-            self.validate_refinement,
-            code_version(),
         )
 
     def _schedule(self, prep: _PreparedProof) -> list[Job]:
@@ -531,41 +468,17 @@ class ProofEngine:
                       levels=len(levels),
                       proofs=len(self.checked.program.proofs),
                       memory_model=self.memory_model):
-            # Incremental re-verification: a proof whose outcome key
-            # hits the cache is reused wholesale — its levels, recipe,
-            # prover budget, and toolchain are all unchanged, so
-            # re-running it would perform byte-identical checks.  Only
-            # the invalidated proofs are prepared and discharged.
-            entries: list[tuple[_PreparedProof | None, ProofOutcome | None]] = []
+            preps: list[_PreparedProof] = []
             batch: list[Job] = []
             for proof in self.checked.program.proofs:
-                reused = None
-                if self.outcome_cache is not None:
-                    reused = self.outcome_cache.get(self.proof_key(proof))
-                if reused is not None:
-                    entries.append((None, reused.reused()))
-                    if OBS.enabled:
-                        OBS.count("engine.proofs_reused")
-                    continue
                 prep = self._prepare(proof)
-                entries.append((prep, None))
+                preps.append(prep)
                 if prep.outcome is None:
                     batch.extend(self._schedule(prep))
             self.farm.discharge(batch)
-        chain_outcome = ChainOutcome()
-        for prep, reused in entries:
-            if reused is not None:
-                chain_outcome.outcomes.append(reused)
-                continue
-            outcome = self._finalize(prep)
-            chain_outcome.outcomes.append(outcome)
-            # Inconclusive outcomes (timeouts, drains, budget cuts)
-            # are environment-dependent and must be re-checked by the
-            # next run, never pinned.
-            if self.outcome_cache is not None and not outcome.inconclusive:
-                self.outcome_cache.put(
-                    self.proof_key(prep.proof), outcome
-                )
+        chain_outcome = ChainOutcome(
+            outcomes=[self._finalize(prep) for prep in preps]
+        )
         chain, chain_error = self._compose_chain()
         chain_outcome.chain = chain
         chain_outcome.chain_error = chain_error

@@ -1,11 +1,10 @@
 """Thin synchronous client for the ``armada serve`` daemon.
 
 One request per connection: the client opens a socket, writes one JSON
-line, reads response lines until the first one not tagged
-``"stream": true``, and closes.  That keeps the client free of
-connection state (no reconnect logic, no pipelining bookkeeping) at
-the cost of a socket handshake per call — negligible next to any
-verification job, and exactly what the CLI subcommands
+line, reads the one response line, and closes.  That keeps the client
+free of connection state (no reconnect logic, no pipelining
+bookkeeping) at the cost of a socket handshake per call — negligible
+next to any verification job, and exactly what the CLI subcommands
 (``armada submit/status/result/cancel``) need.
 
 The daemon is the source of truth for all job state; this module only
@@ -79,40 +78,21 @@ class ServeClient:
 
     def request(self, message: dict[str, Any],
                 timeout: float | None = ...) -> dict[str, Any]:
-        """One request → the final (non-stream) response.
-
-        Intermediate stream lines are accumulated under a synthetic
-        ``"_stream"`` key of the final response so callers that care
-        (``events``) can see them without a second wire format.
-        """
+        """One request → its response."""
         sock = self._connect()
         if timeout is not ...:
             sock.settimeout(timeout)
-        streamed: list[dict[str, Any]] = []
         try:
             with sock, sock.makefile("rwb") as wire:
                 wire.write(protocol.encode(message))
                 wire.flush()
-                while True:
-                    line = wire.readline(protocol.MAX_LINE_BYTES)
-                    if not line:
-                        raise ServeError(
-                            "connection closed mid-response (daemon "
-                            "shutting down?)"
-                        )
-                    response = protocol.decode(line)
-                    if response.get("stream"):
-                        streamed.append(response)
-                        continue
-                    if streamed:
-                        response["_stream"] = streamed
-                    if not response.get("ok"):
-                        raise ServeError(
-                            str(response.get("error",
-                                             "daemon refused request")),
-                            response,
-                        )
-                    return response
+                line = wire.readline(protocol.MAX_LINE_BYTES)
+            if not line:
+                raise ServeError(
+                    "connection closed mid-response (daemon shutting "
+                    "down?)"
+                )
+            response = protocol.decode(line)
         except protocol.ProtocolError as error:
             raise ServeError(f"malformed daemon response: {error}")
         except socket.timeout:
@@ -121,6 +101,12 @@ class ServeClient:
             )
         except OSError as error:
             raise ServeError(f"connection to daemon failed: {error}")
+        if not response.get("ok"):
+            raise ServeError(
+                str(response.get("error", "daemon refused request")),
+                response,
+            )
+        return response
 
     # ------------------------------------------------------------------
     # ops
@@ -150,7 +136,6 @@ class ServeClient:
         *,
         kind: str = protocol.KIND_VERIFY,
         filename: str = "<submitted>",
-        name: str | None = None,
         options: dict[str, Any] | None = None,
     ) -> str:
         """Enqueue a job; returns its id."""
@@ -160,8 +145,6 @@ class ServeClient:
             "source": source,
             "filename": filename,
         }
-        if name is not None:
-            request["name"] = name
         if options:
             request["options"] = options
         return str(self.request(request)["id"])
@@ -193,16 +176,6 @@ class ServeClient:
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         return self.request({"op": protocol.OP_CANCEL, "id": job_id})
-
-    def events(self, job_id: str) -> list[dict[str, Any]]:
-        """The job's lifecycle events recorded so far."""
-        response = self.request(
-            {"op": protocol.OP_EVENTS, "id": job_id}
-        )
-        return [
-            line["event"] for line in response.get("_stream", [])
-            if "event" in line
-        ]
 
     def stats(self) -> dict[str, Any]:
         return self.request({"op": protocol.OP_STATS})["stats"]

@@ -7,20 +7,12 @@ through a :class:`~repro.farm.VerificationFarm`) runs on an executor
 thread, so a client polling ``status`` gets an answer in microseconds
 while a six-level chain grinds through its state sweeps next door.
 
-Shared, multi-tenant state — the reason a daemon beats N batch
-processes:
-
-* one :class:`~repro.farm.cache.ProofCache` (byte-capped, LRU) serves
-  every job, so tenant A's verified obligations discharge tenant B's
-  identical ones by file read;
-* one :class:`~repro.serve.incremental.OutcomeCache` reuses whole
-  proof outcomes when a resubmission left both levels, the recipe, and
-  the configuration untouched — including the whole-program bounded
-  checks the lemma cache cannot cover;
-* one :class:`~repro.serve.incremental.FingerprintIndex` diffs each
-  submission's per-level machine fingerprints against the previous one
-  under the same name, reporting exactly which levels changed and
-  which proofs that invalidated.
+Shared state — the reason a daemon beats N batch processes — is one
+:class:`~repro.farm.cache.ProofCache` (byte-capped, LRU) that serves
+every job, obligation by obligation: a resubmission, or another
+client's identical proof, discharges every obligation it shares with
+an earlier job by file read, the whole-program refinement check
+included, and executes only those whose content address changed.
 
 Lifecycle: SIGTERM/SIGINT (or the ``shutdown`` op) starts a *drain* —
 new submissions are rejected, running farms finish their in-flight
@@ -50,7 +42,6 @@ from repro.farm.cache import ProofCache
 from repro.obs import OBS
 from repro.record import Fresh, Record
 from repro.serve import protocol
-from repro.serve.incremental import FingerprintIndex, OutcomeCache
 from repro.serve.protocol import (
     CANCELLED,
     DONE,
@@ -80,7 +71,6 @@ class ServeJob(Record):
 
     id: str
     kind: str
-    name: str
     source: str
     filename: str
     options: dict[str, Any]
@@ -90,7 +80,6 @@ class ServeJob(Record):
     finished_at: float | None = None
     result: dict[str, Any] | None = None
     error: str | None = None
-    incremental: dict[str, Any] | None = None
     cancel_requested: bool = False
     #: Drained by daemon shutdown (not by a user cancel): stays in
     #: ``pending.jsonl`` so a restarted daemon re-enqueues it.
@@ -98,16 +87,7 @@ class ServeJob(Record):
     #: The farm currently discharging this job (verify only) — the
     #: handle ``cancel`` uses to drain a running job.
     farm: VerificationFarm | None = None
-    events: list[dict[str, Any]] = Fresh(list)
     done: asyncio.Event = Fresh(asyncio.Event)
-
-    def event(self, kind: str, **detail: Any) -> None:
-        self.events.append({
-            "seq": len(self.events),
-            "kind": kind,
-            "time": _now(),
-            **detail,
-        })
 
     def runtime_seconds(self) -> float | None:
         if self.started_at is None:
@@ -119,7 +99,6 @@ class ServeJob(Record):
         payload: dict[str, Any] = {
             "id": self.id,
             "kind": self.kind,
-            "name": self.name,
             "state": self.state,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -129,8 +108,6 @@ class ServeJob(Record):
         }
         if self.error is not None:
             payload["error"] = self.error
-        if self.incremental is not None:
-            payload["incremental"] = self.incremental
         if self.result is not None and "status" in self.result:
             payload["status"] = self.result["status"]
         return payload
@@ -160,10 +137,6 @@ class ArmadaDaemon:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.cache = ProofCache(
             self.state_dir / "cache", max_bytes=cache_max_bytes
-        )
-        self.outcomes = OutcomeCache()
-        self.index = FingerprintIndex(
-            self.state_dir / "fingerprints.json"
         )
         self.pending_path = self.state_dir / "pending.jsonl"
 
@@ -226,12 +199,10 @@ class ArmadaDaemon:
             job = ServeJob(
                 id=str(record["id"]),
                 kind=record.get("kind", KIND_VERIFY),
-                name=str(record.get("name", "<resumed>")),
                 source=record["source"],
                 filename=str(record.get("filename", "<resumed>")),
                 options=record.get("options", {}) or {},
             )
-            job.event("resumed", detail="re-enqueued after restart")
             self.jobs[job.id] = job
             assert self._queue is not None
             self._queue.put_nowait(job)
@@ -284,35 +255,18 @@ class ArmadaDaemon:
             max_states=int(options.get("max_states", 200_000)),
             validate_refinement=str(options.get("validate", "auto")),
             farm=farm,
-            outcome_cache=self.outcomes,
             memory_model=options.get("memory_model"),
         )
-        fingerprints = engine.level_fingerprints()
-        diff = self.index.diff(job.name, fingerprints)
-        job.incremental = diff.to_dict(checked.program.proofs)
-        job.event("incremental", **job.incremental)
         try:
             outcome = engine.run_all()
         finally:
             job.farm = None
-        if not outcome.inconclusive and not job.cancel_requested:
-            # An inconclusive (timed-out / drained) run must not move
-            # the index: the next submission of the same source should
-            # still see those levels as "changed" work to finish.
-            self.index.record(job.name, fingerprints)
-        reused = sum(1 for o in outcome.outcomes if o.from_cache)
-        job.incremental["reused_proofs"] = reused
-        job.incremental["reverified_proofs"] = (
-            len(outcome.outcomes) - reused
-        )
-        summary = farm.summary()
         return {
             "status": outcome.status,
             "memory_model": engine.memory_model,
             "end_to_end": outcome.end_to_end,
             "chain": outcome.chain,
             "chain_error": outcome.chain_error,
-            "incremental": job.incremental,
             "outcomes": [
                 {
                     "proof": o.proof_name,
@@ -325,12 +279,11 @@ class ArmadaDaemon:
                     "lemmas": o.lemma_count,
                     "generated_sloc": o.generated_sloc,
                     "elapsed_seconds": round(o.elapsed_seconds, 6),
-                    "from_cache": o.from_cache,
                     "error": o.error,
                 }
                 for o in outcome.outcomes
             ],
-            "farm": summary.to_dict(),
+            "farm": farm.summary().to_dict(),
         }
 
     def _run_analyze(self, job: ServeJob) -> dict[str, Any]:
@@ -339,13 +292,7 @@ class ArmadaDaemon:
 
         options = job.options
         checked = check_program(job.source, job.filename)
-        level = options.get("level") or checked.program.levels[0].name
-        ctx = checked.contexts.get(level)
-        if ctx is None:
-            names = ", ".join(l.name for l in checked.program.levels)
-            raise ArmadaError(
-                f"no level named {level} (levels: {names})"
-            )
+        ctx = checked.context(options.get("level"))
         result = analyze_level(
             ctx,
             max_states=int(options.get("max_states", 200_000)),
@@ -353,7 +300,7 @@ class ArmadaDaemon:
         )
         return {
             "status": "analyzed",
-            "level": level,
+            "level": ctx.level.name,
             "memory_model": result.memory_model,
             "racy": result.racy(),
             "report": json.loads(result.report().to_json()),
@@ -366,13 +313,7 @@ class ArmadaDaemon:
 
         options = job.options
         checked = check_program(job.source, job.filename)
-        level = options.get("level") or checked.program.levels[0].name
-        ctx = checked.contexts.get(level)
-        if ctx is None:
-            names = ", ".join(l.name for l in checked.program.levels)
-            raise ArmadaError(
-                f"no level named {level} (levels: {names})"
-            )
+        ctx = checked.context(options.get("level"))
         machine = translate_level(
             ctx, memory_model=options.get("memory_model")
         )
@@ -380,7 +321,7 @@ class ArmadaDaemon:
             machine,
             max_states=int(options.get("max_states", 200_000)),
         ).explore()
-        summary = exploration_summary(machine, level, result)
+        summary = exploration_summary(machine, ctx.level.name, result)
         summary["status"] = "explored"
         return summary
 
@@ -399,7 +340,6 @@ class ArmadaDaemon:
                 continue
             job.state = RUNNING
             job.started_at = _now()
-            job.event("started")
             if OBS.enabled:
                 OBS.count("serve.jobs_started")
             try:
@@ -415,9 +355,6 @@ class ArmadaDaemon:
                 job.state = ERROR
                 job.error = f"internal error: {err!r}"
             job.finished_at = _now()
-            job.event("finished", state=job.state,
-                      error=job.error,
-                      status=(job.result or {}).get("status"))
             self.completed += 1
             drained_unfinished = (
                 (job.requeue_on_restart or self.draining)
@@ -495,8 +432,6 @@ class ArmadaDaemon:
             await self._op_result(request, writer)
         elif op == protocol.OP_CANCEL:
             await self._op_cancel(request, writer)
-        elif op == protocol.OP_EVENTS:
-            await self._op_events(request, writer)
         elif op == protocol.OP_STATS:
             await self._send(writer, protocol.ok(stats=self.stats()))
         elif op == protocol.OP_SHUTDOWN:
@@ -541,20 +476,17 @@ class ArmadaDaemon:
         job = ServeJob(
             id=f"j-{next(self._ids):06d}",
             kind=kind,
-            name=str(request.get("name", filename)),
             source=source,
             filename=filename,
             options=options,
         )
-        job.event("submitted", job_kind=kind, name=job.name)
         self.jobs[job.id] = job
         self.submitted += 1
         if OBS.enabled:
             OBS.count("serve.jobs_submitted")
         self._append_pending({
-            "id": job.id, "kind": kind, "name": job.name,
-            "source": source, "filename": filename,
-            "options": options,
+            "id": job.id, "kind": kind, "source": source,
+            "filename": filename, "options": options,
         })
         assert self._queue is not None
         self._queue.put_nowait(job)
@@ -595,13 +527,11 @@ class ArmadaDaemon:
             await self._send(writer, protocol.ok(**job.describe()))
             return
         job.cancel_requested = True
-        job.event("cancel_requested")
         if OBS.enabled:
             OBS.count("serve.jobs_cancelled")
         if job.state == QUEUED:
             job.state = CANCELLED
             job.finished_at = _now()
-            job.event("finished", state=CANCELLED)
             self._append_pending({"id": job.id, "done": True})
             job.done.set()
         elif job.farm is not None:
@@ -609,27 +539,6 @@ class ArmadaDaemon:
             # finish; queued ones short-circuit inconclusive.
             job.farm.request_shutdown()
         await self._send(writer, protocol.ok(**job.describe()))
-
-    async def _op_events(self, request: dict[str, Any],
-                         writer: asyncio.StreamWriter) -> None:
-        job = await self._find(request, writer)
-        if job is None:
-            return
-        sent = 0
-        wait = bool(request.get("wait"))
-        while True:
-            while sent < len(job.events):
-                await self._send(writer, protocol.stream(
-                    id=job.id, event=job.events[sent]))
-                sent += 1
-            if job.state in TERMINAL_STATES or not wait:
-                break
-            try:
-                await asyncio.wait_for(job.done.wait(), timeout=0.1)
-            except asyncio.TimeoutError:
-                pass
-        await self._send(writer, protocol.ok(
-            id=job.id, done=True, state=job.state, events=sent))
 
     # ------------------------------------------------------------------
     # stats
@@ -656,7 +565,6 @@ class ArmadaDaemon:
                 "bytes": self.cache.total_bytes(),
                 "entries": len(self.cache),
             },
-            "outcome_cache": self.outcomes.stats(),
         }
 
     # ------------------------------------------------------------------
@@ -751,7 +659,7 @@ class ArmadaDaemon:
             await server.wait_closed()
             # Drain, phase 1: give in-flight jobs the grace period to
             # finish their current obligation and post-process (done
-            # marker, finished event).  Their farms were already told
+            # marker, finish time).  Their farms were already told
             # to shut down, so "finish" means one obligation, not the
             # whole queue.
             running = [

@@ -7,37 +7,33 @@ is one JSON object on one line.  The framing is deliberately primitive
 ``socat`` work for debugging — and it multiplexes cleanly through an
 asyncio server because a read never spans requests.
 
-Requests carry an ``op`` plus op-specific fields; responses always
-carry ``ok`` (bool).  Failures carry ``error`` (a message string).
-Streaming ops (``events``, and ``result`` with ``wait``) emit zero or
-more intermediate lines tagged ``"stream": true`` and terminate with a
-final non-stream response, so a client reads lines until it sees one
-without the tag.
+Requests carry an ``op`` plus op-specific fields, and each gets
+exactly one response, which always carries ``ok`` (bool).  Failures
+carry ``error`` (a message string).
 
 Ops
 ---
 ``ping``    → liveness + protocol version.
 ``submit``  → enqueue a job: ``kind`` (verify/analyze/explore),
-              ``source`` (Armada program text), ``filename``,
-              optional ``name`` (the tenant-visible identity used by
-              incremental fingerprint diffing; defaults to
-              ``filename``), and ``options``.
-``status``  → job state + timings + incremental summary.
+              ``source`` (Armada program text), ``filename`` and
+              ``options``.
+``status``  → job state, the submitted/started/finished timestamps
+              and ``cancel_requested``.
 ``result``  → the job's result payload; ``wait: true`` blocks (server
               side, cheaply) until the job reaches a terminal state.
 ``cancel``  → request cancellation: a queued job never starts; a
               running job's farm drains (in-flight obligations finish,
               the rest short-circuit inconclusive).
-``events``  → the job's lifecycle event list; ``wait: true`` streams
-              new events as they happen until the job is terminal.
 ``stats``   → daemon-wide counters: jobs by state, shared-cache
-              hit/miss/eviction numbers, outcome-cache reuse, uptime.
+              hit/miss/eviction numbers, uptime.
 ``shutdown``→ ask the daemon to drain and exit (the programmatic
               equivalent of SIGTERM; used by tests and CI).
 
 Job states form a tiny lattice: ``queued → running → (done | error |
 cancelled)``; ``done`` results carry a verification ``status``
-(verified / failed / inconclusive) of their own.
+(verified / failed / inconclusive) of their own, and a verify result
+carries the farm's counts (``farm``: jobs, cache hits, executed, ...),
+which say how much of the job the shared proof cache served.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import json
 from typing import Any
 
 #: Bumped when a request or response shape changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard per-line ceiling: a submitted source plus framing must fit one
 #: line.  1000 lines of Armada is ~30 KiB; 8 MiB is not a tight budget,
@@ -59,11 +55,10 @@ OP_SUBMIT = "submit"
 OP_STATUS = "status"
 OP_RESULT = "result"
 OP_CANCEL = "cancel"
-OP_EVENTS = "events"
 OP_STATS = "stats"
 OP_SHUTDOWN = "shutdown"
-OPS = (OP_PING, OP_SUBMIT, OP_STATUS, OP_RESULT, OP_CANCEL, OP_EVENTS,
-       OP_STATS, OP_SHUTDOWN)
+OPS = (OP_PING, OP_SUBMIT, OP_STATUS, OP_RESULT, OP_CANCEL, OP_STATS,
+       OP_SHUTDOWN)
 
 # -- job kinds ---------------------------------------------------------
 KIND_VERIFY = "verify"
@@ -120,9 +115,3 @@ def error(message: str, **fields: Any) -> dict[str, Any]:
     response.update(fields)
     return response
 
-
-def stream(**fields: Any) -> dict[str, Any]:
-    """An intermediate line of a streaming response."""
-    response: dict[str, Any] = {"ok": True, "stream": True}
-    response.update(fields)
-    return response

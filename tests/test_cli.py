@@ -180,6 +180,15 @@ class TestAnalyzeCommand:
         assert "no level named Nope (levels: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command", ["explore", "analyze", "compile", "run"]
+    )
+    def test_program_without_levels(self, command, tmp_path, capsys):
+        path = tmp_path / "proofs_only.arm"
+        path.write_text("proof P { refinement A B weakening }\n")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == "the program declares no level\n"
+
     def test_analyze_suggests_the_running_example_predicate(
         self, capsys
     ):
@@ -238,9 +247,10 @@ class TestVerifyFarmFlags:
         ["explore", "{file}", "--no-compiled"],
         ["verify", "{file}", "--compiled"],
         ["analyze", "{file}", "--no-compiled"],
+        ["submit", "{file}", "--name", "x"],
     ], ids=["verify-journal", "verify-analyze", "submit-analyze",
             "explore-no-compiled", "verify-compiled",
-            "analyze-no-compiled"])
+            "analyze-no-compiled", "submit-name"])
     def test_removed_options_exit_2(self, argv, program_file, capsys):
         argv = [arg.format(file=program_file) for arg in argv]
         assert main(argv) == 2

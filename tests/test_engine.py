@@ -260,6 +260,22 @@ class TestWholeProgramBounds:
         assert "product state budget exhausted" in proof.error
         assert outcome.status == "inconclusive"
 
+    def test_bounded_havoc_domain_is_inconclusive_not_failed(self):
+        # Mid prints 3; Spec's x := * draws only 0 or 1 in the bounded
+        # check, so a missing match is no refutation.
+        outcome = verify_source(
+            TWO_STEP_CHAIN, validate_refinement="always"
+        )
+        by_name = {o.proof_name: o for o in outcome.outcomes}
+        assert by_name["ImplToMid"].success
+        mid_to_spec = by_name["MidToSpec"]
+        assert not mid_to_spec.success and mid_to_spec.inconclusive
+        assert "whole-program refinement check inconclusive" in (
+            mid_to_spec.error
+        )
+        assert "draws uint32 from the domain (0, 1)" in mid_to_spec.error
+        assert outcome.status == "inconclusive"
+
     def test_same_pair_verifies_within_budget(self):
         checked = check_program(LOOP_PAIR)
         engine = ProofEngine(checked, validate_refinement="always")
@@ -307,6 +323,20 @@ class TestWholeProgramBounds:
                 "P:WholeProgramRefinement"
             ]
             assert summary.cache_stores == 0
+
+    def test_domain_cut_check_is_executed_again_by_a_second_run(
+        self, tmp_path
+    ):
+        (first, cold), (second, warm) = self._run_twice(
+            TWO_STEP_CHAIN, tmp_path
+        )
+        assert first.status == second.status == "inconclusive"
+        # Only MidToSpec's WholeProgramRefinement is never stored.
+        assert cold.executed == cold.jobs
+        assert cold.cache_stores == cold.jobs - 1
+        assert (warm.executed, warm.cache_hits, warm.cache_stores) == (
+            1, warm.jobs - 1, 0
+        )
 
     def test_refutation_is_served_from_the_cache(self, tmp_path):
         # R cannot hold of the initial states, and the high level's

@@ -4,7 +4,7 @@ Covers the model registry, the C11 release/acquire state machinery,
 the full litmus allowed/forbidden matrix, and — critically — that the
 memory model is part of every proof-cache identity: a verdict obtained
 under one model must never be replayed for another, even when the two
-runs share a cache directory or an outcome cache.
+runs share a cache directory or one serve daemon.
 """
 
 from functools import lru_cache
@@ -220,14 +220,6 @@ class TestCacheKeys:
         }
         assert len(set(prints.values())) == len(MODELS)
 
-    def test_proof_keys_differ_across_models(self):
-        keys = {}
-        for model in MODELS:
-            engine = self._engine(model)
-            proof = engine.checked.program.proofs[0]
-            keys[model] = engine.proof_key(proof)
-        assert len(set(keys.values())) == len(MODELS)
-
     def test_shared_cache_dir_never_replays_across_models(self, tmp_path):
         """Regression: with one on-disk proof cache, a TSO run must not
         seed cache hits for an SC run of the same program — only a
@@ -249,28 +241,32 @@ class TestCacheKeys:
         assert third.success
         assert hot.cache_hits > 0  # same model: the cache does work
 
-    def test_shared_outcome_cache_never_replays_across_models(self):
-        from repro.serve.incremental import OutcomeCache
+    def test_shared_daemon_cache_never_replays_across_models(
+        self, tmp_path
+    ):
+        """One daemon's shared proof cache serves a resubmission only
+        under the model that settled it."""
+        from repro.serve.client import ServeClient
+        from repro.serve.daemon import ArmadaDaemon, DaemonThread
 
-        cache = OutcomeCache()
-        checked = check_program(PROGRAM)
-        first = ProofEngine(
-            checked, memory_model="tso", outcome_cache=cache
-        ).run_all()
-        assert first.success
-        assert not any(o.from_cache for o in first.outcomes)
-        second = ProofEngine(
-            check_program(PROGRAM), memory_model="sc",
-            outcome_cache=cache,
-        ).run_all()
-        assert second.success
-        assert not any(o.from_cache for o in second.outcomes)
-        third = ProofEngine(
-            check_program(PROGRAM), memory_model="tso",
-            outcome_cache=cache,
-        ).run_all()
-        assert third.success
-        assert all(o.from_cache for o in third.outcomes)
+        daemon = ArmadaDaemon(state_dir=tmp_path / "state")
+        farms = []
+        with DaemonThread(daemon):
+            client = ServeClient(socket_path=daemon.socket_path)
+            client.wait_until_ready()
+            for model in ("tso", "sc", "tso"):
+                job_id = client.submit(
+                    PROGRAM, options={"memory_model": model}
+                )
+                response = client.result(job_id, wait=True, timeout=60)
+                assert response["result"]["status"] == "verified"
+                assert response["result"]["memory_model"] == model
+                farms.append(response["result"]["farm"])
+        first, second, third = farms
+        assert first["jobs"] > 0 and first["cache_hits"] == 0
+        assert second["cache_hits"] == 0  # model changed: all keys miss
+        assert third["executed"] == 0  # same model: all from the cache
+        assert third["cache_hits"] == third["jobs"]
 
 
 class TestPerModelAnalysis:

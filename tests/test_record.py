@@ -360,12 +360,12 @@ class TestReplace:
 
         outcome = ProofOutcome("p", "weakening", False, None, "boom", True,
                                elapsed_seconds=2.5, inconclusive=True)
-        reused = outcome.reused()
-        assert reused is not outcome
-        assert reused == ProofOutcome("p", "weakening", False, None, "boom",
-                                      True, elapsed_seconds=0.0,
-                                      inconclusive=True, from_cache=True)
-        assert outcome.elapsed_seconds == 2.5 and not outcome.from_cache
+        copy = outcome.replace(elapsed_seconds=0.0)
+        assert copy is not outcome
+        assert copy == ProofOutcome("p", "weakening", False, None, "boom",
+                                    True, elapsed_seconds=0.0,
+                                    inconclusive=True)
+        assert outcome.elapsed_seconds == 2.5
 
     def test_frozen_and_keyword_only_fields_are_copied(self):
         loc = SourceLoc(1, 1)

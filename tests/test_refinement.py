@@ -17,7 +17,7 @@ from repro.machine.state import ProgramState, Termination
 from repro.machine.pmap import PMap
 from repro.machine.translator import translate_level
 from repro.proofs.engine import ProofEngine
-from repro.proofs.refinement import relation_from_recipe
+from repro.proofs.refinement import build_relation, relation_from_recipe
 
 from tests.differential_harness import interpreted_stepping
 
@@ -241,6 +241,68 @@ class TestStutterBound:
         assert check_refinement(
             low, high, relation=relation, max_stutter=9
         ).holds
+
+
+class TestDomainBound:
+    """A missing match refutes only when every value the high level
+    draws ranges over its whole type; a draw from a smaller domain may
+    have hidden the match, so the result is inconclusive."""
+
+    def test_bool_draws_still_refute(self):
+        low, high = machines(
+            "level A { void main() { print_uint32(3); } } "
+            "level B { void main() { if (*) { print_uint32(1); } "
+            "else { print_uint32(2); } } }",
+            "A", "B",
+        )
+        for result in check_both_ways(low, high):
+            assert not result.holds and not result.inconclusive
+            assert not result.hit_domain_bound
+            assert "no high-level state simulates" in (
+                result.counterexample.description
+            )
+
+    def test_bounded_integer_draw_is_inconclusive(self):
+        low, high = machines(
+            "level A { var x: uint32; void main() "
+            "{ x := 3; print_uint32(x); } } "
+            "level B { var x: uint32; void main() "
+            "{ x := *; print_uint32(x); } }",
+            "A", "B",
+        )
+        for result in check_both_ways(low, high):
+            assert not result.holds
+            assert result.hit_domain_bound and result.inconclusive
+            assert not (result.hit_budget or result.hit_stutter_bound)
+            assert "step main#0:AssignStep of B draws uint32 from the " \
+                "domain (0, 1)" in result.counterexample.description
+
+    @pytest.mark.parametrize("high_body, inconclusive", [
+        ("x := *;", True),
+        ("x := 2;", False),
+    ], ids=["bounded_draw", "no_draw"])
+    def test_unmatched_initial_state(self, high_body, inconclusive):
+        checked = check_program(
+            "level A { var x: uint32 := 3; void main() "
+            "{ print_uint32(x); } } "
+            f"level B {{ var x: uint32; void main() {{ {high_body} "
+            "print_uint32(x); } }"
+        )
+        relation = build_relation(
+            "low_x == high_x", checked.contexts["A"], checked.contexts["B"]
+        )
+        result = check_refinement(
+            translate_level(checked.contexts["A"]),
+            translate_level(checked.contexts["B"]),
+            relation=relation,
+        )
+        assert not result.holds
+        assert result.inconclusive is inconclusive
+        assert result.hit_domain_bound is inconclusive
+        description = result.counterexample.description
+        assert ("initial states are not related by R" in description) is (
+            not inconclusive
+        )
 
 
 # ---------------------------------------------------------------------------

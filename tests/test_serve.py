@@ -1,5 +1,6 @@
 """Tests for ``armada serve``: protocol, daemon lifecycle, concurrent
-clients, incremental re-verification, drain + restart resume.
+clients, resubmissions served by the shared proof cache, drain +
+restart resume.
 
 The in-process tests run the real asyncio daemon on a background
 thread (:class:`DaemonThread`) and talk to it over its real Unix
@@ -8,6 +9,7 @@ calling the same ``initiate_drain`` hook the SIGTERM handler invokes.
 The subprocess tests cover actual signal delivery.
 """
 
+import gc
 import json
 import os
 import signal
@@ -15,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -144,7 +147,6 @@ class TestProtocol:
             protocol.decode(b"\xff\xfe\n")
 
     def test_stream_tagging(self):
-        assert protocol.stream(x=1)["stream"] is True
         assert "stream" not in protocol.ok(x=1)
         assert protocol.error("boom")["ok"] is False
 
@@ -167,7 +169,7 @@ class TestDaemonBasics:
 
         _, client = served
         batch = verify_source(QUICK_CHAIN)
-        job_id = client.submit(QUICK_CHAIN, name="chain")
+        job_id = client.submit(QUICK_CHAIN)
         response = client.result(job_id, wait=True, timeout=60)
         assert response["state"] == "done"
         result = response["result"]
@@ -195,15 +197,6 @@ class TestDaemonBasics:
         )
         assert "analysis_notes" not in result
 
-    def test_lifecycle_events(self, served):
-        _, client = served
-        job_id = client.submit(QUICK_CHAIN, name="ev")
-        client.result(job_id, wait=True, timeout=60)
-        kinds = [e["kind"] for e in client.events(job_id)]
-        assert kinds == [
-            "submitted", "started", "incremental", "finished",
-        ]
-
     def test_errors_are_responses_not_disconnects(self, served):
         _, client = served
         with pytest.raises(ServeError, match="no such job"):
@@ -219,8 +212,7 @@ class TestDaemonBasics:
 
     def test_bad_program_is_job_error_not_crash(self, served):
         _, client = served
-        job_id = client.submit("level Broken { syntax error",
-                               name="bad")
+        job_id = client.submit("level Broken { syntax error")
         response = client.result(job_id, wait=True, timeout=60)
         assert response["state"] == "error"
         assert response.get("error")
@@ -229,16 +221,13 @@ class TestDaemonBasics:
 
     def test_stats_counters(self, served):
         _, client = served
-        job_id = client.submit(QUICK_CHAIN, name="st")
+        job_id = client.submit(QUICK_CHAIN)
         client.result(job_id, wait=True, timeout=60)
         stats = client.stats()
         assert stats["submitted"] == 1
         assert stats["completed"] == 1
         assert stats["jobs"] == {"done": 1}
         assert stats["cache"]["max_bytes"] is None
-        assert set(stats["outcome_cache"]) >= {
-            "entries", "hits", "misses", "stores", "evictions",
-        }
 
     def test_analyze_and_explore_kinds(self, served):
         _, client = served
@@ -255,6 +244,18 @@ class TestDaemonBasics:
         assert explored["result"]["status"] == "explored"
         assert explored["result"]["states"] > 0
         assert not explored["result"]["violations"]
+
+    def test_unknown_level_is_a_job_error(self, served):
+        _, client = served
+        for kind in ("analyze", "explore"):
+            job_id = client.submit(
+                QUICK_CHAIN, kind=kind, options={"level": "Nope"}
+            )
+            response = client.result(job_id, wait=True, timeout=60)
+            assert response["state"] == "error"
+            assert response["error"] == (
+                "no level named Nope (levels: Impl, Mid, Spec)"
+            )
 
 
 class TestConcurrentClients:
@@ -284,7 +285,7 @@ class TestConcurrentClients:
             try:
                 client = ServeClient(socket_path=daemon.socket_path)
                 job_id = client.submit(
-                    QUICK_CHAIN, kind=kind, name=tag, options=options
+                    QUICK_CHAIN, kind=kind, options=options
                 )
                 results[tag] = client.result(
                     job_id, wait=True, timeout=120
@@ -336,99 +337,160 @@ class TestConcurrentClients:
         try:
             # Occupy the single slot, then cancel a queued job.
             running = client.submit(
-                counter_chain(1), name="runner",
-                options={"validate": "always"},
+                counter_chain(1), options={"validate": "always"},
             )
-            queued = client.submit(QUICK_CHAIN, name="victim")
+            queued = client.submit(QUICK_CHAIN)
             status = client.cancel(queued)
             assert status["state"] == "cancelled"
+            assert status["cancel_requested"] is True
             response = client.result(queued, wait=True, timeout=30)
             assert response["state"] == "cancelled"
             release.set()
             # The occupant is unaffected.
             occupant = client.result(running, wait=True, timeout=120)
             assert occupant["result"]["status"] == "verified"
-            kinds = [e["kind"] for e in client.events(queued)]
-            assert "started" not in kinds
-            assert "cancel_requested" in kinds
+            # The victim never started.
+            victim = client.status(queued)
+            assert victim["state"] == "cancelled"
+            assert victim["cancel_requested"] is True
+            assert victim["started_at"] is None
+            assert victim["finished_at"] is not None
         finally:
             release.set()
             thread.stop()
 
 
+def farm_counts(response) -> tuple[int, int, int]:
+    """(jobs, executed, cache hits) of a settled verify job."""
+    farm = response["result"]["farm"]
+    return farm["jobs"], farm["executed"], farm["cache_hits"]
+
+
 class TestIncremental:
-    def test_warm_resubmit_reuses_everything(self, tmp_path):
+    """A resubmission is served by the shared proof cache, obligation
+    by obligation: it executes only what changed."""
+
+    def test_warm_resubmit_executes_nothing(self, tmp_path):
         daemon, thread, client = start_daemon(tmp_path / "state")
         try:
-            cold_id = client.submit(QUICK_CHAIN, name="prog")
+            cold_id = client.submit(QUICK_CHAIN)
             cold = client.result(cold_id, wait=True, timeout=60)
-            inc = cold["result"]["incremental"]
-            assert inc["first_submission"] is True
-            assert inc["reverified_proofs"] == 2
-            assert inc["reused_proofs"] == 0
+            jobs, executed, hits = farm_counts(cold)
+            assert jobs > 0 and executed == jobs and hits == 0
 
-            warm_id = client.submit(QUICK_CHAIN, name="prog")
+            warm_id = client.submit(QUICK_CHAIN)
             warm = client.result(warm_id, wait=True, timeout=60)
-            inc = warm["result"]["incremental"]
-            assert inc["first_submission"] is False
-            assert inc["changed_levels"] == []
-            assert inc["unchanged_levels"] == ["Impl", "Mid", "Spec"]
-            assert inc["invalidated_proofs"] == []
-            assert inc["reused_proofs"] == 2
-            assert inc["reverified_proofs"] == 0
+            assert farm_counts(warm) == (jobs, 0, jobs)
             # Verdicts are identical to the cold run's.
-            assert [o["status"] for o in warm["result"]["outcomes"]] \
-                == [o["status"] for o in cold["result"]["outcomes"]]
-            assert all(o["from_cache"]
-                       for o in warm["result"]["outcomes"])
+            assert [
+                (o["proof"], o["status"]) for o in warm["result"]["outcomes"]
+            ] == [
+                (o["proof"], o["status"]) for o in cold["result"]["outcomes"]
+            ]
+            assert warm["result"]["status"] == "verified"
         finally:
             thread.stop()
 
-    def test_one_level_edit_reverifies_only_its_proofs(self, tmp_path):
-        daemon, thread, client = start_daemon(tmp_path / "state")
-        try:
-            cold_id = client.submit(QUICK_CHAIN, name="prog")
-            client.result(cold_id, wait=True, timeout=60)
+    def test_one_level_edit_executes_only_its_proofs(self, tmp_path):
+        from repro.proofs.engine import verify_source
 
-            # Edit only Spec (semantic change: g becomes nondet, which
-            # is still a valid weakening of Mid's g := 1).
-            edited = QUICK_CHAIN.replace(
-                "x := *; g := 1;", "x := *; g := *;"
+        # x := 1 lies in the bounded havoc domain of Spec's x := *, so
+        # both whole-program checks verify (and are cached).
+        source = QUICK_CHAIN.replace("x := 3", "x := 1")
+        # Edit only Spec (semantic change: g becomes nondet, which is
+        # still a valid weakening of Mid's g := 1).
+        edited = source.replace("x := *; g := 1;", "x := *; g := *;")
+        assert edited != source
+        always = {"validate": "always"}
+        obligations = {
+            o.proof_name: sum(
+                lemma.obligation is not None for lemma in o.script.lemmas
             )
-            assert edited != QUICK_CHAIN
-            edit_id = client.submit(edited, name="prog")
+            for o in verify_source(
+                edited, validate_refinement="always"
+            ).outcomes
+        }
+        assert obligations["ImplToMid"] > 0
+        assert obligations["MidToSpec"] > 0
+        daemon, thread, client = start_daemon(tmp_path / "state")
+        try:
+            cold_id = client.submit(source, options=always)
+            client.result(cold_id, wait=True, timeout=60)
+            edit_id = client.submit(edited, options=always)
             response = client.result(edit_id, wait=True, timeout=60)
-            inc = response["result"]["incremental"]
-            assert inc["changed_levels"] == ["Spec"]
-            assert inc["unchanged_levels"] == ["Impl", "Mid"]
-            # Only the proof touching Spec was invalidated; the other
-            # was replayed from the outcome cache without discharging
-            # a single obligation.
-            assert inc["invalidated_proofs"] == ["MidToSpec"]
-            assert inc["reused_proofs"] == 1
-            assert inc["reverified_proofs"] == 1
-            by_proof = {
-                o["proof"]: o for o in response["result"]["outcomes"]
-            }
-            assert by_proof["ImplToMid"]["from_cache"] is True
-            assert by_proof["MidToSpec"]["from_cache"] is False
             assert response["result"]["status"] == "verified"
+            jobs, executed, hits = farm_counts(response)
+            assert executed == obligations["MidToSpec"]
+            assert hits == obligations["ImplToMid"]
+            assert jobs == executed + hits
         finally:
             thread.stop()
 
-    def test_different_names_are_different_tenants(self, tmp_path):
+    def test_second_tenant_executes_nothing(self, tmp_path):
+        daemon, thread, _ = start_daemon(tmp_path / "state")
+        try:
+            tenant_a = ServeClient(socket_path=daemon.socket_path)
+            tenant_b = ServeClient(socket_path=daemon.socket_path)
+            a = tenant_a.submit(QUICK_CHAIN, filename="a.arm")
+            first = tenant_a.result(a, wait=True, timeout=60)
+            b = tenant_b.submit(QUICK_CHAIN, filename="b.arm")
+            second = tenant_b.result(b, wait=True, timeout=60)
+            jobs, _, _ = farm_counts(first)
+            assert farm_counts(second) == (jobs, 0, jobs)
+        finally:
+            thread.stop()
+
+    def test_submit_wait_prints_the_farm_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        program = tmp_path / "chain.arm"
+        program.write_text(QUICK_CHAIN)
+        daemon, thread, _ = start_daemon(tmp_path / "state")
+        try:
+            argv = ["submit", str(program), "--socket",
+                    str(daemon.socket_path), "--wait"]
+            assert main(argv) == 0
+            assert "farm: 3 obligations, 0 from cache, 3 executed" in (
+                capsys.readouterr().out
+            )
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "farm: 3 obligations, 3 from cache, 0 executed" in out
+            assert "ImplToMid [var_intro]: verified" in out
+        finally:
+            thread.stop()
+
+
+class TestRetention:
+    def test_settled_jobs_keep_no_machine_alive(self, tmp_path,
+                                                monkeypatch):
+        from repro.proofs import engine
+
+        built: list[weakref.ref] = []
+        translate = engine.translate_level
+
+        def recording(*args, **kwargs):
+            machine = translate(*args, **kwargs)
+            built.append(weakref.ref(machine))
+            return machine
+
+        monkeypatch.setattr(engine, "translate_level", recording)
+        sources = [
+            counter_chain(7),
+            counter_chain(7).replace("done := 1;", "done := 2;"),
+        ]
         daemon, thread, client = start_daemon(tmp_path / "state")
         try:
-            a = client.submit(QUICK_CHAIN, name="tenant-a")
-            client.result(a, wait=True, timeout=60)
-            # Same source under a new name: the fingerprint diff is
-            # per-tenant (first submission), but the outcome cache is
-            # content-addressed and shared — proofs are still reused.
-            b = client.submit(QUICK_CHAIN, name="tenant-b")
-            response = client.result(b, wait=True, timeout=60)
-            inc = response["result"]["incremental"]
-            assert inc["first_submission"] is True
-            assert inc["reused_proofs"] == 2
+            for source in sources:
+                job_id = client.submit(
+                    source, options={"validate": "always"}
+                )
+                response = client.result(job_id, wait=True, timeout=120)
+                assert response["result"]["status"] == "verified"
+            gc.collect()
+            assert len(built) == 16
+            alive = [ref for ref in built if ref() is not None]
+            assert not alive, f"{len(alive)} of {len(built)} alive"
         finally:
             thread.stop()
 
@@ -442,10 +504,9 @@ class TestDrainAndResume:
         # The in-flight check runs only once the drain has begun.
         hold_refinement_checks(monkeypatch, lambda: daemon.draining)
         running = client.submit(
-            counter_chain(1), name="inflight",
-            options={"validate": "always"},
+            counter_chain(1), options={"validate": "always"},
         )
-        queued = client.submit(QUICK_CHAIN, name="patient")
+        queued = client.submit(QUICK_CHAIN)
         # Wait until the slow job is actually mid-obligation: its farm
         # exists once parse/translate are done and the sweep began.
         deadline = time.monotonic() + 30
@@ -481,10 +542,10 @@ class TestDrainAndResume:
         daemon2, thread2, client2 = start_daemon(state, slots=1)
         try:
             response = client2.result(queued, wait=True, timeout=60)
+            assert response["id"] == queued
             assert response["state"] == "done"
             assert response["result"]["status"] == "verified"
-            kinds = [e["kind"] for e in client2.events(queued)]
-            assert kinds[0] == "resumed"
+            assert daemon2.jobs[queued].state == "done"
         finally:
             thread2.stop()
 
@@ -531,7 +592,7 @@ class TestRealSignals:
             # The daemon is a separate process, so the check cannot be
             # held: the three-worker family outlasts the signal offset.
             job_id = client.submit(
-                counter_chain(2, workers=3), name="interrupted",
+                counter_chain(2, workers=3),
                 options={"validate": "always"},
             )
             deadline = time.monotonic() + 30
