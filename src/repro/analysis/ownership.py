@@ -18,14 +18,10 @@ plausible but wrong candidate is never suggested.
 from __future__ import annotations
 
 
-from repro.lang import asts as ast
-from repro.lang import types as ty
-from repro.lang.parser import parse_expression
 from repro.lang.resolver import LevelContext
-from repro.lang.typechecker import TypeChecker
-from repro.machine.evaluator import EvalContext, eval_expr
+from repro.machine.evaluator import eval_for_thread, parse_predicate
 from repro.machine.program import StateMachine
-from repro.machine.state import ProgramState, UBSignal
+from repro.machine.state import ProgramState
 
 from repro.analysis.accesses import AccessMap
 from repro.analysis.robustness import Classification, LocationVerdict
@@ -49,32 +45,6 @@ class OwnershipSuggestion(Record):
         )
 
 
-def _parse_predicate(ctx: LevelContext, text: str) -> ast.Expr:
-    expr = parse_expression(text)
-    TypeChecker(ctx)._check_expr(expr, None, ty.BOOL, two_state=False)
-    return expr
-
-
-def _eval_for_thread(
-    ctx: LevelContext,
-    machine: StateMachine,
-    predicate: ast.Expr,
-    state: ProgramState,
-    tid: int,
-) -> bool | None:
-    thread = state.threads.get(tid)
-    method = (
-        thread.top.method
-        if thread is not None and thread.frames
-        else machine.main_method
-    )
-    ec = EvalContext(ctx, state, tid, method)
-    try:
-        return bool(eval_expr(ec, predicate))
-    except (UBSignal, KeyError):
-        return None
-
-
 def validate_predicate(
     ctx: LevelContext,
     machine: StateMachine,
@@ -88,7 +58,7 @@ def validate_predicate(
     from repro.explore.explorer import Explorer
 
     try:
-        predicate = _parse_predicate(ctx, predicate_text)
+        predicate = parse_predicate(ctx, predicate_text)
     except Exception as error:
         return False, f"does not parse/typecheck: {error}"
 
@@ -104,15 +74,13 @@ def validate_predicate(
         owners = []
         for tid in state.threads.keys():
             thread = state.threads[tid]
-            if _eval_for_thread(ctx, machine, predicate, state, tid):
+            if eval_for_thread(machine, predicate, state, tid):
                 owners.append(tid)
             if (
                 thread.pc in touching_pcs
                 and not thread.terminated
                 and (state.atomic_owner in (None, tid))
-                and not _eval_for_thread(
-                    ctx, machine, predicate, state, tid
-                )
+                and not eval_for_thread(machine, predicate, state, tid)
             ):
                 failure.append(
                     f"t{tid} can access {varname} at {thread.pc} "

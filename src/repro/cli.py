@@ -272,31 +272,15 @@ def _invariant_predicate(ctx, machine, source: str):
     local the thread does not have — is skipped rather than counted as
     a violation.
     """
-    from repro.lang import types as ty
-    from repro.lang.parser import parse_expression
-    from repro.lang.typechecker import TypeChecker
-    from repro.machine.evaluator import EvalContext, eval_expr
-    from repro.machine.state import UBSignal
+    from repro.machine.evaluator import eval_for_thread, parse_predicate
 
-    expr = parse_expression(source)
-    TypeChecker(ctx)._check_expr(expr, None, ty.BOOL, two_state=False)
+    expr = parse_predicate(ctx, source)
 
     def predicate(state) -> bool:
-        tids = list(state.threads) or [1]
-        for tid in tids:
-            thread = state.threads.get(tid)
-            method = (
-                thread.top.method
-                if thread is not None and thread.frames
-                else machine.main_method
-            )
-            try:
-                value = eval_expr(EvalContext(ctx, state, tid, method), expr)
-            except (UBSignal, KeyError):
-                continue
-            if not bool(value):
-                return False
-        return True
+        return all(
+            eval_for_thread(machine, expr, state, tid) is not False
+            for tid in list(state.threads) or [1]
+        )
 
     return predicate
 
@@ -560,7 +544,7 @@ def _print_terminal_result(response: dict, as_json: bool) -> int:
         print(json.dumps(response, indent=2, sort_keys=True))
     elif result.get("status") in ("verified", "failed", "inconclusive"):
         _render_verify_result(result)
-    else:
+    elif result:
         print(json.dumps(result, indent=2, sort_keys=True))
     if state == "error":
         if not as_json:

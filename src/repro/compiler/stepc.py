@@ -65,6 +65,7 @@ from typing import Any
 from repro.hashing import code_version, structural_hash
 from repro.lang import asts as ast
 from repro.lang import types as ty
+from repro.machine.evaluator import OPERATOR_HELPERS
 from repro.machine.pmap import PMap
 from repro.machine.program import DomainConfig, StateMachine, Transition
 from repro.machine.state import (
@@ -90,7 +91,6 @@ from repro.machine.steps import (
 )
 from repro.machine.values import (
     CompositeValue,
-    GhostMap,
     Location,
     NONE_OPTION,
     NULL,
@@ -112,8 +112,9 @@ class _Unsupported(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Runtime helpers injected into every compiled module's namespace.  Each
-# replicates one interpreter code path exactly, including UB messages.
+# Runtime helpers injected into every compiled module's namespace, beside
+# the evaluator's operator helpers.  Each replicates one interpreter code
+# path exactly, including UB messages.
 
 
 def _local_read(locals_map: Any, name: str) -> Any:
@@ -140,97 +141,6 @@ def _mem_local_read(
     if status is None:
         raise UBSignal(f"access to unallocated object {root}")
     return state.local_view(tid, Location(root))
-
-
-def _seq_index(base: Any, index: Any) -> Any:
-    # The non-pointer branches of evaluator._eval_access, verbatim.
-    if isinstance(base, CompositeValue):
-        if not 0 <= index < len(base.children):
-            raise UBSignal(f"index {index} out of bounds")
-        return base.children[index]
-    if isinstance(base, tuple):
-        if not 0 <= index < len(base):
-            raise UBSignal(f"sequence index {index} out of bounds")
-        return base[index]
-    if isinstance(base, GhostMap):
-        if index not in base:
-            raise UBSignal(f"map key {index!r} absent")
-        return base[index]
-    raise UBSignal(f"cannot index {type(base).__name__}")
-
-
-def _signed(value: int, lo: int, hi: int, tname: str) -> int:
-    if lo <= value <= hi:
-        return value
-    raise UBSignal(f"signed overflow: {value} does not fit {tname}")
-
-
-def _swrap(value: int, bits: int) -> int:
-    masked = value & ((1 << bits) - 1)
-    if masked >= (1 << (bits - 1)):
-        masked -= 1 << bits
-    return masked
-
-
-def _divc(left: int, right: int) -> int:
-    if right == 0:
-        raise UBSignal("division by zero")
-    quotient = abs(left) // abs(right)
-    if (left < 0) != (right < 0):
-        quotient = -quotient
-    return quotient
-
-
-def _modc(left: int, right: int) -> int:
-    return left - _divc(left, right) * right
-
-
-def _shiftck(amount: int, bits: int, tname: str) -> int:
-    if not 0 <= amount < bits:
-        raise UBSignal(f"shift by {amount} out of range for {tname}")
-    return amount
-
-
-def _len_value(value: Any) -> int:
-    if isinstance(value, CompositeValue):
-        return len(value.children)
-    return len(value)
-
-
-def _first(value: Any) -> Any:
-    if not isinstance(value, tuple) or not value:
-        raise UBSignal("first() of empty or non-sequence")
-    return value[0]
-
-
-def _last(value: Any) -> Any:
-    if not isinstance(value, tuple) or not value:
-        raise UBSignal("last() of empty or non-sequence")
-    return value[-1]
-
-
-def _drop(value: Any, count: Any) -> Any:
-    if not isinstance(value, tuple) or not isinstance(count, int):
-        raise UBSignal("drop() on non-sequence")
-    if not 0 <= count <= len(value):
-        raise UBSignal(f"drop({count}) out of range")
-    return value[count:]
-
-
-def _take(value: Any, count: Any) -> Any:
-    if not isinstance(value, tuple) or not isinstance(count, int):
-        raise UBSignal("take() on non-sequence")
-    if not 0 <= count <= len(value):
-        raise UBSignal(f"take({count}) out of range")
-    return value[:count]
-
-
-def _ufn(name: str, args: tuple, result_type: ty.Type) -> Any:
-    from repro.machine.evaluator import _hashable, uninterpreted_value
-
-    return uninterpreted_value(
-        name, tuple(_hashable(a) for a in args), result_type
-    )
 
 
 def _adv(
@@ -321,18 +231,7 @@ _NAMESPACE_BASE = {
     "_local": _local_read,
     "_ghost": _ghost_read,
     "_mem_local": _mem_local_read,
-    "_seq_index": _seq_index,
-    "_signed": _signed,
-    "_swrap": _swrap,
-    "_divc": _divc,
-    "_modc": _modc,
-    "_shiftck": _shiftck,
-    "_len_value": _len_value,
-    "_first": _first,
-    "_last": _last,
-    "_drop": _drop,
-    "_take": _take,
-    "_ufn": _ufn,
+    **OPERATOR_HELPERS,
     "_adv": _adv,
     "_canon": _canon,
     "_term": _term,
@@ -504,7 +403,7 @@ class _ExprCompiler:
         return f"({raw})"
 
     def _wrap(self, raw: str, t: ty.Type) -> str:
-        """Apply IntType.wrap to the raw source (two's complement)."""
+        """Apply evaluator._bits_result to the raw source."""
         if not isinstance(t, ty.IntType):
             raise _Unsupported("wrap on non-integer type")
         if t.signed:
@@ -649,13 +548,6 @@ def _type_src(t: ty.Type) -> str:
     if isinstance(t, ty.IntType):
         return f"IntType({t.bits}, {t.signed})"
     raise _Unsupported(f"uninterpreted result type {t}")
-
-
-def _oob(index: Any) -> Any:
-    raise UBSignal(f"index {index} out of bounds")
-
-
-_NAMESPACE_BASE["_oob"] = _oob
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
-"""Expression evaluation over program states.
+"""Expression evaluation: the one definition of what an expression means.
 
 Evaluates typed AST expressions against a thread's view of a state:
 reads of shared memory go through the thread's x86-TSO store buffer
 (:meth:`ProgramState.local_view`); reads of non-addressed locals hit the
-stack frame; ghost state is sequentially consistent.
+stack frame; ghost state is sequentially consistent.  The same code
+evaluates *formulas* (:func:`eval_formula`: the prover's goals, the
+refinement relations, global initializers), whose free names an
+environment binds, and recipe and ``--invariant`` predicates for one
+thread (:func:`parse_predicate`, :func:`eval_for_thread`).  Compiled
+steppers call the operator helpers below by name (``_divc``,
+``_seq_index``, ...), so generated code and :func:`eval_expr` share one
+definition of each operator.
 
 Undefined behaviour (§3.2.3/§3.2.4) — freed/null dereference, division
 by zero, signed overflow, shifts out of range, out-of-bounds indexing,
-pointer comparison across arrays — raises :class:`UBSignal`, which the
-step semantics converts into a UB-terminated state.
+pointer comparison across arrays, an operator applied outside its
+types — raises :class:`UBSignal`, which the step semantics converts
+into a UB-terminated state.  A name that is neither bound nor a
+variable in scope raises ``KeyError``.
 
 Assignment targets are *places* (:class:`MemoryPlace`, :class:`LocalPlace`,
 :class:`GhostPlace`), computed by :func:`eval_place`.
@@ -16,11 +25,12 @@ Assignment targets are *places* (:class:`MemoryPlace`, :class:`LocalPlace`,
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.lang.resolver import LevelContext
+from repro.machine.pmap import PMap
 from repro.machine.state import ProgramState, UBSignal
 from repro.machine.values import (
     NONE_OPTION,
@@ -29,7 +39,6 @@ from repro.machine.values import (
     GhostMap,
     Location,
     NullPointer,
-    OptionValue,
     Pointer,
     Root,
     child_type,
@@ -37,6 +46,9 @@ from repro.machine.values import (
     type_at_path,
 )
 from repro.record import Slotted
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.machine.program import StateMachine
 
 STATUS_VALID = "valid"
 STATUS_FREED = "freed"
@@ -230,7 +242,7 @@ def _var_place(ec: EvalContext, expr: ast.Var) -> Place:
         if g.ghost:
             return GhostPlace(name, g.var_type)
         return MemoryPlace(Location(global_root(name)), g.var_type)
-    raise UBSignal(f"unknown variable {name}")
+    raise KeyError(f"unbound variable {name}")
 
 
 def _pointer_place(ec: EvalContext, pointer: Any) -> MemoryPlace:
@@ -353,7 +365,139 @@ def compare_pointers(ec: EvalContext, op: str, left: Any, right: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic helpers
+# Operator helpers.  Compiled steppers bind each under its own name
+# (:data:`OPERATOR_HELPERS`), so keep their signatures and UB messages.
+
+
+def _signed(value: int, lo: int, hi: int, tname: Any) -> int:
+    if lo <= value <= hi:
+        return value
+    raise UBSignal(f"signed overflow: {value} does not fit {tname}")
+
+
+def _swrap(value: int, bits: int) -> int:
+    masked = value & ((1 << bits) - 1)
+    if masked >= (1 << (bits - 1)):
+        masked -= 1 << bits
+    return masked
+
+
+def _divc(left: int, right: int) -> int:
+    """C division: truncation toward zero."""
+    if right == 0:
+        raise UBSignal("division by zero")
+    quotient = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        quotient = -quotient
+    return quotient
+
+
+def _modc(left: int, right: int) -> int:
+    return left - _divc(left, right) * right
+
+
+def _shiftck(amount: int, bits: int, tname: Any) -> int:
+    if not 0 <= amount < bits:
+        raise UBSignal(f"shift by {amount} out of range for {tname}")
+    return amount
+
+
+def _oob(index: Any) -> Any:
+    raise UBSignal(f"index {index} out of bounds")
+
+
+def _seq_index(base: Any, index: Any) -> Any:
+    """``base[index]`` on a composite, a ghost sequence or a map."""
+    if isinstance(base, CompositeValue):
+        if not 0 <= index < len(base.children):
+            _oob(index)
+        return base.children[index]
+    if isinstance(base, tuple):
+        if not 0 <= index < len(base):
+            raise UBSignal(f"sequence index {index} out of bounds")
+        return base[index]
+    if isinstance(base, GhostMap):
+        if index not in base:
+            raise UBSignal(f"map key {index!r} absent")
+        return base[index]
+    raise UBSignal(f"cannot index {type(base).__name__}")
+
+
+def _len_value(value: Any) -> int:
+    if isinstance(value, CompositeValue):
+        return len(value.children)
+    try:
+        return len(value)
+    except TypeError:
+        raise UBSignal(f"len() of non-sequence {type(value).__name__}") \
+            from None
+
+
+def _first(value: Any) -> Any:
+    if not isinstance(value, tuple) or not value:
+        raise UBSignal("first() of empty or non-sequence")
+    return value[0]
+
+
+def _last(value: Any) -> Any:
+    if not isinstance(value, tuple) or not value:
+        raise UBSignal("last() of empty or non-sequence")
+    return value[-1]
+
+
+def _drop(value: Any, count: Any) -> Any:
+    if not isinstance(value, tuple) or not isinstance(count, int):
+        raise UBSignal("drop() on non-sequence")
+    if not 0 <= count <= len(value):
+        raise UBSignal(f"drop({count}) out of range")
+    return value[count:]
+
+
+def _take(value: Any, count: Any) -> Any:
+    if not isinstance(value, tuple) or not isinstance(count, int):
+        raise UBSignal("take() on non-sequence")
+    if not 0 <= count <= len(value):
+        raise UBSignal(f"take({count}) out of range")
+    return value[:count]
+
+
+def _ufn(name: str, args: tuple, result_type: ty.Type) -> Any:
+    """The value of uninterpreted ghost function *name* at *args*.
+
+    Both levels of a refinement pair must see the same function, so the
+    (name, arguments) pair is hashed into a stable value."""
+    import hashlib
+
+    key = repr((name, tuple(_hashable(a) for a in args)))
+    raw = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+    if isinstance(result_type, ty.BoolType):
+        return bool(raw & 1)
+    if isinstance(result_type, ty.IntType):
+        return result_type.wrap(raw)
+    return raw
+
+
+def _hashable(value: Any) -> Any:
+    if isinstance(value, CompositeValue):
+        return tuple(_hashable(c) for c in value.children)
+    return value
+
+
+#: The helpers compiled steppers call, by the name their code uses.
+OPERATOR_HELPERS = {
+    helper.__name__: helper
+    for helper in (
+        _signed, _swrap, _divc, _modc, _shiftck, _oob, _seq_index,
+        _len_value, _first, _last, _drop, _take, _ufn,
+    )
+}
+
+#: Built-in functions by name; any other call is an uninterpreted
+#: ghost function.
+_BUILTINS = {
+    "len": _len_value, "abs": abs, "Some": some, "first": _first,
+    "last": _last, "drop": _drop, "take": _take,
+}
 
 
 def _arith_result(t: ty.Type | None, value: int) -> int:
@@ -361,11 +505,23 @@ def _arith_result(t: ty.Type | None, value: int) -> int:
     mathematical integers are exact."""
     if isinstance(t, ty.IntType):
         if t.signed:
-            if not t.contains(value):
-                raise UBSignal(f"signed overflow: {value} does not fit {t}")
-            return value
-        return t.wrap(value)
+            return _signed(value, t.min_value, t.max_value, t)
+        return value & ((1 << t.bits) - 1)
     return value
+
+
+def _int_type(t: ty.Type | None, op: str) -> ty.IntType:
+    """The fixed-width type a bit operator works in."""
+    if not isinstance(t, ty.IntType):
+        raise UBSignal(f"{op} on non-integer type {t}")
+    return t
+
+
+def _bits_result(t: ty.IntType, value: int) -> int:
+    """Wrap the result of ``~``, ``<<`` or a bit operation into *t*."""
+    if t.signed:
+        return _swrap(value, t.bits)
+    return value & ((1 << t.bits) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +615,7 @@ def _eval_unary(ec: EvalContext, expr: ast.Unary) -> Any:
     if expr.op == "-":
         return _arith_result(expr.type, -value)
     if expr.op == "~":
-        t = expr.type
-        assert isinstance(t, ty.IntType)
-        return t.wrap(~value)
+        return _bits_result(_int_type(expr.type, "~"), ~value)
     raise UBSignal(f"unknown unary {expr.op}")
 
 
@@ -495,8 +649,6 @@ def _eval_binary(ec: EvalContext, expr: ast.Binary) -> Any:
         raise UBSignal(f"bad pointer operation {op}")
 
     if op == "in":
-        if isinstance(right, GhostMap):
-            return left in right
         return left in right
     if op in ("==", "!="):
         return (left == right) if op == "==" else (left != right)
@@ -508,29 +660,20 @@ def _eval_binary(ec: EvalContext, expr: ast.Binary) -> Any:
     if op in ("+", "-", "*"):
         raw = {"+": left + right, "-": left - right, "*": left * right}[op]
         return _arith_result(expr.type, raw)
-    if op in ("/", "%"):
-        if right == 0:
-            raise UBSignal("division by zero")
-        # C semantics: truncation toward zero.
-        quotient = abs(left) // abs(right)
-        if (left < 0) != (right < 0):
-            quotient = -quotient
-        remainder = left - quotient * right
-        raw = quotient if op == "/" else remainder
-        return _arith_result(expr.type, raw)
+    if op == "/":
+        return _arith_result(expr.type, _divc(left, right))
+    if op == "%":
+        return _arith_result(expr.type, _modc(left, right))
     if op in ("<<", ">>"):
-        t = expr.type
-        assert isinstance(t, ty.IntType)
-        if not 0 <= right < t.bits:
-            raise UBSignal(f"shift by {right} out of range for {t}")
+        t = _int_type(expr.type, "shift")
+        amount = _shiftck(right, t.bits, t)
         if op == "<<":
-            return t.wrap(left << right)
-        return left >> right
+            return _bits_result(t, left << amount)
+        return left >> amount
     if op in ("&", "|", "^"):
-        t = expr.type
-        assert isinstance(t, ty.IntType)
+        t = _int_type(expr.type, op)
         raw = {"&": left & right, "|": left | right, "^": left ^ right}[op]
-        return t.wrap(raw)
+        return _bits_result(t, raw)
     raise UBSignal(f"unknown binary {op}")
 
 
@@ -553,91 +696,46 @@ def _eval_access(ec: EvalContext, expr: ast.Expr) -> Any:
     if isinstance(base, Pointer):
         shifted = offset_pointer(ec, base, index)
         return read_place(ec, _pointer_place(ec, shifted))
-    if isinstance(base, CompositeValue):
-        if not 0 <= index < len(base.children):
-            raise UBSignal(f"index {index} out of bounds")
-        return base.children[index]
-    if isinstance(base, tuple):  # ghost sequence
-        if not 0 <= index < len(base):
-            raise UBSignal(f"sequence index {index} out of bounds")
-        return base[index]
-    if isinstance(base, GhostMap):
-        if index not in base:
-            raise UBSignal(f"map key {index!r} absent")
-        return base[index]
-    raise UBSignal(f"cannot index {type(base).__name__}")
-
-
-# Deterministic interpretation of uninterpreted ghost functions: both
-# levels of a refinement pair must see the same function, so we hash the
-# (name, arguments) pair into a stable value.
-def uninterpreted_value(name: str, args: tuple, result_type: ty.Type) -> Any:
-    import hashlib
-
-    digest = hashlib.sha256(repr((name, args)).encode()).digest()
-    raw = int.from_bytes(digest[:8], "big")
-    if isinstance(result_type, ty.BoolType):
-        return bool(raw & 1)
-    if isinstance(result_type, ty.IntType):
-        return result_type.wrap(raw)
-    return raw
+    return _seq_index(base, index)
 
 
 def _eval_call(ec: EvalContext, expr: ast.Call) -> Any:
-    if expr.func == "len":
-        value = eval_expr(ec, expr.args[0])
-        if isinstance(value, CompositeValue):
-            return len(value.children)
-        return len(value)
-    if expr.func == "abs":
-        return abs(eval_expr(ec, expr.args[0]))
-    if expr.func == "Some":
-        return some(eval_expr(ec, expr.args[0]))
-    if expr.func in ("first", "last"):
-        value = eval_expr(ec, expr.args[0])
-        if not isinstance(value, tuple) or not value:
-            raise UBSignal(f"{expr.func}() of empty or non-sequence")
-        return value[0] if expr.func == "first" else value[-1]
-    if expr.func in ("drop", "take"):
-        value = eval_expr(ec, expr.args[0])
-        count = eval_expr(ec, expr.args[1])
-        if not isinstance(value, tuple) or not isinstance(count, int):
-            raise UBSignal(f"{expr.func}() on non-sequence")
-        if not 0 <= count <= len(value):
-            raise UBSignal(f"{expr.func}({count}) out of range")
-        return value[count:] if expr.func == "drop" else value[:count]
-    if expr.func in ec.ctx.methods:
+    builtin = _BUILTINS.get(expr.func)
+    if builtin is None and expr.func in ec.ctx.methods:
         raise UBSignal(
             f"method {expr.func} evaluated in expression position"
         )
-    args = tuple(_hashable(eval_expr(ec, arg)) for arg in expr.args)
+    args = tuple(eval_expr(ec, arg) for arg in expr.args)
+    if builtin is not None:
+        return builtin(*args)
     result_type = expr.type if expr.type is not None else ty.BOOL
-    return uninterpreted_value(expr.func, args, result_type)
+    return _ufn(expr.func, args, result_type)
 
 
-def _hashable(value: Any) -> Any:
-    if isinstance(value, CompositeValue):
-        return tuple(_hashable(c) for c in value.children)
-    return value
+#: Half-width of the integer window a bound variable ranges over.
+QUANTIFIER_WINDOW = 12
 
 
-_QUANT_DOMAIN = tuple(range(-4, 9))
+def quantifier_domain(t: ty.Type | None) -> range | tuple:
+    """The values a quantifier's bound variable of type *t* ranges over.
+
+    A ``bool`` ranges over both values.  Any integer type ranges over
+    the window −12..12, clamped to the type, so a quantifier over a
+    wider type is checked on a bounded domain only.
+    """
+    if isinstance(t, ty.BoolType):
+        return (False, True)
+    lo, hi = -QUANTIFIER_WINDOW, QUANTIFIER_WINDOW
+    if isinstance(t, ty.IntType):
+        lo, hi = max(t.min_value, lo), min(t.max_value, hi)
+    return range(lo, hi + 1)
 
 
 def _eval_quantifier(ec: EvalContext, expr: ast.Quantifier) -> bool:
-    """Bounded quantifier evaluation over a small integer domain.
-
-    Model-checked states are finite; quantifiers in recipes range over
-    thread ids and small counters, for which this domain suffices.  The
-    symbolic prover handles quantifiers separately.
-    """
-    domain: tuple = _QUANT_DOMAIN
-    if isinstance(expr.boundtype, ty.IntType):
-        lo = max(expr.boundtype.min_value, -4)
-        hi = min(expr.boundtype.max_value, 8)
-        domain = tuple(range(lo, hi + 1))
+    """Evaluate the body at every value of :func:`quantifier_domain`
+    (all of them, so UB at any value is UB of the whole quantifier)."""
     results = []
-    for value in domain:
+    for value in quantifier_domain(expr.boundtype):
         inner = EvalContext(
             ec.ctx, ec.state, ec.tid, ec.method, ec.nondet, ec.old_state,
             {**ec.bound, expr.boundvar: value},
@@ -646,3 +744,66 @@ def _eval_quantifier(ec: EvalContext, expr: ast.Quantifier) -> bool:
     if expr.kind == "forall":
         return all(results)
     return any(results)
+
+
+# ---------------------------------------------------------------------------
+# Formulas and thread predicates
+
+#: The level and state a formula is evaluated against.  They name and
+#: hold nothing, so every free name must come from the environment.
+_NO_LEVEL = LevelContext(None)
+_NO_STATE = ProgramState(PMap(), PMap(), PMap(), PMap())
+
+
+def eval_formula(expr: ast.Expr, env: dict[str, Any]) -> Any:
+    """Evaluate the formula *expr* with its free names bound by *env*.
+
+    Raises ``KeyError`` for a name *env* does not bind and
+    :class:`UBSignal` where the formula is undefined.
+    """
+    return eval_expr(EvalContext(_NO_LEVEL, _NO_STATE, 0, "", bound=env),
+                     expr)
+
+
+def parse_predicate(
+    ctx: LevelContext, source: str, two_state: bool = False
+) -> ast.Expr:
+    """Parse and type-check *source*, a boolean predicate over a state
+    of *ctx*'s level (over a pair of states, with ``old()``, when
+    *two_state*)."""
+    from repro.lang.parser import parse_expression
+    from repro.lang.typechecker import TypeChecker
+
+    expr = parse_expression(source)
+    TypeChecker(ctx)._check_expr(expr, None, ty.BOOL, two_state=two_state)
+    return expr
+
+
+def eval_for_thread(
+    machine: "StateMachine",
+    predicate: ast.Expr,
+    state: ProgramState,
+    tid: int,
+    method: str | None = None,
+    old_state: ProgramState | None = None,
+) -> bool | None:
+    """Evaluate *predicate* for thread *tid* in *state*.
+
+    Locals are those of *method*: by default the thread's current
+    method, or the machine's main method for a thread without frames.
+    ``old()`` reads *old_state*.  Returns ``None`` where the predicate
+    is undefined: evaluation hit UB or named a variable that is not in
+    scope.
+    """
+    if method is None:
+        thread = state.threads.get(tid)
+        method = (
+            thread.top.method
+            if thread is not None and thread.frames
+            else machine.main_method
+        )
+    ec = EvalContext(machine.ctx, state, tid, method, old_state=old_state)
+    try:
+        return bool(eval_expr(ec, predicate))
+    except (UBSignal, KeyError):
+        return None

@@ -16,6 +16,7 @@ from repro.errors import TranslationError
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.lang.resolver import LevelContext
+from repro.machine.evaluator import eval_formula
 from repro.machine.pmap import PMap
 from repro.machine.state import (
     Frame,
@@ -30,6 +31,7 @@ from repro.machine.steps import (
     CreateThreadStep,
     NondetVar,
     Step,
+    fit,
 )
 from repro.machine.values import (
     Location,
@@ -182,7 +184,7 @@ class StateMachine:
         ghosts: dict[Any, Any] = {}
         for g in self.ctx.level.globals:
             init_value = (
-                _const_eval(g.init) if g.init is not None
+                _initial_value(g) if g.init is not None
                 else default_value(g.var_type)
             )
             if g.ghost:
@@ -459,42 +461,16 @@ class StateMachine:
             return state.terminate(TERM_UB, signal.reason)
 
 
-# ---------------------------------------------------------------------------
-# constant evaluation for global initializers
-
-
-def _const_eval(expr: ast.Expr) -> Any:
-    if isinstance(expr, ast.IntLit):
-        return expr.value
-    if isinstance(expr, ast.BoolLit):
-        return expr.value
-    if isinstance(expr, ast.NullLit):
-        from repro.machine.values import NULL
-
-        return NULL
-    if isinstance(expr, ast.Var) and expr.name == "None":
-        from repro.machine.values import NONE_OPTION
-
-        return NONE_OPTION
-    if isinstance(expr, ast.SeqLit):
-        return tuple(_const_eval(e) for e in expr.elements)
-    if isinstance(expr, ast.SetLit):
-        return frozenset(_const_eval(e) for e in expr.elements)
-    if isinstance(expr, ast.Unary) and expr.op == "-":
-        return -_const_eval(expr.operand)
-    if isinstance(expr, ast.Binary):
-        left = _const_eval(expr.left)
-        right = _const_eval(expr.right)
-        ops = {
-            "+": lambda: left + right,
-            "-": lambda: left - right,
-            "*": lambda: left * right,
-        }
-        if expr.op in ops:
-            return ops[expr.op]()
-    raise TranslationError(
-        f"global initializer must be a constant expression", expr.loc
-    )
+def _initial_value(g: ast.GlobalVarDecl) -> Any:
+    """The value global *g* starts with: its initializer evaluated like
+    an assignment's right-hand side, through the evaluator and the
+    assignment fit check."""
+    try:
+        return fit(g.var_type, eval_formula(g.init, {}))
+    except (KeyError, UBSignal) as error:
+        raise TranslationError(
+            f"initializer of global {g.name}: {error.args[0]}", g.loc
+        ) from None
 
 
 def _flatten(t: ty.Type, value: Any) -> list[Any]:

@@ -266,7 +266,7 @@ class AssignStep(Step):
         values = [_coerce(rhs, v) for rhs, v in zip(self.rhss, values)]
         places = [ev.eval_place(ec, lhs) for lhs in self.lhss]
         for place, value, lhs in zip(places, values, self.lhss):
-            value = _fit(lhs.type, value)
+            value = fit(lhs.type, value)
             buffered = (not self.tso_bypass) and isinstance(
                 place, MemoryPlace
             )
@@ -280,7 +280,7 @@ def _coerce(rhs: ast.Expr, value: Any) -> Any:
     return value
 
 
-def _fit(t: ty.Type | None, value: Any) -> Any:
+def fit(t: ty.Type | None, value: Any) -> Any:
     """Check that *value* fits the target type (C assignment semantics:
     implicit narrowing is not allowed in Armada; a mismatch is UB)."""
     if isinstance(t, ty.IntType) and isinstance(value, int) \

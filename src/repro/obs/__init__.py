@@ -3,7 +3,7 @@
 A zero-dependency tracing/metrics/profiling layer: the toolchain's
 heavy machinery (lemma generation, farm discharge, state-space
 exploration, bounded proving) records *where its time and states went*
-as hierarchical spans plus counters and histograms, emitted as JSONL.
+as hierarchical spans plus counters, emitted as JSONL.
 
 Two halves:
 

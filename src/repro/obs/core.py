@@ -1,4 +1,4 @@
-"""The observer: hierarchical spans, counters, and histograms.
+"""The observer: hierarchical spans and counters.
 
 One module-level :data:`OBS` instance serves the whole process.  It is
 **disabled by default**, and every instrumentation site in the hot
@@ -24,9 +24,9 @@ whatever span is active *on that thread*; ``armada serve`` runs jobs on
 several threads, so consumers group by ``kind``, not by reconstructing
 one global tree.
 
-Counters and histograms attach to the innermost active span of the
-emitting thread (falling back to a process-global accumulator emitted
-at :meth:`Observer.disable`), which is what lets ``armada stats``
+Counters attach to the innermost active span of the emitting thread
+(falling back to a process-global accumulator emitted at
+:meth:`Observer.disable`), which is what lets ``armada stats``
 attribute prover assignments or explorer states to the obligation that
 caused them.
 
@@ -34,11 +34,10 @@ Trace format (JSONL, one object per line)
 -----------------------------------------
 * ``{"type": "meta", "format": "armada-trace/1"}`` — first line.
 * ``{"type": "span", "id": int, "parent": int|null, "kind": str,
-  "name": str, "seconds": float, "attrs": {...}, "counters": {...},
-  "histograms": {name: {"count", "sum", "min", "max"}}}`` — emitted
-  when the span closes.
-* ``{"type": "counters", "counters": {...}, "histograms": {...}}`` —
-  the process-global accumulators, emitted by :meth:`disable`.
+  "name": str, "seconds": float, "attrs": {...}, "counters": {...}}``
+  — emitted when the span closes.
+* ``{"type": "counters", "counters": {...}}`` — the process-global
+  counters, emitted by :meth:`disable`.
 
 Every line is flushed as written, so a trace is readable mid-run.
 """
@@ -80,7 +79,7 @@ class _Span:
     """One live span; emitted as a single JSONL record on exit."""
 
     __slots__ = ("_obs", "id", "parent", "name", "kind", "attrs",
-                 "counters", "histograms", "_started")
+                 "counters", "_started")
 
     def __init__(self, obs: "Observer", name: str, kind: str,
                  attrs: dict) -> None:
@@ -89,8 +88,6 @@ class _Span:
         self.kind = kind
         self.attrs = attrs
         self.counters: dict[str, int | float] = {}
-        #: name -> [count, sum, min, max]
-        self.histograms: dict[str, list] = {}
         self.id = -1
         self.parent: int | None = None
         self._started = 0.0
@@ -122,35 +119,7 @@ class _Span:
             "seconds": round(elapsed, 6),
             "attrs": self.attrs,
             "counters": self.counters,
-            "histograms": {
-                name: _histogram_summary(cells)
-                for name, cells in self.histograms.items()
-            },
         })
-
-
-def _histogram_summary(cells: list) -> dict:
-    count, total, lo, hi = cells
-    return {
-        "count": count,
-        "sum": round(total, 6),
-        "min": round(lo, 6),
-        "max": round(hi, 6),
-    }
-
-
-def _observe_into(histograms: dict[str, list], name: str,
-                  value: float) -> None:
-    cells = histograms.get(name)
-    if cells is None:
-        histograms[name] = [1, value, value, value]
-        return
-    cells[0] += 1
-    cells[1] += value
-    if value < cells[2]:
-        cells[2] = value
-    if value > cells[3]:
-        cells[3] = value
 
 
 class Observer:
@@ -163,7 +132,6 @@ class Observer:
         self._next_id = 0
         self._tls = threading.local()
         self._global_counters: dict[str, int | float] = {}
-        self._global_histograms: dict[str, list] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -175,22 +143,17 @@ class Observer:
         self._file = open(path, "w", encoding="utf-8")
         self._next_id = 0
         self._global_counters = {}
-        self._global_histograms = {}
         self._tls = threading.local()
         self.enabled = True
         self._emit({"type": "meta", "format": TRACE_FORMAT})
 
     def disable(self) -> None:
-        """Flush the global accumulators and close the trace."""
+        """Flush the global counters and close the trace."""
         if not self.enabled:
             return
         self._emit({
             "type": "counters",
             "counters": dict(self._global_counters),
-            "histograms": {
-                name: _histogram_summary(cells)
-                for name, cells in self._global_histograms.items()
-            },
         })
         self.enabled = False
         handle, self._file = self._file, None
@@ -223,17 +186,6 @@ class Observer:
                 self._global_counters[name] = (
                     self._global_counters.get(name, 0) + n
                 )
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one histogram observation (count/sum/min/max)."""
-        if not self.enabled:
-            return
-        stack = self._stack()
-        if stack:
-            _observe_into(stack[-1].histograms, name, value)
-        else:
-            with self._lock:
-                _observe_into(self._global_histograms, name, value)
 
     # ------------------------------------------------------------------
     # internals

@@ -3,7 +3,7 @@
 This is the analysis half of :mod:`repro.obs`: it reads a trace written
 by ``armada verify --trace FILE`` and reduces it to the report the
 ``armada stats`` subcommand renders — how many obligations ran, where
-their wall-clock went phase by phase, and what the counters/histograms
+their wall-clock went phase by phase, and what the counters
 accumulated.  Output ordering is deterministic (rows sort by label, key
 sets are stable), so two traces of the same program diff cleanly and
 the aggregate doubles as a regression fixture.
@@ -69,7 +69,6 @@ class TraceStats(Record):
     obligations: list[dict] = Fresh(list)
     phases: list[dict] = Fresh(list)
     counters: dict = Fresh(dict)
-    histograms: dict = Fresh(dict)
     #: Distinct memory-model names tagged on the trace's spans.
     memory_models: list[str] = Fresh(list)
 
@@ -101,7 +100,6 @@ class TraceStats(Record):
             },
             "phases": self.phases,
             "counters": self.counters,
-            "histograms": self.histograms,
             "memory_models": self.memory_models,
         }
 
@@ -160,14 +158,6 @@ class TraceStats(Record):
             lines.append("counters:")
             for name in sorted(self.counters):
                 lines.append(f"  {name} = {self.counters[name]}")
-        if self.histograms:
-            lines.append("histograms:")
-            for name in sorted(self.histograms):
-                h = self.histograms[name]
-                lines.append(
-                    f"  {name}: n={h['count']} sum={h['sum']:.6f} "
-                    f"min={h['min']:.6f} max={h['max']:.6f}"
-                )
         return "\n".join(lines)
 
 
@@ -187,7 +177,6 @@ def aggregate(records: list[dict]) -> TraceStats:
                 models.add(str(model))
         elif rtype == "counters":
             _merge_counters(stats, record.get("counters") or {})
-            _merge_histograms(stats, record.get("histograms") or {})
     stats.obligations.sort(key=lambda row: row["label"])
     stats.proofs.sort(key=lambda row: row["name"])
     ordered: list[dict] = []
@@ -218,9 +207,7 @@ def _fold_span(stats: TraceStats, phase_totals: dict,
     name = record.get("name", "")
     seconds = float(record.get("seconds") or 0.0)
     counters = record.get("counters") or {}
-    histograms = record.get("histograms") or {}
     _merge_counters(stats, counters)
-    _merge_histograms(stats, histograms)
     if kind == KIND_PHASE:
         key = name
     else:
@@ -251,20 +238,3 @@ def _fold_span(stats: TraceStats, phase_totals: dict,
 def _merge_counters(stats: TraceStats, counters: dict) -> None:
     for name, value in counters.items():
         stats.counters[name] = stats.counters.get(name, 0) + value
-
-
-def _merge_histograms(stats: TraceStats, histograms: dict) -> None:
-    for name, summary in histograms.items():
-        merged = stats.histograms.get(name)
-        if merged is None:
-            stats.histograms[name] = {
-                "count": summary.get("count", 0),
-                "sum": summary.get("sum", 0.0),
-                "min": summary.get("min", 0.0),
-                "max": summary.get("max", 0.0),
-            }
-            continue
-        merged["count"] += summary.get("count", 0)
-        merged["sum"] += summary.get("sum", 0.0)
-        merged["min"] = min(merged["min"], summary.get("min", 0.0))
-        merged["max"] = max(merged["max"], summary.get("max", 0.0))

@@ -280,7 +280,7 @@ class ProofEngine:
         if cached is not None:
             return cached
         from repro.lang.astutil import expr_to_str
-        from repro.proofs.render import render_machine_definitions
+        from repro.proofs.render import machine_definitions
 
         ctx = self.checked.contexts.get(level_name)
         if ctx is None:
@@ -294,7 +294,7 @@ class ProofEngine:
             "machine-level",
             level_name,
             self.memory_model,
-            "\n".join(render_machine_definitions(self.machine(level_name))),
+            "\n".join(machine_definitions(self.machine(level_name))),
             inits,
         )
         self._fingerprints[level_name] = fingerprint

@@ -30,9 +30,9 @@ from repro.lang import asts as ast
 from repro.lang.astutil import free_vars
 from repro.lang.parser import parse_expression
 from repro.lang.resolver import LevelContext
-from repro.machine.state import ProgramState
+from repro.machine.evaluator import eval_formula
+from repro.machine.state import ProgramState, UBSignal
 from repro.machine.values import CompositeValue, Location, Root
-from repro.verifier.interp import interpret, is_undef
 
 RefinementRelation = Callable[[ProgramState, ProgramState], bool]
 
@@ -103,12 +103,9 @@ def build_relation(
             else:
                 env[var] = _global_value(ctx, state, gname)
         try:
-            value = interpret(expr, env)
-        except KeyError:
+            return bool(eval_formula(expr, env))
+        except (KeyError, UBSignal):
             return False
-        if is_undef(value):
-            return False
-        return bool(value)
 
     return relation
 

@@ -84,6 +84,22 @@ def render_type(t: ty.Type) -> str:
     return str(t)
 
 
+def machine_definitions(machine: StateMachine) -> tuple[str, ...]:
+    """The program-specific state-machine module for *machine*, rendered
+    once per machine.
+
+    Memoized on the machine, as ``stepc.stepper_for`` is.  The render
+    reads the PCs, globals, frames and steps, which translation fixes
+    (not ``machine.domains``, which the proof engine replaces).  A
+    tuple, so no caller can change what the next one reads.
+    """
+    cached = machine.__dict__.get("_definitions")
+    if cached is None:
+        cached = tuple(render_machine_definitions(machine))
+        machine.__dict__["_definitions"] = cached
+    return cached
+
+
 def render_machine_definitions(machine: StateMachine) -> list[str]:
     """Render the program-specific state-machine module for *machine*."""
     ctx = machine.ctx

@@ -148,6 +148,8 @@ class ArmadaDaemon:
         self._stop = threading.Event()
         self._stop_async: asyncio.Event | None = None
         self._pending_lock = threading.Lock()
+        #: Open client connections: handler task -> its stream.
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.draining = False
         #: Counters the ``stats`` op reports beside the cache numbers.
         self.submitted = 0
@@ -381,6 +383,8 @@ class ArmadaDaemon:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._clients[task] = writer
         try:
             while True:
                 try:
@@ -407,6 +411,7 @@ class ArmadaDaemon:
         except (ConnectionError, BrokenPipeError):
             pass
         finally:
+            del self._clients[task]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -656,7 +661,6 @@ class ArmadaDaemon:
             await self._stop_async.wait()
         finally:
             server.close()
-            await server.wait_closed()
             # Drain, phase 1: give in-flight jobs the grace period to
             # finish their current obligation and post-process (done
             # marker, finish time).  Their farms were already told
@@ -687,6 +691,17 @@ class ArmadaDaemon:
             await asyncio.gather(*workers, return_exceptions=True)
             assert self._executor is not None
             self._executor.shutdown(wait=True, cancel_futures=True)
+            # Phase 3: no job moves any more.  Wake every client still
+            # waiting on a result, close every client stream so that
+            # its handler's readline returns, and let the handlers
+            # finish: Python 3.11 reports a handler task that the loop
+            # has to cancel at exit as an exception in a callback.
+            for job in self.jobs.values():
+                job.done.set()
+            for writer in self._clients.values():
+                writer.close()
+            await asyncio.gather(*self._clients, return_exceptions=True)
+            await server.wait_closed()
             if self.socket_path is not None:
                 try:
                     self.socket_path.unlink()

@@ -27,16 +27,14 @@ reachable states of the low-level machine.
 from __future__ import annotations
 
 from repro.errors import StrategyError
-from repro.lang import asts as ast
 from repro.lang.astutil import expr_to_str
-from repro.machine.evaluator import EvalContext, eval_expr
-from repro.machine.state import UBSignal
+from repro.machine.evaluator import eval_for_thread, parse_predicate
 from repro.machine.steps import AssumeStep, Step
 from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict
 from repro.proofs.library import render_library_preamble
 from repro.proofs.render import (
     describe_step_effect,
-    render_machine_definitions,
+    machine_definitions,
 )
 from repro.strategies.base import (
     ProofRequest,
@@ -62,7 +60,7 @@ class AssumeIntroStrategy(Strategy):
         )
         script.preamble.extend(render_library_preamble())
         script.preamble.extend(
-            render_machine_definitions(request.low_machine)
+            machine_definitions(request.low_machine)
         )
 
         introduced = self._match_levels(request)
@@ -130,7 +128,6 @@ class AssumeIntroStrategy(Strategy):
     ) -> None:
         cond = assume.cond
         machine = request.low_machine
-        ctx = request.low_ctx
 
         def obligation():
             for state in request.reachable_states(machine):
@@ -146,12 +143,8 @@ class AssumeIntroStrategy(Strategy):
                         continue
                     if thread.top.method != method:
                         continue
-                    ec = EvalContext(ctx, state, tid, method)
-                    try:
-                        holds = bool(eval_expr(ec, cond))
-                    except (UBSignal, KeyError):
-                        holds = False
-                    if not holds:
+                    if not eval_for_thread(machine, cond, state, tid,
+                                           method):
                         return bool_verdict(
                             False,
                             {
@@ -192,7 +185,7 @@ class AssumeIntroStrategy(Strategy):
             request.proof.directives("invariant")
         ):
             text = item.args[0] if item.args else "true"
-            predicate = request.parse_predicate(text, request.low_ctx)
+            predicate = parse_predicate(request.low_ctx, text)
             machine = request.low_machine
 
             def obligation(predicate=predicate):
@@ -200,9 +193,8 @@ class AssumeIntroStrategy(Strategy):
                     if not state.running:
                         continue
                     for tid in state.threads.keys():
-                        value = request.eval_for_thread(
-                            request.low_ctx, machine, predicate, state, tid
-                        )
+                        value = eval_for_thread(machine, predicate, state,
+                                                tid)
                         if value is False:
                             return bool_verdict(
                                 False, {"invariant": expr_to_str(predicate)}
@@ -229,9 +221,10 @@ class AssumeIntroStrategy(Strategy):
             request.proof.directives("rely_guarantee")
         ):
             text = item.args[0] if item.args else "true"
-            predicate = self._parse_two_state(request, text)
+            predicate = parse_predicate(
+                request.low_ctx, text, two_state=True
+            )
             machine = request.low_machine
-            ctx = request.low_ctx
 
             def obligation(predicate=predicate):
                 for state, transition, nxt in (
@@ -245,15 +238,11 @@ class AssumeIntroStrategy(Strategy):
                         thread = state.threads[tid]
                         if thread.terminated or not thread.frames:
                             continue
-                        ec = EvalContext(
-                            ctx, nxt, tid, thread.top.method,
-                            old_state=state,
+                        holds = eval_for_thread(
+                            machine, predicate, nxt, tid,
+                            thread.top.method, old_state=state,
                         )
-                        try:
-                            holds = bool(eval_expr(ec, predicate))
-                        except (UBSignal, KeyError):
-                            continue
-                        if not holds:
+                        if holds is False:
                             return bool_verdict(
                                 False,
                                 {
@@ -278,16 +267,6 @@ class AssumeIntroStrategy(Strategy):
                     obligation=obligation,
                 )
             )
-
-    def _parse_two_state(self, request: ProofRequest, text: str) -> ast.Expr:
-        from repro.lang import types as ty
-        from repro.lang.parser import parse_expression
-        from repro.lang.typechecker import TypeChecker
-
-        expr = parse_expression(text)
-        checker = TypeChecker(request.low_ctx)
-        checker._check_expr(expr, None, ty.BOOL, two_state=True)
-        return expr
 
     # ------------------------------------------------------------------
 

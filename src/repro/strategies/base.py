@@ -9,9 +9,10 @@ indicating the problem' path — and emits a :class:`ProofScript` whose
 lemmas carry mechanically checkable obligations.
 
 Shared machinery lives here: the step aligner used by every
-pairwise-matching strategy, ordered step listings, reachable-state
-caching, and thread-indexed predicate evaluation for recipe-supplied
-ownership/invariant predicates.
+pairwise-matching strategy, ordered step listings and reachable-state
+caching.  Recipe-supplied ownership/invariant predicates are parsed and
+evaluated per thread by :func:`repro.machine.evaluator.parse_predicate`
+and :func:`~repro.machine.evaluator.eval_for_thread`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,9 @@ from typing import Callable, Iterable
 from repro.compiler.stepc import successors_for
 from repro.errors import StrategyError
 from repro.lang import asts as ast
-from repro.lang import types as ty
-from repro.lang.parser import parse_expression
 from repro.lang.resolver import LevelContext
-from repro.lang.typechecker import TypeChecker
-from repro.machine.evaluator import EvalContext, eval_expr
 from repro.machine.program import StateMachine, Transition
-from repro.machine.state import ProgramState, UBSignal
+from repro.machine.state import ProgramState
 from repro.machine.steps import BranchStep, Step
 from repro.proofs.artifacts import ProofScript
 from repro.record import Fresh, Record
@@ -81,42 +78,6 @@ class ProofRequest(Record):
         for state in self.reachable_states(machine):
             for transition, nxt in successors(state):
                 yield state, transition, nxt
-
-    # ------------------------------------------------------------------
-
-    def parse_predicate(
-        self, source: str, ctx: LevelContext
-    ) -> ast.Expr:
-        """Parse and type-check a recipe predicate over a level's state."""
-        expr = parse_expression(source)
-        checker = TypeChecker(ctx)
-        checker._check_expr(expr, None, ty.BOOL, two_state=False)
-        return expr
-
-    def eval_for_thread(
-        self,
-        ctx: LevelContext,
-        machine: StateMachine,
-        predicate: ast.Expr,
-        state: ProgramState,
-        tid: int,
-    ) -> bool | None:
-        """Evaluate a recipe predicate for thread *tid* in *state*.
-
-        Returns ``None`` when evaluation is undefined there (e.g. the
-        thread has no frame and the predicate mentions locals).
-        """
-        thread = state.threads.get(tid)
-        method = (
-            thread.top.method
-            if thread is not None and thread.frames
-            else machine.main_method
-        )
-        ec = EvalContext(ctx, state, tid, method)
-        try:
-            return bool(eval_expr(ec, predicate))
-        except (UBSignal, KeyError):
-            return None
 
 
 class Strategy:

@@ -23,7 +23,7 @@ from repro.machine.steps import Step
 from repro.proofs.artifacts import Lemma, ProofScript
 from repro.proofs.render import (
     describe_step_effect,
-    render_machine_definitions,
+    machine_definitions,
 )
 from repro.strategies.base import ProofRequest, Strategy
 from repro.strategies.subsumption import steps_identical
@@ -42,10 +42,10 @@ class CombiningStrategy(Strategy):
             high_level=request.proof.high_level,
         )
         script.preamble.extend(
-            render_machine_definitions(request.low_machine)
+            machine_definitions(request.low_machine)
         )
         script.preamble.extend(
-            render_machine_definitions(request.high_machine)
+            machine_definitions(request.high_machine)
         )
 
         combined_any = False

@@ -46,7 +46,7 @@ from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict
 from repro.proofs.library import render_library_preamble
 from repro.proofs.render import (
     describe_step_effect,
-    render_machine_definitions,
+    machine_definitions,
     step_constructor_name,
 )
 from repro.record import Record
@@ -78,10 +78,10 @@ class ReductionStrategy(Strategy):
         )
         script.preamble.extend(render_library_preamble())
         script.preamble.extend(
-            render_machine_definitions(request.low_machine)
+            machine_definitions(request.low_machine)
         )
         script.preamble.extend(
-            render_machine_definitions(request.high_machine)
+            machine_definitions(request.high_machine)
         )
 
         reduced_pcs = self._check_correspondence(request)

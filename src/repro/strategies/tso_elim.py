@@ -20,6 +20,7 @@ from __future__ import annotations
 from repro.errors import StrategyError
 from repro.lang import asts as ast
 from repro.lang.astutil import expr_equal, free_vars
+from repro.machine.evaluator import eval_for_thread, parse_predicate
 from repro.machine.steps import AssignStep, BranchStep, Step
 from repro.proofs.artifacts import (
     Lemma,
@@ -29,7 +30,7 @@ from repro.proofs.artifacts import (
 from repro.proofs.library import render_library_preamble
 from repro.proofs.render import (
     describe_step_effect,
-    render_machine_definitions,
+    machine_definitions,
 )
 from repro.strategies.base import ProofRequest, Strategy
 from repro.strategies.subsumption import steps_identical
@@ -70,7 +71,7 @@ class TsoElimStrategy(Strategy):
         )
         script.preamble.extend(render_library_preamble())
         script.preamble.extend(
-            render_machine_definitions(request.low_machine)
+            machine_definitions(request.low_machine)
         )
 
         changed_pairs = self._check_correspondence(request, varname, script)
@@ -87,7 +88,7 @@ class TsoElimStrategy(Strategy):
 
     def parse_predicate_text(self, request: ProofRequest, text: str):
         try:
-            return request.parse_predicate(text, request.low_ctx)
+            return parse_predicate(request.low_ctx, text)
         except Exception as error:
             raise StrategyError(
                 f"tso_elim: bad ownership predicate {text!r}: {error}"
@@ -163,14 +164,11 @@ class TsoElimStrategy(Strategy):
         script: ProofScript,
     ) -> None:
         machine = request.low_machine
-        ctx = request.low_ctx
 
         def owners(state) -> list[int]:
             result = []
             for tid in state.threads.keys():
-                value = request.eval_for_thread(
-                    ctx, machine, ownership, state, tid
-                )
+                value = eval_for_thread(machine, ownership, state, tid)
                 if value:
                     result.append(tid)
             return result
@@ -238,12 +236,8 @@ class TsoElimStrategy(Strategy):
                 if not nxt.running:
                     continue
                 tid = transition.tid
-                before = request.eval_for_thread(
-                    ctx, machine, ownership, state, tid
-                )
-                after = request.eval_for_thread(
-                    ctx, machine, ownership, nxt, tid
-                )
+                before = eval_for_thread(machine, ownership, state, tid)
+                after = eval_for_thread(machine, ownership, nxt, tid)
                 if before and not after:
                     thread = nxt.threads.get(tid)
                     if thread is not None and not thread.sb_empty:
@@ -270,7 +264,6 @@ class TsoElimStrategy(Strategy):
 
     def _access_obligation(self, request, ownership, pc: str):
         machine = request.low_machine
-        ctx = request.low_ctx
 
         def obligation():
             for state in request.reachable_states(machine):
@@ -285,9 +278,7 @@ class TsoElimStrategy(Strategy):
                         and state.atomic_owner != tid
                     ):
                         continue
-                    owns = request.eval_for_thread(
-                        ctx, machine, ownership, state, tid
-                    )
+                    owns = eval_for_thread(machine, ownership, state, tid)
                     if not owns:
                         return bool_verdict(
                             False,

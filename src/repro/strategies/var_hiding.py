@@ -19,7 +19,7 @@ from repro.machine.steps import AssignStep, Step
 from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict
 from repro.proofs.render import (
     describe_step_effect,
-    render_machine_definitions,
+    machine_definitions,
 )
 from repro.strategies.base import (
     ProofRequest,
@@ -48,7 +48,7 @@ class VarHidingStrategy(Strategy):
             high_level=request.proof.high_level,
         )
         script.preamble.extend(
-            render_machine_definitions(request.low_machine)
+            machine_definitions(request.low_machine)
         )
         hidden = hidden_variables(request)
         if not hidden:

@@ -23,7 +23,7 @@ from repro.machine.steps import AssignStep, Step
 from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict
 from repro.proofs.render import (
     describe_step_effect,
-    render_machine_definitions,
+    machine_definitions,
 )
 from repro.strategies.base import (
     ProofRequest,
@@ -52,7 +52,7 @@ class VarIntroStrategy(Strategy):
             high_level=request.proof.high_level,
         )
         script.preamble.extend(
-            render_machine_definitions(request.high_machine)
+            machine_definitions(request.high_machine)
         )
         new_vars = introduced_variables(request)
         if not new_vars:

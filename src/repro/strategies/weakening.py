@@ -23,7 +23,7 @@ from repro.errors import StrategyError
 from repro.proofs.artifacts import Lemma, ProofScript
 from repro.proofs.render import (
     describe_step_effect,
-    render_machine_definitions,
+    machine_definitions,
     step_constructor_name,
 )
 from repro.strategies.base import ProofRequest, Strategy
@@ -44,10 +44,10 @@ class WeakeningStrategy(Strategy):
             high_level=request.proof.high_level,
         )
         script.preamble.extend(
-            render_machine_definitions(request.low_machine)
+            machine_definitions(request.low_machine)
         )
         script.preamble.extend(
-            render_machine_definitions(request.high_machine)
+            machine_definitions(request.high_machine)
         )
         used_nondet = False
         allow_swaps = request.proof.has_directive("use_regions")

@@ -1,7 +1,7 @@
-"""The verification backend: formula interpretation and the bounded
-prover that substitutes for Dafny/Z3 in this reproduction."""
+"""The verification backend: the bounded prover that substitutes for
+Dafny/Z3 in this reproduction.  It evaluates formulas with
+:func:`repro.machine.evaluator.eval_formula`."""
 
-from repro.verifier.interp import UNDEF, interpret, is_undef  # noqa: F401
 from repro.verifier.prover import (  # noqa: F401
     DEFAULT_PROVER,
     PROVED,

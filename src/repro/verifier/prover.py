@@ -26,9 +26,10 @@ from typing import Any
 
 from repro.lang import asts as ast
 from repro.lang import types as ty
+from repro.machine.evaluator import eval_formula
+from repro.machine.state import UBSignal
 from repro.obs import OBS
 from repro.record import Record
-from repro.verifier.interp import UNDEF, interpret, is_undef
 
 PROVED = "proved"
 REFUTED = "refuted"
@@ -149,21 +150,18 @@ class Prover:
         goal: ast.Expr,
         variables: dict[str, ty.Type],
         assumptions: list[ast.Expr] | None = None,
-        extra_env: dict[str, Any] | None = None,
     ) -> Verdict:
         """Check ``assumptions ==> goal`` for all sampled assignments.
 
-        UNDEF in an assumption discharges the assignment (the hypothesis
-        is not meaningful there); UNDEF in the goal refutes it (a proof
+        UB in an assumption discharges the assignment (the hypothesis
+        is not meaningful there); UB in the goal refutes it (a proof
         obligation must be well-defined wherever its hypotheses hold),
         matching Dafny's well-definedness checking.
         """
         if not OBS.enabled:
-            return self._prove_valid(goal, variables, assumptions,
-                                     extra_env)
+            return self._prove_valid(goal, variables, assumptions)
         with OBS.span("prove_valid", "phase"):
-            verdict = self._prove_valid(goal, variables, assumptions,
-                                        extra_env)
+            verdict = self._prove_valid(goal, variables, assumptions)
             OBS.count("prover.calls")
             OBS.count("prover.assignments_checked",
                       verdict.assignments_checked)
@@ -174,7 +172,6 @@ class Prover:
         goal: ast.Expr,
         variables: dict[str, ty.Type],
         assumptions: list[ast.Expr] | None = None,
-        extra_env: dict[str, Any] | None = None,
     ) -> Verdict:
         assumptions = assumptions or []
         names = sorted(variables)
@@ -188,24 +185,14 @@ class Prover:
             domains = self._shrink(domains)
         checked = 0
         for combo in itertools.product(*domains) if names else [()]:
-            env: dict[Any, Any] = dict(zip(names, combo))
-            if extra_env:
-                env.update(extra_env)
+            env = dict(zip(names, combo))
             checked += 1
             if checked > self.config.max_assignments:
                 break
-            skip = False
-            for assumption in assumptions:
-                value = interpret(assumption, env)
-                if is_undef(value) or not value:
-                    skip = True
-                    break
-            if skip:
+            if not all(_holds(a, env) for a in assumptions):
                 continue
-            result = interpret(goal, env)
-            if is_undef(result) or not result:
-                witness = {n: env[n] for n in names}
-                return Verdict(REFUTED, witness, checked)
+            if not _holds(goal, env):
+                return Verdict(REFUTED, env, checked)
         return Verdict(PROVED, None, checked)
 
     def equivalent(
@@ -241,12 +228,8 @@ class Prover:
             checked += 1
             if checked > self.config.max_assignments:
                 break
-            lv = interpret(left, env)
-            rv = interpret(right, env)
-            if is_undef(lv) and is_undef(rv):
-                continue
-            if is_undef(lv) or is_undef(rv) or lv != rv:
-                return Verdict(REFUTED, dict(zip(names, combo)), checked)
+            if _outcome(left, env) != _outcome(right, env):
+                return Verdict(REFUTED, env, checked)
         return Verdict(PROVED, None, checked)
 
     def _shrink(self, domains: list[list[Any]]) -> list[list[Any]]:
@@ -274,6 +257,23 @@ class Prover:
         finally:
             if passes and OBS.enabled:
                 OBS.count("prover.domain_shrink_passes", passes)
+
+
+def _holds(formula: ast.Expr, env: dict[str, Any]) -> bool:
+    """Whether *formula* is defined and true under *env*."""
+    try:
+        return bool(eval_formula(formula, env))
+    except UBSignal:
+        return False
+
+
+def _outcome(expr: ast.Expr, env: dict[str, Any]) -> tuple[bool, Any]:
+    """(defined, value) of *expr* under *env*: two undefined sides
+    agree, and an undefined side never agrees with a defined one."""
+    try:
+        return True, eval_formula(expr, env)
+    except UBSignal:
+        return False, None
 
 
 #: Module-level default prover shared by strategies.

@@ -76,8 +76,8 @@ class TestJsonSchemas:
         assert main(["stats", trace, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload) == [
-            "chain", "counters", "events", "format", "histograms",
-            "memory_models", "obligations", "phases", "proofs",
+            "chain", "counters", "events", "format", "memory_models",
+            "obligations", "phases", "proofs",
         ]
         assert payload["memory_models"] == ["tso"]
         assert sorted(payload["obligations"]) == [

@@ -159,6 +159,33 @@ class TestEngineMechanics:
         assert "NextState_" in rendered
         assert "storeBuffer" in rendered
 
+    def test_each_machine_is_rendered_once(self, monkeypatch):
+        # The level fingerprints and both proofs' preambles read the
+        # definitions of Mid; every module that holds the renderer
+        # counts toward the total.
+        import sys
+        from collections import Counter
+
+        import repro.strategies  # noqa: F401 — binds their imports
+        from repro.proofs import render
+
+        original = render.render_machine_definitions
+        rendered = Counter()
+
+        def counting(machine):
+            rendered[machine.level_name] += 1
+            return original(machine)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and \
+                    vars(module).get("render_machine_definitions") \
+                    is original:
+                monkeypatch.setattr(module, "render_machine_definitions",
+                                    counting)
+        outcome = verify_source(TWO_STEP_CHAIN)
+        assert outcome.success
+        assert rendered == {"Impl": 1, "Mid": 1, "Spec": 1}
+
     def test_strategy_error_is_reported_not_raised(self):
         outcome = verify_source(
             "level A { var x: uint32; void main() { x := 1; } } "

@@ -3,12 +3,14 @@ pointers, UB signalling)."""
 
 import pytest
 
+from repro.errors import TranslationError
 from repro.lang.frontend import check_level
 from repro.lang.parser import parse_expression
 from repro.lang.typechecker import TypeChecker
 from repro.machine.evaluator import (
     EvalContext,
     eval_expr,
+    eval_formula,
     eval_place,
     GhostPlace,
     LocalPlace,
@@ -219,3 +221,49 @@ class TestUninterpreted:
         expr = parse_expression("lock(p)")
         with pytest.raises(UBSignal):
             eval_expr(EvalContext(ctx, state, 1, "main"), expr)
+
+
+class TestOneSemantics:
+    """Quantifiers, formulas and global initializers mean what
+    ``eval_expr`` says they mean."""
+
+    BOOL_FORALL = "forall b: bool . b == true || b == false"
+
+    def test_bool_quantifier_ranges_over_both_values(self, setup):
+        ctx, machine, state = setup
+        assert ev(ctx, state, self.BOOL_FORALL) is True
+
+    def test_bool_quantifier_holds_as_an_explore_invariant(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "prog.arm"
+        path.write_text("level L { var x: uint32; void main() { x := 1; } }")
+        assert main(["explore", str(path),
+                     "--invariant", self.BOOL_FORALL]) == 0
+        assert "invariant violated" not in capsys.readouterr().out
+
+    def test_formula_and_state_share_the_quantifier_window(self, setup):
+        ctx, machine, state = setup
+        expr = typed_expr(ctx, "exists i: uint8 . i == 11")
+        assert eval_formula(expr, {}) is True
+        assert eval_expr(EvalContext(ctx, state, 1, "main"), expr) is True
+
+    @pytest.mark.parametrize("init, value", [
+        ("0 - 1", 255), ("255 + 1", 0), ("2 * 200", 144),
+    ])
+    def test_initializer_wraps_like_an_assignment(self, init, value):
+        ctx = check_level(
+            f"level L {{ var x: uint8 := {init}; void main() {{ }} }}"
+        )
+        state = translate_level(ctx).initial_state()
+        assert ev(ctx, state, "x") == value
+
+    def test_initializer_overflow_names_the_global(self):
+        ctx = check_level(
+            "level L { var y: int8 := 100 + 100; void main() { } }"
+        )
+        machine = translate_level(ctx)
+        with pytest.raises(TranslationError, match="global y"):
+            machine.initial_state()

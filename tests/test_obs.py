@@ -39,7 +39,6 @@ class TestObserverLifecycle:
         # No trace file, no error: the null span and guarded emitters.
         with OBS.span("anything", "phase", detail=1):
             OBS.count("some.counter", 3)
-            OBS.observe("some.histogram", 0.5)
 
     def test_enable_writes_meta_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -116,27 +115,11 @@ class TestSpans:
         path = tmp_path / "t.jsonl"
         OBS.enable(path)
         OBS.count("free.counter", 7)
-        OBS.observe("free.histogram", 2.0)
-        OBS.observe("free.histogram", 4.0)
         OBS.disable()
         (globals_record,) = [
             r for r in read_records(path) if r["type"] == "counters"
         ]
         assert globals_record["counters"] == {"free.counter": 7}
-        hist = globals_record["histograms"]["free.histogram"]
-        assert hist == {"count": 2, "sum": 6.0, "min": 2.0, "max": 4.0}
-
-    def test_histogram_on_span(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        OBS.enable(path)
-        with OBS.span("s", "phase"):
-            for value in (3.0, 1.0, 2.0):
-                OBS.observe("latency", value)
-        OBS.disable()
-        (span,) = [r for r in read_records(path) if r["type"] == "span"]
-        assert span["histograms"]["latency"] == {
-            "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
-        }
 
 
 class TestAggregation:
@@ -151,6 +134,8 @@ class TestAggregation:
             load_trace(str(tmp_path / "absent.jsonl"))
 
     def test_aggregate_counts_obligations_and_phases(self):
+        # Traces from versions that recorded histograms carry a
+        # "histograms" key, which aggregation ignores.
         records = [
             {"type": "meta", "format": TRACE_FORMAT},
             {"type": "span", "id": 1, "parent": None, "kind": "chain",
@@ -164,7 +149,8 @@ class TestAggregation:
              "name": "P:L2", "seconds": 0.0, "attrs": {"cached": True},
              "counters": {}, "histograms": {}},
             {"type": "counters", "counters": {"free": 1},
-             "histograms": {}},
+             "histograms": {"queue_wait": {"count": 1, "sum": 0.5,
+                                           "min": 0.5, "max": 0.5}}},
         ]
         stats = aggregate(records)
         assert stats.format == TRACE_FORMAT
@@ -178,8 +164,10 @@ class TestAggregation:
         assert payload["obligations"]["total"] == 2
         assert payload["obligations"]["cached"] == 1
         assert payload["obligations"]["executed"] == 1
+        assert "histograms" not in payload
         text = stats.render_text()
         assert "obligations: 2 (1 from cache, 1 executed)" in text
+        assert "queue_wait" not in text
 
 
 @pytest.fixture()

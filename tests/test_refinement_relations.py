@@ -58,6 +58,17 @@ class TestBuildRelation:
         assert relation(low, high)
         assert not relation(low.append_log(9), high)
 
+    def test_untyped_shift_is_false_not_an_error(self):
+        # Relation text is not type-checked, so a shift has no width:
+        # the relation is undefined there, which reads as False.
+        checked, low_ctx, high_ctx = contexts()
+        relation = build_relation(
+            "low_count << 1 == high_count", low_ctx, high_ctx
+        )
+        low = translate_level(low_ctx).initial_state()
+        high = translate_level(high_ctx).initial_state()
+        assert relation(low, high) is False
+
     def test_unknown_global_rejected(self):
         checked, low_ctx, high_ctx = contexts()
         with pytest.raises(ProofFailure):

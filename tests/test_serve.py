@@ -13,6 +13,7 @@ import gc
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -256,6 +257,24 @@ class TestDaemonBasics:
             assert response["error"] == (
                 "no level named Nope (levels: Impl, Mid, Spec)"
             )
+
+    def test_submit_wait_of_an_errored_job_prints_no_result(
+        self, served, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        daemon, _ = served
+        program = tmp_path / "chain.arm"
+        program.write_text(QUICK_CHAIN)
+        argv = ["submit", str(program), "--socket",
+                str(daemon.socket_path), "--kind", "explore",
+                "--level", "Nope", "--wait"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no level named Nope (levels: Impl, Mid, Spec)\n"
+        )
 
 
 class TestConcurrentClients:
@@ -517,8 +536,19 @@ class TestDrainAndResume:
         assert daemon.jobs[running].farm is not None
         time.sleep(0.3)
         assert client.status(running)["state"] == "running"
+        # A client waiting on the queued job must not keep the daemon
+        # from exiting: the drain ends its connection.
+        waited: list = []
+        waiter = threading.Thread(target=lambda: waited.append(
+            pytest.raises(ServeError, client.result, queued, wait=True,
+                          timeout=60)
+        ))
+        waiter.start()
+        time.sleep(0.3)
         thread.stop()  # the same drain SIGTERM triggers
         assert thread.exit_code == 0
+        waiter.join(timeout=30)
+        assert not waiter.is_alive() and waited
         # The in-flight obligation finished during the drain: its job
         # settled and was marked done.  The queued job never started.
         assert daemon.jobs[running].state == "done"
@@ -564,12 +594,41 @@ class TestDrainAndResume:
 
 @pytest.mark.flaky
 class TestRealSignals:
-    """Actual SIGTERM against real subprocesses."""
+    """Actual SIGTERM and shutdown against real subprocesses."""
 
     def _env(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = REPO_SRC
         return env
+
+    def test_shutdown_with_an_idle_connection_exits_cleanly(
+        self, tmp_path
+    ):
+        sock = tmp_path / "armada.sock"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--state-dir", str(tmp_path / "state"),
+             "--socket", str(sock)],
+            env=self._env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            client = ServeClient(socket_path=sock)
+            client.wait_until_ready(timeout=30)
+            idle.connect(str(sock))
+            client.ping()  # the idle connection has been accepted
+            client.shutdown()
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            idle.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "drained; exiting" in stderr
+        assert "Traceback" not in stderr
+        assert "Exception in callback" not in stderr
 
     def test_serve_sigterm_then_restart_resumes(self, tmp_path):
         state = tmp_path / "state"

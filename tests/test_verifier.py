@@ -1,11 +1,13 @@
-"""Tests for the verification backend: formula interpreter and the
+"""Tests for the verification backend: formula evaluation and the
 bounded prover (the Dafny/Z3 substitute)."""
 
 import pytest
 
 from repro.lang import types as ty
 from repro.lang.frontend import check_program
-from repro.verifier import UNDEF, Prover, ProverConfig, interpret, is_undef
+from repro.machine.evaluator import eval_formula
+from repro.machine.state import UBSignal
+from repro.verifier import Prover, ProverConfig
 
 
 def typed(text: str, decls: str = "var x: uint32; var y: uint32;"):
@@ -19,88 +21,81 @@ def typed(text: str, decls: str = "var x: uint32; var y: uint32;"):
 class TestInterpreter:
     def test_arithmetic(self):
         e = typed("x + y == 5")
-        assert interpret(e, {"x": 2, "y": 3}) is True
-        assert interpret(e, {"x": 2, "y": 4}) is False
+        assert eval_formula(e, {"x": 2, "y": 3}) is True
+        assert eval_formula(e, {"x": 2, "y": 4}) is False
 
     def test_unsigned_wrap(self):
         e = typed("x + 1 == 0")
-        assert interpret(e, {"x": 0xFFFFFFFF}) is True
+        assert eval_formula(e, {"x": 0xFFFFFFFF}) is True
 
     def test_signed_overflow_is_undef(self):
         e = typed("z + 1 > z", decls="var z: int32;")
-        assert is_undef(interpret(e, {"z": 2**31 - 1}))
+        with pytest.raises(UBSignal):
+            eval_formula(e, {"z": 2**31 - 1})
 
     def test_division_by_zero_undef(self):
         e = typed("x / y == 1")
-        assert is_undef(interpret(e, {"x": 1, "y": 0}))
+        with pytest.raises(UBSignal):
+            eval_formula(e, {"x": 1, "y": 0})
 
     def test_c_division_truncates_toward_zero(self):
         e = typed("a / b == 0 - 2", decls="var a: int32; var b: int32;")
-        assert interpret(e, {"a": -7, "b": 3}) is True
+        assert eval_formula(e, {"a": -7, "b": 3}) is True
 
     def test_modulo_sign(self):
         e = typed("a % b == 0 - 1", decls="var a: int32; var b: int32;")
-        assert interpret(e, {"a": -7, "b": 3}) is True
+        assert eval_formula(e, {"a": -7, "b": 3}) is True
 
     def test_shift_out_of_range_undef(self):
         e = typed("x << y == 0")
-        assert is_undef(interpret(e, {"x": 1, "y": 32}))
+        with pytest.raises(UBSignal):
+            eval_formula(e, {"x": 1, "y": 32})
 
     def test_shortcircuit_protects_undef(self):
         e = typed("y != 0 && x / y == 1")
-        assert interpret(e, {"x": 3, "y": 0}) is False
+        assert eval_formula(e, {"x": 3, "y": 0}) is False
 
     def test_implication_shortcircuit(self):
         e = typed("y != 0 ==> x / y >= 0")
-        assert interpret(e, {"x": 3, "y": 0}) is True
+        assert eval_formula(e, {"x": 3, "y": 0}) is True
 
     def test_undef_propagates_through_comparison(self):
         e = typed("x / y == x / y")
-        assert is_undef(interpret(e, {"x": 1, "y": 0}))
+        with pytest.raises(UBSignal):
+            eval_formula(e, {"x": 1, "y": 0})
 
     def test_bitwise(self):
         e = typed("(x & 3) == 1 && (x | 4) >= 4 && (x ^ x) == 0")
-        assert interpret(e, {"x": 5}) is True
+        assert eval_formula(e, {"x": 5}) is True
 
     def test_conditional_expression(self):
         e = typed("(if x > y then x else y) == 7")
-        assert interpret(e, {"x": 7, "y": 3}) is True
-        assert interpret(e, {"x": 3, "y": 7}) is True
+        assert eval_formula(e, {"x": 7, "y": 3}) is True
+        assert eval_formula(e, {"x": 3, "y": 7}) is True
 
     def test_sequence_builtins(self):
         e = typed(
             "len(q) == 2 && first(q) == 5 && drop(q, 1) == [6]",
             decls="ghost var q: seq<int>;",
         )
-        assert interpret(e, {"q": (5, 6)}) is True
+        assert eval_formula(e, {"q": (5, 6)}) is True
 
     def test_first_of_empty_undef(self):
         e = typed("first(q) == 0", decls="ghost var q: seq<int>;")
-        assert is_undef(interpret(e, {"q": ()}))
+        with pytest.raises(UBSignal):
+            eval_formula(e, {"q": ()})
 
     def test_quantifier_forall(self):
         e = typed("forall i: uint8 . i >= 0")
-        assert interpret(e, {}) is True
+        assert eval_formula(e, {}) is True
 
     def test_quantifier_exists(self):
         e = typed("exists i: uint8 . i == 3")
-        assert interpret(e, {}) is True
+        assert eval_formula(e, {}) is True
 
     def test_unknown_variable_raises(self):
         with pytest.raises(KeyError):
-            interpret(typed("x == 0"), {})
-
-    def test_old_reads_old_env(self):
-        program = check_program(
-            "level L { var x: uint32; void main() "
-            "{ somehow modifies x ensures x == old(x) + 1; } }"
-        )
-        post = (
-            program.program.levels[0].methods[0].body.stmts[0]
-            .spec.ensures[0]
-        )
-        env = {"x": 6, "$old": {"x": 5}}
-        assert interpret(post, env) is True
+            eval_formula(typed("x == 0"), {})
 
 
 class TestProver:
@@ -135,7 +130,7 @@ class TestProver:
         assert prover.prove_valid(goal, {"x": ty.UINT32}, [assume]).ok
 
     def test_undef_goal_refuted(self):
-        # Well-definedness: a goal that can be UNDEF where the
+        # Well-definedness: a goal that can be undefined where the
         # hypotheses hold is not proved.
         prover = Prover()
         goal = typed("x / y >= 0")
