@@ -403,7 +403,7 @@ class _ExprCompiler:
         return f"({raw})"
 
     def _wrap(self, raw: str, t: ty.Type) -> str:
-        """Apply evaluator._bits_result to the raw source."""
+        """Apply IntType.wrap to the raw source (two's complement)."""
         if not isinstance(t, ty.IntType):
             raise _Unsupported("wrap on non-integer type")
         if t.signed:

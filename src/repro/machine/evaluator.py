@@ -376,6 +376,8 @@ def _signed(value: int, lo: int, hi: int, tname: Any) -> int:
 
 
 def _swrap(value: int, bits: int) -> int:
+    """The signed branch of ``IntType.wrap``, as compiled steppers call
+    it; :func:`eval_expr` wraps with ``IntType.wrap`` itself."""
     masked = value & ((1 << bits) - 1)
     if masked >= (1 << (bits - 1)):
         masked -= 1 << bits
@@ -506,7 +508,7 @@ def _arith_result(t: ty.Type | None, value: int) -> int:
     if isinstance(t, ty.IntType):
         if t.signed:
             return _signed(value, t.min_value, t.max_value, t)
-        return value & ((1 << t.bits) - 1)
+        return t.wrap(value)
     return value
 
 
@@ -515,13 +517,6 @@ def _int_type(t: ty.Type | None, op: str) -> ty.IntType:
     if not isinstance(t, ty.IntType):
         raise UBSignal(f"{op} on non-integer type {t}")
     return t
-
-
-def _bits_result(t: ty.IntType, value: int) -> int:
-    """Wrap the result of ``~``, ``<<`` or a bit operation into *t*."""
-    if t.signed:
-        return _swrap(value, t.bits)
-    return value & ((1 << t.bits) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +610,7 @@ def _eval_unary(ec: EvalContext, expr: ast.Unary) -> Any:
     if expr.op == "-":
         return _arith_result(expr.type, -value)
     if expr.op == "~":
-        return _bits_result(_int_type(expr.type, "~"), ~value)
+        return _int_type(expr.type, "~").wrap(~value)
     raise UBSignal(f"unknown unary {expr.op}")
 
 
@@ -668,12 +663,12 @@ def _eval_binary(ec: EvalContext, expr: ast.Binary) -> Any:
         t = _int_type(expr.type, "shift")
         amount = _shiftck(right, t.bits, t)
         if op == "<<":
-            return _bits_result(t, left << amount)
+            return t.wrap(left << amount)
         return left >> amount
     if op in ("&", "|", "^"):
         t = _int_type(expr.type, op)
         raw = {"&": left & right, "|": left | right, "^": left ^ right}[op]
-        return _bits_result(t, raw)
+        return t.wrap(raw)
     raise UBSignal(f"unknown binary {op}")
 
 

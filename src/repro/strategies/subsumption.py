@@ -119,13 +119,14 @@ def _variable_types(
 
 
 def _formula_friendly(exprs: list[ast.Expr]) -> bool:
-    """Whether the formula interpreter can evaluate these expressions."""
+    """Whether the formula evaluator can evaluate these expressions: a
+    formula has no heap, and no pre-state for ``old()`` to read."""
     for expr in exprs:
         for node in ast.walk_expr(expr):
             if isinstance(
                 node,
                 (ast.AddressOf, ast.Deref, ast.FieldAccess, ast.Nondet,
-                 ast.Allocated, ast.AllocatedArray, ast.MetaVar),
+                 ast.Allocated, ast.AllocatedArray, ast.MetaVar, ast.Old),
             ):
                 return False
             if isinstance(node, ast.Index):
@@ -443,44 +444,34 @@ def _somehow_vs_somehow(
         raise StrategyError(
             f"high-level somehow must modify at least {sorted(low_mods)}"
         )
-    # old(x) occurrences become distinct pre-variables for the prover.
-    pre_rename: dict[str, ast.Expr] = {}
-
-    def strip_old(expr: ast.Expr) -> ast.Expr:
-        if isinstance(expr, ast.Old) and isinstance(expr.operand, ast.Var):
-            name = f"old${expr.operand.name}"
-            var = ast.Var(name)
-            var.type = expr.operand.type
-            pre_rename[name] = var
-            return var
-        children = ast.child_exprs(expr)
-        if not children:
-            return expr
-        new_children = [strip_old(c) for c in children]
-        if all(n is o for n, o in zip(new_children, children)):
-            return expr
-        from repro.lang.astutil import _rebuild
-
-        return _rebuild(expr, new_children)
-
-    low_post = [strip_old(e) for e in low.spec.ensures]
-    high_post = [strip_old(e) for e in high.spec.ensures]
-    hypothesis = _conjoin(low_post)
-    goal = _conjoin(high_post)
-    exprs = low_post + high_post
+    exprs = list(low.spec.ensures) + list(high.spec.ensures)
     variables = _variable_types(exprs, request.low_ctx, method)
+    # A low behaviour changes only the variables the low somehow
+    # modifies, so old(e) is e with each of those renamed to a distinct
+    # pre-variable: old(y + z) is old$y + z when y alone is modified.
+    # A heap target leaves the frame unknown; its old() stays, and
+    # _formula_friendly sends the pair to the whole-program check.
+    if variables is not None and all(
+        isinstance(e, ast.Var) for e in low.spec.modifies
+    ):
+        pre = {
+            e.name: ast.Var(f"old${e.name}", type=variables[e.name])
+            for e in low.spec.modifies
+            if e.name in variables
+        }
+        exprs = [_pre_state(e, pre) for e in exprs]
+        used = set().union(*map(free_vars, exprs))
+        variables.update(
+            {v.name: v.type for v in pre.values() if v.name in used}
+        )
     if variables is None or not _formula_friendly(exprs):
         return SubsumptionPlan(
             "global",
             "somehow-pair comparison is heap-dependent; discharged by "
             "whole-program refinement",
         )
-    for name, var in pre_rename.items():
-        base = name.removeprefix("old$")
-        if base in variables:
-            variables[name] = variables[base]
-        elif var.type is not None:
-            variables[name] = var.type
+    hypothesis = _conjoin(exprs[: len(low.spec.ensures)])
+    goal = _conjoin(exprs[len(low.spec.ensures):])
 
     def obligation() -> Verdict:
         return request.prover.prove_valid(goal, variables, [hypothesis])
@@ -490,6 +481,27 @@ def _somehow_vs_somehow(
         f"{expr_to_str(hypothesis)} ==> {expr_to_str(goal)}",
         obligation,
     )
+
+
+def _pre_state(expr: ast.Expr, pre: dict[str, ast.Var]) -> ast.Expr:
+    """*expr* with every ``old(e)`` replaced by *e* over the
+    pre-variables *pre* (``old(old(e))`` is ``old(e)``)."""
+    if isinstance(expr, ast.Old):
+        return substitute(_pre_state(expr.operand, pre), pre)
+    if isinstance(expr, ast.Quantifier):
+        inner = {k: v for k, v in pre.items() if k != expr.boundvar}
+        body = _pre_state(expr.body, inner)
+        if body is expr.body:
+            return expr
+        return ast.Quantifier(expr.kind, expr.boundvar, expr.boundtype,
+                              body, loc=expr.loc, type=expr.type)
+    children = ast.child_exprs(expr)
+    new_children = [_pre_state(c, pre) for c in children]
+    if all(n is o for n, o in zip(new_children, children)):
+        return expr
+    from repro.lang.astutil import _rebuild
+
+    return _rebuild(expr, new_children)
 
 
 def _conjoin(exprs: list[ast.Expr]) -> ast.Expr:

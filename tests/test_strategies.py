@@ -71,6 +71,40 @@ class TestWeakening:
         ))
         assert not outcome.success
 
+    def test_somehow_pair_with_old_of_an_expression_refuted(self):
+        # old(x + 1) reads x before the step: the low side adds one, the
+        # high side two, and the statement lemma itself must say so (x
+        # is never printed, so the whole-program check cannot).
+        for high_post in ("x == old(x) + 2", "x == old(x + 2)"):
+            outcome = run(two_levels(
+                "somehow modifies x ensures x == old(x + 1);",
+                f"somehow modifies x ensures {high_post};",
+                "weakening",
+            ))
+            assert not outcome.success
+            assert "verification failed" in outcome.error
+            assert outcome.script.global_checks == []
+
+    def test_somehow_pair_with_old_of_an_expression_proved(self):
+        outcome = run(two_levels(
+            "somehow modifies x ensures x == old(x + 1);",
+            "somehow modifies x ensures x == old(x) + 1;",
+            "weakening",
+        ))
+        assert outcome.success
+        assert outcome.script.global_checks == []
+
+    def test_somehow_pair_frames_unmodified_variables(self):
+        # The low side leaves y alone, so old(y) is y for both sides.
+        outcome = run(two_levels(
+            "somehow modifies x ensures x == old(y);",
+            "somehow modifies x, y ensures x == y && y == old(y);",
+            "weakening",
+            decls="var x: uint32; var y: uint32;",
+        ))
+        assert outcome.success
+        assert outcome.script.global_checks == []
+
     def test_guard_star_requires_nondet_strategy(self):
         outcome = run(two_levels(
             "if x > 0 { x := 1; }", "if (*) { x := 1; }", "weakening"
