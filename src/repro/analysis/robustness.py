@@ -41,7 +41,7 @@ from enum import Enum
 from repro.lang.resolver import LevelContext
 from repro.machine.program import StateMachine, Transition
 from repro.machine.state import ProgramState
-from repro.machine.steps import CallStep, ExternStep, Step
+from repro.machine.steps import CallStep, ExternStep
 
 from repro.analysis.accesses import (
     Access,

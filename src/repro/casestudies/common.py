@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.farm import VerificationFarm
 from repro.lang.frontend import check_program
-from repro.machine.program import DomainConfig
 from repro.proofs.engine import ChainOutcome, ProofEngine
 from repro.record import Fresh, Record
 

@@ -230,15 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         if result.error:
             print(f"  {result.error}")
-    if outcome.chain:
-        print("refinement chain:", " -> ".join(outcome.chain))
-    elif outcome.chain_error:
-        print(f"chain error: {outcome.chain_error}")
-    if outcome.inconclusive:
-        print(
-            "chain INCONCLUSIVE: checks hit a bound, timed out or were "
-            "cancelled; re-run with larger bounds or a larger deadline"
-        )
+    _print_chain(outcome.chain, outcome.chain_error, outcome.inconclusive)
     print(farm.summary_line())
     if args.farm_report:
         for line in farm.report_lines():
@@ -302,35 +294,36 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     result = Explorer(machine, max_states=args.max_states).explore(
         invariants or None
     )
-
-    outcomes = sorted(
-        result.final_outcomes, key=lambda o: (o[0], tuple(map(str, o[1])))
-    )
+    summary = exploration_summary(machine, level, result)
     if args.json:
         import json
 
-        payload = exploration_summary(machine, level, result)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         print(f"level {level}: {result.states_visited} states, "
               f"{result.transitions_taken} transitions explored")
         if result.hit_state_budget:
             print(f"WARNING: state budget ({args.max_states}) exhausted "
                   "— the enumeration is incomplete; raise --max-states")
-        for kind, log in outcomes:
-            print(f"outcome: {kind}, log={list(log)}")
-        for reason, trace in zip(result.ub_reasons, result.ub_traces):
-            print(f"undefined behavior: {reason}")
-            print(
-                "  trace: "
-                + (" ; ".join(t.describe() for t in trace)
-                   or "<initial>")
-            )
-        for violation in result.violations:
-            print(f"invariant violated: {violation.invariant_name}")
-            print(f"  trace: {violation.format_trace()}")
+        for outcome in summary["outcomes"]:
+            print(f"outcome: {outcome['kind']}, log={outcome['log']}")
+        for ub in summary["ub"]:
+            print(f"undefined behavior: {ub['reason']}")
+            print("  trace: " + (" ; ".join(ub["trace"]) or "<initial>"))
+        for violation in summary["violations"]:
+            print(f"invariant violated: {violation['invariant']}")
+            print("  trace: "
+                  + (" ; ".join(violation["trace"]) or "<initial>"))
+    return _exploration_exit(summary)
+
+
+def _exploration_exit(summary: dict) -> int:
+    """The exit code of an exploration, batch or served, from its
+    ``exploration_summary``: 1 when it found an invariant violation or
+    undefined behavior or the state budget cut it short, else 0."""
     failed = (
-        result.violations or result.has_ub or result.hit_state_budget
+        summary["violations"] or summary["ub"]
+        or summary["hit_state_budget"]
     )
     return 1 if failed else 0
 
@@ -527,11 +520,22 @@ def _render_verify_result(result: dict) -> None:
         )
         if o.get("error"):
             print(f"  {o['error']}")
-    if result.get("chain"):
-        print("refinement chain:", " -> ".join(result["chain"]))
-    elif result.get("chain_error"):
-        print(f"chain error: {result['chain_error']}")
+    _print_chain(result.get("chain"), result.get("chain_error"),
+                 result["status"] == "inconclusive")
     print(FarmSummary(**result["farm"]).one_line())
+
+
+def _print_chain(chain, chain_error, inconclusive: bool) -> None:
+    """The chain lines of a ``verify`` report, batch or served."""
+    if chain:
+        print("refinement chain:", " -> ".join(chain))
+    elif chain_error:
+        print(f"chain error: {chain_error}")
+    if inconclusive:
+        print(
+            "chain INCONCLUSIVE: checks hit a bound, timed out or were "
+            "cancelled; re-run with larger bounds or a larger deadline"
+        )
 
 
 def _print_terminal_result(response: dict, as_json: bool) -> int:
@@ -555,7 +559,9 @@ def _print_terminal_result(response: dict, as_json: bool) -> int:
             print("job cancelled", file=sys.stderr)
         return 3
     status = result.get("status")
-    if status in ("verified", "analyzed", "explored"):
+    if status == "explored":
+        return _exploration_exit(result)
+    if status in ("verified", "analyzed"):
         return 0
     return 1
 

@@ -36,25 +36,26 @@ differentially tested for bit-identical state sets, UB reasons and
 verdicts across all three memory models (``tests/test_stepc.py``, the
 fuzz suite), with :func:`interpreted_successors` as the oracle.
 
-**Cache key.**  The on-disk cache holds one ``{key}.marshal`` file per
-machine: the marshalled ``(source, code)`` pair, so a warm process
-``exec``s the code object instead of compiling the source again.  The
-key is a structural hash over the level name, the memory model, every
-pc (method, yieldability), every step (class, pc, target and full
-expression ASTs with their checked types), the variable layout that
-drives place classification (globals/ghosts, per-method locals with
-address-taken flags, newframe locals),
-:func:`repro.hashing.code_version` and the interpreter's bytecode
-magic number — so any toolchain or program change invalidates the
-entry, and another interpreter's entry is a miss.  An unreadable,
-corrupt or stale entry regenerates.  Value *domains* are deliberately
-not part of the key: they only affect the parameter tuples bound at
-load time, not the generated code.
+**Cache key.**  Every load generates the source (a few milliseconds);
+what the on-disk cache saves is ``compile()``.  It holds one
+``{key}.marshal`` file per source: the marshalled code object, keyed by
+the SHA-256 of the interpreter's bytecode magic number plus the
+generated source, as CPython keys bytecode on a hash of its source.
+The key is sound by construction: the code object is a function of the
+source (whose header names the level and model that make up its file
+name) and the interpreter alone, and everything else it uses is bound
+when :func:`_bind` runs it: the helpers of ``_NAMESPACE_BASE``, the
+machine's steps, and the parameter tuples drawn from its value
+domains.  A toolchain edit that leaves a source unchanged therefore
+keeps its entry, and another interpreter's entry is a miss.  An entry
+that cannot be read, or whose code fails to bind, is compiled again
+from the source and stored.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import marshal
 import os
 from importlib.util import MAGIC_NUMBER
@@ -62,7 +63,6 @@ from pathlib import Path
 from types import CodeType
 from typing import Any
 
-from repro.hashing import code_version, structural_hash
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.machine.evaluator import OPERATOR_HELPERS
@@ -98,11 +98,6 @@ from repro.machine.values import (
     some,
 )
 from repro.obs import OBS
-from repro.record import Record
-
-#: Bump to invalidate every cached source when codegen output changes in
-#: a way ``code_version`` alone would not capture (it normally does).
-_STEPC_FORMAT = 3
 
 _MISS = object()
 
@@ -427,22 +422,10 @@ class _ExprCompiler:
 
     def _compile_binary(self, expr: ast.Binary) -> str:
         op = expr.op
-        if op == "&&":
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            return f"(bool({left}) and bool({right}))"
-        if op == "||":
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            return f"(bool({left}) or bool({right}))"
-        if op == "==>":
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            return f"((not ({left})) or bool({right}))"
-        if op == "<==":
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            return f"(bool({left}) or (not ({right})))"
+        if op in _CONNECTIVES:
+            return _CONNECTIVES[op].format(
+                self.compile(expr.left), self.compile(expr.right)
+            )
         # Pointer operands take the compare_pointers/offset_pointer
         # paths, which need an EvalContext: interpreted territory.
         if self._pointerish(expr.left.type) or \
@@ -540,6 +523,15 @@ class _ExprCompiler:
         return f"_ufn({func!r}, {args_src}, {type_src})"
 
 
+#: The short-circuiting connectives, filled with the compiled operands.
+_CONNECTIVES = {
+    "&&": "(bool({}) and bool({}))",
+    "||": "(bool({}) or bool({}))",
+    "==>": "((not ({})) or bool({}))",
+    "<==": "(bool({}) or (not ({})))",
+}
+
+
 def _type_src(t: ty.Type) -> str:
     if isinstance(t, ty.BoolType):
         return "BOOL"
@@ -562,11 +554,17 @@ class _Writer:
     def emit(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
 
-    def push(self) -> None:
+    @contextlib.contextmanager
+    def block(self, header: str):
+        """Emit *header* and indent what the body emits under it."""
+        self.emit(header)
         self.indent += 1
-
-    def pop(self) -> None:
+        yield
         self.indent -= 1
+
+    def block_if(self, condition: bool, header: str):
+        """:meth:`block` when *condition* holds, else no block at all."""
+        return self.block(header) if condition else contextlib.nullcontext()
 
 
 class _Gen:
@@ -634,7 +632,7 @@ class _Gen:
 
     # -- source assembly ------------------------------------------------
 
-    def generate(self, fingerprint: str) -> str:
+    def generate(self) -> str:
         machine = self.machine
         pc_funcs: list[tuple[str, str]] = []  # (pc, function name)
         bodies: list[list[str]] = []
@@ -647,7 +645,7 @@ class _Gen:
             w.emit(
                 f"def {fn_name}(state, tid, thread, threads, _ap, _hT):"
             )
-            w.push()
+            w.indent += 1
             w.emit(f"# pc {pc}")
             any_locals = False
             step_blocks: list[list[str]] = []
@@ -676,7 +674,6 @@ class _Gen:
         out.append("# Generated by repro.compiler.stepc — do not edit.")
         out.append(f"# level: {machine.level_name}")
         out.append(f"# model: {self.model}")
-        out.append(f"# fingerprint: {fingerprint}")
         out.append("")
         out.append("def build(machine):")
         out.append("    mm = machine.memmodel")
@@ -786,23 +783,16 @@ class _Gen:
         key_const = self.keys_ref(pc, index) if nondet_vars else None
         step_ref = self.step_ref(pc, index)
         w.emit(f"# step {index}: {type(step).__name__} -> {step.target}")
-        body = _Writer(indent=w.indent + (1 if has_params else 0))
-        if has_params:
-            pt_src, pd_src = "_pt", "_pd"
-        else:
-            pt_src, pd_src = "()", "{}"
+        pt_src, pd_src = ("_pt", "_pd") if has_params else ("()", "{}")
+        # The step's transition under the parameter row in scope.
+        tr = f"Transition(tid, {step_ref}, {pt_src})"
 
         def mk_ec(cache_mode: bool = False) -> _ExprCompiler:
             return _ExprCompiler(
                 self, method, nondet_index, key_const, cache_mode
             )
 
-        cache_used = [False]
-
-        def mk_cache() -> str:
-            cache_used[0] = True
-            if has_params:
-                return "_c"
+        def new_cache() -> str:
             return self.const("{}", "C", dedupe=False)
 
         if isinstance(
@@ -815,34 +805,31 @@ class _Gen:
                 self.params_ref(pc, index, method) if has_params
                 else None
             )
-            fam = _Writer(indent=w.indent)
-
-            def mk_fam_cache() -> str:
-                return self.const("{}", "C", dedupe=False)
-
             emitter = {
                 AssignStep: self._emit_assign,
                 BranchStep: self._emit_branch,
                 AssumeStep: self._emit_assume,
                 AssertStep: self._emit_assert,
             }[type(step)]
-            emitter(fam, step, mk_ec, step_ref, pt_src, mk_fam_cache,
-                    rows)
-            w.lines.extend(fam.lines)
+            emitter(w, step, mk_ec, tr, new_cache, rows)
             return any("_locals" in line for line in w.lines)
+        body = _Writer(indent=w.indent + (1 if has_params else 0))
+        cache_used = [False]
+
+        def mk_cache() -> str:
+            cache_used[0] = True
+            return "_c" if has_params else new_cache()
+
         if isinstance(step, CallStep):
-            self._emit_call(body, step, mk_ec, step_ref, pt_src, pd_src,
-                            mk_cache)
+            self._emit_call(body, step, mk_ec, tr, pd_src, mk_cache)
         elif isinstance(step, ReturnStep):
-            self._emit_return(body, step, mk_ec, step_ref, pt_src,
-                              mk_cache)
+            self._emit_return(body, step, mk_ec, tr, mk_cache)
         elif isinstance(step, CreateThreadStep):
-            self._emit_create(body, step, mk_ec(), step_ref, pt_src,
-                              pd_src)
+            self._emit_create(body, step, mk_ec(), tr, pd_src)
         elif isinstance(step, JoinStep):
-            self._emit_join(body, step, mk_ec(), step_ref, pt_src)
+            self._emit_join(body, step, mk_ec(), tr)
         elif isinstance(step, ExternStep):
-            self._emit_extern(body, step, mk_ec(), step_ref, pt_src)
+            self._emit_extern(body, step, mk_ec(), tr)
         else:
             # SomehowStep, ExternSpecStep, MallocStep, DeallocStep:
             # witness candidates / allocation are state-dependent.
@@ -867,19 +854,23 @@ class _Gen:
         inside = self.inside(step.target)
         return f"_adv({state_src}, tid, {step.target!r}, {inside}, _TI)"
 
+    def _owner_src(self, target: str | None) -> str:
+        """The atomic owner after a step to *target*: the stepping
+        thread inside an atomic block, nobody outside one."""
+        return "tid" if self.inside(target) else "None"
+
     def _emit_thread_build(
         self,
         w: _Writer,
         step: Step,
         local_writes: list[tuple[str, str]] = (),
         sb_writes: list[tuple[str, str]] = (),
-        out_var: str = "_nt",
     ) -> None:
-        """Emit the stepped thread's successor ``ThreadState`` — local
-        writes fold into one rebuilt top frame, TSO-buffered stores
-        append to the store buffer, and the pc advances, all in a
-        single positional construction.  The frame and the thread are
-        interned."""
+        """Emit the stepped thread's successor ``ThreadState`` ``_nt`` —
+        local writes fold into one rebuilt top frame, TSO-buffered
+        stores append to the store buffer, and the pc advances, all in
+        a single positional construction.  The frame and the thread
+        are interned."""
         if local_writes:
             w.emit("_f0 = thread.frames[0]")
             locals_src = "_f0.locals" + "".join(
@@ -901,26 +892,23 @@ class _Gen:
         else:
             sb_src = "thread.store_buffer"
         w.emit(
-            f"{out_var} = ThreadState(tid, {step.target!r}, "
+            f"_nt = ThreadState(tid, {step.target!r}, "
             f"{frames_src}, {sb_src}, thread.view)"
         )
-        w.emit(f"{out_var} = _TI({out_var}, {out_var})")
+        w.emit("_nt = _TI(_nt, _nt)")
 
-    def _threads_src(
-        self, new_thread: str, new_hash: str | None = None
-    ) -> list[str]:
-        """Lines replicating ``threads.set(tid, new_thread)`` inline —
+    def _emit_threads(self, w: _Writer, new_thread: str,
+                      new_hash: str | None = None) -> None:
+        """Emit ``_nT``, ``threads.set(tid, new_thread)`` inline —
         ``PMap.set`` minus the no-op equality probe (a fresh but equal
         map is structurally identical), with the incremental hash
         accumulator derived exactly as ``PMap.set`` derives it.  The
         old entry's hash is the driver-computed ``_hT``; *new_hash*
         supplies a precomputed hash for the new entry."""
         nh = new_hash or f"hash((tid, {new_thread}))"
-        return [
-            "_dT = dict(threads._items)",
-            f"_dT[tid] = {new_thread}",
-            f"_nT = _PW(_dT, threads._acc ^ _hT ^ {nh})",
-        ]
+        w.emit("_dT = dict(threads._items)")
+        w.emit(f"_dT[tid] = {new_thread}")
+        w.emit(f"_nT = _PW(_dT, threads._acc ^ _hT ^ {nh})")
 
     def _emit_build(
         self,
@@ -930,142 +918,183 @@ class _Gen:
         sb_writes: list[tuple[str, str]] = (),
         mem_writes: list[tuple[str, str]] = (),
         ghost_writes: list[tuple[str, str]] = (),
-        assign_to: str = "_ns",
     ) -> None:
-        """Emit the *fused* successor construction: every write of the
-        step plus the pc advance collapse into one ``ThreadState`` and
-        one ``ProgramState`` built positionally, with no intermediate
-        copied states.  Sound because (a) the writes themselves cannot
-        raise — every UB check is emitted before this point, in
-        interpreter order — and (b) a stepping thread always
-        satisfies ``atomic_owner in (None, tid)``, so the post-step
-        owner is the compile-time constant ``tid``/``None``.
+        """Emit the *fused* successor construction ``_ns``: every write
+        of the step plus the pc advance collapse into one
+        ``ThreadState`` and one ``ProgramState`` built positionally,
+        with no intermediate copied states.  Sound because (a) the
+        writes themselves cannot raise — every UB check is emitted
+        before this point, in interpreter order — and (b) a stepping
+        thread always satisfies ``atomic_owner in (None, tid)``, so the
+        post-step owner is the compile-time constant ``tid``/``None``.
         Expects ``state``/``thread``/``threads`` in scope."""
         self._emit_thread_build(w, step, local_writes, sb_writes)
-        for line in self._threads_src("_nt"):
-            w.emit(line)
+        self._emit_threads(w, "_nt")
         mem_src = "state.memory" + "".join(
             f".set({loc}, {val})" for loc, val in mem_writes
         )
         ghost_src = "state.ghosts" + "".join(
             f".set({name!r}, {val})" for name, val in ghost_writes
         )
-        ao_src = "tid" if self.inside(step.target) else "None"
         w.emit(
-            f"{assign_to} = ProgramState(_nT, "
+            f"_ns = ProgramState(_nT, "
             f"{mem_src}, state.allocation, {ghost_src}, state.log, "
-            f"None, state.next_tid, state.next_serial, {ao_src}, "
-            f"state.histories)"
+            f"None, state.next_tid, state.next_serial, "
+            f"{self._owner_src(step.target)}, state.histories)"
         )
+
+    # -- UB handling shared by the step emitters -------------------------
+
+    @contextlib.contextmanager
+    def _ub_entry(self, w: _Writer, tr: str):
+        """Emit the body, which binds the entry ``_e``, under ``try:``;
+        a ``UBSignal`` makes ``_e`` the UB entry of transition *tr*."""
+        with w.block("try:"):
+            yield
+        with w.block("except UBSignal as _u:"):
+            w.emit(f"_e = ({tr}, (TERM_UB, _u.reason))")
+
+    @contextlib.contextmanager
+    def _ub_successor(self, w: _Writer, tr: str):
+        """Emit the body, which binds the successor ``_ns``, under
+        ``try:``; a ``UBSignal`` makes ``_ns`` the UB-terminated state.
+        Then emit transition *tr* to ``_ns``."""
+        with w.block("try:"):
+            yield
+        with w.block("except UBSignal as _u:"):
+            w.emit("_ns = _term(state, TERM_UB, _u.reason)")
+        w.emit(f"_ap(({tr}, _ns))")
+
+    @contextlib.contextmanager
+    def _ub_guard(self, w: _Writer, on_ub: bool = True):
+        """Emit the body, which binds the enabledness ``_en``, under
+        ``try:``, and ``_ub``: ``None``, or the reason of a
+        ``UBSignal``, which sets ``_en`` to *on_ub*."""
+        with w.block("try:"):
+            yield
+            w.emit("_ub = None")
+        with w.block("except UBSignal as _u:"):
+            w.emit(f"_en = {on_ub}")
+            w.emit("_ub = _u.reason")
+
+    @contextlib.contextmanager
+    def _guarded_successor(self, w: _Writer, tr: str):
+        """After :meth:`_ub_guard`: when the step is enabled, emit the
+        body, which binds ``_ns``, or the UB-terminated state when the
+        guard raised, then transition *tr* to ``_ns``."""
+        with w.block("if _en:"):
+            with w.block("if _ub is not None:"):
+                w.emit("_ns = _term(state, TERM_UB, _ub)")
+            with w.block("else:"):
+                yield
+            w.emit(f"_ap(({tr}, _ns))")
+
+    # -- successor-cache entries -----------------------------------------
 
     def _emit_hoisted(self, w: _Writer, ec: _ExprCompiler) -> None:
         for name, src in ec.hoisted:
             w.emit(f"{name} = {src}")
 
-    def _cache_key_src(self, ec: _ExprCompiler) -> str:
-        if not ec.hoisted:
-            return "thread"
-        names = ", ".join(name for name, _src in ec.hoisted)
-        return f"(thread, {names})"
+    def _cache_key_src(self, ec: _ExprCompiler, extra: tuple = ()) -> str:
+        parts = ["thread", *(name for name, _src in ec.hoisted), *extra]
+        return parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
 
     def _emit_apply_entry(
-        self, w: _Writer, step: Step, check_none: bool = False
+        self, w: _Writer, owner: str, termination: str, serial: str,
+        check_none: bool,
     ) -> None:
         """Emit the application of a successor-cache entry ``_e`` at the
         current state: ``None`` → disabled, a cached ``ThreadState`` →
         splice it in (its hash is already memoized on the shared
-        object), a ``(kind, detail)`` pair → terminate."""
-        if check_none:
-            w.emit("if _e is not None:")
-            w.push()
-        w.emit("_p = _e[1]")
-        w.emit("if _p.__class__ is ThreadState:")
-        w.push()
-        for line in self._threads_src("_p", new_hash="_e[2]"):
-            w.emit(line)
-        ao_src = "tid" if self.inside(step.target) else "None"
-        w.emit(
-            f"_ap((_e[0], ProgramState(_nT, state.memory, "
-            f"state.allocation, state.ghosts, state.log, None, "
-            f"state.next_tid, state.next_serial, {ao_src}, "
-            f"state.histories)))"
-        )
-        w.pop()
-        w.emit("else:")
-        w.push()
-        w.emit("_ap((_e[0], _term(state, _p[0], _p[1])))")
-        w.pop()
-        if check_none:
-            w.pop()
+        object) under the atomic *owner*, *termination* and *serial*
+        expressions, a ``(kind, detail)`` pair → terminate."""
+        with w.block_if(check_none, "if _e is not None:"):
+            w.emit("_p = _e[1]")
+            with w.block("if _p.__class__ is ThreadState:"):
+                self._emit_threads(w, "_p", new_hash="_e[2]")
+                w.emit(
+                    f"_ap((_e[0], ProgramState(_nT, state.memory, "
+                    f"state.allocation, state.ghosts, state.log, "
+                    f"{termination}, state.next_tid, {serial}, {owner}, "
+                    f"state.histories)))"
+                )
+            with w.block("else:"):
+                w.emit("_ap((_e[0], _term(state, _p[0], _p[1])))")
 
     def _emit_family(
         self,
         w: _Writer,
-        step: Step,
         ec: _ExprCompiler,
         mk_cache,
         rows: str | None,
         compute,
-        check_none: bool,
+        owner: str,
+        check_none: bool = False,
+        termination: str = "None",
+        serial: str = "state.next_serial",
+        key_extra: tuple = (),
     ) -> None:
         """Emit *compute* (which emits code assigning the entry ``_e``
-        for the bindings in scope) and the application of its entries.
+        for the bindings in scope) and the application of its entries
+        (:meth:`_emit_apply_entry` reads *owner*, *termination*,
+        *serial* and *check_none*).
 
         When *ec* read state only through the thread and its hoisted
-        reads, the entries are a pure function of those and are cached:
-        without parameter rows the cache maps key → entry; with rows it
-        maps key → tuple of per-row entries, computed in one pass on
-        miss and applied in order on every visit.  A ghost or
-        memory-resident local read (``ec.state_dep``) makes every visit
-        compute its entries afresh."""
+        reads, the entries are a pure function of those (and of the
+        *key_extra* expressions) and are cached: without parameter rows
+        the cache maps key → entry; with rows it maps key → tuple of
+        per-row entries, computed in one pass on miss and applied in
+        order on every visit.  A ghost or memory-resident local read
+        (``ec.state_dep``) makes every visit compute its entries
+        afresh."""
+
+        def apply() -> None:
+            self._emit_apply_entry(w, owner, termination, serial,
+                                   check_none)
+
         self._emit_hoisted(w, ec)
         if ec.state_dep:
-            if rows is not None:
-                w.emit(f"for _pt, _pd in {rows}:")
-                w.push()
-            compute(w)
-            self._emit_apply_entry(w, step, check_none=check_none)
-            if rows is not None:
-                w.pop()
+            with w.block_if(rows is not None, f"for _pt, _pd in {rows}:"):
+                compute(w)
+                apply()
             return
         cache = mk_cache()
-        key = self._cache_key_src(ec)
+        key = self._cache_key_src(ec, key_extra)
         if rows is None:
             w.emit(f"_e = {cache}.get({key}, _MS)")
-            w.emit("if _e is _MS:")
-            w.push()
-            compute(w)
-            w.emit(f"{cache}[{key}] = _e")
-            w.pop()
-            self._emit_apply_entry(w, step, check_none=check_none)
+            with w.block("if _e is _MS:"):
+                compute(w)
+                w.emit(f"{cache}[{key}] = _e")
+            apply()
             return
         w.emit(f"_F = {cache}.get({key}, _MS)")
-        w.emit("if _F is _MS:")
-        w.push()
-        w.emit("_F = []")
-        w.emit(f"for _pt, _pd in {rows}:")
-        w.push()
-        compute(w)
-        w.emit("_F.append(_e)")
-        w.pop()
-        w.emit(f"_F = tuple(_F)")
-        w.emit(f"{cache}[{key}] = _F")
-        w.pop()
-        w.emit("for _e in _F:")
-        w.push()
-        self._emit_apply_entry(w, step, check_none=check_none)
-        w.pop()
+        with w.block("if _F is _MS:"):
+            w.emit("_F = []")
+            with w.block(f"for _pt, _pd in {rows}:"):
+                compute(w)
+                w.emit("_F.append(_e)")
+            w.emit("_F = tuple(_F)")
+            w.emit(f"{cache}[{key}] = _F")
+        with w.block("for _e in _F:"):
+            apply()
+
+    def _emit_advance_entry(self, cw: _Writer, step: Step, tr: str,
+                            local_writes=(), sb_writes=()) -> None:
+        """Emit the entry ``_e`` of an enabled step that stays in its
+        thread: the transition, the stepped thread and its hash."""
+        self._emit_thread_build(cw, step, local_writes, sb_writes)
+        cw.emit(f"_e = ({tr}, _nt, hash((tid, _nt)))")
 
     def _emit_fit(self, w: _Writer, t: ty.Type | None, val: str) -> None:
         if isinstance(t, ty.IntType):
-            w.emit(
+            with w.block(
                 f"if isinstance({val}, int) and not isinstance({val}, "
                 f"bool) and not ({t.min_value} <= {val} <= "
                 f"{t.max_value}):"
-            )
-            w.push()
-            w.emit(f'raise UBSignal(f"value {{{val}}} does not fit {t}")')
-            w.pop()
+            ):
+                w.emit(
+                    f'raise UBSignal(f"value {{{val}}} does not fit {t}")'
+                )
 
     # -- lvalue classification and write emission ------------------------
 
@@ -1091,33 +1120,25 @@ class _Gen:
                 raise _Unsupported("composite global lhs")
             return ("global", self.global_loc(lhs.name))
         if isinstance(lhs, ast.Index) and isinstance(lhs.base, ast.Var):
-            base = lhs.base
-            if ec._local_info(base.name) is not None:
-                raise _Unsupported("indexed local lhs")
-            g = ec._global_decl(base.name)
-            if g is None or g.ghost or not isinstance(
-                g.var_type, ty.ArrayType
-            ):
-                raise _Unsupported("indexed non-array lhs")
-            t = g.var_type
-            if isinstance(t.element, (ty.ArrayType, ty.StructType)):
-                raise _Unsupported("nested composite element lhs")
-            return (
-                "gelem",
-                self.global_leaf_locs(base.name, t.size),
-                t.size,
-                str(t),
-            )
+            t, locs = self._leaf_array(ec, lhs.base)
+            return ("gelem", locs, t.size, str(t))
         raise _Unsupported(f"lvalue {type(lhs).__name__}")
 
-    def _emit_write(
-        self,
-        w: _Writer,
-        spec: tuple,
-        val: str,
-        buffered: bool,
-        idx: str | None = None,
-    ) -> None:
+    def _leaf_array(self, ec: _ExprCompiler, base: ast.Var):
+        """The type and the leaf-location tuple of *base*, a global
+        array of leaves; any other base is :class:`_Unsupported`."""
+        g = None if ec._local_info(base.name) is not None \
+            else ec._global_decl(base.name)
+        if g is None or g.ghost or not isinstance(
+            g.var_type, ty.ArrayType
+        ) or isinstance(g.var_type.element, (ty.ArrayType, ty.StructType)):
+            raise _Unsupported(f"element of {base.name}")
+        return g.var_type, self.global_leaf_locs(base.name, g.var_type.size)
+
+    def _emit_write(self, w: _Writer, spec: tuple, val: str) -> None:
+        """Emit the write of *val* to the place *spec* (not a ``gelem``)
+        of the successor ``_ns``, as a spawned thread's id or an
+        extern's result is written: through the model, buffered."""
         kind = spec[0]
         if kind == "local":
             w.emit(
@@ -1129,20 +1150,15 @@ class _Gen:
         elif kind == "global":
             w.emit(
                 f"_ns = mm.write_leaves(_ns, tid, (({spec[1]}, {val}),), "
-                f"{buffered})"
-            )
-        elif kind == "gelem":
-            w.emit(
-                f"_ns = mm.write_leaves(_ns, tid, (({spec[1]}[{idx}], "
-                f"{val}),), {buffered})"
+                f"True)"
             )
         elif kind == "memlocal":
             self._emit_memlocal_check(w, spec[1], "_r", "_ns")
             w.emit(
                 f"_ns = mm.write_leaves(_ns, tid, ((Location(_r), "
-                f"{val}),), {buffered})"
+                f"{val}),), True)"
             )
-        else:  # pragma: no cover - spec kinds are closed
+        else:  # pragma: no cover - callers reject gelem
             raise _Unsupported(kind)
 
     def _emit_memlocal_check(self, w: _Writer, name: str, root: str,
@@ -1152,19 +1168,15 @@ class _Gen:
         *state_src*'s allocation has it freed or unallocated."""
         w.emit(f"{root} = Root('local', {name!r}, thread.frames[0].serial)")
         w.emit(f"_rst = {state_src}.allocation.get({root})")
-        w.emit("if _rst == 'freed':")
-        w.push()
-        w.emit(f'raise UBSignal(f"write to freed object {{{root}}}")')
-        w.pop()
-        w.emit("if _rst is None:")
-        w.push()
-        w.emit(f'raise UBSignal(f"write to invalid object {{{root}}}")')
-        w.pop()
+        with w.block("if _rst == 'freed':"):
+            w.emit(f'raise UBSignal(f"write to freed object {{{root}}}")')
+        with w.block("if _rst is None:"):
+            w.emit(f'raise UBSignal(f"write to invalid object {{{root}}}")')
 
     # -- step emitters ---------------------------------------------------
 
-    def _emit_assign(self, w, step: AssignStep, mk_ec, step_ref, pt_src,
-                     mk_cache, rows=None):
+    def _emit_assign(self, w, step: AssignStep, mk_ec, tr, mk_cache,
+                     rows=None):
         buffered = self.model == "tso" and not step.tso_bypass
         ec = mk_ec(True)
         specs = [self._classify_lhs(ec, lhs) for lhs in step.lhss]
@@ -1202,13 +1214,11 @@ class _Gen:
             for j, (spec, idx_src) in enumerate(zip(specs, idx_srcs)):
                 if spec[0] == "gelem":
                     w.emit(f"_i{j} = {idx_src}")
-                    w.emit(f"if not 0 <= _i{j} < {spec[2]}:")
-                    w.push()
-                    w.emit(
-                        f'raise UBSignal(f"index {{_i{j}}} out of '
-                        f'bounds for {spec[3]}")'
-                    )
-                    w.pop()
+                    with w.block(f"if not 0 <= _i{j} < {spec[2]}:"):
+                        w.emit(
+                            f'raise UBSignal(f"index {{_i{j}}} out of '
+                            f'bounds for {spec[3]}")'
+                        )
                     idx_names.append(f"_i{j}")
                 else:
                     idx_names.append(None)
@@ -1242,52 +1252,34 @@ class _Gen:
 
         if cacheable:
             def compute(cw):
-                cw.emit("try:")
-                cw.push()
-                local_writes, sb_writes, _ghosts = emit_checks(cw)
-                self._emit_advance_entry(cw, step, step_ref, pt_src,
-                                         local_writes, sb_writes)
-                cw.pop()
-                cw.emit("except UBSignal as _u:")
-                cw.push()
-                cw.emit(
-                    f"_e = (Transition(tid, {step_ref}, {pt_src}), "
-                    f"(TERM_UB, _u.reason))"
-                )
-                cw.pop()
+                with self._ub_entry(cw, tr):
+                    local_writes, sb_writes, _ghosts = emit_checks(cw)
+                    self._emit_advance_entry(cw, step, tr, local_writes,
+                                             sb_writes)
 
-            self._emit_family(w, step, ec, mk_cache, rows, compute,
-                              check_none=False)
+            self._emit_family(w, ec, mk_cache, rows, compute,
+                              self._owner_src(step.target))
             return
-        if rows is not None:
-            w.emit(f"for _pt, _pd in {rows}:")
-            w.push()
-        w.emit("try:")
-        w.push()
-        self._emit_hoisted(w, ec)
-        local_writes, shared_writes, ghost_writes = emit_checks(w)
         # RA stores are release writes (history, view and memory), so
         # they go through the model after the fused build; they touch
         # neither the frame nor the pc, so the order is invisible.
         release = self.model == "ra"
-        self._emit_build(
-            w, step,
-            local_writes=local_writes,
-            sb_writes=shared_writes if buffered else [],
-            mem_writes=[] if buffered or release else shared_writes,
-            ghost_writes=ghost_writes,
-        )
-        if release and shared_writes:
-            leaves = "".join(f"({loc}, {val}), " for loc, val in shared_writes)
-            w.emit(f"_ns = mm.write_leaves(_ns, tid, ({leaves}), False)")
-        w.pop()
-        w.emit("except UBSignal as _u:")
-        w.push()
-        w.emit("_ns = _term(state, TERM_UB, _u.reason)")
-        w.pop()
-        w.emit(f"_ap((Transition(tid, {step_ref}, {pt_src}), _ns))")
-        if rows is not None:
-            w.pop()
+        with w.block_if(rows is not None, f"for _pt, _pd in {rows}:"), \
+                self._ub_successor(w, tr):
+            self._emit_hoisted(w, ec)
+            local_writes, shared_writes, ghost_writes = emit_checks(w)
+            self._emit_build(
+                w, step,
+                local_writes=local_writes,
+                sb_writes=shared_writes if buffered else [],
+                mem_writes=[] if buffered or release else shared_writes,
+                ghost_writes=ghost_writes,
+            )
+            if release and shared_writes:
+                leaves = "".join(
+                    f"({loc}, {val}), " for loc, val in shared_writes
+                )
+                w.emit(f"_ns = mm.write_leaves(_ns, tid, ({leaves}), False)")
 
     def _compile_guard(self, mk_ec, expr: ast.Expr):
         """Compile a family step's guard: with hoisted global reads (the
@@ -1301,113 +1293,63 @@ class _Gen:
             cond = ec.compile(expr)
         return ec, cond
 
-    def _emit_advance_entry(self, cw: _Writer, step: Step, step_ref,
-                            pt_src, local_writes=(), sb_writes=()) -> None:
-        """Emit the entry ``_e`` of an enabled step that stays in its
-        thread: the transition, the stepped thread and its hash."""
-        self._emit_thread_build(cw, step, local_writes, sb_writes)
-        cw.emit(
-            f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-            f"hash((tid, _nt)))"
-        )
-
-    def _emit_branch(self, w, step: BranchStep, mk_ec, step_ref, pt_src,
-                     mk_cache, rows=None):
+    def _emit_branch(self, w, step: BranchStep, mk_ec, tr, mk_cache,
+                     rows=None):
+        owner = self._owner_src(step.target)
         if step.cond is None:
             def compute(cw):
-                self._emit_advance_entry(cw, step, step_ref, pt_src)
+                self._emit_advance_entry(cw, step, tr)
 
-            self._emit_family(w, step, mk_ec(True), mk_cache, rows,
-                              compute, check_none=False)
+            self._emit_family(w, mk_ec(True), mk_cache, rows, compute,
+                              owner)
             return
         ec, cond = self._compile_guard(mk_ec, step.cond)
 
         def compute(cw):
-            cw.emit("try:")
-            cw.push()
-            cw.emit(f"_en = bool({cond}) == {step.when}")
-            cw.emit("_ub = None")
-            cw.pop()
-            cw.emit("except UBSignal as _u:")
-            cw.push()
             # A UB guard fires only via the when=True twin (BranchStep).
-            cw.emit(f"_en = {step.when}")
-            cw.emit("_ub = _u.reason")
-            cw.pop()
-            cw.emit("if not _en:")
-            cw.push()
-            cw.emit("_e = None")
-            cw.pop()
-            cw.emit("elif _ub is not None:")
-            cw.push()
-            cw.emit(
-                f"_e = (Transition(tid, {step_ref}, {pt_src}), "
-                f"(TERM_UB, _ub))"
-            )
-            cw.pop()
-            cw.emit("else:")
-            cw.push()
-            self._emit_advance_entry(cw, step, step_ref, pt_src)
-            cw.pop()
+            with self._ub_guard(cw, step.when):
+                cw.emit(f"_en = bool({cond}) == {step.when}")
+            with cw.block("if not _en:"):
+                cw.emit("_e = None")
+            with cw.block("elif _ub is not None:"):
+                cw.emit(f"_e = ({tr}, (TERM_UB, _ub))")
+            with cw.block("else:"):
+                self._emit_advance_entry(cw, step, tr)
 
-        self._emit_family(w, step, ec, mk_cache, rows, compute,
+        self._emit_family(w, ec, mk_cache, rows, compute, owner,
                           check_none=True)
 
-    def _emit_assume(self, w, step: AssumeStep, mk_ec, step_ref, pt_src,
-                     mk_cache, rows=None):
+    def _emit_assume(self, w, step: AssumeStep, mk_ec, tr, mk_cache,
+                     rows=None):
         ec, cond = self._compile_guard(mk_ec, step.cond)
 
         def compute(cw):
-            cw.emit("try:")
-            cw.push()
-            cw.emit(f"_en = bool({cond})")
-            cw.pop()
-            cw.emit("except UBSignal:")
-            cw.push()
-            cw.emit("_en = False")
-            cw.pop()
-            cw.emit("if _en:")
-            cw.push()
-            self._emit_advance_entry(cw, step, step_ref, pt_src)
-            cw.pop()
-            cw.emit("else:")
-            cw.push()
-            cw.emit("_e = None")
-            cw.pop()
+            with cw.block("try:"):
+                cw.emit(f"_en = bool({cond})")
+            with cw.block("except UBSignal:"):
+                cw.emit("_en = False")
+            with cw.block("if _en:"):
+                self._emit_advance_entry(cw, step, tr)
+            with cw.block("else:"):
+                cw.emit("_e = None")
 
-        self._emit_family(w, step, ec, mk_cache, rows, compute,
-                          check_none=True)
+        self._emit_family(w, ec, mk_cache, rows, compute,
+                          self._owner_src(step.target), check_none=True)
 
-    def _emit_assert(self, w, step: AssertStep, mk_ec, step_ref, pt_src,
-                     mk_cache, rows=None):
+    def _emit_assert(self, w, step: AssertStep, mk_ec, tr, mk_cache,
+                     rows=None):
         ec, cond = self._compile_guard(mk_ec, step.cond)
         reason = f"at {step.pc}"
 
         def compute(cw):
-            cw.emit("try:")
-            cw.push()
-            cw.emit(f"if not ({cond}):")
-            cw.push()
-            cw.emit(
-                f"_e = (Transition(tid, {step_ref}, {pt_src}), "
-                f"('assert_failure', {reason!r}))"
-            )
-            cw.pop()
-            cw.emit("else:")
-            cw.push()
-            self._emit_advance_entry(cw, step, step_ref, pt_src)
-            cw.pop()
-            cw.pop()
-            cw.emit("except UBSignal as _u:")
-            cw.push()
-            cw.emit(
-                f"_e = (Transition(tid, {step_ref}, {pt_src}), "
-                f"(TERM_UB, _u.reason))"
-            )
-            cw.pop()
+            with self._ub_entry(cw, tr):
+                with cw.block(f"if not ({cond}):"):
+                    cw.emit(f"_e = ({tr}, ('assert_failure', {reason!r}))")
+                with cw.block("else:"):
+                    self._emit_advance_entry(cw, step, tr)
 
-        self._emit_family(w, step, ec, mk_cache, rows, compute,
-                          check_none=False)
+        self._emit_family(w, ec, mk_cache, rows, compute,
+                          self._owner_src(step.target))
 
     def _no_address_taken(self, method: str) -> bool:
         mctx = self.machine.ctx.method_contexts.get(method)
@@ -1415,8 +1357,7 @@ class _Gen:
             return True
         return not any(i.address_taken for i in mctx.locals.values())
 
-    def _emit_call(self, w, step: CallStep, mk_ec, step_ref, pt_src,
-                   pd_src, mk_cache):
+    def _emit_call(self, w, step: CallStep, mk_ec, tr, pd_src, mk_cache):
         ec = mk_ec(True)
         args = ", ".join(ec.compile(a) for a in step.args)
         # A call's successor is a pure function of (thread, hoisted
@@ -1430,63 +1371,28 @@ class _Gen:
         if ec.state_dep or not self._no_address_taken(step.method):
             raise _Unsupported("state-dependent call")
         entry = self.machine.method_entry[step.method]
-        cache = mk_cache()
-        self._emit_hoisted(w, ec)
-        base_key = self._cache_key_src(ec)
-        if base_key == "thread":
-            key = "(thread, state.next_serial)"
-        else:
-            key = base_key[:-1] + ", state.next_serial)"
-        w.emit(f"_e = {cache}.get({key}, _MS)")
-        w.emit("if _e is _MS:")
-        w.push()
-        w.emit("try:")
-        w.push()
-        w.emit(
-            f"_nf = machine._make_frame(state, {step.method!r}, "
-            f"[{args}], {pd_src}, {step.target!r}, "
-            f"{step.result_local!r})[1]"
-        )
-        w.emit("_nf = _FI(_nf, _nf)")
-        w.emit(
-            f"_nt = ThreadState(tid, {entry!r}, "
-            f"(_nf,) + thread.frames, thread.store_buffer, thread.view)"
-        )
-        w.emit("_nt = _TI(_nt, _nt)")
-        w.emit(
-            f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-            f"hash((tid, _nt)))"
-        )
-        w.pop()
-        w.emit("except UBSignal as _u:")
-        w.push()
-        w.emit(
-            f"_e = (Transition(tid, {step_ref}, {pt_src}), "
-            f"(TERM_UB, _u.reason))"
-        )
-        w.pop()
-        w.emit(f"{cache}[{key}] = _e")
-        w.pop()
-        ao = "tid" if self.inside(entry) else "None"
-        w.emit("_p = _e[1]")
-        w.emit("if _p.__class__ is ThreadState:")
-        w.push()
-        for line in self._threads_src("_p", new_hash="_e[2]"):
-            w.emit(line)
-        w.emit(
-            f"_ap((_e[0], ProgramState(_nT, state.memory, "
-            f"state.allocation, state.ghosts, state.log, None, "
-            f"state.next_tid, state.next_serial + 1, {ao}, "
-            f"state.histories)))"
-        )
-        w.pop()
-        w.emit("else:")
-        w.push()
-        w.emit("_ap((_e[0], _term(state, _p[0], _p[1])))")
-        w.pop()
 
-    def _emit_return(self, w, step: ReturnStep, mk_ec, step_ref, pt_src,
-                     mk_cache):
+        def compute(cw):
+            with self._ub_entry(cw, tr):
+                cw.emit(
+                    f"_nf = machine._make_frame(state, {step.method!r}, "
+                    f"[{args}], {pd_src}, {step.target!r}, "
+                    f"{step.result_local!r})[1]"
+                )
+                cw.emit("_nf = _FI(_nf, _nf)")
+                cw.emit(
+                    f"_nt = ThreadState(tid, {entry!r}, (_nf,) + "
+                    f"thread.frames, thread.store_buffer, thread.view)"
+                )
+                cw.emit("_nt = _TI(_nt, _nt)")
+                cw.emit(f"_e = ({tr}, _nt, hash((tid, _nt)))")
+
+        self._emit_family(
+            w, ec, mk_cache, None, compute, self._owner_src(entry),
+            serial="state.next_serial + 1", key_extra=("state.next_serial",),
+        )
+
+    def _emit_return(self, w, step: ReturnStep, mk_ec, tr, mk_cache):
         ec = mk_ec(True)
         value = (
             ec.compile(step.value) if step.value is not None else None
@@ -1500,83 +1406,50 @@ class _Gen:
         # return falls back to the interpreter for this step.
         if ec.state_dep or not self._no_address_taken(ec.method):
             raise _Unsupported("state-dependent return")
-        cache = mk_cache()
-        self._emit_hoisted(w, ec)
-        key = self._cache_key_src(ec)
-        w.emit(f"_e = {cache}.get({key}, _MS)")
-        w.emit("if _e is _MS:")
-        w.push()
-        w.emit("try:")
-        w.push()
-        if value is not None:
-            w.emit(f"_v = {value}")
-        w.emit("_f0 = thread.frames[0]")
-        w.emit("_rest = thread.frames[1:]")
-        w.emit("if not _rest:")
-        w.push()
-        w.emit(
-            "_nt = ThreadState(tid, None, (), thread.store_buffer, "
-            "thread.view)"
-        )
-        w.emit("_nt = _TI(_nt, _nt)")
-        w.emit(
-            f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-            f"hash((tid, _nt)), False, tid == 1)"
-        )
-        w.pop()
-        w.emit("else:")
-        w.push()
-        w.emit("_c0 = _rest[0]")
-        if value is not None:
-            w.emit("if _f0.return_lhs_key is not None and _v is not None:")
-            w.push()
-            w.emit(
-                "_c0 = Frame(_c0.method, _c0.serial, "
-                "_c0.locals.set(_f0.return_lhs_key, _v), "
-                "_c0.return_pc, _c0.return_lhs_key)"
-            )
-            w.emit("_c0 = _FI(_c0, _c0)")
-            w.pop()
-        w.emit(
-            "_nt = ThreadState(tid, _f0.return_pc, (_c0,) + _rest[1:], "
-            "thread.store_buffer, thread.view)"
-        )
-        w.emit("_nt = _TI(_nt, _nt)")
-        w.emit(
-            f"_e = (Transition(tid, {step_ref}, {pt_src}), _nt, "
-            f"hash((tid, _nt)), "
-            f"not machine.pcs[_f0.return_pc].yieldable, False)"
-        )
-        w.pop()
-        w.pop()
-        w.emit("except UBSignal as _u:")
-        w.push()
-        w.emit(
-            f"_e = (Transition(tid, {step_ref}, {pt_src}), "
-            f"(TERM_UB, _u.reason))"
-        )
-        w.pop()
-        w.emit(f"{cache}[{key}] = _e")
-        w.pop()
-        w.emit("_p = _e[1]")
-        w.emit("if _p.__class__ is ThreadState:")
-        w.push()
-        for line in self._threads_src("_p", new_hash="_e[2]"):
-            w.emit(line)
-        w.emit(
-            "_ap((_e[0], ProgramState(_nT, state.memory, "
-            "state.allocation, state.ghosts, state.log, "
-            "_TN if _e[4] else None, state.next_tid, state.next_serial, "
-            "tid if _e[3] else None, state.histories)))"
-        )
-        w.pop()
-        w.emit("else:")
-        w.push()
-        w.emit("_ap((_e[0], _term(state, _p[0], _p[1])))")
-        w.pop()
 
-    def _emit_create(self, w, step: CreateThreadStep, ec, step_ref,
-                     pt_src, pd_src):
+        def compute(cw):
+            with self._ub_entry(cw, tr):
+                if value is not None:
+                    cw.emit(f"_v = {value}")
+                cw.emit("_f0 = thread.frames[0]")
+                cw.emit("_rest = thread.frames[1:]")
+                with cw.block("if not _rest:"):
+                    cw.emit(
+                        "_nt = ThreadState(tid, None, (), "
+                        "thread.store_buffer, thread.view)"
+                    )
+                    cw.emit("_nt = _TI(_nt, _nt)")
+                    cw.emit(
+                        f"_e = ({tr}, _nt, hash((tid, _nt)), False, "
+                        f"tid == 1)"
+                    )
+                with cw.block("else:"):
+                    cw.emit("_c0 = _rest[0]")
+                    if value is not None:
+                        with cw.block("if _f0.return_lhs_key is not None "
+                                      "and _v is not None:"):
+                            cw.emit(
+                                "_c0 = Frame(_c0.method, _c0.serial, "
+                                "_c0.locals.set(_f0.return_lhs_key, _v), "
+                                "_c0.return_pc, _c0.return_lhs_key)"
+                            )
+                            cw.emit("_c0 = _FI(_c0, _c0)")
+                    cw.emit(
+                        "_nt = ThreadState(tid, _f0.return_pc, (_c0,) + "
+                        "_rest[1:], thread.store_buffer, thread.view)"
+                    )
+                    cw.emit("_nt = _TI(_nt, _nt)")
+                    cw.emit(
+                        f"_e = ({tr}, _nt, hash((tid, _nt)), "
+                        f"not machine.pcs[_f0.return_pc].yieldable, False)"
+                    )
+
+        self._emit_family(
+            w, ec, mk_cache, None, compute, "tid if _e[3] else None",
+            termination="_TN if _e[4] else None",
+        )
+
+    def _emit_create(self, w, step: CreateThreadStep, ec, tr, pd_src):
         spec = (
             self._classify_lhs(ec, step.lhs)
             if step.lhs is not None else None
@@ -1584,54 +1457,28 @@ class _Gen:
         if spec is not None and spec[0] == "gelem":
             raise _Unsupported("indexed create_thread lhs")
         args = ", ".join(ec.compile(a) for a in step.args)
-        w.emit("try:")
-        w.push()
-        w.emit(
-            f"_ns, _nt = machine.spawn_thread(state, {step.method!r}, "
-            f"[{args}], {pd_src}, tid)"
-        )
-        w.emit("_ns = _canon(_ns, _nt, _TI)")
-        if spec is not None:
-            buffered = spec[0] in ("global", "gelem", "memlocal")
-            self._emit_write(w, spec, "_nt", buffered)
-        w.emit(f"_ns = {self._adv_src(step, '_ns')}")
-        w.pop()
-        w.emit("except UBSignal as _u:")
-        w.push()
-        w.emit("_ns = _term(state, TERM_UB, _u.reason)")
-        w.pop()
-        w.emit(f"_ap((Transition(tid, {step_ref}, {pt_src}), _ns))")
+        with self._ub_successor(w, tr):
+            w.emit(
+                f"_ns, _nt = machine.spawn_thread(state, {step.method!r}, "
+                f"[{args}], {pd_src}, tid)"
+            )
+            w.emit("_ns = _canon(_ns, _nt, _TI)")
+            if spec is not None:
+                self._emit_write(w, spec, "_nt")
+            w.emit(f"_ns = {self._adv_src(step, '_ns')}")
 
-    def _emit_join(self, w, step: JoinStep, ec, step_ref, pt_src):
+    def _emit_join(self, w, step: JoinStep, ec, tr):
         target = ec.compile(step.thread)
-        w.emit("try:")
-        w.push()
-        w.emit(f"_t = {target}")
-        w.emit("_o = state.threads.get(_t)")
-        w.emit("_en = _o is not None and _o.pc is None")
-        w.emit("_ub = None")
-        w.pop()
-        w.emit("except UBSignal as _u:")
-        w.push()
-        w.emit("_en = True")
-        w.emit("_ub = _u.reason")
-        w.pop()
-        w.emit("if _en:")
-        w.push()
-        w.emit("if _ub is not None:")
-        w.push()
-        w.emit("_ns = _term(state, TERM_UB, _ub)")
-        w.pop()
-        w.emit("else:")
-        w.push()
-        self._emit_build(w, step)
-        # The model's join synchronisation (RA merges the joined
-        # thread's view) touches only this thread's view, so it may
-        # follow the fused advance.
-        w.emit("_ns = mm.on_join(_ns, tid, _t)")
-        w.pop()
-        w.emit(f"_ap((Transition(tid, {step_ref}, {pt_src}), _ns))")
-        w.pop()
+        with self._ub_guard(w):
+            w.emit(f"_t = {target}")
+            w.emit("_o = state.threads.get(_t)")
+            w.emit("_en = _o is not None and _o.pc is None")
+        with self._guarded_successor(w, tr):
+            self._emit_build(w, step)
+            # The model's join synchronisation (RA merges the joined
+            # thread's view) touches only this thread's view, so it may
+            # follow the fused advance.
+            w.emit("_ns = mm.on_join(_ns, tid, _t)")
 
     # -- externs ---------------------------------------------------------
 
@@ -1641,6 +1488,11 @@ class _Gen:
         "lock", "unlock", "compare_and_swap", "atomic_exchange",
         "atomic_fetch_add", "fence",
     ))
+
+    #: The externs the specializer compiles.
+    _COMPILED_EXTERNS = _SB_EXTERNS | {
+        "initialize_mutex", "print_uint64", "print_uint32",
+    }
 
     def _emit_mutex_loc(self, w, ec, arg: ast.Expr) -> str:
         """Emit code computing ``_mutex_location``'s result for the
@@ -1665,30 +1517,17 @@ class _Gen:
             return self.global_loc(operand.name)
         if isinstance(operand, ast.Index) and \
                 isinstance(operand.base, ast.Var):
-            base = operand.base
-            if ec._local_info(base.name) is not None:
-                raise _Unsupported("address of local element")
-            g = ec._global_decl(base.name)
-            if g is None or g.ghost or not isinstance(
-                g.var_type, ty.ArrayType
-            ):
-                raise _Unsupported("address of non-array element")
-            t = g.var_type
-            if isinstance(t.element, (ty.ArrayType, ty.StructType)):
-                raise _Unsupported("nested composite element")
-            locs = self.global_leaf_locs(base.name, t.size)
+            t, locs = self._leaf_array(ec, operand.base)
             w.emit(f"_li = {ec.compile(operand.index)}")
-            w.emit(f"if not 0 <= _li < {t.size}:")
-            w.push()
-            w.emit(
-                f'raise UBSignal(f"index {{_li}} out of bounds for {t}")'
-            )
-            w.pop()
+            with w.block(f"if not 0 <= _li < {t.size}:"):
+                w.emit(
+                    f'raise UBSignal(f"index {{_li}} out of bounds for {t}")'
+                )
             w.emit(f"_loc = {locs}[_li]")
             return "_loc"
         raise _Unsupported("extern location shape")
 
-    def _emit_extern(self, w, step: ExternStep, ec, step_ref, pt_src):
+    def _emit_extern(self, w, step: ExternStep, ec, tr):
         name = step.name
         lhs_spec = (
             self._classify_lhs(ec, step.lhs)
@@ -1696,223 +1535,87 @@ class _Gen:
         )
         if lhs_spec is not None and lhs_spec[0] == "gelem":
             raise _Unsupported("indexed extern lhs")
-        if name in ("lock", "unlock", "initialize_mutex", "fence",
-                    "compare_and_swap", "atomic_exchange",
-                    "atomic_fetch_add"):
-            if lhs_spec is not None and name in (
-                "lock", "unlock", "initialize_mutex", "fence"
-            ):
-                raise _Unsupported(f"{name} with lhs")
-        elif name not in ("print_uint64", "print_uint32"):
+        if name not in self._COMPILED_EXTERNS:
             raise _Unsupported(f"extern {name}")
+        if lhs_spec is not None and name in (
+            "lock", "unlock", "initialize_mutex", "fence"
+        ):
+            raise _Unsupported(f"{name} with lhs")
 
-        guarded = name in self._SB_EXTERNS
-        if guarded:
-            w.emit("if not thread.store_buffer:")
-            w.push()
+        with w.block_if(name in self._SB_EXTERNS,
+                        "if not thread.store_buffer:"):
+            self._emit_extern_effect(w, step, ec, tr, lhs_spec)
 
-        emit_tr = (
-            f"_ap((Transition(tid, {step_ref}, {pt_src}), _ns))"
-        )
-
+    def _emit_extern_effect(self, w, step: ExternStep, ec, tr, lhs_spec):
+        name = step.name
         if name == "lock":
-            w.emit("try:")
-            w.push()
-            loc = self._emit_mutex_loc(w, ec, step.args[0])
-            w.emit(f"_en = state.memory.get({loc}, 0) == 0")
-            w.emit("_ub = None")
-            w.pop()
-            w.emit("except UBSignal as _u:")
-            w.push()
-            w.emit("_en = True")
-            w.emit("_ub = _u.reason")
-            w.pop()
-            w.emit("if _en:")
-            w.push()
-            w.emit("if _ub is not None:")
-            w.push()
-            w.emit("_ns = _term(state, TERM_UB, _ub)")
-            w.pop()
-            w.emit("else:")
-            w.push()
-            adv = self._adv_src(
-                step, f"mm.atomic_update(state, tid, {loc}, tid)"
-            )
-            w.emit(f"_ns = {adv}")
-            w.pop()
-            w.emit(emit_tr)
-            w.pop()
+            with self._ub_guard(w):
+                loc = self._emit_mutex_loc(w, ec, step.args[0])
+                w.emit(f"_en = state.memory.get({loc}, 0) == 0")
+            with self._guarded_successor(w, tr):
+                adv = self._adv_src(
+                    step, f"mm.atomic_update(state, tid, {loc}, tid)"
+                )
+                w.emit(f"_ns = {adv}")
         elif name in ("unlock", "initialize_mutex"):
-            w.emit("try:")
-            w.push()
-            loc = self._emit_mutex_loc(w, ec, step.args[0])
-            if name == "unlock":
-                w.emit(f"if state.memory.get({loc}) != tid:")
-                w.push()
-                w.emit('raise UBSignal("unlock of a mutex not held by '
-                       'this thread")')
-                w.pop()
-            adv = self._adv_src(
-                step, f"mm.atomic_update(state, tid, {loc}, 0)"
-            )
-            w.emit(f"_ns = {adv}")
-            w.pop()
-            w.emit("except UBSignal as _u:")
-            w.push()
-            w.emit("_ns = _term(state, TERM_UB, _u.reason)")
-            w.pop()
-            w.emit(emit_tr)
+            with self._ub_successor(w, tr):
+                loc = self._emit_mutex_loc(w, ec, step.args[0])
+                if name == "unlock":
+                    with w.block(f"if state.memory.get({loc}) != tid:"):
+                        w.emit('raise UBSignal("unlock of a mutex not held '
+                               'by this thread")')
+                adv = self._adv_src(
+                    step, f"mm.atomic_update(state, tid, {loc}, 0)"
+                )
+                w.emit(f"_ns = {adv}")
         elif name == "fence":
             adv = self._adv_src(step, "mm.fence(state, tid)")
             w.emit(f"_ns = {adv}")
-            w.emit(emit_tr)
+            w.emit(f"_ap(({tr}, _ns))")
         elif name in ("print_uint64", "print_uint32"):
             arg = ec.compile(step.args[0])
-            w.emit("try:")
-            w.push()
-            w.emit(f"_v = {arg}")
-            w.emit("_ns = state.append_log(_v)")
-            if lhs_spec is not None:
-                buffered = lhs_spec[0] in ("global", "gelem", "memlocal")
-                self._emit_write(w, lhs_spec, "None", buffered)
-            w.emit(f"_ns = {self._adv_src(step, '_ns')}")
-            w.pop()
-            w.emit("except UBSignal as _u:")
-            w.push()
-            w.emit("_ns = _term(state, TERM_UB, _u.reason)")
-            w.pop()
-            w.emit(emit_tr)
+            with self._ub_successor(w, tr):
+                w.emit(f"_v = {arg}")
+                w.emit("_ns = state.append_log(_v)")
+                if lhs_spec is not None:
+                    self._emit_write(w, lhs_spec, "None")
+                w.emit(f"_ns = {self._adv_src(step, '_ns')}")
         else:  # compare_and_swap / atomic_exchange / atomic_fetch_add
-            w.emit("try:")
-            w.push()
-            loc = self._emit_mutex_loc(w, ec, step.args[0])
-            if name == "compare_and_swap":
-                w.emit(f"_e = {ec.compile(step.args[1])}")
-                w.emit(f"_d = {ec.compile(step.args[2])}")
-                w.emit(f"_cur = state.memory.get({loc})")
-                w.emit("if _cur is None:")
-                w.push()
-                w.emit('raise UBSignal("CAS on unmapped location")')
-                w.pop()
-                w.emit("if _cur == _e:")
-                w.push()
-                w.emit(f"_ns = mm.atomic_update(state, tid, {loc}, _d)")
-                w.emit("_res = True")
-                w.pop()
-                w.emit("else:")
-                w.push()
-                w.emit(f"_ns = mm.atomic_acquire(state, tid, {loc})")
-                w.emit("_res = False")
-                w.pop()
-            elif name == "atomic_exchange":
-                w.emit(f"_x = {ec.compile(step.args[1])}")
-                w.emit(f"_cur = state.memory.get({loc})")
-                w.emit("if _cur is None:")
-                w.push()
-                w.emit('raise UBSignal("exchange on unmapped location")')
-                w.pop()
-                w.emit(f"_ns = mm.atomic_update(state, tid, {loc}, _x)")
-                w.emit("_res = _cur")
-            else:  # atomic_fetch_add
-                w.emit(f"_x = {ec.compile(step.args[1])}")
-                w.emit(f"_cur = state.memory.get({loc})")
-                w.emit("if _cur is None:")
-                w.push()
-                w.emit('raise UBSignal("fetch_add on unmapped location")')
-                w.pop()
-                w.emit(
-                    f"_ns = mm.atomic_update(state, tid, {loc}, "
-                    f"(_cur + _x) & 0xffffffffffffffff)"
-                )
-                w.emit("_res = _cur")
-            if lhs_spec is not None:
-                buffered = lhs_spec[0] in ("global", "gelem", "memlocal")
-                self._emit_write(w, lhs_spec, "_res", buffered)
-            w.emit(f"_ns = {self._adv_src(step, '_ns')}")
-            w.pop()
-            w.emit("except UBSignal as _u:")
-            w.push()
-            w.emit("_ns = _term(state, TERM_UB, _u.reason)")
-            w.pop()
-            w.emit(emit_tr)
-        if guarded:
-            w.pop()
+            with self._ub_successor(w, tr):
+                loc = self._emit_mutex_loc(w, ec, step.args[0])
+                if name == "compare_and_swap":
+                    w.emit(f"_e = {ec.compile(step.args[1])}")
+                    w.emit(f"_d = {ec.compile(step.args[2])}")
+                    w.emit(f"_cur = state.memory.get({loc})")
+                    with w.block("if _cur is None:"):
+                        w.emit('raise UBSignal("CAS on unmapped location")')
+                    with w.block("if _cur == _e:"):
+                        w.emit(f"_ns = mm.atomic_update(state, tid, {loc}, "
+                               f"_d)")
+                        w.emit("_res = True")
+                    with w.block("else:"):
+                        w.emit(f"_ns = mm.atomic_acquire(state, tid, {loc})")
+                        w.emit("_res = False")
+                else:
+                    what = ("exchange" if name == "atomic_exchange"
+                            else "fetch_add")
+                    new = ("_x" if name == "atomic_exchange"
+                           else "(_cur + _x) & 0xffffffffffffffff")
+                    w.emit(f"_x = {ec.compile(step.args[1])}")
+                    w.emit(f"_cur = state.memory.get({loc})")
+                    with w.block("if _cur is None:"):
+                        w.emit(f'raise UBSignal("{what} on unmapped '
+                               f'location")')
+                    w.emit(f"_ns = mm.atomic_update(state, tid, {loc}, "
+                           f"{new})")
+                    w.emit("_res = _cur")
+                if lhs_spec is not None:
+                    self._emit_write(w, lhs_spec, "_res")
+                w.emit(f"_ns = {self._adv_src(step, '_ns')}")
 
 
 # ---------------------------------------------------------------------------
-# Fingerprinting and the on-disk source cache
-
-
-def _ast_sig(node: Any) -> Any:
-    """Deterministic structural signature of an AST fragment, including
-    the checked types that drive wrap/overflow codegen."""
-    if isinstance(node, ast.Expr):
-        sig: list[Any] = [
-            type(node).__name__,
-            str(node.type) if node.type is not None else "?",
-        ]
-        for name in node._fields:
-            if name in ("loc", "type"):
-                continue
-            sig.append(_ast_sig(getattr(node, name)))
-        return sig
-    if isinstance(node, (list, tuple)):
-        return [_ast_sig(item) for item in node]
-    if isinstance(node, ty.Type):
-        return str(node)
-    if node is None or isinstance(node, (str, int, bool)):
-        return node
-    if not isinstance(node, Record):  # records include machine Steps
-        return repr(node)
-    sig = [type(node).__name__]
-    for name in node._fields:
-        if name != "loc":
-            sig.append(_ast_sig(getattr(node, name)))
-    return sig
-
-
-def machine_fingerprint(machine: StateMachine) -> str:
-    """The on-disk cache key: level fingerprint, memory model and the
-    interpreter's bytecode magic number (the entry holds a code object,
-    so another interpreter's entry must miss)."""
-    ctx = machine.ctx
-    pcs = [
-        [pc, info.method, bool(info.yieldable)]
-        for pc, info in sorted(machine.pcs.items())
-    ]
-    steps = [
-        [pc, [_ast_sig(step) for step in steps_at]]
-        for pc, steps_at in sorted(machine.steps_by_pc.items())
-    ]
-    globals_sig = [
-        [name, bool(g.ghost), str(g.var_type)]
-        for name, g in sorted(ctx.globals.items())
-    ]
-    locals_sig = [
-        [
-            method,
-            [
-                [name, bool(info.address_taken), bool(info.is_param),
-                 str(info.type)]
-                for name, info in sorted(mctx.locals.items())
-            ],
-        ]
-        for method, mctx in sorted(ctx.method_contexts.items())
-    ]
-    extra = [
-        sorted(machine.method_entry.items()),
-        sorted((m, list(names)) for m, names in
-               machine.memory_locals.items()),
-        sorted(
-            (m, [[n, str(t)] for n, t in pairs])
-            for m, pairs in machine.newframe_locals.items()
-        ),
-    ]
-    return structural_hash(
-        "stepc", _STEPC_FORMAT, MAGIC_NUMBER.hex(), code_version(),
-        machine.level_name, machine.memmodel.name, pcs, steps, globals_sig,
-        locals_sig, extra,
-    )
+# The on-disk bytecode cache
 
 
 def _cache_dir() -> Path | None:
@@ -1927,32 +1630,27 @@ def _cache_dir() -> Path | None:
     return Path(home) / ".cache" / "armada" / "stepc"
 
 
-def _cache_load(key: str) -> tuple[str, CodeType] | None:
-    """The cached ``(source, code)`` pair for *key*, or ``None`` on a
-    miss or an unreadable entry."""
+def _cache_load(key: str) -> CodeType | None:
+    """The cached code object for *key*, or ``None`` on a miss or an
+    unreadable entry."""
     directory = _cache_dir()
     if directory is None:
         return None
     try:
-        entry = marshal.loads((directory / f"{key}.marshal").read_bytes())
+        code = marshal.loads((directory / f"{key}.marshal").read_bytes())
     except (OSError, EOFError, ValueError, TypeError):
         return None
-    if (
-        type(entry) is tuple and len(entry) == 2
-        and type(entry[0]) is str and type(entry[1]) is CodeType
-    ):
-        return entry
-    return None
+    return code if type(code) is CodeType else None
 
 
-def _cache_store(key: str, source: str, code: CodeType) -> None:
+def _cache_store(key: str, code: CodeType) -> None:
     directory = _cache_dir()
     if directory is None:
         return
     tmp = directory / f".{key}.{os.getpid()}.tmp"
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(marshal.dumps((source, code)))
+        tmp.write_bytes(marshal.dumps(code))
         tmp.replace(directory / f"{key}.marshal")
     except OSError:
         with contextlib.suppress(OSError):
@@ -1983,36 +1681,31 @@ class CompiledStepper:
 
 
 def compile_stepper(machine: StateMachine) -> CompiledStepper:
-    """Generate and compile (or load from the bytecode cache), then bind
-    the specialized step relation for *machine*.  Raises on machines the
-    specializer cannot handle at all; per-step gaps fall back inline."""
-    key = machine_fingerprint(machine)
+    """Generate the specialized step relation for *machine*, compile it
+    (or load its code object from the bytecode cache) and bind it.
+    Raises on machines the specializer cannot handle at all; per-step
+    gaps fall back inline."""
+    gen = _Gen(machine)
+    source = gen.generate()
+    key = hashlib.sha256(MAGIC_NUMBER + source.encode()).hexdigest()
     fn = None
-    entry = _cache_load(key)
-    if entry is not None:
-        source, code = entry
+    code = _cache_load(key)
+    if code is not None:
         try:
             fn = _bind(code, machine)
         except Exception:
-            pass  # A stale or corrupt cached entry: regenerate below.
+            pass  # A corrupt cached entry: compile it again below.
     cache_hit = fn is not None
-    if cache_hit:
-        # Recover the counters from the fallback markers in the source.
-        fallback_steps = source.count("_interp(machine, ")
-        compiled_steps = machine.step_count() - fallback_steps
-    else:
-        gen = _Gen(machine)
-        source = gen.generate(key)
+    if not cache_hit:
         code = compile(
             source, f"<armada-stepc:{machine.level_name}:"
             f"{machine.memmodel.name}>", "exec"
         )
         fn = _bind(code, machine)
-        _cache_store(key, source, code)
-        compiled_steps = gen.compiled_steps
-        fallback_steps = gen.fallback_steps
+        _cache_store(key, code)
     return CompiledStepper(
-        machine, fn, source, key, cache_hit, compiled_steps, fallback_steps,
+        machine, fn, source, key, cache_hit, gen.compiled_steps,
+        gen.fallback_steps,
     )
 
 

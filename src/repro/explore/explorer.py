@@ -288,12 +288,13 @@ class Explorer:
             return result
 
 
-def _trace_to(
-    parents: dict, state: ProgramState
-) -> tuple[Transition, ...]:
-    """Walk the parent pointers back to the initial state."""
+def _trace_to(parents: dict, node: Any) -> tuple[Transition, ...]:
+    """Walk the parent pointers (``node -> (parent, transition)``, None
+    at the root) back from *node*: the transitions from the root to
+    *node*.  A node is a state here and a product state in the
+    refinement check."""
     trace: list[Transition] = []
-    current = state
+    current = node
     while True:
         entry = parents[current]
         if entry is None:

@@ -26,6 +26,7 @@ from collections import deque
 from typing import Callable
 
 from repro.compiler.stepc import successors_for
+from repro.explore.explorer import _trace_to
 from repro.lang import types as ty
 from repro.machine.program import StateMachine
 from repro.machine.state import ProgramState, TERM_UB
@@ -232,7 +233,7 @@ def check_refinement(
                 return _unmatched(
                     high, next_low,
                     f"no high-level state simulates {target}",
-                    target, _product_trace(parents, key) + (transition,),
+                    target, _trace_to(parents, key) + (transition,),
                     cut, max_stutter, product_states,
                 )
             next_key = (next_low, next_high)
@@ -249,7 +250,7 @@ def check_refinement(
                     counterexample=RefinementCounterexample(
                         next_low,
                         "product state budget exhausted",
-                        _product_trace(parents, key) + (transition,),
+                        _trace_to(parents, key) + (transition,),
                     ),
                 )
             parents[next_key] = (key, transition)
@@ -323,17 +324,3 @@ def _covers(t: ty.Type, values: tuple) -> bool:
         }
         return len(inside) == 1 << t.bits
     return False
-
-
-def _product_trace(parents: dict, key: tuple) -> tuple:
-    """Low-level transitions from the initial product state to *key*."""
-    trace = []
-    current = key
-    while True:
-        entry = parents[current]
-        if entry is None:
-            break
-        current, transition = entry
-        trace.append(transition)
-    trace.reverse()
-    return tuple(trace)

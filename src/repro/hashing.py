@@ -1,10 +1,10 @@
 """Content hashes shared by every cache key in the toolchain.
 
-A leaf module with no ``repro`` imports, so that fingerprinting a
-machine for the stepper's bytecode cache (:mod:`repro.compiler.stepc`)
-does not load the verification farm.  The proof cache
+A leaf module with no ``repro`` imports.  The proof cache
 (:mod:`repro.farm.cache`), the proof engine and the serve daemon key
-their entries with the same two functions.
+their entries with the same two functions.  The stepper's bytecode
+cache (:mod:`repro.compiler.stepc`) needs neither: it keys each entry
+by the source it compiles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 #: Version prefix of every structural hash: bump it to invalidate every
-#: cache key at once (proof cache, stepc cache, serve keys).  Format 2
+#: cache key at once (proof cache, serve keys).  Format 2
 #: came with the proof cache's length+checksum framing (unframed
 #: format-1 entries fail the magic check and are quarantined on first
 #: read).

@@ -9,7 +9,6 @@ generated lemmas with :func:`expr_to_str`.
 from __future__ import annotations
 
 from repro.lang import asts as ast
-from repro.lang import types as ty
 
 
 # ---------------------------------------------------------------------------

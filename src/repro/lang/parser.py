@@ -7,7 +7,7 @@ optional-semicolon variant.
 
 from __future__ import annotations
 
-from repro.errors import ParseError, SourceLoc
+from repro.errors import ParseError
 from repro.lang import asts as ast
 from repro.lang import types as ty
 from repro.lang.lexer import tokenize

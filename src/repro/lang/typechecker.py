@@ -456,21 +456,31 @@ class TypeChecker:
                 )
             return left
         if op in ("+", "-", "*", "/", "%"):
-            left = check(
-                expr.left,
-                width_hint if self._is_literal_tree(expr.left) else None,
-            )
-            if isinstance(left, ty.PtrType) and op in ("+", "-"):
-                # Pointer offset within an array (§3.2.4).
-                check(expr.right)
-                return left
-            if isinstance(left, ty.SeqType) and op == "+":
-                check(expr.right, left)
-                return left
-            right = check(
-                expr.right,
-                left if not isinstance(left, ty.MathIntType) else None,
-            )
+            if self._is_literal_tree(expr.left) and \
+                    not self._is_literal_tree(expr.right):
+                # `1 + y` types as `y + 1` does: the literals take the
+                # width of a fixed-width other operand.
+                right = check(expr.right, width_hint)
+                left = check(
+                    expr.left,
+                    right if isinstance(right, ty.IntType) else width_hint,
+                )
+            else:
+                left = check(
+                    expr.left,
+                    width_hint if self._is_literal_tree(expr.left) else None,
+                )
+                if isinstance(left, ty.PtrType) and op in ("+", "-"):
+                    # Pointer offset within an array (§3.2.4).
+                    check(expr.right)
+                    return left
+                if isinstance(left, ty.SeqType) and op == "+":
+                    check(expr.right, left)
+                    return left
+                right = check(
+                    expr.right,
+                    left if not isinstance(left, ty.MathIntType) else None,
+                )
             joined = ty.join_integer(left, right)
             if joined is None:
                 raise TypeError_(

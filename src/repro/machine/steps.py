@@ -27,13 +27,7 @@ from repro.machine.evaluator import (
     MemoryPlace,
     Place,
 )
-from repro.machine.state import (
-    Frame,
-    ProgramState,
-    TERM_NORMAL,
-    ThreadState,
-    UBSignal,
-)
+from repro.machine.state import ProgramState, UBSignal
 from repro.machine.values import (
     CompositeValue,
     Location,
@@ -263,7 +257,6 @@ class AssignStep(Step):
     def apply(self, machine, state, tid, params):
         ec = self._ec(machine, state, tid, params)
         values = [ev.eval_expr(ec, rhs) for rhs in self.rhss]
-        values = [_coerce(rhs, v) for rhs, v in zip(self.rhss, values)]
         places = [ev.eval_place(ec, lhs) for lhs in self.lhss]
         for place, value, lhs in zip(places, values, self.lhss):
             value = fit(lhs.type, value)
@@ -274,10 +267,6 @@ class AssignStep(Step):
                 ec.with_state(state), state, place, value, buffered
             )
         return self._advance(state, tid, machine)
-
-
-def _coerce(rhs: ast.Expr, value: Any) -> Any:
-    return value
 
 
 def fit(t: ty.Type | None, value: Any) -> Any:

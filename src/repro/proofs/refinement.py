@@ -32,7 +32,7 @@ from repro.lang.parser import parse_expression
 from repro.lang.resolver import LevelContext
 from repro.machine.evaluator import eval_formula
 from repro.machine.state import ProgramState, UBSignal
-from repro.machine.values import CompositeValue, Location, Root
+from repro.machine.values import CompositeValue, Root
 
 RefinementRelation = Callable[[ProgramState, ProgramState], bool]
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from repro.errors import StrategyError
 from repro.lang import asts as ast
-from repro.lang.astutil import expr_equal, free_vars
+from repro.lang.astutil import expr_equal
 from repro.machine.evaluator import eval_for_thread, parse_predicate
-from repro.machine.steps import AssignStep, BranchStep, Step
+from repro.machine.steps import AssignStep, Step
 from repro.proofs.artifacts import (
     Lemma,
     ProofScript,

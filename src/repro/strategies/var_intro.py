@@ -18,7 +18,6 @@ extension) plus one identity lemma per matched statement pair.
 from __future__ import annotations
 
 from repro.errors import StrategyError
-from repro.lang import asts as ast
 from repro.machine.steps import AssignStep, Step
 from repro.proofs.artifacts import Lemma, ProofScript, bool_verdict
 from repro.proofs.render import (

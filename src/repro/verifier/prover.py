@@ -14,8 +14,11 @@ by *small-model enumeration plus corner-and-random sampling*:
 A counterexample refutes validity *soundly* (the formula really is
 falsifiable).  The absence of a counterexample yields a *bounded*
 verification verdict — the documented substitution for the paper's
-SMT-backed unbounded proofs (see DESIGN.md).  The proof artifacts record
-which verdict each lemma received.
+SMT-backed unbounded proofs (see DESIGN.md).  When the product of the
+domains exceeds the assignment budget, the largest domains are halved,
+keeping their corner values; an enumeration the budget still cuts short
+is UNKNOWN, never PROVED.  The proof artifacts record which verdict
+each lemma received.
 """
 
 from __future__ import annotations
@@ -158,42 +161,15 @@ class Prover:
         obligation must be well-defined wherever its hypotheses hold),
         matching Dafny's well-definedness checking.
         """
-        if not OBS.enabled:
-            return self._prove_valid(goal, variables, assumptions)
-        with OBS.span("prove_valid", "phase"):
-            verdict = self._prove_valid(goal, variables, assumptions)
-            OBS.count("prover.calls")
-            OBS.count("prover.assignments_checked",
-                      verdict.assignments_checked)
-            return verdict
-
-    def _prove_valid(
-        self,
-        goal: ast.Expr,
-        variables: dict[str, ty.Type],
-        assumptions: list[ast.Expr] | None = None,
-    ) -> Verdict:
         assumptions = assumptions or []
-        names = sorted(variables)
-        domains = [
-            variable_domain(n, variables[n], self.config) for n in names
-        ]
-        total = 1
-        for d in domains:
-            total *= max(1, len(d))
-        if total > self.config.max_assignments:
-            domains = self._shrink(domains)
-        checked = 0
-        for combo in itertools.product(*domains) if names else [()]:
-            env = dict(zip(names, combo))
-            checked += 1
-            if checked > self.config.max_assignments:
-                break
-            if not all(_holds(a, env) for a in assumptions):
-                continue
-            if not _holds(goal, env):
-                return Verdict(REFUTED, env, checked)
-        return Verdict(PROVED, None, checked)
+
+        def refutes(env: dict[str, Any]) -> bool:
+            return (
+                all(_holds(a, env) for a in assumptions)
+                and not _holds(goal, env)
+            )
+
+        return self._search("prove_valid", variables, refutes)
 
     def equivalent(
         self,
@@ -203,38 +179,47 @@ class Prover:
     ) -> Verdict:
         """Check that two expressions agree on all sampled assignments
         (including agreement on where they are undefined)."""
+        return self._search(
+            "equivalent", variables,
+            lambda env: _outcome(left, env) != _outcome(right, env),
+        )
+
+    def _search(self, span: str, variables: dict[str, ty.Type],
+                refutes) -> Verdict:
         if not OBS.enabled:
-            return self._equivalent(left, right, variables)
-        with OBS.span("equivalent", "phase"):
-            verdict = self._equivalent(left, right, variables)
+            return self._enumerate(variables, refutes)
+        with OBS.span(span, "phase"):
+            verdict = self._enumerate(variables, refutes)
             OBS.count("prover.calls")
             OBS.count("prover.assignments_checked",
                       verdict.assignments_checked)
             return verdict
 
-    def _equivalent(
-        self,
-        left: ast.Expr,
-        right: ast.Expr,
-        variables: dict[str, ty.Type],
-    ) -> Verdict:
+    def _enumerate(self, variables: dict[str, ty.Type], refutes) -> Verdict:
+        """Look for a sampled assignment of *variables* that *refutes*
+        the claim: REFUTED with the first one found, PROVED when every
+        assignment was checked, and UNKNOWN when the assignment budget
+        cut the search short (an unchecked assignment may refute)."""
         names = sorted(variables)
-        domains = [
+        domains = self._shrink([
             variable_domain(n, variables[n], self.config) for n in names
-        ]
+        ])
         checked = 0
-        for combo in itertools.product(*domains) if names else [()]:
+        for combo in itertools.product(*domains):
+            if checked == self.config.max_assignments:
+                return Verdict(UNKNOWN, None, checked)
             env = dict(zip(names, combo))
             checked += 1
-            if checked > self.config.max_assignments:
-                break
-            if _outcome(left, env) != _outcome(right, env):
+            if refutes(env):
                 return Verdict(REFUTED, env, checked)
         return Verdict(PROVED, None, checked)
 
     def _shrink(self, domains: list[list[Any]]) -> list[list[Any]]:
         """Reduce the product size to fit the assignment budget by
-        trimming each domain proportionally (corners are kept first)."""
+        halving the largest domain, again and again.  A halved domain
+        keeps its corner values, its two extremes (a sorted integer
+        domain's min and max) and any of 0, 1 and -1, then its first
+        other values in order.  Stops when no domain can shrink."""
         budget = self.config.max_assignments
         shrunk = [list(d) for d in domains]
         passes = 0
@@ -248,12 +233,24 @@ class Prover:
                 largest = max(
                     range(len(shrunk)), key=lambda i: len(shrunk[i])
                 )
-                if len(shrunk[largest]) <= 2:
+                domain = shrunk[largest]
+                last = len(domain) - 1
+                corner = [
+                    i in (0, last) or (type(v) is int and v in (0, 1, -1))
+                    for i, v in enumerate(domain)
+                ]
+                room = max(2, len(domain) // 2) - sum(corner)
+                kept = []
+                for v, is_corner in zip(domain, corner):
+                    if is_corner:
+                        kept.append(v)
+                    elif room > 0:
+                        kept.append(v)
+                        room -= 1
+                if len(kept) == len(domain):
                     return shrunk
                 passes += 1
-                shrunk[largest] = shrunk[largest][
-                    : max(2, len(shrunk[largest]) // 2)
-                ]
+                shrunk[largest] = kept
         finally:
             if passes and OBS.enabled:
                 OBS.count("prover.domain_shrink_passes", passes)

@@ -632,6 +632,14 @@ class TestImportFootprint:
             )
             assert not loaded, loaded
 
+    def test_explore_does_not_hash_the_toolchain(
+        self, program_file, tmp_path
+    ):
+        """The stepper cache is keyed by the source it compiles, so
+        ``explore`` never fingerprints the package."""
+        modules = self._modules(tmp_path, "explore", program_file)
+        assert "repro.hashing" not in modules
+
     def test_verify_loads_no_worker_pool(self, program_file, tmp_path):
         modules = self._modules(tmp_path, "verify", program_file,
                                 "--no-cache")

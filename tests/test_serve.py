@@ -48,6 +48,13 @@ proof ImplToMid { refinement Impl Mid var_intro }
 proof MidToSpec { refinement Mid Spec nondet_weakening }
 """
 
+DIVIDES_BY_ZERO = """
+level L {
+  var x: uint32;
+  void main() { var y: uint32 := 0; x := 1 / y; print_uint32(x); }
+}
+"""
+
 #: One level of the lock-counter family: *workers* threads contending
 #: on a mutex.  With ``validate: always`` each refinement pair runs one
 #: whole-program product check.  With two workers that check takes
@@ -275,6 +282,45 @@ class TestDaemonBasics:
         assert captured.err == (
             "error: no level named Nope (levels: Impl, Mid, Spec)\n"
         )
+
+    @pytest.mark.parametrize("source, extra", [
+        (DIVIDES_BY_ZERO, ()),
+        (QUICK_CHAIN, ("--max-states", "1")),
+    ], ids=["undefined-behavior", "budget-cut"])
+    def test_submit_wait_exits_as_batch_explore(
+        self, served, tmp_path, capsys, source, extra
+    ):
+        from repro.cli import main
+
+        daemon, _ = served
+        program = tmp_path / "program.arm"
+        program.write_text(source)
+        assert main(["explore", str(program), *extra]) == 1
+        assert main(["submit", str(program), "--socket",
+                     str(daemon.socket_path), "--kind", "explore",
+                     "--wait", *extra]) == 1
+
+    def test_submit_wait_of_an_inconclusive_chain_says_so(
+        self, served, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        daemon, _ = served
+        program = tmp_path / "chain.arm"
+        program.write_text(QUICK_CHAIN)
+        # MidToSpec's whole-program check draws uint32 from (0, 1).
+        assert main(["verify", str(program), "--validate", "always",
+                     "--no-cache"]) == 1
+        batch = capsys.readouterr().out
+        assert main(["submit", str(program), "--socket",
+                     str(daemon.socket_path), "--validate", "always",
+                     "--wait"]) == 1
+        served_out = capsys.readouterr().out
+        line = next(
+            line for line in batch.splitlines()
+            if line.startswith("chain INCONCLUSIVE: ")
+        )
+        assert line in served_out.splitlines()
 
 
 class TestConcurrentClients:

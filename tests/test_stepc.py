@@ -7,19 +7,21 @@ states (bit-identical hashes), same UB reasons, same verdicts — under
 all three memory models (SC, x86-TSO and C11 RA).  Step shapes it
 cannot cover fall back to the interpreter inline, per step.  A warm
 process loads the compiled code from the bytecode cache instead of
-recompiling it; an unreadable, corrupt or foreign cache entry is a
-miss and regenerates.
+recompiling it; the entry is keyed by the generated source, and an
+unreadable, corrupt or foreign cache entry is a miss and regenerates.
 """
 
 import builtins
 import contextlib
 import json
+import marshal
 import re
 from collections import deque
 from pathlib import Path
 
 import pytest
 
+import repro.hashing
 from repro.casestudies import ALL, load
 from repro.cli import main
 from repro.compiler import stepc
@@ -390,6 +392,37 @@ class TestSourceCache:
         # objects are not: they hold per-machine Step identities).
         assert [p[1] for p in recovered.fn(state)] == \
             [p[1] for p in first.fn(state)]
+        # The entry compiled again replaced the garbage.
+        assert compile_stepper(machine_for(SMALL, "tso")).cache_hit is True
+
+    def test_entry_that_fails_to_bind_is_compiled_again(self, tmp_path,
+                                                        monkeypatch):
+        # A readable code object under the right key that does not
+        # define a working build(): compiled again from the source.
+        monkeypatch.setenv("ARMADA_STEPC_CACHE", str(tmp_path))
+        first = compile_stepper(machine_for(SMALL, "tso"))
+        entry = tmp_path / f"{first.cache_key}.marshal"
+        entry.write_bytes(marshal.dumps(
+            compile("raise RuntimeError('stale')", "<stale>", "exec")
+        ))
+        recovered = compile_stepper(machine_for(SMALL, "tso"))
+        assert recovered.cache_hit is False
+        state = machine_for(SMALL, "tso").initial_state()
+        assert [p[1] for p in recovered.fn(state)] == \
+            [p[1] for p in first.fn(state)]
+        assert compile_stepper(machine_for(SMALL, "tso")).cache_hit is True
+
+    def test_toolchain_edit_keeps_an_unchanged_source_warm(
+        self, tmp_path, monkeypatch
+    ):
+        # The key is the generated source: an edit elsewhere in the
+        # package (a new code_version) leaves the entry valid.
+        monkeypatch.setenv("ARMADA_STEPC_CACHE", str(tmp_path))
+        cold = compile_stepper(machine_for(SMALL, "tso"))
+        monkeypatch.setattr(repro.hashing, "_code_version", "0" * 64)
+        warm = compile_stepper(machine_for(SMALL, "tso"))
+        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+        assert warm.cache_key == cold.cache_key
 
     def test_model_is_part_of_the_key(self):
         sc = compile_stepper(machine_for(SMALL, "sc"))

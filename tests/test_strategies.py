@@ -94,6 +94,16 @@ class TestWeakening:
         assert outcome.success
         assert outcome.script.global_checks == []
 
+    def test_somehow_pair_with_a_literal_on_either_side_proved(self):
+        # 1 + y is uint32 like y + 1, so both wrap at the maximum.
+        outcome = run(two_levels(
+            "somehow modifies y ensures y == old(y + 1);",
+            "somehow modifies y ensures y == old(1 + y);",
+            "weakening",
+            decls="var y: uint32;",
+        ))
+        assert outcome.success
+
     def test_somehow_pair_frames_unmodified_variables(self):
         # The low side leaves y alone, so old(y) is y for both sides.
         outcome = run(two_levels(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.errors import TypeError_
 from repro.lang import types as ty
 from repro.lang.frontend import check_level
@@ -71,6 +72,24 @@ class TestOperators:
 
     def test_negation(self):
         check("ghost var n: int; void m() { n := -n; }")
+
+    @pytest.mark.parametrize("text", ["1 + y", "y + 1", "2 * (1 + y)"])
+    def test_literal_takes_the_width_of_either_operand(self, text):
+        ctx = check(f"var y: uint32; void m() {{ assert {text} == 0; }}")
+        method = ctx.level.methods[0]
+        assert method.body.stmts[0].cond.left.type == ty.UINT32
+
+    def test_literal_left_of_a_fixed_width_operand_wraps(
+        self, tmp_path, capsys
+    ):
+        program = tmp_path / "wrap.arm"
+        program.write_text(
+            "level L { var y: uint32 := 4294967295; void main() { "
+            "var r: uint32 := 0; if (1 + y == y + 1) { r := 1; } "
+            "print_uint32(r); } }"
+        )
+        assert main(["run", str(program)]) == 0
+        assert "log: [1]" in capsys.readouterr().out
 
 
 class TestPointers:

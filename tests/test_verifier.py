@@ -8,6 +8,7 @@ from repro.lang.frontend import check_program
 from repro.machine.evaluator import eval_formula
 from repro.machine.state import UBSignal
 from repro.verifier import Prover, ProverConfig
+from repro.verifier.prover import REFUTED, UNKNOWN
 
 
 def typed(text: str, decls: str = "var x: uint32; var y: uint32;"):
@@ -163,6 +164,9 @@ class TestProver:
         assert prover.prove_valid(goal, {"n": ty.MATHINT}).ok
 
     def test_budget_shrinking_terminates(self):
+        # Six uint32 domains keep three corners each (0, 1, max), and
+        # 3**6 assignments exceed the budget: the search stops at the
+        # budget and, having skipped some, proves nothing.
         config = ProverConfig(max_assignments=500)
         prover = Prover(config)
         variables = {f"v{i}": ty.UINT32 for i in range(6)}
@@ -171,8 +175,8 @@ class TestProver:
             decls="".join(f"var v{i}: uint32;" for i in range(6)),
         )
         verdict = prover.prove_valid(goal, variables)
-        assert verdict.ok
-        assert verdict.assignments_checked <= 501
+        assert verdict.status == UNKNOWN and verdict.inconclusive
+        assert verdict.assignments_checked == 500
 
     def test_no_variables(self):
         prover = Prover()
@@ -187,3 +191,42 @@ class TestProver:
         assert prover.prove_valid(
             goal, {"o": ty.OptionType(ty.UINT64)}
         ).ok
+
+
+FOUR_WORDS = "var a: uint32; var b: uint32; var c: uint32; var d: uint32;"
+SUM = "a + b + c + d"
+#: Differs from SUM only where a is the uint32 maximum.
+CARRY = "a + b + c + d + (if a == 4294967295 then 1 else 0)"
+
+
+class TestAssignmentBudget:
+    """A search the assignment budget cuts short never proves: the
+    budget shrinks the domains, a shrunk domain keeps its corners, and
+    an enumeration still cut short is inconclusive."""
+
+    VARIABLES = {name: ty.UINT32 for name in "abcd"}
+
+    def test_shrunk_domains_keep_the_maximum(self):
+        goal = typed(f"{SUM} == {CARRY}", decls=FOUR_WORDS)
+        verdict = Prover().prove_valid(goal, self.VARIABLES)
+        assert verdict.status == REFUTED
+        assert verdict.counterexample["a"] == 4294967295
+
+    def test_equivalence_shrinks_its_domains_too(self):
+        pair = typed(f"({SUM} == 7) == ({CARRY} == 7)", decls=FOUR_WORDS)
+        verdict = Prover().equivalent(pair.left, pair.right, self.VARIABLES)
+        assert verdict.status == REFUTED
+        assert verdict.counterexample["a"] == 4294967295
+
+    def test_cut_enumeration_is_unknown(self):
+        # 2**19 boolean assignments exceed the default budget, and the
+        # one that refutes comes last.
+        names = [f"b{i}" for i in range(19)]
+        goal = typed(
+            "!(" + " && ".join(names) + ")",
+            decls="".join(f"var {n}: bool;" for n in names),
+        )
+        verdict = Prover().prove_valid(goal, dict.fromkeys(names, ty.BOOL))
+        assert verdict.status == UNKNOWN and verdict.inconclusive
+        assert verdict.assignments_checked == \
+            ProverConfig().max_assignments
